@@ -67,6 +67,31 @@ class Unit:
         return len(self.child_keys)
 
 
+@dataclass(frozen=True)
+class UnitDirectory:
+    """The unit assignment of one database, fixed when it is built.
+
+    ``units`` is every :class:`Unit` by ``unit_id``; ``unit_of_parent``
+    maps a ParentRel key to its unit's id; ``procedures`` (procedural
+    representation only, the matrix's left column) maps a ParentRel key
+    to its stored retrieve query ``(child-relation index, ret2 low,
+    ret2 high)``, see :mod:`repro.core.strategies.procedural`.  None of
+    them is mutated after construction, so snapshot clones and arena
+    attaches share the directory instead of copying it — the same
+    treatment as :class:`Unit` — and clone cost does not grow with the
+    number of complex objects.
+    """
+
+    units: Tuple[Unit, ...]
+    unit_of_parent: Dict[int, int]
+    procedures: Optional[Dict[int, Tuple[int, int, int]]] = None
+
+    ARENA_SHAREABLE = True
+
+    def __deepcopy__(self, memo: dict) -> "UnitDirectory":
+        return self
+
+
 class ComplexObjectDB:
     """ParentRel + ChildRel[s], with optional cache and clustering."""
 
@@ -77,23 +102,19 @@ class ComplexObjectDB:
         child_rels: Sequence[BTreeFile],
         units: Sequence[Unit],
         unit_of_parent: Dict[int, int],
+        procedures: Optional[Dict[int, Tuple[int, int, int]]] = None,
     ) -> None:
         if not child_rels:
             raise WorkloadError("a complex-object database needs >= 1 child relation")
         self.catalog = catalog
         self.parent_rel = parent_rel
         self.child_rels = list(child_rels)
-        self.units = list(units)
-        self.unit_of_parent = dict(unit_of_parent)
+        self._directory = UnitDirectory(
+            tuple(units), dict(unit_of_parent), procedures
+        )
         self.cluster: Optional[ClusterStore] = None
         self.cache: Optional[UnitCache] = None
         self.inside_cache: Optional[InsideUnitCache] = None
-        #: Procedural representation (the matrix's left column): maps a
-        #: parent key to its stored retrieve query, expressed as
-        #: ``(child-relation index, ret2 low, ret2 high)``.  Populated by
-        #: the generator when ``procedural=True``; see
-        #: :mod:`repro.core.strategies.procedural`.
-        self.procedures: Optional[Dict[int, Tuple[int, int, int]]] = None
         self._children_index = parent_rel.schema.field_index("children")
         self._parent_oid_index = parent_rel.schema.field_index("oid")
 
@@ -107,6 +128,19 @@ class ComplexObjectDB:
     @property
     def disk(self):
         return self.catalog.disk
+
+    @property
+    def units(self) -> Tuple[Unit, ...]:
+        return self._directory.units
+
+    @property
+    def unit_of_parent(self) -> Dict[int, int]:
+        """ParentRel key -> unit id (read-only: shared by every clone)."""
+        return self._directory.unit_of_parent
+
+    @property
+    def procedures(self) -> Optional[Dict[int, Tuple[int, int, int]]]:
+        return self._directory.procedures
 
     @property
     def parent_schema(self) -> Schema:

@@ -282,9 +282,10 @@ def bench_arena_attach(
     """Clone materialization from a registry-warm mmap arena.
 
     One op is what a pool worker pays per sweep point on the arena
-    path: unpickling the metadata blob against the shared zero-copy
-    page stubs.  The one-time mmap + parse (paid once per process, not
-    per attach) is reported separately as ``load_ns``.
+    path: a structural clone of the template unpickled at load, over
+    the shared zero-copy page stubs.  The one-time mmap + parse +
+    metadata unpickle (paid once per process, not per attach) is
+    reported separately as ``load_ns``.
     """
     import tempfile
 
@@ -312,14 +313,35 @@ def bench_arena_attach(
     return result
 
 
+def bench_snapshot_attach(
+    repeat: int, warmup: int = 1, scale: float = 0.05
+) -> Dict[str, Any]:
+    """Structural clone of an in-memory frozen template.
+
+    One op is what ``repro serve`` pays per reader (and per writer
+    batch) each time the published epoch moves on:
+    ``Snapshot.attach`` of a database frozen in this process.
+    """
+    snapshot = _bench_snapshot(scale)
+    times, clone = _time_ns(snapshot.attach, repeat, warmup)
+    if clone is None or clone.disk is None:
+        raise AssertionError("snapshot attach produced no database")
+    result = {
+        "pages": clone.disk.total_pages(),
+        "seconds": round(min(times) / 1e9, 6),
+    }
+    result.update(_op_fields(times, 1))
+    return result
+
+
 def bench_pickle_attach(
     repeat: int, warmup: int = 1, scale: float = 0.05
 ) -> Dict[str, Any]:
     """Clone materialization from the legacy pickle snapshot format.
 
     One op is the pickle path's per-point cost on a store hit: unpickle
-    the whole-database blob (page payloads included), then deep-copy
-    attach.  The direct comparison point for ``arena_attach``.
+    the whole-database blob (page payloads included), then clone it.
+    The direct comparison point for ``arena_attach``.
     """
     from repro.storage.snapshot import Snapshot
 
@@ -347,6 +369,7 @@ BENCHMARKS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "join_inner": bench_join_inner,
     "arena_attach": bench_arena_attach,
     "pickle_attach": bench_pickle_attach,
+    "snapshot_attach": bench_snapshot_attach,
 }
 
 

@@ -161,6 +161,13 @@ def run_serve(
         "retrieve": _percentiles(metrics, "serve.latency_ms", kind="retrieve"),
         "update": _percentiles(metrics, "serve.latency_ms", kind="update"),
     }
+    # Server-side budget rows: time inside a retrieve, and the clone
+    # attach each thread pays when the published epoch moves on.
+    service_ms = _percentiles(metrics, "serve.service_ms", kind="retrieve")
+    attach_ms = {
+        role: _percentiles(metrics, "serve.attach_ms", role=role)
+        for role in ("reader", "writer")
+    }
     chain = server.chain.counters()
     publish = dict(chain)
     publish["crashes"] = metrics.sum_counters("serve.publish.crashes")
@@ -204,6 +211,8 @@ def run_serve(
         if wall_seconds > 0
         else 0.0,
         "latency_ms": latency,
+        "service_ms": service_ms,
+        "attach_ms": attach_ms,
         "publish": publish,
         "admission": admission,
         "phases": phases,
@@ -234,6 +243,12 @@ def run_serve(
                 latency["update"]["p50"],
                 latency["update"]["p95"],
                 latency["update"]["p99"],
+            )),
+            ("service p50/p95 ms", "%.2f / %.2f" % (
+                service_ms["p50"], service_ms["p95"],
+            )),
+            ("attach p50 ms reader/writer", "%.2f / %.2f" % (
+                attach_ms["reader"]["p50"], attach_ms["writer"]["p50"],
             )),
             ("publishes", publish["published"]),
             ("publish crashes", publish["crashes"]),

@@ -217,7 +217,7 @@ class SnapshotServer:
                     if lease is not None:
                         lease.release()
                     lease = self.chain.acquire()
-                    clone = lease.attach()
+                    clone = self._attach(lease, registry, "reader")
                 t0 = time.monotonic_ns()
                 try:
                     if request.deadline is not None:
@@ -241,6 +241,16 @@ class SnapshotServer:
         finally:
             if lease is not None:
                 lease.release()
+
+    @staticmethod
+    def _attach(lease: VersionLease, registry: MetricsRegistry, role: str) -> Any:
+        """Clone the leased version, timing it as ``serve.attach_ms``."""
+        t0 = time.monotonic_ns()
+        clone = lease.attach()
+        registry.observe(
+            "serve.attach_ms", (time.monotonic_ns() - t0) / 1e6, role=role
+        )
+        return clone
 
     # ------------------------------------------------------------------
     # writer side
@@ -282,7 +292,7 @@ class SnapshotServer:
         for attempt in range(self.MAX_PUBLISH_ATTEMPTS):
             lease = self.chain.acquire()
             try:
-                clone = lease.attach()
+                clone = self._attach(lease, registry, "writer")
                 for request in live:
                     strategy.update(clone, request.op)
                 _fault.hit("serve.publish_crash")

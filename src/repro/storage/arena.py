@@ -27,16 +27,16 @@ caches, hash/ISAM index pages) are externalized the same way, except
 their image is a pickle of the decoded record lists, revived lazily on
 first read.  The metadata blob is a normal pickle except that every
 frozen page was replaced by a persistent id (its index position), so
-unpickling it wires the clone's file lists and buffer frames straight
-to the shared stubs and carries only catalog structure — attach cost no
-longer scales with data volume.
+unpickling it wires the file lists straight to the shared stubs and
+carries only catalog structure.
 
 Per process, an :class:`ArenaRegistry` loads each arena once: one mmap,
-one stub list, one shared-objects unpickle.  Every subsequent attach is
-a single metadata unpickle — the stubs (and therefore each page's lazily
-decoded record cache) and the shared immutables are reused by all clones
-in the process, exactly like the deep-copy attach path shares template
-pages and stateless schemas.
+one stub list, one shared-objects unpickle and one metadata unpickle
+into a frozen *template* database.  Every attach then clones that
+template through :meth:`repro.storage.snapshot.Snapshot.attach` — the
+same structural clone a freshly frozen database takes, O(#files) — so
+the stubs (and therefore each page's lazily decoded record cache) and
+the shared immutables are reused by all clones in the process.
 
 Integrity: the header, index, shared and metadata regions are SHA-256
 checksummed and the total file size is validated, so truncation or a
@@ -230,34 +230,29 @@ class _ArenaUnpickler(pickle.Unpickler):
 
 
 class ArenaState:
-    """One loaded arena: the mmap, the shared page stubs, the metadata.
+    """One loaded arena: the mmap, the shared page stubs, the template.
 
     Built once per process per arena file (see :class:`ArenaRegistry`);
-    :meth:`attach` then costs a single metadata unpickle.
+    :meth:`attach` then clones the template like any frozen database.
     """
 
-    __slots__ = ("path", "pages", "_mmap", "_stubs", "_shared", "_meta_blob")
+    __slots__ = ("path", "pages", "_mmap", "_stubs", "_template")
 
     def __init__(
-        self,
-        path: str,
-        mm: mmap.mmap,
-        stubs: List[Page],
-        shared: List[Any],
-        meta_blob: bytes,
+        self, path: str, mm: mmap.mmap, stubs: List[Page], template: Any
     ) -> None:
+        # Imported here: the snapshot module imports this one.
+        from repro.storage.snapshot import Snapshot
+
         self.path = path
         self.pages = len(stubs)
         self._mmap = mm
         self._stubs = stubs
-        self._shared = shared
-        self._meta_blob = meta_blob
+        self._template = Snapshot(template)
 
     def attach(self) -> Any:
         """A fresh, fully mutable database clone sharing the stub pages."""
-        return _ArenaUnpickler(
-            io.BytesIO(self._meta_blob), self._stubs, self._shared
-        ).load()
+        return self._template.attach()
 
     def close(self) -> None:
         """Best-effort unmap (fails silently while stub views are live)."""
@@ -375,7 +370,11 @@ def _parse(path: str, mm: mmap.mmap) -> ArenaState:
         page.codec = shared[codec_id] if codec_id >= 0 else None
         page._buf = view[images_off + offset:images_off + offset + length]
         stubs.append(page)
-    return ArenaState(path, mm, stubs, shared, meta_blob)
+    try:
+        template = _ArenaUnpickler(io.BytesIO(meta_blob), stubs, shared).load()
+    except Exception as exc:
+        raise CacheCorrupt("unpicklable arena metadata: %s" % (exc,))
+    return ArenaState(path, mm, stubs, template)
 
 
 class ArenaRegistry:
@@ -476,5 +475,4 @@ class ArenaSnapshot:
         return self._state.pages
 
     def attach(self) -> Any:
-        with _spans.span("snapshot.attach"):
-            return self._state.attach()
+        return self._state.attach()

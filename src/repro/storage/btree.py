@@ -16,12 +16,15 @@ page-based B+tree with:
   the breadth-first strategies' merge join efficient: probing keys in
   ascending order touches each qualifying leaf page once.
 
-Node "header" fields (is-leaf flag, next-leaf pointer, key count) live in a
-sidecar dict rather than on the page records; in a real engine they occupy
-the page header, which :data:`repro.storage.page.PAGE_HEADER_BYTES` already
-charges for.  Internal entries are charged ``INDEX_ENTRY_BYTES`` each, so
-index fan-out — and therefore how many index pages compete for buffer
-space — is realistic.
+Node "header" fields (is-leaf flag, next-leaf pointer) live in two flat
+sidecar columns indexed by ``page_no`` rather than on the page records —
+a ``bytearray`` and an ``array('q')``, so a snapshot clone copies them
+with two C-level copies however many pages the tree has; in a real
+engine they occupy the page header, which
+:data:`repro.storage.page.PAGE_HEADER_BYTES` already charges for.
+Internal entries are charged ``INDEX_ENTRY_BYTES`` each, so index
+fan-out — and therefore how many index pages compete for buffer space —
+is realistic.
 
 Raw-speed notes
 ---------------
@@ -47,6 +50,7 @@ epoch-guarded lease contract (see :mod:`repro.storage.buffer`):
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
@@ -60,23 +64,8 @@ INDEX_ENTRY_BYTES = 12
 KeyFunc = Callable[[Tuple[Any, ...]], Any]
 
 
-class _NodeMeta:
-    """Sidecar header for one node page.
-
-    A ``__slots__`` class rather than a dataclass: ``is_leaf`` is read on
-    every level of every descent and ``next_leaf`` on every leaf-chain
-    step, so attribute access off ``__dict__`` showed up in profiles.
-    """
-
-    __slots__ = ("is_leaf", "next_leaf")
-
-    def __init__(self, is_leaf: bool, next_leaf: Optional[int] = None) -> None:
-        self.is_leaf = is_leaf
-        # page_no of the right sibling (leaves only)
-        self.next_leaf = next_leaf
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "_NodeMeta(is_leaf=%r, next_leaf=%r)" % (self.is_leaf, self.next_leaf)
+#: ``_next_leaf`` entry of the last leaf (and of every internal node).
+NO_LEAF = -1
 
 
 class BTreeCursor:
@@ -160,7 +149,6 @@ class BTreeCursor:
         self._skip_to_valid()
 
     def _skip_to_valid(self) -> None:
-        meta = self.tree._meta
         while self._page_no is not None:
             page = self._touch(self._page_no)
             records = page.records
@@ -168,7 +156,7 @@ class BTreeCursor:
                 records = page._materialize()
             if self._slot < len(records):
                 return
-            self._page_no = meta[self._page_no].next_leaf
+            self._page_no = self.tree._next(self._page_no)
             self._slot = 0
 
 
@@ -194,7 +182,12 @@ class BTreeFile:
         self.name = name
         self.unique = unique
         self.file_id = pool.disk.create_file(name)
-        self._meta: Dict[int, _NodeMeta] = {}
+        # Node headers, one entry per page of the file (the tree is the
+        # file's only allocator, so page numbers are dense from 0):
+        # 1 = leaf / 0 = internal, and the right sibling's page_no
+        # (``NO_LEAF`` for the last leaf and for internal nodes).
+        self._is_leaf = bytearray()
+        self._next_leaf = array("q")
         self._root: Optional[int] = None
         self._first_leaf: Optional[int] = None
         self._num_records = 0
@@ -235,7 +228,7 @@ class BTreeFile:
 
     @property
     def num_leaf_pages(self) -> int:
-        return sum(1 for m in self._meta.values() if m.is_leaf)
+        return self._is_leaf.count(1)
 
     def _key(self, record: Tuple[Any, ...]) -> Any:
         return record[self._key_index]
@@ -270,9 +263,8 @@ class BTreeFile:
         # --- leaves -----------------------------------------------------
         validate = self.schema.validate
         record_size = self.schema.record_size
-        codec = self.schema.codec
-        new_page = self.pool.new_page
-        meta = self._meta
+        new_node = self._new_node
+        next_leaf = self._next_leaf
         leaf_nos: List[int] = []
         leaf_first_keys: List[Any] = []
         page: Optional[Page] = None
@@ -283,24 +275,18 @@ class BTreeFile:
             if page is not None and size + SLOT_BYTES > page.free_bytes - slack:
                 page = None
             if page is None:
-                page = new_page(self.file_id)
-                page.codec = codec
+                page = new_node(True)
                 slack = page.capacity * (1.0 - fill_factor)
                 no = page.page_id.page_no
-                meta[no] = _NodeMeta(is_leaf=True)
                 if leaf_nos:
-                    meta[leaf_nos[-1]].next_leaf = no
+                    next_leaf[leaf_nos[-1]] = no
                 leaf_nos.append(no)
                 leaf_first_keys.append(record[key_index])
             page.insert(record, size)
             self._num_records += 1
 
         if not leaf_nos:  # empty tree: single empty leaf as root
-            page = new_page(self.file_id)
-            page.codec = codec
-            no = page.page_id.page_no
-            meta[no] = _NodeMeta(is_leaf=True)
-            leaf_nos = [no]
+            leaf_nos = [new_node(True).page_id.page_no]
             leaf_first_keys = [None]
 
         self._first_leaf = leaf_nos[0]
@@ -315,17 +301,14 @@ class BTreeFile:
             page = None
             for child_no, child_key in zip(level_nos, level_keys):
                 if page is None or not page.fits(INDEX_ENTRY_BYTES):
-                    page = new_page(self.file_id)
-                    no = page.page_id.page_no
-                    meta[no] = _NodeMeta(is_leaf=False)
-                    parent_nos.append(no)
+                    page = new_node(False)
+                    parent_nos.append(page.page_id.page_no)
                     parent_keys.append(child_key)
                 page.insert((child_key, child_no), INDEX_ENTRY_BYTES)
             level_nos = parent_nos
             level_keys = parent_keys
             self.height += 1
         self._root = level_nos[0]
-        self._ids = None  # the load grew the file
 
     # ------------------------------------------------------------------
     # navigation
@@ -336,6 +319,21 @@ class BTreeFile:
         if ids is None:
             ids = self._ids = self.pool.disk.page_ids(self.file_id)
         return ids
+
+    def _new_node(self, is_leaf: bool) -> Page:
+        """Allocate the next page of the file and append its header."""
+        page = self.pool.new_page(self.file_id)
+        self._ids = None  # the file grew
+        if is_leaf:
+            page.codec = self.schema.codec
+        self._is_leaf.append(is_leaf)
+        self._next_leaf.append(NO_LEAF)
+        return page
+
+    def _next(self, leaf_no: int) -> Optional[int]:
+        """Right sibling of ``leaf_no`` (None at the end of the chain)."""
+        right = self._next_leaf[leaf_no]
+        return right if right >= 0 else None
 
     def _fetch(self, page_no: int) -> Page:
         return self.pool.fetch(PageId(self.file_id, page_no))
@@ -375,7 +373,7 @@ class BTreeFile:
             raise KeyNotFoundError("btree %r is empty" % self.name)
         path = [self._root]
         node = self._root
-        while not self._meta[node].is_leaf:
+        while not self._is_leaf[node]:
             page = self._fetch(node)
             seps = self._separators(page)
             # Child i covers keys in [seps[i], seps[i+1]).
@@ -399,7 +397,7 @@ class BTreeFile:
             raise KeyNotFoundError("btree %r is empty" % self.name)
         path = [self._root]
         node = self._root
-        while not self._meta[node].is_leaf:
+        while not self._is_leaf[node]:
             page = self._fetch(node)
             seps = self._separators(page)
             idx = bisect.bisect_right(seps, key) - 1
@@ -416,12 +414,12 @@ class BTreeFile:
     def _descend_leaf(self, key: Any, ids: List[PageId]) -> int:
         """The leaf page number for ``key`` (identical touches to
         :meth:`_descend`, without materializing the path list)."""
-        meta = self._meta
+        is_leaf = self._is_leaf
         fetch = self.pool.fetch
         sep_cache = self._sep_cache
         bisect_right = bisect.bisect_right
         node = self._root
-        while not meta[node].is_leaf:
+        while not is_leaf[node]:
             page = fetch(ids[node])
             cached = sep_cache.get(node)
             if cached is not None and cached[0] == page.version:
@@ -468,7 +466,7 @@ class BTreeFile:
         """
         pool = self.pool
         stats = pool.stats
-        meta = self._meta
+        next_leaf = self._next_leaf
         key_index = self._key_index
         # The real leaf fetch of _find_leaf_slot, opening the lease.
         frame = pool.fetch_frame(ids[leaf_no])
@@ -478,7 +476,7 @@ class BTreeFile:
         if records is None:
             records = page._materialize()
         slot = bisect.bisect_left(self._leaf_keys(page), key)
-        page_no: Optional[int] = leaf_no
+        page_no = leaf_no
         hits = 0
         out: List[Tuple[Any, ...]] = []
         match_leaf: Optional[int] = None
@@ -486,7 +484,7 @@ class BTreeFile:
         while True:
             # _skip_to_valid: one touch per iteration, moving right past
             # empty/exhausted leaves.
-            while page_no is not None:
+            while page_no >= 0:
                 if page_no == current_no:
                     hits += 1
                 else:
@@ -502,9 +500,9 @@ class BTreeFile:
                         records = page._materialize()
                 if slot < len(records):
                     break
-                page_no = meta[page_no].next_leaf
+                page_no = next_leaf[page_no]
                 slot = 0
-            if page_no is None:
+            if page_no < 0:
                 break
             # current(): one touch (same leaf by construction) + read.
             hits += 1
@@ -551,14 +549,13 @@ class BTreeFile:
         if self._root is None:
             return
         if lo is None:
-            page_no: Optional[int] = self._first_leaf
-            slot = 0
+            page_no, slot = self._first_leaf, 0
         else:
             page_no, slot = self._find_leaf_slot(lo)
         key_index = self._key_index
-        meta = self._meta
+        next_leaf = self._next_leaf
         fetch = self.pool.fetch
-        while page_no is not None:
+        while page_no >= 0:
             # Re-check the ids cache each leaf: an insert interleaved with
             # an open scan can split a leaf and grow the file.
             ids = self._ids
@@ -582,7 +579,7 @@ class BTreeFile:
                     if record[key_index] >= hi:
                         return
                     yield record
-            page_no = meta[page_no].next_leaf
+            page_no = next_leaf[page_no]
             slot = 0
 
     def scan(self) -> Iterator[Tuple[Any, ...]]:
@@ -601,14 +598,9 @@ class BTreeFile:
         key = self._key(record)
         size = self.schema.record_size(record)
         if self._root is None:
-            page = self.pool.new_page(self.file_id)
-            self._ids = None
-            page.codec = self.schema.codec
-            no = page.page_id.page_no
-            self._meta[no] = _NodeMeta(is_leaf=True)
+            page = self._new_node(True)
             page.insert(record, size)
-            self._root = no
-            self._first_leaf = no
+            self._root = self._first_leaf = page.page_id.page_no
             self.height = 1
             self._num_records += 1
             return
@@ -638,14 +630,10 @@ class BTreeFile:
         records.insert(slot, record)
         mid = len(records) // 2
         left, right = records[:mid], records[mid:]
-        right_page = self.pool.new_page(self.file_id)
-        self._ids = None
-        right_page.codec = self.schema.codec
+        right_page = self._new_node(True)
         right_no = right_page.page_id.page_no
-        self._meta[right_no] = _NodeMeta(
-            is_leaf=True, next_leaf=self._meta[leaf_no].next_leaf
-        )
-        self._meta[leaf_no].next_leaf = right_no
+        self._next_leaf[right_no] = self._next_leaf[leaf_no]
+        self._next_leaf[leaf_no] = right_no
         for r in left:
             page.insert(r, self.schema.record_size(r))
         for r in right:
@@ -656,16 +644,13 @@ class BTreeFile:
 
     def _insert_separator(self, path: List[int], sep: Any, child_no: int) -> None:
         if not path:  # splitting the root: grow a level
-            new_root = self.pool.new_page(self.file_id)
-            self._ids = None
-            no = new_root.page_id.page_no
-            self._meta[no] = _NodeMeta(is_leaf=False)
+            new_root = self._new_node(False)
             old_root = self._root
             assert old_root is not None
             old_first = self._lowest_key(old_root)
             new_root.insert((old_first, old_root), INDEX_ENTRY_BYTES)
             new_root.insert((sep, child_no), INDEX_ENTRY_BYTES)
-            self._root = no
+            self._root = new_root.page_id.page_no
             self.height += 1
             return
         node_no = path[-1]
@@ -680,10 +665,8 @@ class BTreeFile:
         entries.insert(slot, (sep, child_no))
         mid = len(entries) // 2
         left, right = entries[:mid], entries[mid:]
-        right_page = self.pool.new_page(self.file_id)
-        self._ids = None
+        right_page = self._new_node(False)
         right_no = right_page.page_id.page_no
-        self._meta[right_no] = _NodeMeta(is_leaf=False)
         for e in left:
             page.insert(e, INDEX_ENTRY_BYTES)
         for e in right:
@@ -701,7 +684,7 @@ class BTreeFile:
         separator order.  A leaf here is only ever the just-split old
         root, whose left half is never empty.
         """
-        if not self._meta[node_no].is_leaf:
+        if not self._is_leaf[node_no]:
             return self._fetch(node_no).get(0)[0]
         page = self._fetch(node_no)
         return self._key(page.get(0)) if len(page) else None
@@ -840,7 +823,7 @@ class BTreeFile:
                         raise AssertionError("leaf chain key order violated")
                 last_key = key
                 seen += 1
-            node = self._meta[node].next_leaf
+            node = self._next(node)
         if seen != self._num_records:
             raise AssertionError(
                 "leaf chain has %d records, expected %d" % (seen, self._num_records)
@@ -848,7 +831,7 @@ class BTreeFile:
         # Structural walk from the root: fence bounds, typing, depth,
         # byte accounting.  The DFS pushes children right-to-left so
         # leaves are visited in tree (left-to-right) order.
-        meta = self._meta
+        is_leaf = self._is_leaf
         key_of = self._key
         ordered_leaves: List[int] = []
         reachable = set()
@@ -858,12 +841,11 @@ class BTreeFile:
             if node in reachable:
                 raise AssertionError("page %d reached twice in btree walk" % node)
             reachable.add(node)
-            node_meta = meta.get(node)
-            if node_meta is None:
+            if not 0 <= node < len(is_leaf):
                 raise AssertionError("page %d has no node metadata" % node)
             page = disk.peek_page(PageId(self.file_id, node))
             page.check_invariants()
-            if node_meta.is_leaf:
+            if is_leaf[node]:
                 if depth != self.height:
                     raise AssertionError(
                         "leaf %d at depth %d in a tree of height %d"
@@ -904,10 +886,10 @@ class BTreeFile:
                     child_lo = lo if i == 0 else seps[i]
                     child_hi = seps[i + 1] if i + 1 < len(seps) else hi
                     stack.append((entries[i][1], depth + 1, child_lo, child_hi))
-        if reachable != set(meta):
+        if not len(reachable) == len(is_leaf) == len(self._next_leaf):
             raise AssertionError(
-                "tree reaches %d pages but metadata tracks %d"
-                % (len(reachable), len(meta))
+                "tree reaches %d pages but metadata tracks %d/%d"
+                % (len(reachable), len(is_leaf), len(self._next_leaf))
             )
         if len(reachable) != self.num_pages:
             raise AssertionError(
@@ -919,7 +901,7 @@ class BTreeFile:
         node = self._first_leaf
         while node is not None:
             chain.append(node)
-            node = meta[node].next_leaf
+            node = self._next(node)
         if chain != ordered_leaves:
             raise AssertionError(
                 "leaf chain %r disagrees with tree order %r" % (chain, ordered_leaves)

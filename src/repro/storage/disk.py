@@ -13,6 +13,7 @@ write whole pages by :class:`PageId`.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
@@ -204,7 +205,7 @@ class DiskManager:
 
     def __getstate__(self) -> Dict[str, object]:
         # The PageId cache is pure derived state; drop it so pickles (and
-        # snapshot deep-copies) stay lean and revive with a cold cache.
+        # snapshot clones) stay lean and revive with a cold cache.
         state = self.__dict__.copy()
         state["_page_id_cache"] = {}
         return state
@@ -219,19 +220,23 @@ class DiskManager:
                 page.freeze()
 
     def clone(self) -> "DiskManager":
-        """A new disk sharing this disk's (frozen) pages.
+        """A private copy of this frozen disk sharing its pages.
 
-        O(#files + #pages) pointer copies: the per-file page lists are
-        fresh lists, but the :class:`Page` objects themselves are shared
-        until a clone's write path copies one (:meth:`cow_page`).  The
-        clone starts with zeroed I/O counters and no ``io_hook``.
+        The one place a snapshot attach touches page lists: each file's
+        list is duplicated with a C-level ``list(pages)`` — no per-page
+        Python work — and the :class:`Page` objects stay shared until
+        the clone's write path copies one (:meth:`cow_page`).  Every
+        other field is deep-copied generically, so state added to this
+        class later is private to each clone by default.  The clone
+        starts with zeroed I/O counters and no ``io_hook``.
         """
-        dup = DiskManager(self.page_size)
-        dup._files = {fid: list(pages) for fid, pages in self._files.items()}
-        dup._file_names = dict(self._file_names)
-        dup._next_file_id = self._next_file_id
-        dup._file_reads = dict.fromkeys(self._file_reads, 0)
-        dup._file_writes = dict.fromkeys(self._file_writes, 0)
+        state = self.__getstate__()
+        files = state.pop("_files")
+        state["io_hook"] = None
+        dup = DiskManager.__new__(DiskManager)
+        dup.__dict__ = copy.deepcopy(state)
+        dup._files = {file_id: list(pages) for file_id, pages in files.items()}
+        dup.reset_counters()
         return dup
 
     def cow_page(self, page_id: PageId) -> Page:

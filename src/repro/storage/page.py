@@ -33,6 +33,7 @@ page, matching Section 4 of the paper.
 
 from __future__ import annotations
 
+import copy
 import pickle
 from typing import Any, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -135,6 +136,17 @@ class Page:
     def freeze(self) -> None:
         """Seal the page for snapshot sharing (mutators will refuse)."""
         self.frozen = True
+
+    def __deepcopy__(self, memo: dict) -> "Page":
+        # A frozen page is immutable and shared by every snapshot clone
+        # (first write goes through :meth:`copy`); anything else gets
+        # the ordinary private deep copy.
+        if self.frozen:
+            return self
+        dup = Page.__new__(Page)
+        memo[id(self)] = dup
+        dup.__setstate__(copy.deepcopy(self.__getstate__(), memo))
+        return dup
 
     def copy(self) -> "Page":
         """A private, unfrozen duplicate with identical contents.

@@ -12,11 +12,19 @@ This module provides the two pieces that make reuse cheap and safe:
 * :class:`Snapshot` — a built database frozen into an immutable
   template: dirty frames flushed, counters zeroed, every page sealed
   (:meth:`repro.storage.page.Page.freeze`).  :meth:`Snapshot.attach`
-  returns a fully mutable clone by unpickling a cached pickle of the
-  template — C-speed cloning of the Python-side structures (catalog,
-  B-tree sidecars, buffer pool, caches) and the compact page byte
-  images.  Clone pages stay frozen until first write: the buffer pool's
-  write path copies a page the first time a clone dirties it
+  returns a fully mutable clone by a structural ``copy.deepcopy`` of
+  the template whose cost depends on the number of files, not pages:
+  the disk's per-file page lists are duplicated by
+  :meth:`repro.storage.disk.DiskManager.clone` (``list(pages)``, frozen
+  pages shared), B-tree node headers are flat columns copied at C
+  speed, and immutable values (schemas, codecs, the unit directory)
+  answer ``__deepcopy__`` with themselves.  Everything else — catalog,
+  buffer pool, caches, any field added later — is walked generically,
+  so it is private to the clone by default.  This is the one clone
+  path: arena-backed snapshots unpickle their metadata once per process
+  into such a template and attach through it as well.  Clone pages stay
+  frozen until first write: the buffer pool's write path copies a page
+  the first time a clone dirties it
   (:meth:`repro.storage.buffer.BufferPool.writable`), so clones never
   observe each other's updates and the template is never modified.
 
@@ -66,9 +74,9 @@ class Snapshot:
 
     def __init__(self, db: Any) -> None:
         self._db = db
-        # Lazily-built pickle of the template: attach() clones by
-        # unpickling (C-speed), and snapshots revived from the store keep
-        # the verified blob so they never re-pickle.
+        # Lazily-built pickle of the template for the legacy pickle
+        # store; snapshots revived from it keep the verified blob so
+        # they never re-pickle.
         self._blob: Optional[bytes] = None
 
     @classmethod
@@ -86,24 +94,17 @@ class Snapshot:
     def attach(self) -> Any:
         """A fresh, fully mutable database clone sharing frozen pages.
 
-        Seeding the deepcopy memo with every page maps each page to
-        itself, so the copy descends through all Python-side metadata but
-        stops at page boundaries — O(#files + #pages) pointer work, not
-        O(bytes).  Page sharing also shares each page's lazily *decoded*
-        record list across all clones: the first clone to touch a page
-        pays the byte decode, every later clone reads the records for
-        free.  (A pickle-round-trip clone benchmarks faster in isolation
-        but loses that shared decode cache, and re-decoding per clone
-        costs more than the deepcopy saves.)  Immutable building blocks
-        (schemas, units, ``PageId``/``Oid`` tuples) short-circuit the
-        descent via ``__deepcopy__`` returning ``self``.
+        ``copy.deepcopy`` walks the template with the disk already
+        resolved to :meth:`DiskManager.clone` — the only structure that
+        holds one entry per page — so the walk is O(#files) and never
+        visits a page.  Page sharing also shares each page's lazily
+        *decoded* record list across all clones: the first clone to
+        touch a page pays the byte decode, every later clone reads the
+        records for free.
         """
         with _spans.span("snapshot.attach"):
             disk = self._db.disk
-            memo: Dict[int, Any] = {
-                id(page): page for pages in disk._files.values() for page in pages
-            }
-            return copy.deepcopy(self._db, memo)
+            return copy.deepcopy(self._db, {id(disk): disk.clone()})
 
     def to_bytes(self) -> bytes:
         blob = self._blob
@@ -305,8 +306,8 @@ class SnapshotStore:
             # Serve same-process re-attaches from the arena we just
             # wrote, not the builder's Snapshot: the memory tier then
             # hands out the exact object a cold process would load, so
-            # cold and warm attaches take one code path (and the much
-            # cheaper one — metadata-only unpickle, zero payload bytes).
+            # cold and warm attaches clone the same stub-backed template
+            # (zero payload bytes pickled either way).
             try:
                 state = _arena.registry().load(path)
             except Exception:

@@ -253,7 +253,20 @@ def build_database(
         )
     parent_rel.bulk_load(parent_records)
 
-    db = ComplexObjectDB(catalog, parent_rel, child_rels, units, unit_of_parent)
+    procedures = None
+    if procedural:
+        window = _procedure_window(params)
+        procedures = {
+            parent_key: (
+                units[unit_id].child_rel,
+                units[unit_id].unit_id * window,
+                units[unit_id].unit_id * window + len(units[unit_id].child_keys) - 1,
+            )
+            for parent_key, unit_id in unit_of_parent.items()
+        }
+    db = ComplexObjectDB(
+        catalog, parent_rel, child_rels, units, unit_of_parent, procedures
+    )
 
     if clustering:
         assignment = assign_clusters(db.units, rng_cluster)
@@ -262,16 +275,6 @@ def build_database(
         db.enable_cache(
             params.size_cache, unit_bytes_hint=params.size_unit * params.child_bytes
         )
-    if procedural:
-        window = _procedure_window(params)
-        db.procedures = {
-            parent_key: (
-                units[unit_id].child_rel,
-                units[unit_id].unit_id * window,
-                units[unit_id].unit_id * window + len(units[unit_id].child_keys) - 1,
-            )
-            for parent_key, unit_id in unit_of_parent.items()
-        }
 
     db.start_measurement(cold=True)
     return db

@@ -42,6 +42,12 @@ class TestNominal:
         assert summary["requests"]["errors"] == 0
         assert summary["throughput_rps"] > 0
         assert summary["latency_ms"]["retrieve"]["p95"] >= 0
+        # Server-side budget rows: retrieve service time and the clone
+        # attach every reader / writer batch pays per epoch.
+        assert summary["service_ms"]["count"] > 0
+        for role in ("reader", "writer"):
+            assert summary["attach_ms"][role]["count"] > 0
+            assert summary["attach_ms"][role]["p50"] > 0
         # Exactly one kind=serve record landed in the ledger, schema 2.
         ledger = _ledger.RunLedger(
             os.path.join(str(tmp_path), _ledger.LEDGER_FILENAME)

@@ -8,6 +8,7 @@ from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
 from repro.storage.btree import BTreeFile
 from repro.storage.catalog import Catalog
 from repro.storage.record import CharField, IntField, Schema
+from repro.storage.snapshot import Snapshot
 
 
 def make_tree(catalog, name="t", unique=True) -> BTreeFile:
@@ -253,3 +254,64 @@ class TestDelete:
         assert list(tree.scan()) == []
         tree.insert(rec(5))
         assert tree.lookup_one(5) == rec(5)
+
+
+class _TreeStore:
+    """The two members ``Snapshot.freeze`` needs, over one B-tree."""
+
+    def __init__(self, records):
+        self.catalog = Catalog(buffer_pages=16, page_size=512)
+        self.tree = make_tree(self.catalog)
+        self.tree.bulk_load(records)
+
+    @property
+    def disk(self):
+        return self.catalog.disk
+
+    def start_measurement(self, cold=True):
+        self.catalog.pool.clear(flush=True)
+        self.disk.reset_counters()
+
+
+class TestSidecarCloneIsolation:
+    """The flat node-header columns are private to each snapshot clone."""
+
+    def _columns(self, tree):
+        return bytes(tree._is_leaf), list(tree._next_leaf)
+
+    def _reads(self, tree):
+        return (
+            [tree.lookup(k) for k in (0, 2, 3, 400, 798, 799)],
+            list(tree.range_scan(100, 140)),
+            [r[0] for r in tree.scan()],
+        )
+
+    def test_splits_on_one_clone_leave_template_and_sibling_alone(self):
+        snapshot = Snapshot.freeze(_TreeStore([rec(k, k) for k in range(0, 800, 2)]))
+        template = snapshot._db.tree
+        columns = self._columns(template)
+        clone_a, clone_b = snapshot.attach().tree, snapshot.attach().tree
+        reads = self._reads(clone_b)
+        leaves = clone_a.num_leaf_pages
+        internal = clone_a.num_pages - leaves
+
+        # Odd keys land between every resident pair: every leaf splits,
+        # and the internal level has to split to hold the separators.
+        for k in range(1, 800, 2):
+            clone_a.insert(rec(k, -k))
+        clone_a.check_invariants()
+        assert clone_a.num_leaf_pages >= 2 * leaves
+        assert clone_a.num_pages - clone_a.num_leaf_pages > internal
+        assert self._columns(clone_a) != columns
+        assert [r[0] for r in clone_a.scan()] == list(range(800))
+
+        assert self._columns(template) == columns
+        assert self._columns(clone_b) == columns
+        assert clone_b._is_leaf is not template._is_leaf
+        assert clone_b._next_leaf is not template._next_leaf
+        clone_b.check_invariants()
+        assert self._reads(clone_b) == reads
+        # A clone taken after the splits still sees the frozen template.
+        late = snapshot.attach().tree
+        late.check_invariants()
+        assert self._reads(late) == reads

@@ -1,16 +1,23 @@
 """Copy-on-write snapshots: frozen pages, clone isolation, the store."""
 
+import copy
 import os
+import sys
 
 import pytest
 
+from repro.core.strategies.base import make_strategy
 from repro.errors import FrozenPageError
+from repro.obs import MetricsRegistry, Tracer
 from repro.storage import arena
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.page import Page, PageId
 from repro.storage.snapshot import Snapshot, SnapshotStore
+from repro.workload.driver import run_sequence
 from repro.workload.generator import build_database
+from repro.workload.params import WorkloadParams
+from repro.workload.queries import generate_sequence
 
 
 def make_page(records=("a", "b")) -> Page:
@@ -167,6 +174,71 @@ class TestSnapshotAttach:
         assert db.fetch_child(rel_index, key) == snapshot.attach().fetch_child(
             rel_index, key
         )
+
+
+def _deepcopy_calls(fn):
+    """How many times ``copy.deepcopy`` ran (recursion included) in ``fn``."""
+    code = copy.deepcopy.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+class TestOneClonePath:
+    """Attach work follows the number of files; arena and fresh agree."""
+
+    @pytest.mark.parametrize("procedural", [False, True])
+    def test_attach_work_is_independent_of_page_count(self, procedural, tmp_path):
+        counts, pages = [], []
+        for scale in (0.05, 0.2):
+            db = build_database(
+                WorkloadParams().scaled(scale), procedural=procedural
+            )
+            pages.append(db.disk.total_pages())
+            snapshot = Snapshot.freeze(db)
+            store = SnapshotStore(str(tmp_path / ("s%s" % scale)))
+            store.put("k", snapshot)
+            revived = SnapshotStore(store.root).get("k")
+            assert isinstance(revived, arena.ArenaSnapshot)
+            counts.append(
+                (_deepcopy_calls(snapshot.attach), _deepcopy_calls(revived.attach))
+            )
+        assert pages[1] > 3 * pages[0]
+        assert counts[0] == counts[1]
+        assert 0 < counts[0][0] < 400  # a few per file, none per page
+
+    @pytest.mark.parametrize("strategy", ["DFS", "BFS"])
+    def test_arena_attach_and_fresh_freeze_trace_identically(
+        self, strategy, tiny_params, tmp_path
+    ):
+        params = tiny_params.replace(pr_update=0.3)
+        snapshot = Snapshot.freeze(build_database(params))
+        store = SnapshotStore(str(tmp_path))
+        store.put("k", snapshot)
+        revived = SnapshotStore(str(tmp_path)).get("k")
+        assert isinstance(revived, arena.ArenaSnapshot)
+        digests = []
+        for source in (snapshot, revived):
+            db = source.attach()
+            tracer = Tracer(registry=MetricsRegistry(), keep_events=False)
+            report = run_sequence(
+                db, make_strategy(strategy), generate_sequence(params, db),
+                tracer=tracer,
+            )
+            assert report.traced["events"] > 0
+            digests.append(report.traced["digest"])
+        assert digests[0] == digests[1]
 
 
 class TestSnapshotStore:

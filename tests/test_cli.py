@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -50,6 +52,11 @@ class TestFootprint:
 
 class TestReport:
     def test_report_single_experiment(self, tmp_path, capsys):
+        # The tracked repo-root BENCH_sweeps.json is a deliberate
+        # artifact: a test run must never rewrite it.
+        tracked = Path(__file__).resolve().parents[1] / "BENCH_sweeps.json"
+        before = tracked.stat().st_mtime_ns
+        bench_out = tmp_path / "BENCH_sweeps.json"
         code = main(
             [
                 "report",
@@ -57,6 +64,8 @@ class TestReport:
                 "0.05",
                 "--out",
                 str(tmp_path),
+                "--bench-out",
+                str(bench_out),
                 "--only",
                 "ablation_buffer",
             ]
@@ -64,6 +73,8 @@ class TestReport:
         assert code == 0
         assert (tmp_path / "ablation_buffer.txt").exists()
         assert "A2" in capsys.readouterr().out
+        assert bench_out.exists()
+        assert tracked.stat().st_mtime_ns == before
 
 
 class TestExplainCommand:
