@@ -55,7 +55,7 @@ def check_micro(current: dict, baseline: dict, tolerance: float) -> int:
     for name, result in sorted(current.get("benchmarks", {}).items()):
         p95 = result.get("p95_ns_per_op")
         base_p95 = base_benches.get(name, {}).get("p95_ns_per_op")
-        if p95 is None or result.get("skipped"):
+        if p95 is None:
             print("%-18s %12s %12s %8s" % (name, "-", "-", "skipped"))
             continue
         if not base_p95:

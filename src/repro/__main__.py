@@ -307,13 +307,12 @@ def cmd_dbcache(args: argparse.Namespace) -> int:
         rows.append(
             [
                 name,
-                "arena" if name.endswith(".arena") else "pickle",
                 "%.1f" % (size / 1024.0),
                 time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(mtime)),
                 "current" if fingerprint == current else "stale",
             ]
         )
-    print(format_table(["snapshot", "format", "KiB", "written", "code"], rows,
+    print(format_table(["snapshot", "KiB", "written", "code"], rows,
                        title="Database snapshot store: %s" % store.root))
     print("\ntotal: %d snapshot(s), %.1f KiB"
           % (len(entries), store.bytes_on_disk() / 1024.0))

@@ -132,8 +132,6 @@ def bench_codec_roundtrip(
 ) -> Dict[str, Any]:
     """Encode + decode ``pages`` page images of ParentRel-shaped records."""
     codec = PARENT_LIKE_SCHEMA.codec
-    if codec is None:  # REPRO_TUPLE_PAGES debug fallback
-        return {"skipped": "schema has no codec (REPRO_TUPLE_PAGES set)"}
     rng = random.Random(7)
     page_records = [
         [_parent_record(page * 16 + i, rng) for i in range(10)]
@@ -334,41 +332,12 @@ def bench_snapshot_attach(
     return result
 
 
-def bench_pickle_attach(
-    repeat: int, warmup: int = 1, scale: float = 0.05
-) -> Dict[str, Any]:
-    """Clone materialization from the legacy pickle snapshot format.
-
-    One op is the pickle path's per-point cost on a store hit: unpickle
-    the whole-database blob (page payloads included), then clone it.
-    The direct comparison point for ``arena_attach``.
-    """
-    from repro.storage.snapshot import Snapshot
-
-    snapshot = _bench_snapshot(scale)
-    blob = snapshot.to_bytes()
-
-    def attach_one():
-        return Snapshot.from_bytes(blob).attach()
-
-    times, clone = _time_ns(attach_one, repeat, warmup)
-    if clone is None or clone.disk is None:
-        raise AssertionError("pickle attach produced no database")
-    result = {
-        "pickle_bytes": len(blob),
-        "seconds": round(min(times) / 1e9, 6),
-    }
-    result.update(_op_fields(times, 1))
-    return result
-
-
 BENCHMARKS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "codec_roundtrip": bench_codec_roundtrip,
     "heap_scan": bench_heap_scan,
     "btree_probe": bench_btree_probe,
     "join_inner": bench_join_inner,
     "arena_attach": bench_arena_attach,
-    "pickle_attach": bench_pickle_attach,
     "snapshot_attach": bench_snapshot_attach,
 }
 
@@ -425,7 +394,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "%s=%s" % (key, value)
             for key, value in sorted(result.items())
             if key.endswith("_per_second") or key.endswith("ns_per_op")
-            or key == "seconds" or key == "skipped"
+            or key == "seconds"
         )
         print("%-16s %s" % (name, parts))
     if args.out:

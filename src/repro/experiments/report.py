@@ -374,16 +374,14 @@ def main(argv=None) -> int:
     if args.bench_out:
         db_totals = _round_floats(_sum_nested(telemetry, "db"))
         store = pool._db_store()
-        # Schema 4: the per-experiment and total ``db`` counter dicts
-        # gained the attach-path split (``arena_attaches`` /
-        # ``pickle_attaches``) and ``page_payload_pickle_bytes`` — the
-        # page payload bytes that went through pickle, which the CI
-        # asserts is zero on the arena attach path.  ``jobs`` is always
-        # the *resolved* worker count (``--jobs auto`` resolves before
-        # it gets here).
+        # ``jobs`` is always the *resolved* worker count (``--jobs
+        # auto`` resolves before it gets here).
         # Schema 5: records ``ledger_schema`` — the run ledger gained
         # the ``kind="serve"`` record family (ledger schema 2), and the
-        # bench artifact is where that coupling is pinned for CI.
+        # bench artifact is where that coupling is pinned for CI.  The
+        # ``db`` dicts lost two fields (the non-arena attach count and
+        # the pickled-payload byte count) without a bump: none was
+        # added, and ``arena_attaches`` vs ``attaches`` is the split.
         bench = {
             "schema": 5,
             "ledger_schema": _ledger.LEDGER_SCHEMA,

@@ -177,13 +177,10 @@ class DatabaseCache:
         self.snapshot_mode = store is not None
         self.builds = 0
         self.attaches = 0
-        #: Attach-path split: clones materialized from an mmap arena vs
-        #: everything else (legacy pickle snapshots and in-process
-        #: deep-copy templates).  ``arena_attaches`` going up while
-        #: ``page_payload_pickle_bytes`` stays flat is the zero-copy
-        #: contract the CI asserts.
+        #: The share of ``attaches`` cloned from an mmap arena; the rest
+        #: cloned a template frozen in this process (its ``put`` failed
+        #: and :meth:`_degrade` dropped the store).
         self.arena_attaches = 0
-        self.pickle_attaches = 0
         self.build_seconds = 0.0
         self.attach_seconds = 0.0
         self.downgrades = 0
@@ -288,8 +285,6 @@ class DatabaseCache:
         self.attaches += 1
         if getattr(snapshot, "is_arena", False):
             self.arena_attaches += 1
-        else:
-            self.pickle_attaches += 1
         self.attach_seconds += time.perf_counter() - t0
         return clone
 
@@ -321,8 +316,8 @@ class DatabaseCache:
                     self._degrade(exc)
                 else:
                     # Prefer the handle the store now serves (the arena
-                    # just written, for arena-format stores): cold and
-                    # warm points then attach through one code path.
+                    # just written): cold and warm points then attach
+                    # through one code path.
                     try:
                         revived = self.store.get(store_key)
                     except (OSError, FaultInjected) as exc:
@@ -355,25 +350,14 @@ class DatabaseCache:
         return hashlib.sha256(repr(key).encode()).hexdigest()[:32]
 
     def stats_snapshot(self) -> Dict[str, Any]:
-        """Build/attach counters plus the store's hit counters (if any).
-
-        ``page_payload_pickle_bytes`` is the process-wide count of page
-        payload bytes that went through pickle
-        (:data:`repro.storage.page.PICKLE_STATS`); sweep telemetry takes
-        before/after deltas of this snapshot, so the global counter
-        behaves like a per-interval one.
-        """
-        from repro.storage.page import PICKLE_STATS
-
+        """Build/attach counters plus the store's hit counters (if any)."""
         stats: Dict[str, Any] = {
             "builds": self.builds,
             "attaches": self.attaches,
             "arena_attaches": self.arena_attaches,
-            "pickle_attaches": self.pickle_attaches,
             "build_seconds": self.build_seconds,
             "attach_seconds": self.attach_seconds,
             "downgrades": self.downgrades,
-            "page_payload_pickle_bytes": PICKLE_STATS.payload_bytes,
         }
         if self.store is not None:
             stats.update(self.store.stats)

@@ -52,6 +52,7 @@ from repro.fault import plan as _fault
 from repro.fault.plan import FaultPlan, FaultSpec
 from repro.oracle.invariants import check_all
 from repro.oracle.reference import HeapModel, KeyedModel, SqliteMirror
+from repro.storage import arena as _arena
 from repro.storage.catalog import Catalog
 from repro.storage.page import PageId
 from repro.storage.record import IntField, Schema
@@ -379,8 +380,11 @@ class _CloneState:
 class SnapshotMachine(RuleBasedStateMachine):
     """COW clone isolation: clones diverge, template and siblings don't.
 
-    Freezes a seeded store into a template, attaches up to four clones,
-    mutates them independently, and asserts after every step that the
+    Freezes a seeded store into a template, persists it through a
+    :class:`SnapshotStore`, attaches up to four clones — each drawn
+    from either the frozen template or the stored arena, so
+    copy-on-write runs over in-memory pages and mmap-backed stubs alike
+    — mutates them independently, and asserts after every step that the
     template still matches the frozen-time model, every clone matches
     its own model, frozen template pages refuse direct mutation, and
     all catalogs stay well-formed.
@@ -390,10 +394,16 @@ class SnapshotMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
+        self.tmpdir = tempfile.mkdtemp(prefix="repro-oracle-")
+        self.store = SnapshotStore(self.tmpdir, fingerprint="oracle")
         self.template: Optional[Snapshot] = None
         self.template_tree: Optional[KeyedModel] = None
         self.template_hash: Optional[KeyedModel] = None
         self.clones: List[_CloneState] = []
+
+    def teardown(self) -> None:
+        self.store.clear()  # drops the registry's mapping of the arena
+        shutil.rmtree(self.tmpdir, ignore_errors=True)
 
     @initialize(keys=st.sets(KEYS, max_size=25))
     def freeze_template(self, keys) -> None:
@@ -406,13 +416,16 @@ class SnapshotMachine(RuleBasedStateMachine):
             base.hash.insert((key, value))
             hash_model.insert(key, (key, value))
         self.template = Snapshot.freeze(base)
+        self.store.put("db", self.template)
         self.template_tree = tree_model
         self.template_hash = hash_model
 
     @precondition(lambda self: len(self.clones) < SnapshotMachine.MAX_CLONES)
-    @rule()
-    def spawn_clone(self) -> None:
-        clone = self.template.attach()
+    @rule(from_arena=st.booleans())
+    def spawn_clone(self, from_arena: bool) -> None:
+        source = self.store.get("db") if from_arena else self.template
+        assert isinstance(source, _arena.ArenaSnapshot) == from_arena
+        clone = source.attach()
         self.clones.append(
             _CloneState(
                 clone, self.template_tree.copy(), self.template_hash.copy()
@@ -503,13 +516,14 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
     State is two-tier, mirroring the sweep layer: a *durable* frozen
     snapshot (also persisted through a checksummed
     :class:`SnapshotStore`) plus its reference model, and a *working*
-    clone with a working model.  Operations run against the working
-    clone; while a fault plan is armed any of them may raise
+    clone — attached from the handle the store serves, mmap-backed stub
+    pages and all — with a working model.  Operations run against the
+    working clone; while a fault plan is armed any of them may raise
     :class:`FaultInjected` mid-mutation.  That is treated as a crash:
     the torn clone is discarded, a fresh clone is attached from the
-    durable snapshot, and the recovered store must equal the durable
-    model exactly.  ``commit`` quiesces faults and promotes the working
-    state to a new durable snapshot; ``reload_durable_from_store``
+    stored durable snapshot, and the recovered store must equal the
+    durable model exactly.  ``commit`` quiesces faults and promotes the
+    working state to a new durable snapshot; ``reload_durable_from_store``
     round-trips the durable snapshot through disk, optionally under a
     ``snapshot.load`` corruption, asserting corrupt bytes are always
     quarantined (never served) and clean bytes reproduce the model.
@@ -518,9 +532,7 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.tmpdir = tempfile.mkdtemp(prefix="repro-oracle-")
-        self.store = SnapshotStore(
-            self.tmpdir, fingerprint="oracle", format="pickle"
-        )
+        self.store = SnapshotStore(self.tmpdir, fingerprint="oracle")
         self.durable: Optional[Snapshot] = None
         self.durable_tree = KeyedModel()
         self.durable_hash = KeyedModel()
@@ -533,6 +545,7 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
 
     def teardown(self) -> None:
         _fault.clear()
+        self.store.clear()  # drops the registry's mapping of the arena
         shutil.rmtree(self.tmpdir, ignore_errors=True)
 
     @initialize(keys=st.sets(KEYS, max_size=25))
@@ -545,7 +558,16 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
             self.durable_hash.insert(key, (key, value))
         self.durable = Snapshot.freeze(base)
         self.store.put("db", self.durable)
-        self.working = self.durable.attach()
+        self._restart_working()
+
+    def _restart_working(self) -> None:
+        """A fresh working clone (and model) of the durable state.
+
+        Attached from what the store serves after a ``put``, not from
+        the builder's own snapshot — the sweep layer does the same — so
+        a store that kept serving replaced bytes shows up here.
+        """
+        self.working = self.store.get("db").attach()
         self.work_tree = self.durable_tree.copy()
         self.work_hash = self.durable_hash.copy()
 
@@ -577,9 +599,7 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
         _fault.clear()
         self.armed = False
         self.crashes += 1
-        self.working = self.durable.attach()
-        self.work_tree = self.durable_tree.copy()
-        self.work_hash = self.durable_hash.copy()
+        self._restart_working()
         # Recovery contract: the re-attached store IS the durable state.
         assert list(self.working.tree.scan()) == self.durable_tree.records()
         assert sorted(self.working.hash.scan()) == sorted(
@@ -660,9 +680,7 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
         self.durable_tree = self.work_tree.copy()
         self.durable_hash = self.work_hash.copy()
         self.store.put("db", self.durable)
-        self.working = self.durable.attach()
-        self.work_tree = self.durable_tree.copy()
-        self.work_hash = self.durable_hash.copy()
+        self._restart_working()
         self.commits += 1
 
     @precondition(lambda self: not self.armed)
@@ -670,14 +688,16 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
     def reload_durable_from_store(self, corrupt: bool) -> None:
         """Cold-read the durable snapshot, optionally under corruption.
 
-        A fresh store instance forces the on-disk path (the writer's
-        memory tier would otherwise answer).  Corrupt bytes must be
+        A fresh store instance and a discarded registry entry force the
+        on-disk path, as in a cold process (the writer's memory tier or
+        its cached mapping would otherwise answer).  Corrupt bytes must be
         detected, quarantined and reported as a miss — never served —
         after which the deterministic rebuild (re-``put`` of the live
         durable snapshot) must restore the cache.  A clean read must
         reproduce the durable model bit for bit.
         """
-        reader = SnapshotStore(self.tmpdir, fingerprint="oracle", format="pickle")
+        reader = SnapshotStore(self.tmpdir, fingerprint="oracle")
+        _arena.registry().discard(reader._arena_path("db"))
         if corrupt:
             _fault.install(
                 FaultPlan([FaultSpec("snapshot.load", rate=1.0, count=1)], seed=1)

@@ -1,11 +1,10 @@
 """Flat mmap-backed snapshot arenas.
 
-The pickle-based :class:`~repro.storage.snapshot.SnapshotStore` makes a
-worker pay twice for every database shape it touches: once to unpickle
-the whole snapshot — page payloads included — and once per point to
-deep-copy the metadata.  At paper scale the payload bytes dominate, and
-they are pure waste: frozen pages are immutable, so every worker on the
-machine could share one copy.
+A stored database is read far more often than it is written: every pool
+worker and every sweep point attaches to it.  At paper scale the page
+payload bytes dominate its size, and frozen pages are immutable, so
+every worker on the machine can share one copy and no attach needs to
+deserialize a page.
 
 An **arena** is that one copy.  ``build_arena`` lays a frozen database
 out as a single contiguous file::
@@ -380,10 +379,13 @@ def _parse(path: str, mm: mmap.mmap) -> ArenaState:
 class ArenaRegistry:
     """Per-process cache of loaded arenas, keyed by file path.
 
-    Deterministic rebuilds write byte-identical arenas, so a cached
-    state stays valid even if the file is atomically replaced behind it
-    (the old mapping pins the old inode).  A failed load caches nothing
-    — after quarantine + rebuild the next load reads the fresh file.
+    A cached state answers for the bytes that were at ``path`` when it
+    was mapped (the mapping pins that inode), so whoever replaces the
+    file must :meth:`discard` the path, as ``SnapshotStore.put`` does.
+    Deterministic rebuilds writing byte-identical arenas only make
+    another process's cached state a valid cache hit; correctness does
+    not rest on it.  A failed load caches nothing — after quarantine +
+    rebuild the next load reads the fresh file.
 
     Thread-safe: the serving layer's reader threads attach concurrently,
     so :meth:`load` holds the registry lock across the check *and* the
@@ -463,8 +465,8 @@ class ArenaSnapshot:
 
     __slots__ = ("_state",)
 
-    #: Lets the database cache count arena vs legacy attaches without
-    #: importing this module.
+    #: Lets the database cache tell arena attaches from attaches of a
+    #: template frozen in this process without importing this module.
     is_arena = True
 
     def __init__(self, state: ArenaState) -> None:

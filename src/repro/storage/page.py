@@ -15,14 +15,15 @@ Records live in two forms:
 * the **slotted byte form** — a compact ``bytes`` image produced by the
   schema's precompiled :class:`~repro.storage.record.RecordCodec`
   (``struct``-based, offset slot table, variable-length payloads).  Frozen
-  pages serialise as bytes (database snapshots shrink and pickle faster)
-  and decode **lazily**: a page revived from a snapshot stays byte-only
+  pages persist as this image — the snapshot arena
+  (:mod:`repro.storage.arena`) writes it out raw and maps it back — and
+  decode **lazily**: a page revived from a snapshot stays byte-only
   until something actually reads it.
 
-Setting ``REPRO_TUPLE_PAGES=1`` disables the byte form entirely (see
-:data:`repro.storage.record.TUPLE_PAGES_ONLY`) — the debug fallback that
-keeps every page in decoded-tuple form, exactly like the pre-rewrite
-engine.
+Slotted bytes are the one byte form.  The one exception is principled:
+pages of a schema without a codec (blob caches, hash/ISAM index pages —
+their payloads are arbitrary Python objects) have no slotted image and
+persist as a pickle of their decoded lists.
 
 ``DEFAULT_PAGE_SIZE`` is 2048 bytes, the INGRES 5.0 data-page size used in
 the paper's experiments; ``PAGE_HEADER_BYTES`` models the page header and
@@ -43,27 +44,6 @@ DEFAULT_PAGE_SIZE = 2048
 PAGE_HEADER_BYTES = 40
 #: Per-record slot overhead (line-table entry), in bytes.
 SLOT_BYTES = 2
-
-
-class _PickleStats:
-    """Process-wide count of page payload bytes routed through pickle.
-
-    Incremented only when a frozen, codec-bearing page serializes its
-    byte image into a pickle stream (:meth:`Page.__getstate__`).  The
-    arena snapshot format never pickles page payloads — its writer
-    copies raw images directly and its reader builds stubs over an mmap
-    — so this counter staying flat across a store round trip is the
-    measurable definition of "zero-copy": tests and the sweep telemetry
-    assert it.
-    """
-
-    __slots__ = ("payload_bytes",)
-
-    def __init__(self) -> None:
-        self.payload_bytes = 0
-
-
-PICKLE_STATS = _PickleStats()
 
 
 class PageId(NamedTuple):
@@ -231,7 +211,6 @@ class Page:
             # bytes() also materializes arena stubs, whose cached image
             # is an unpicklable memoryview into the arena mmap.
             payload: Any = bytes(self.to_bytes())
-            PICKLE_STATS.payload_bytes += len(payload)
             encoded = True
         else:
             if self.records is None:

@@ -1,9 +1,8 @@
 """Schemas, fields and record-size computation.
 
-The simulator never serialises records to bytes; what the paper's I/O
-numbers depend on is how many tuples fit on a 2 KB page, which is purely a
-function of record *sizes*.  This module computes those sizes with the same
-conventions the paper describes for INGRES 5.0:
+What the paper's I/O numbers depend on is how many tuples fit on a 2 KB
+page, which is purely a function of record *sizes*.  This module computes
+those sizes with the same conventions the paper describes for INGRES 5.0:
 
 * integer fields are 4 bytes;
 * character fields are declared with a fixed width but stored with blanks
@@ -16,26 +15,22 @@ conventions the paper describes for INGRES 5.0:
   ``OID_CHARS`` bytes apiece.
 
 Records themselves are plain tuples, positionally matched to the schema.
+Every schema whose fields are all ints, chars and OID lists carries a
+:class:`RecordCodec` that packs a page's records into the slotted byte
+image frozen pages persist as; schemas with a :class:`BlobField` have no
+codec and their pages stay decoded.
 """
 
 from __future__ import annotations
 
 import copy
 import operator
-import os
 import struct
 from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RecordError
 from repro.obs import spans as _spans
-
-#: Debug fallback: set ``REPRO_TUPLE_PAGES=1`` to disable the slotted
-#: byte codecs entirely.  Every page then keeps its records as decoded
-#: tuples only (the pre-rewrite representation) — byte layout, snapshot
-#: compaction and codec round-trips are all bypassed.  Measured numbers
-#: are identical either way; this exists to bisect codec bugs.
-TUPLE_PAGES_ONLY = bool(os.environ.get("REPRO_TUPLE_PAGES"))
 
 #: Bytes one OID occupies inside a character-encoded OID list (relation
 #: identifier + primary key + separator, cf. Section 2.2 of the paper).
@@ -378,10 +373,9 @@ class Schema:
         self.stateless: bool = all(
             isinstance(f, (IntField, CharField, OidListField)) for f in self.fields
         )
-        #: The schema's byte codec (None for blob schemas or under the
-        #: ``REPRO_TUPLE_PAGES`` debug fallback).
+        #: The schema's byte codec (None for blob schemas).
         self.codec: Optional[RecordCodec] = (
-            RecordCodec(self) if self.stateless and not TUPLE_PAGES_ONLY else None
+            RecordCodec(self) if self.stateless else None
         )
 
     # ------------------------------------------------------------------
@@ -501,7 +495,7 @@ class Schema:
         self.stateless = all(
             isinstance(f, (IntField, CharField, OidListField)) for f in self.fields
         )
-        if self.stateless and not TUPLE_PAGES_ONLY:
+        if self.stateless:
             self.codec = RecordCodec(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -33,12 +33,10 @@ This module provides the two pieces that make reuse cheap and safe:
   a small in-memory LRU.  Pool workers and repeated report runs attach
   in milliseconds instead of rebuilding.  Filenames embed the source
   fingerprint, so any code change orphans every stored snapshot at once.
-  The primary on-disk format is the flat mmap-backed **arena**
+  The on-disk format is the flat mmap-backed **arena**
   (:mod:`repro.storage.arena`, ``*.arena``): loading one maps the file
   read-only and shares its page images across every attach in the
-  process with zero pickling of page payloads.  The legacy framed-pickle
-  format (``*.pkl``) remains readable (and writable via
-  ``format="pickle"``) for comparison benchmarks and old stores.
+  process with zero pickling of page payloads.
 
 Copy-on-write never changes measured costs: a real engine modifies the
 already-buffered frame in place, so the private copy is free — page
@@ -48,9 +46,7 @@ sharing exists only because the simulator's "disk" holds live objects.
 from __future__ import annotations
 
 import copy
-import hashlib
 import os
-import pickle
 import tempfile
 import threading
 from collections import OrderedDict
@@ -74,10 +70,6 @@ class Snapshot:
 
     def __init__(self, db: Any) -> None:
         self._db = db
-        # Lazily-built pickle of the template for the legacy pickle
-        # store; snapshots revived from it keep the verified blob so
-        # they never re-pickle.
-        self._blob: Optional[bytes] = None
 
     @classmethod
     def freeze(cls, db: Any) -> "Snapshot":
@@ -106,87 +98,43 @@ class Snapshot:
             disk = self._db.disk
             return copy.deepcopy(self._db, {id(disk): disk.clone()})
 
-    def to_bytes(self) -> bytes:
-        blob = self._blob
-        if blob is None:
-            blob = self._blob = pickle.dumps(
-                self._db, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        return blob
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Snapshot":
-        snapshot = cls(pickle.loads(blob))
-        snapshot._blob = blob
-        return snapshot
-
 
 class SnapshotStore:
     """Persistent store of database snapshots, shared across processes.
 
     Keys are arbitrary strings (the sweep layer uses a hash of the
-    database shape); each key maps to one pickle file under ``root``.  A
-    bounded in-memory LRU of live :class:`Snapshot` objects fronts the
-    files so repeated attaches in one process skip re-unpickling.
+    database shape); each key maps to one arena file under ``root``.  A
+    bounded in-memory LRU of snapshot handles fronts the files, and the
+    process-wide :class:`~repro.storage.arena.ArenaRegistry` maps each
+    file once, so repeated attaches in one process never re-parse it.
 
     Concurrency: writes go to a temporary file renamed into place
     (atomic on POSIX), and builds are deterministic, so workers racing
     on one key write identical bytes — last writer wins harmlessly and
     readers never see a torn file.
 
-    Crash safety: every stored blob is framed as ``magic + sha256 +
-    pickle`` and verified on load.  A truncated, torn or bit-flipped
-    file fails verification, is *quarantined* (renamed ``*.corrupt``,
-    so the evidence survives for inspection) and counts as a miss — the
-    caller rebuilds deterministically and overwrites it.
+    Crash safety: an arena carries a SHA-256 over each structural
+    region (header-declared index, shared-objects and metadata blobs)
+    plus its exact size, all verified on load.  A truncated, torn or
+    bit-flipped file fails verification, is *quarantined* (renamed
+    ``*.corrupt``, so the evidence survives for inspection) and counts
+    as a miss — the caller rebuilds deterministically and overwrites it.
     """
 
     FILE_PREFIX = "db-"
-
-    #: On-disk formats: the mmap arena (default) and the legacy pickle.
-    FORMATS = ("arena", "pickle")
-    _SUFFIXES = (".arena", ".pkl")
-
-    #: Framing of a stored pickle snapshot: magic, 64 hex chars, payload.
-    MAGIC = b"RSNAP1\n"
-    _DIGEST_LEN = 64
-
-    @classmethod
-    def _frame(cls, payload: bytes) -> bytes:
-        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        return cls.MAGIC + digest + b"\n" + payload
-
-    @classmethod
-    def _unframe(cls, blob: bytes) -> bytes:
-        """The verified payload of ``blob``; raises :class:`CacheCorrupt`."""
-        header_len = len(cls.MAGIC) + cls._DIGEST_LEN + 1
-        if len(blob) < header_len or not blob.startswith(cls.MAGIC):
-            raise CacheCorrupt("missing or truncated snapshot header")
-        digest = blob[len(cls.MAGIC):header_len - 1]
-        payload = blob[header_len:]
-        if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
-            raise CacheCorrupt("snapshot checksum mismatch")
-        return payload
 
     def __init__(
         self,
         root: str,
         max_memory_entries: int = 4,
         fingerprint: Optional[str] = None,
-        format: str = "arena",
     ) -> None:
         if fingerprint is None:
             from repro.util.fingerprint import code_fingerprint
 
             fingerprint = code_fingerprint()
-        if format not in self.FORMATS:
-            raise ValueError(
-                "unknown snapshot format %r (choose from %r)"
-                % (format, self.FORMATS)
-            )
         self.root = root
         self.fingerprint = fingerprint
-        self.format = format
         self.max_memory_entries = max_memory_entries
         #: Memory tier holds Snapshot or ArenaSnapshot handles alike.
         #: Guarded by ``_memory_lock`` — the serving layer's threads hit
@@ -201,26 +149,20 @@ class SnapshotStore:
             "corrupt": 0,
         }
 
-    def _path(self, key: str) -> str:
-        """Legacy pickle path for ``key``."""
-        return os.path.join(
-            self.root, "%s%s-%s.pkl" % (self.FILE_PREFIX, self.fingerprint[:12], key)
-        )
-
     def _arena_path(self, key: str) -> str:
         return os.path.join(
             self.root, "%s%s-%s.arena" % (self.FILE_PREFIX, self.fingerprint[:12], key)
         )
 
     def get(self, key: str) -> Optional[Any]:
-        """The snapshot for ``key``, or None (memory, arena, then pickle).
+        """The snapshot for ``key``, or None (memory tier, then disk).
 
         A stored file that fails checksum verification — torn write,
         bit rot, or an injected ``snapshot.load`` fault — is quarantined
         and reported as a miss; corruption is never an error here.
-        Arena hits return an :class:`~repro.storage.arena.ArenaSnapshot`
+        Disk hits return an :class:`~repro.storage.arena.ArenaSnapshot`
         backed by the process-wide registry (one mmap + stub build per
-        process); legacy files return a :class:`Snapshot`.
+        process).
         """
         with self._memory_lock:
             snapshot = self._memory.get(key)
@@ -228,66 +170,34 @@ class SnapshotStore:
                 self._memory.move_to_end(key)
                 self.stats["memory_hits"] += 1
                 return snapshot
-        snapshot = self._load_arena(key)
-        if snapshot is None:
-            snapshot = self._load_pickle(key)
-        if snapshot is None:
+        path = self._arena_path(key)
+        try:
+            snapshot = ArenaSnapshot(_arena.registry().load(path))
+        except (CacheCorrupt, OSError, ValueError) as exc:
+            if not isinstance(exc, FileNotFoundError):
+                # Structural damage (or an injected snapshot.load
+                # fault): quarantine — the caller rebuilds
+                # deterministically and overwrites the arena.
+                _arena.registry().discard(path)
+                self._quarantine(path)
             self.stats["misses"] += 1
             return None
         self._remember(key, snapshot)
         self.stats["disk_hits"] += 1
         return snapshot
 
-    def _load_arena(self, key: str) -> Optional[ArenaSnapshot]:
-        path = self._arena_path(key)
-        try:
-            state = _arena.registry().load(path)
-        except FileNotFoundError:
-            return None
-        except (CacheCorrupt, OSError, ValueError):
-            # Structural damage (or an injected snapshot.load fault):
-            # quarantine and fall through — the caller rebuilds
-            # deterministically and overwrites the arena.
-            _arena.registry().discard(path)
-            self._quarantine(path)
-            return None
-        return ArenaSnapshot(state)
-
-    def _load_pickle(self, key: str) -> Optional[Snapshot]:
-        path = self._path(key)
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except FileNotFoundError:
-            return None
-        blob = _fault.corrupt_bytes("snapshot.load", blob)
-        try:
-            return Snapshot.from_bytes(self._unframe(blob))
-        except Exception:
-            # Checksum mismatch, truncated header, or an unpicklable
-            # payload: quarantine the file and treat it as a miss — the
-            # caller rebuilds deterministically and overwrites it.
-            self._quarantine(path)
-            return None
-
     def put(self, key: str, snapshot: Snapshot) -> None:
         """Persist ``snapshot`` under ``key`` (checksummed atomic replace).
 
-        The store's ``format`` picks the on-disk layout: ``"arena"``
-        (default) writes the flat mmap arena, ``"pickle"`` the legacy
-        framed pickle.  May raise :class:`~repro.errors.FaultInjected`
+        May raise :class:`~repro.errors.FaultInjected`
         (``snapshot.save`` site) or ``OSError``; callers degrade to
         store-less operation.
         """
         _fault.hit("snapshot.save")
         self._remember(key, snapshot)
         os.makedirs(self.root, exist_ok=True)
-        if self.format == "arena":
-            blob = _arena.build_arena(snapshot._db)
-            path = self._arena_path(key)
-        else:
-            blob = self._frame(snapshot.to_bytes())
-            path = self._path(key)
+        blob = _arena.build_arena(snapshot._db)
+        path = self._arena_path(key)
         fd, tmp_path = tempfile.mkstemp(dir=self.root, prefix=".tmp-db-")
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -302,18 +212,18 @@ class SnapshotStore:
                 pass
             raise
         self.stats["puts"] += 1
-        if self.format == "arena":
-            # Serve same-process re-attaches from the arena we just
-            # wrote, not the builder's Snapshot: the memory tier then
-            # hands out the exact object a cold process would load, so
-            # cold and warm attaches clone the same stub-backed template
-            # (zero payload bytes pickled either way).
-            try:
-                state = _arena.registry().load(path)
-            except Exception:
-                pass  # keep the Snapshot; the next disk read re-verifies
-            else:
-                self._remember(key, ArenaSnapshot(state))
+        # Serve same-process re-attaches from the arena we just wrote,
+        # not the builder's Snapshot: the memory tier then hands out the
+        # exact object a cold process would load, so cold and warm
+        # attaches clone the same stub-backed template.  A mapping of
+        # the file this put replaced must not answer for the new bytes.
+        _arena.registry().discard(path)
+        try:
+            state = _arena.registry().load(path)
+        except Exception:
+            pass  # keep the Snapshot; the next disk read re-verifies
+        else:
+            self._remember(key, ArenaSnapshot(state))
 
     def _quarantine(self, path: str) -> None:
         """Move a corrupt file aside (``*.corrupt``) so reloads miss it."""
@@ -339,9 +249,9 @@ class SnapshotStore:
     def entries(self) -> List[Tuple[str, int, float]]:
         """``(filename, bytes, mtime)`` for every stored snapshot file.
 
-        Lists *all* fingerprints and both on-disk formats (``*.arena``
-        and legacy ``*.pkl``), not just the current one, so stale files
-        are visible (and countable) before a ``clear``.
+        Lists *all* fingerprints, not just the current one — anything
+        carrying the store's ``db-`` prefix — so stale files are visible
+        (and countable) before a ``clear``.
         """
         out: List[Tuple[str, int, float]] = []
         try:
@@ -349,11 +259,8 @@ class SnapshotStore:
         except FileNotFoundError:
             return out
         for name in names:
-            if not (
-                name.startswith(self.FILE_PREFIX)
-                and name.endswith(self._SUFFIXES)
-            ):
-                continue  # skips quarantined *.corrupt files too
+            if not name.startswith(self.FILE_PREFIX) or name.endswith(".corrupt"):
+                continue  # quarantined files are evidence, not snapshots
             path = os.path.join(self.root, name)
             try:
                 info = os.stat(path)
@@ -366,21 +273,17 @@ class SnapshotStore:
         return sum(size for _, size, _ in self.entries())
 
     def clear(self) -> int:
-        """Delete every stored (and quarantined) file, both formats."""
+        """Delete every stored (and quarantined) file."""
         removed = 0
         try:
             names = sorted(os.listdir(self.root))
         except FileNotFoundError:
             names = []
         for name in names:
-            is_stored = name.startswith(self.FILE_PREFIX) and name.endswith(
-                self._SUFFIXES
-            )
-            if not (is_stored or name.endswith(".corrupt")):
+            if not (name.startswith(self.FILE_PREFIX) or name.endswith(".corrupt")):
                 continue
             path = os.path.join(self.root, name)
-            if name.endswith(".arena"):
-                _arena.registry().discard(path)
+            _arena.registry().discard(path)
             try:
                 os.unlink(path)
                 removed += 1

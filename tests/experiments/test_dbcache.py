@@ -59,26 +59,19 @@ class TestDigestEquality:
 
     @pytest.mark.parametrize("strategy", ["BFS", "DFSCACHE", "PROC-CACHE-OIDS"])
     def test_every_attach_path_agrees(self, strategy, tmp_path):
-        """Fresh build, legacy-pickle attach and arena attach: one digest."""
+        """Fresh build and attach from the stored arena: one digest."""
         params = WorkloadParams().scaled(SCALE)
         point = _point(params, strategy)
         fresh = pool.execute_point(point, DatabaseCache())
-        results = {}
-        for fmt in ("pickle", "arena"):
-            root = str(tmp_path / fmt)
-            # Populate, then re-open so the point really attaches from disk.
-            pool.execute_point(
-                point, DatabaseCache(store=SnapshotStore(root, format=fmt))
-            )
-            warm = DatabaseCache(store=SnapshotStore(root, format=fmt))
-            results[fmt] = pool.execute_point(point, warm)
-            assert warm.builds == 0
-            assert (warm.arena_attaches, warm.pickle_attaches) == (
-                (1, 0) if fmt == "arena" else (0, 1)
-            )
-        for fmt, result in results.items():
-            assert result["traced"]["digest"] == fresh["traced"]["digest"], fmt
-            assert result == fresh, fmt
+        root = str(tmp_path)
+        # Populate, then re-open so the point really attaches from disk.
+        pool.execute_point(point, DatabaseCache(store=SnapshotStore(root)))
+        warm = DatabaseCache(store=SnapshotStore(root))
+        result = pool.execute_point(point, warm)
+        assert warm.builds == 0
+        assert warm.arena_attaches == warm.attaches == 1
+        assert result["traced"]["digest"] == fresh["traced"]["digest"]
+        assert result == fresh
 
 
 class TestDatabaseCacheWithStore:
@@ -155,18 +148,14 @@ class TestSweepTelemetry:
     def test_arena_attaches_pickle_zero_payload_bytes(
         self, tiny_params, tmp_path, store_guard
     ):
-        """The zero-copy contract, end to end through the sweep engine:
-
-        a warm arena-backed sweep attaches from the arena only and no
-        page payload byte goes through pickle anywhere in the interval.
-        """
+        """End to end through the sweep engine: a warm store-backed
+        sweep builds nothing and every attach comes from the arena."""
         pool.configure_db_store(str(tmp_path / "dbcache"))
         run_sweep([_point(tiny_params, "BFS")])
         run_sweep([_point(tiny_params, "BFS", num_retrieves=4)])
         entry = pool.SWEEP_LOG[-1]
-        assert entry["db"]["arena_attaches"] == 1
-        assert entry["db"]["pickle_attaches"] == 0
-        assert entry["db"]["page_payload_pickle_bytes"] == 0
+        assert entry["db"]["builds"] == 0
+        assert entry["db"]["arena_attaches"] == entry["db"]["attaches"] == 1
 
 
 class TestSharedStoreAcrossWorkers:

@@ -2,8 +2,9 @@
 
 Each test replays an exact operation sequence Hypothesis shrank from a
 failing campaign, so the bug stays fixed even if the example corpus is
-pruned.  Keep these independent of hypothesis: no strategies, no
-database — just the sequence.
+pruned.  Keep these independent of a Hypothesis run: no strategies, no
+example database — just the sequence (a machine's rules are plain
+methods and can be called in order).
 """
 
 from __future__ import annotations
@@ -76,3 +77,49 @@ def test_btree_root_split_after_leftmost_leaf_emptied():
         key += 1
     survivors = sorted(set(range(16, 64, 2)) | set(range(200, key)))
     assert [record[0] for record in tree.scan()] == survivors
+
+
+def _replay_crash_machine(steps):
+    """Run ``steps`` (callables on the machine) the way Hypothesis
+    would: the per-step invariant after each, ``teardown`` at the end."""
+    from repro.oracle.machines import CrashConsistencyMachine
+
+    machine = CrashConsistencyMachine()
+    try:
+        for step in steps:
+            step(machine)
+            machine.working_agrees_when_quiescent()
+    finally:
+        machine.teardown()
+
+
+def test_crash_machine_commit_over_a_mapped_arena_serves_new_bytes():
+    """Shrunk from the crash machine's first run on the arena store.
+
+    ``seed`` maps the durable arena; ``commit`` replaces the file under
+    the same key.  The process-wide arena registry kept answering with
+    the mapping of the replaced inode, so the store's memory tier and
+    the reload both served the pre-delete hash contents.
+    """
+    _replay_crash_machine(
+        [
+            lambda m: m.seed({0}),
+            lambda m: m.hash_delete(0),
+            lambda m: m.commit(),
+            lambda m: m.reload_durable_from_store(corrupt=False),
+        ]
+    )
+
+
+def test_crash_machine_corrupt_reload_is_a_cold_read():
+    """Shrunk from the same run: a ``snapshot.load`` corruption only
+    fires when the file is actually parsed.  With the writer's mapping
+    still registered the reload never touched the disk, so "corrupted
+    snapshot bytes were served" — the rule must drop the registry entry
+    to be the cold process it models."""
+    _replay_crash_machine(
+        [
+            lambda m: m.seed(set()),
+            lambda m: m.reload_durable_from_store(corrupt=True),
+        ]
+    )

@@ -4,13 +4,11 @@ The zero-copy page layer serialises pages as ``[count][offset table]
 [payloads]`` through each schema's :class:`RecordCodec`.  Everything the
 simulator measures rides on those byte images surviving a round trip
 bit-for-bit as Python values — including value *types* (``Oid`` named
-tuples, not plain pairs), blank-compressed char fields, and the frozen
-page pickling that backs the snapshot store.
+tuples, not plain pairs), blank-compressed char fields, and frozen pages
+pickling as their byte image.
 """
 
 import pickle
-
-import pytest
 
 from repro.core.oid import Oid
 from repro.storage.page import PAGE_HEADER_BYTES, Page, PageId, SLOT_BYTES
@@ -20,7 +18,6 @@ from repro.storage.record import (
     OidListField,
     Schema,
 )
-import repro.storage.record as record_module
 
 
 MIXED_SCHEMA = Schema(
@@ -152,27 +149,3 @@ class TestFrozenPagePickling:
             records[0]
         )
         revived.validate(records[0])
-
-
-class TestTuplePagesFallback:
-    def test_tuple_pages_env_disables_codecs(self, monkeypatch):
-        """REPRO_TUPLE_PAGES=1 keeps pages in decoded-tuple form."""
-        monkeypatch.setattr(record_module, "TUPLE_PAGES_ONLY", True)
-        schema = Schema([IntField("k"), CharField("s", 10)])
-        assert schema.codec is None
-        page = Page(PageId(0, 0), capacity=2048)
-        page.codec = schema.codec
-        record = (1, "abc")
-        page.insert(record, schema.record_size(record))
-        with pytest.raises(ValueError):
-            page.to_bytes()
-        # Pickling still works — the page carries its decoded lists.
-        revived = pickle.loads(pickle.dumps(page))
-        assert revived.record_batch() == [record]
-
-    def test_tuple_pages_schema_survives_pickle_without_codec(self, monkeypatch):
-        monkeypatch.setattr(record_module, "TUPLE_PAGES_ONLY", True)
-        schema = Schema([IntField("k")])
-        revived = pickle.loads(pickle.dumps(schema))
-        assert revived.codec is None
-        revived.validate((4,))

@@ -167,14 +167,6 @@ class TestSnapshotAttach:
             later.child_schema.field_index("ret1")
         ] != 777
 
-    def test_roundtrips_through_pickle(self, snapshot):
-        revived = Snapshot.from_bytes(snapshot.to_bytes())
-        db = revived.attach()
-        rel_index, key = self._unit(db)
-        assert db.fetch_child(rel_index, key) == snapshot.attach().fetch_child(
-            rel_index, key
-        )
-
 
 def _deepcopy_calls(fn):
     """How many times ``copy.deepcopy`` ran (recursion included) in ``fn``."""
@@ -294,23 +286,6 @@ class TestSnapshotStore:
         assert fresh.stats["corrupt"] == 1
         assert os.path.exists(path + ".corrupt")
 
-    def test_corrupt_legacy_pickle_is_a_miss(self, tiny_params, tmp_path):
-        store = SnapshotStore(str(tmp_path), format="pickle")
-        store.put("k", self._snapshot(tiny_params))
-        with open(store._path("k"), "wb") as handle:
-            handle.write(b"not a pickle")
-        fresh = SnapshotStore(str(tmp_path))
-        assert fresh.get("k") is None
-        assert fresh.stats["misses"] == 1
-
-    def test_legacy_pickle_format_round_trips(self, tiny_params, tmp_path):
-        store = SnapshotStore(str(tmp_path), format="pickle")
-        store.put("k", self._snapshot(tiny_params))
-        fresh = SnapshotStore(str(tmp_path))  # arena-first store reads it
-        revived = fresh.get("k")
-        assert isinstance(revived, Snapshot)
-        assert fresh.stats["disk_hits"] == 1
-
     def test_clear_and_bytes_on_disk(self, tiny_params, tmp_path):
         store = SnapshotStore(str(tmp_path))
         store.put("k", self._snapshot(tiny_params))
@@ -318,3 +293,38 @@ class TestSnapshotStore:
         assert store.clear() == 1
         assert store.bytes_on_disk() == 0
         assert store.entries() == []
+
+    def test_stale_foreign_files_are_listed_and_cleared(self, tmp_path):
+        # Whatever an older checkout left under the db- prefix is stale
+        # cache, whatever its suffix: visible to `ls`, gone after `clear`.
+        (tmp_path / "db-0123456789ab-k.pkl").write_bytes(b"old format")
+        (tmp_path / "db-0123456789ab-k.arena.corrupt").write_bytes(b"evidence")
+        store = SnapshotStore(str(tmp_path))
+        assert [name for name, _, _ in store.entries()] == ["db-0123456789ab-k.pkl"]
+        assert store.clear() == 2
+        assert os.listdir(str(tmp_path)) == []
+
+
+def test_put_over_a_loaded_key_serves_the_new_bytes(tiny_params, tmp_path):
+    """A re-``put`` replaces what every later ``get`` in the process sees.
+
+    The arena registry maps a path once per process; a put over a path
+    it already mapped must not leave the old inode answering.
+    """
+    def marked(value):
+        db = build_database(tiny_params)
+        rel_index, keys = db.unit_ref_of(db.fetch_parent(1))
+        db.apply_update([(rel_index, keys[0])], value)
+        return Snapshot.freeze(db), rel_index, keys[0]
+
+    store = SnapshotStore(str(tmp_path))
+    first, rel_index, key = marked(111)
+    store.put("k", first)
+    ret1 = first._db.child_schema.field_index("ret1")
+    assert store.get("k").attach().fetch_child(rel_index, key)[ret1] == 111
+    second, _, _ = marked(222)
+    store.put("k", second)
+    for reader in (store, SnapshotStore(str(tmp_path))):
+        served = reader.get("k")
+        assert isinstance(served, arena.ArenaSnapshot)
+        assert served.attach().fetch_child(rel_index, key)[ret1] == 222
