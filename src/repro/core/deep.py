@@ -28,12 +28,13 @@ Databases are built by :func:`repro.workload.deepgen.build_deep_database`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.measure import CHILD_PHASE, CostMeter, NullMeter, PARENT_PHASE
 from repro.core.oid import Oid
 from repro.errors import QueryError
-from repro.query.join import merge_probe_join
+from repro.query.join import join_sorted_temp
 from repro.query.sort import external_sort
 from repro.query.temp import make_temp
 from repro.storage.btree import BTreeFile
@@ -172,14 +173,12 @@ def deep_bfs(
     with meter.phase(CHILD_PHASE):
         for level in range(1, query.depth + 1):
             temp = make_temp(
-                db.pool, _TEMP_SCHEMA, ((k,) for k in frontier), prefix="deep"
+                db.pool, _TEMP_SCHEMA, [(k,) for k in frontier], prefix="deep"
             )
             sorted_temp = external_sort(
-                db.pool, temp, key=lambda r: r[0], distinct=dedup
+                db.pool, temp, key=itemgetter(0), distinct=dedup
             )
-            probe_keys = (record[0] for record in sorted_temp.scan())
-            matches = list(merge_probe_join(probe_keys, db.levels[level]))
-            sorted_temp.drop()
+            matches = join_sorted_temp(sorted_temp, db.levels[level])
             if level == query.depth:
                 attr = db.attr_index(level, query.attr)
                 results.extend(record[attr] for record in matches)

@@ -20,6 +20,8 @@ actually reference.
 
 from __future__ import annotations
 
+from itertools import chain, groupby
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, List, Optional
 
 from repro.core.database import ComplexObjectDB
@@ -27,8 +29,8 @@ from repro.core.measure import CHILD_PHASE, CostMeter, NullMeter, PARENT_PHASE
 from repro.core.queries import RetrieveQuery
 from repro.core.strategies.base import Strategy, register
 from repro.obs.trace import stage
+from repro.query.join import join_sorted_temp
 from repro.query.sort import external_sort
-from repro.query.join import merge_probe_join
 from repro.query.temp import make_temp
 from repro.storage.record import IntField, Schema
 
@@ -51,50 +53,38 @@ class _BreadthFirst(Strategy):
         meter = meter or NullMeter()
         pool = db.pool
 
-        # Phase 1: scan qualifying parents, filling one temporary of OIDs
-        # per referenced child relation.  A parent's children are spooled
-        # in consecutive same-relation runs via insert_many, which batches
-        # the tail-page appends (identical touch-per-record accounting).
+        # Phase 1: scan qualifying parents a leaf at a time, filling one
+        # temporary of OIDs per referenced child relation.  Nothing
+        # touches the pool between two parents of one leaf, so the leaf's
+        # OIDs are spooled in consecutive same-relation runs, one
+        # insert_many each (identical touch-per-record accounting).
         temps: Dict[int, Any] = {}
         children_index = db.parent_schema.field_index("children")
         with meter.phase(PARENT_PHASE), stage("scan"):
-            for parent in db.parents_in_range(query.lo, query.hi):
-                oids = parent[children_index]
-                pos = 0
-                n = len(oids)
-                while pos < n:
-                    rel = oids[pos].rel
-                    end = pos + 1
-                    while end < n and oids[end].rel == rel:
-                        end += 1
+            for parents in db.parent_rel.range_scan_pages(query.lo, query.hi):
+                oids = chain.from_iterable(map(itemgetter(children_index), parents))
+                for rel, run in groupby(oids, attrgetter("rel")):
                     rel_index = rel - 1
                     temp = temps.get(rel_index)
                     if temp is None:
                         temp = make_temp(pool, TEMP_SCHEMA, prefix="bfs-temp")
                         temps[rel_index] = temp
-                    temp.insert_many([(oid.key,) for oid in oids[pos:end]])
-                    pos = end
+                    temp.insert_many([(oid.key,) for oid in run])
 
         # Phase 2: per child relation — sort the temporary (dropping
         # duplicates for BFSNODUP) and merge-join it with ChildRel.
         results: List[Any] = []
         with meter.phase(CHILD_PHASE):
-            attr_index = db.child_schema.field_index(query.attr)
+            project = itemgetter(db.child_schema.field_index(query.attr))
             for rel_index in sorted(temps):
                 temp = temps[rel_index]
                 temp.seal()
                 sorted_temp = external_sort(
-                    pool, temp, key=lambda r: r[0], distinct=self.distinct
+                    pool, temp, key=itemgetter(0), distinct=self.distinct
                 )
-                probe_keys = (record[0] for record in sorted_temp.scan())
                 results.extend(
-                    merge_probe_join(
-                        probe_keys,
-                        db.child_rel(rel_index),
-                        project=lambda child: child[attr_index],
-                    )
+                    join_sorted_temp(sorted_temp, db.child_rel(rel_index), project)
                 )
-                sorted_temp.drop()
         return results
 
 

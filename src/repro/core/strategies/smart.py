@@ -17,6 +17,7 @@ cached unit plus a merge join over only the uncached OIDs — a temporary
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, List, Optional
 
 from repro.core.cache import unit_hashkey
@@ -27,7 +28,7 @@ from repro.core.strategies.base import Strategy, register
 from repro.core.strategies.bfs import TEMP_SCHEMA
 from repro.core.strategies.dfscache import DfsCacheStrategy
 from repro.obs.trace import stage
-from repro.query.join import merge_probe_join
+from repro.query.join import join_sorted_temp
 from repro.query.sort import external_sort
 from repro.query.temp import make_temp
 
@@ -64,6 +65,7 @@ class SmartStrategy(Strategy):
         cache = db.require_cache()
         pool = db.pool
         attr_index = db.child_schema.field_index(query.attr)
+        project = itemgetter(attr_index)
         results: List[Any] = []
 
         # Scan parents, splitting their units into cached and uncached
@@ -111,18 +113,12 @@ class SmartStrategy(Strategy):
                 if not keys:
                     continue
                 temp = make_temp(
-                    pool, TEMP_SCHEMA, ((k,) for k in keys), prefix="smart-temp"
+                    pool, TEMP_SCHEMA, [(k,) for k in keys], prefix="smart-temp"
                 )
-                sorted_temp = external_sort(pool, temp, key=lambda r: r[0])
-                probe_keys = (record[0] for record in sorted_temp.scan())
+                sorted_temp = external_sort(pool, temp, key=itemgetter(0))
                 results.extend(
-                    merge_probe_join(
-                        probe_keys,
-                        db.child_rel(rel_index),
-                        project=lambda child: child[attr_index],
-                    )
+                    join_sorted_temp(sorted_temp, db.child_rel(rel_index), project)
                 )
-                sorted_temp.drop()
         return results
 
     @staticmethod

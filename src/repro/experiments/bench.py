@@ -11,8 +11,8 @@ the four paths those experiments spend their time in, in isolation:
   (:meth:`~repro.storage.heap.HeapFile.scan_pages`);
 * ``btree_probe``     — random B-tree lookups (descent + leaf collect),
   the inner loop of every DFS-family strategy;
-* ``join_inner``      — the merge-probe join's coordinated forward walk
-  over sorted probe keys, the inner loop of BFS.
+* ``join_inner``      — the merge join's coordinated forward walk over a
+  sorted temporary of probe keys, the inner loop of BFS.
 
 Timing is nanosecond-resolution (:func:`time.perf_counter_ns`) with
 ``--warmup`` unmeasured leading passes: every benchmark reports
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import platform
 import random
@@ -41,7 +42,8 @@ from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.oid import Oid
-from repro.query.join import merge_probe_join
+from repro.query.join import join_sorted_temp, merge_probe_join
+from repro.query.temp import make_temp
 from repro.storage.catalog import Catalog
 from repro.storage.record import CharField, IntField, OidListField, Schema
 from repro.util.fingerprint import code_fingerprint
@@ -69,6 +71,10 @@ CHILD_LIKE_SCHEMA = Schema(
         CharField("dummy", 80),
     ]
 )
+
+
+#: Schema of a sorted temporary of join keys.
+KEY_SCHEMA = Schema([IntField("oid")])
 
 
 def _parent_record(key: int, rng: random.Random) -> Tuple[Any, ...]:
@@ -236,22 +242,37 @@ def bench_btree_probe(
 def bench_join_inner(
     repeat: int, records: int = 20000, probes: int = 40000, warmup: int = 1
 ) -> Dict[str, Any]:
-    """Merge-probe join of sorted keys against a B-tree (the BFS inner loop)."""
+    """Merge join of a sorted temporary of keys with a B-tree (the BFS inner loop).
+
+    One op is one probe key through :func:`join_sorted_temp`, the
+    page-batched entry the strategies use; each pass consumes one of the
+    temporaries built beforehand.  ``flat_ns_per_op`` is the same keys
+    through :func:`merge_probe_join` as one flat list.
+    """
     catalog = Catalog(buffer_pages=4096)
     tree = catalog.create_btree("bench-join", CHILD_LIKE_SCHEMA, "oid")
     rng = random.Random(17)
     tree.bulk_load([_child_record(i, rng) for i in range(records)])
     keys = sorted(rng.randrange(records) for _ in range(probes))
+    project = operator.itemgetter(1)
+    key_records = [(key,) for key in keys]
+    temps = [
+        make_temp(catalog.pool, KEY_SCHEMA, key_records, prefix="bench-keys")
+        for _ in range(max(0, warmup) + max(1, repeat))
+    ]
 
-    def join_all() -> int:
-        count = 0
-        for _ in merge_probe_join(keys, tree, project=lambda r: r[1]):
-            count += 1
-        return count
+    def join_temp() -> int:
+        return len(join_sorted_temp(temps.pop(), tree, project))
 
-    times, matched = _time_ns(join_all, repeat, warmup)
-    if matched == 0:
-        raise AssertionError("merge-probe join benchmark matched nothing")
+    def join_flat() -> int:
+        return sum(1 for _ in merge_probe_join(keys, tree, project))
+
+    times, matched = _time_ns(join_temp, repeat, warmup)
+    flat_times, flat_matched = _time_ns(join_flat, repeat, warmup)
+    if matched == 0 or matched != flat_matched:
+        raise AssertionError(
+            "merge join benchmark matched %d by page, %d flat" % (matched, flat_matched)
+        )
     seconds = min(times) / 1e9
     result = {
         "records": records,
@@ -259,6 +280,7 @@ def bench_join_inner(
         "matches": matched,
         "seconds": round(seconds, 6),
         "probes_per_second": round(probes / seconds, 1),
+        "flat_ns_per_op": round(min(flat_times) / probes, 1),
     }
     result.update(_op_fields(times, probes))
     return result

@@ -29,6 +29,7 @@ quarantine-and-rebuild path.
 
 from __future__ import annotations
 
+import copy
 import shutil
 import tempfile
 from typing import Any, List, Optional, Tuple
@@ -304,8 +305,17 @@ class HeapMachine(RuleBasedStateMachine):
     def insert_many(self, values) -> None:
         records = [self._record(value) for value in values]
         before = len(self.heap)
+        # The literal reference: one insert() per record on a private twin.
+        twin = copy.deepcopy(self.catalog)
+        for record in records:
+            twin.get("h").insert(record)
         count = self.heap.insert_many(records)
         assert count == len(records)
+        pool = self.catalog.pool
+        assert pool.stats.snapshot() == twin.pool.stats.snapshot()
+        assert list(pool._frames) == list(twin.pool._frames)  # eviction order
+        assert self.catalog.io_snapshot() == twin.io_snapshot()
+        assert self.heap.num_pages == twin.get("h").num_pages
         # insert_many hands out no rids; recover them from the scan tail.
         tail = list(self.heap.scan_with_rids())[before:]
         assert [record for _, record in tail] == records

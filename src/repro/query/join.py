@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.trace import stage
-from repro.storage.btree import BTreeCursor, BTreeFile
+from repro.query.temp import TempRelation
+from repro.storage.btree import BTreeFile
 
 Projector = Callable[[Tuple[Any, ...]], Any]
 
@@ -39,34 +40,44 @@ def merge_probe_join(
     join.  Keys absent from the inner are skipped silently (no such keys
     arise in the reproduction workload, but the operator is total).
 
+    The walk itself is :meth:`BTreeFile.merge_walk`.  A ``list`` or
+    ``tuple`` of keys is handed to it as one batch; pulling from any
+    other iterable may touch the pool, so it is fed a key at a time.
+
     Traced page accesses are attributed to the ``merge-join`` stage for
     the generator's whole lifetime, including reads the *outer* stream
     performs while being pulled (scanning the sorted temporary is part
     of the join's cost).
     """
     with stage("merge-join"):
-        cursor = inner.cursor()
-        seek = cursor.seek
-        current = cursor.current
-        advance = cursor.advance
-        key_index = inner._key_index
-        last_key = object()
-        last_matches: List[Any] = []
-        for key in sorted_keys:
-            if key == last_key:
-                # Same leaf, already resident: re-emit without re-probing.
-                yield from last_matches
-                continue
-            seek(key)
-            last_key = key
-            last_matches = []
-            record = current()
-            while record is not None and record[key_index] == key:
-                value = project(record) if project is not None else record
-                last_matches.append(value)
-                yield value
-                advance()
-                record = current()
+        if type(sorted_keys) in (list, tuple):
+            batches: Iterable[Any] = (sorted_keys,)
+        else:
+            batches = ((key,) for key in sorted_keys)
+        yield from inner.merge_walk(batches, project)
+
+
+def join_sorted_temp(
+    sorted_temp: TempRelation,
+    inner: BTreeFile,
+    project: Optional[Projector] = None,
+) -> List[Any]:
+    """Merge-join a sorted temporary of keys with ``inner``; drop the temporary.
+
+    The hand-off every breadth-first plan ends with: the temporary's
+    first field is the join key, each of its pages is one batch of the
+    walk (see :func:`merge_probe_join` for the result and the staging),
+    and the temporary is dropped whether or not the join completes.
+    """
+    try:
+        with stage("merge-join"):
+            batches = (
+                [record[0] for record in records]
+                for records in sorted_temp.scan_pages()
+            )
+            return list(inner.merge_walk(batches, project))
+    finally:
+        sorted_temp.drop()
 
 
 def iterative_substitution_join(

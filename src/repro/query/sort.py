@@ -63,26 +63,26 @@ def external_sort(
         threshold = None if fixed is None else -(-page_budget // fixed)
         runs: List[TempRelation] = []
         batch: List[Tuple[Any, ...]] = []
-        append = batch.append
         batch_bytes = 0
         # Page-at-a-time consumption: one pool touch per source page, then
-        # a plain Python loop over the decoded batch.
+        # the decoded batch is taken in slices that end at a run boundary.
         for records in source.scan_pages():
             if threshold is not None:
-                for record in records:
-                    append(record)
-                    if len(batch) >= threshold:
-                        runs.append(_write_run(pool, schema, batch, key, distinct))
-                        batch = []
-                        append = batch.append
+                pos = 0
+                while len(batch) + len(records) - pos >= threshold:
+                    end = pos + threshold - len(batch)
+                    batch.extend(records[pos:end])
+                    pos = end
+                    runs.append(_write_run(pool, schema, batch, key, distinct))
+                    batch = []
+                batch.extend(records[pos:] if pos else records)
                 continue
             for record in records:
-                append(record)
+                batch.append(record)
                 batch_bytes += record_size(record)
                 if batch_bytes >= page_budget:
                     runs.append(_write_run(pool, schema, batch, key, distinct))
                     batch = []
-                    append = batch.append
                     batch_bytes = 0
         if batch or not runs:
             runs.append(_write_run(pool, schema, batch, key, distinct))
@@ -122,7 +122,9 @@ def _write_run(
     distinct: bool = False,
 ) -> TempRelation:
     batch.sort(key=key)
-    records = _unique(batch, key) if distinct else batch
+    # A list, so the run is spooled a page at a time (no pull from it
+    # can touch the pool; see HeapFile.insert_many).
+    records = list(_unique(batch, key)) if distinct else batch
     return make_temp(pool, schema, records, prefix="sort-run")
 
 

@@ -12,8 +12,8 @@ page-based B+tree with:
   complete general-purpose access method (exercised by tests and by the
   examples, not by the reproduction workload);
 * in-place updates of equal-size records (the paper's update queries);
-* a :class:`BTreeCursor` supporting the sorted-probe pattern that makes
-  the breadth-first strategies' merge join efficient: probing keys in
+* :meth:`BTreeFile.merge_walk`, the sorted-probe pattern that makes the
+  breadth-first strategies' merge join efficient: probing keys in
   ascending order touches each qualifying leaf page once.
 
 Node "header" fields (is-leaf flag, next-leaf pointer) live in two flat
@@ -29,7 +29,7 @@ is realistic.
 Raw-speed notes
 ---------------
 
-The probe paths (``lookup``, ``update_field``, the cursor) are the
+The probe paths (``lookup``, ``update_field``, ``merge_walk``) are the
 hottest code in the simulator; they are written against the buffer pool's
 epoch-guarded lease contract (see :mod:`repro.storage.buffer`):
 
@@ -43,15 +43,19 @@ epoch-guarded lease contract (see :mod:`repro.storage.buffer`):
   order provably cannot change; :meth:`BufferPool.replay_writable`
   collapses it into one call (guarded: falls back to the slow path when
   the lookup crossed a leaf boundary or the pool is tiny);
-* the cursor holds a ``(frame, epoch)`` lease on its current leaf so the
-  merge join's repeated same-leaf probes cost one counter bump each.
+* ``merge_walk`` takes the merge join's probe keys a batch at a time and
+  defers the touches of its leased leaf the same way, settling them
+  before every real pool operation and before the outer moves;
+  :class:`BTreeCursor` is the record-at-a-time reference it is tested
+  against.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 from array import array
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
 from repro.storage.buffer import BufferPool
@@ -72,10 +76,14 @@ class BTreeCursor:
     """Forward cursor over leaf records, ordered by key.
 
     ``seek(key)`` positions at the first record with key >= ``key``.  When
-    the target is on the current or the immediately following leaf the
-    cursor advances sequentially (no index descent); otherwise it descends
-    from the root.  This is exactly the access pattern of a merge join
-    whose outer is sorted.
+    the target is on the current leaf the cursor stays there (no index
+    descent); otherwise it descends from the root.  This is exactly the
+    access pattern of a merge join whose outer is sorted.
+
+    No operator uses the cursor: it is the literal record-at-a-time
+    reference — one pool touch per ``seek`` / ``current`` / ``advance``
+    step — that :meth:`BTreeFile.merge_walk` must match counter for
+    counter (``tests/query/test_join.py`` drives both on twin pools).
     """
 
     __slots__ = ("tree", "_page_no", "_slot", "_lease_no", "_frame", "_epoch")
@@ -536,15 +544,15 @@ class BTreeFile:
     def contains(self, key: Any) -> bool:
         return bool(self.lookup(key))
 
-    def range_scan(
+    def range_scan_pages(
         self, lo: Any = None, hi: Any = None, include_hi: bool = True
-    ) -> Iterator[Tuple[Any, ...]]:
-        """Records with lo <= key <= hi (or < hi), in key order.
+    ) -> Iterator[List[Tuple[Any, ...]]]:
+        """Records with lo <= key <= hi (or < hi), one list per leaf.
 
-        ``None`` bounds are open; ``range_scan()`` is a full ordered scan.
-        Record batches are yielded page-at-a-time off the decoded list —
-        one pool touch per leaf, exactly as before, but no per-record
-        dispatch.
+        ``None`` bounds are open.  One pool touch per leaf and nothing
+        else: no pool operation separates two records of one list, so a
+        consumer may treat each list as a unit.  Callers must NOT mutate
+        the yielded lists (a whole leaf is handed out as the page's own).
         """
         if self._root is None:
             return
@@ -555,6 +563,7 @@ class BTreeFile:
         key_index = self._key_index
         next_leaf = self._next_leaf
         fetch = self.pool.fetch
+        beyond = operator.gt if include_hi else operator.ge
         while page_no >= 0:
             # Re-check the ids cache each leaf: an insert interleaved with
             # an open scan can split a leaf and grow the file.
@@ -565,22 +574,25 @@ class BTreeFile:
             records = page.records
             if records is None:
                 records = page._materialize()
-            batch = records[slot:] if slot else records
-            if hi is None:
-                for record in batch:
-                    yield record
-            elif include_hi:
-                for record in batch:
-                    if record[key_index] > hi:
-                        return
-                    yield record
-            else:
-                for record in batch:
-                    if record[key_index] >= hi:
-                        return
-                    yield record
+            if hi is not None and records and beyond(records[-1][key_index], hi):
+                # The range ends on this leaf.
+                cut = bisect.bisect_right if include_hi else bisect.bisect_left
+                end = cut(self._leaf_keys(page), hi)
+                if slot < end:
+                    yield records[slot:end]
+                return
+            if slot < len(records):
+                yield records[slot:] if slot else records
             page_no = next_leaf[page_no]
             slot = 0
+
+    def range_scan(
+        self, lo: Any = None, hi: Any = None, include_hi: bool = True
+    ) -> Iterator[Tuple[Any, ...]]:
+        """:meth:`range_scan_pages`, record by record; ``range_scan()``
+        is a full ordered scan."""
+        for records in self.range_scan_pages(lo, hi, include_hi):
+            yield from records
 
     def scan(self) -> Iterator[Tuple[Any, ...]]:
         """Full scan in key order."""
@@ -588,6 +600,138 @@ class BTreeFile:
 
     def cursor(self) -> BTreeCursor:
         return BTreeCursor(self)
+
+    def _walk_fetch(self, page_no: int, hits: int) -> Tuple[Page, List[Tuple[Any, ...]]]:
+        """Settle ``hits`` deferred touches, then really fetch leaf ``page_no``
+        (:meth:`merge_walk`'s touch when its lease does not hold)."""
+        pool = self.pool
+        if hits:
+            pool.stats.hits += hits
+            pool.epoch += hits
+        page = pool.fetch(self._page_ids()[page_no])
+        records = page.records
+        if records is None:
+            records = page._materialize()
+        return page, records
+
+    def merge_walk(
+        self,
+        key_batches: Iterable[Sequence[Any]],
+        project: Optional[Callable[[Tuple[Any, ...]], Any]] = None,
+    ) -> Iterator[Any]:
+        """Yield the (projected) matches of ascending probe keys.
+
+        The sorted-probe walk of a merge join, touch for touch what a
+        :class:`BTreeCursor` driven ``seek`` / ``current`` / ``advance``
+        per key performs: a key on the current leaf costs touches of that
+        leaf only, any other key a root-to-leaf descent; a probe key equal
+        to its predecessor re-emits the previous matches without a touch;
+        absent keys match nothing.
+
+        Keys arrive in batches.  Pulling the next batch may touch the
+        pool (the outer is typically a page-at-a-time scan of a sorted
+        temporary); consuming one batch cannot.  Touches of the leased
+        leaf are deferred hits (see :mod:`repro.storage.buffer`), flushed
+        before every real pool operation, before the next batch is pulled
+        and when the walk ends.  The lease is re-checked at every touch
+        that follows a ``yield`` or a pull from the outer, so the consumer
+        may use the pool between two matches.
+        """
+        if self._root is None:
+            for _ in key_batches:  # an empty tree still consumes its outer
+                pass
+            return
+        pool = self.pool
+        stats = pool.stats
+        next_leaf = self._next_leaf
+        key_index = self._key_index
+        bisect_left = bisect.bisect_left
+        page_no = -1  # leaf under the walk (-1: not positioned / exhausted)
+        slot = 0
+        lease_no = -1  # leaf whose touches may be deferred ...
+        expected = -1  # ... while pool.epoch still equals this
+        page = None
+        records: List[Tuple[Any, ...]] = []
+        keys: Optional[List[Any]] = None
+        hits = 0  # deferred touches of the leased leaf
+        last_key: Any = object()
+        matches: List[Any] = []
+        try:
+            for batch in key_batches:
+                for key in batch:
+                    if key == last_key:
+                        yield from matches
+                        continue
+                    last_key = key
+                    matches = []
+                    skip = True
+                    if page_no >= 0:
+                        # seek(): one touch, then stay if the leaf spans key.
+                        if page_no == lease_no and pool.epoch == expected:
+                            hits += 1
+                        else:
+                            page, records = self._walk_fetch(page_no, hits)
+                            hits = 0
+                            lease_no = page_no
+                            expected = pool.epoch
+                            keys = None
+                        if keys is None:
+                            keys = self._leaf_keys(page)
+                        if keys and keys[0] <= key <= keys[-1]:
+                            slot = bisect_left(keys, key)
+                            skip = False
+                    if skip:
+                        # seek() by descent; its leaf fetch opens the lease.
+                        if hits:
+                            stats.hits += hits
+                            pool.epoch += hits
+                            hits = 0
+                        page_no = lease_no = self._descend_leaf(key, self._page_ids())
+                        page, records = self._walk_fetch(page_no, 0)
+                        expected = pool.epoch
+                        keys = self._leaf_keys(page)
+                        slot = bisect_left(keys, key)
+                    while True:
+                        if skip:
+                            # _skip_to_valid(): a touch per leaf tried,
+                            # moving right past exhausted leaves.
+                            while page_no >= 0:
+                                if page_no == lease_no and pool.epoch == expected:
+                                    hits += 1
+                                else:
+                                    page, records = self._walk_fetch(page_no, hits)
+                                    hits = 0
+                                    lease_no = page_no
+                                    expected = pool.epoch
+                                    keys = None
+                                if slot < len(records):
+                                    break
+                                page_no = next_leaf[page_no]
+                                slot = 0
+                            if page_no < 0:
+                                break
+                        # current(): one touch and a read.  Nothing ran
+                        # since the touch above leased this very leaf.
+                        hits += 1
+                        record = records[slot]
+                        if record[key_index] != key:
+                            break
+                        value = record if project is None else project(record)
+                        matches.append(value)
+                        yield value
+                        slot += 1  # advance()
+                        skip = True
+                # The outer is about to move: settle the deferred hits.
+                if hits:
+                    if pool.epoch == expected:
+                        expected += hits
+                    stats.hits += hits
+                    pool.epoch += hits
+                    hits = 0
+        finally:
+            if hits:
+                stats.hits += hits
+                pool.epoch += hits
 
     # ------------------------------------------------------------------
     # writes

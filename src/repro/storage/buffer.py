@@ -38,7 +38,20 @@ fetch may, while ``pool.epoch`` is unchanged, account further touches of
 that same page itself (``stats.hits += 1; pool.epoch += 1``) and reuse
 the frame directly.  The counters and the eviction behaviour remain
 bit-identical to calling :meth:`fetch`; only the Python-level overhead
-disappears.  The B-tree, heap and cursor hot paths all use this pattern.
+disappears.  The B-tree probe paths (``lookup``, ``update_field``,
+``merge_walk``) and the heap's append path all use this pattern.
+
+A lease holder may also *defer* its self-accounted touches — count them
+locally and add them to ``stats.hits`` and ``epoch`` in one step — under
+one rule: flush the deferred hits before any real pool operation of your
+own, before advancing a lazy input, and on the way out.  Touches are
+only ever deferred while ``epoch`` still equals the holder's own last
+real operation, so no other party's lease can be valid at the same time;
+whoever touches the pool next does a real fetch, which breaks this lease
+and makes the holder flush before its own next touch.  Callers whose
+input is a materialised list (``HeapFile.insert_many(list)``, one batch
+of ``merge_walk``) therefore account a whole run at once; a lazy iterable
+cannot be batched, because any pull from it may touch the pool.
 """
 
 from __future__ import annotations

@@ -130,7 +130,17 @@ class HeapFile:
         source pages (e.g. a merge stream) breaks the lease and forces a
         real, accounted re-fetch of the tail, exactly as :meth:`insert`
         would.
+
+        A materialised ``list`` of fixed-size records that one batch
+        check proves valid cannot touch the pool while it is consumed,
+        so it is appended a page run at a time (:meth:`_insert_run`).
         """
+        if (
+            self._fixed_size is not None
+            and type(records) is list
+            and self.schema.validate_many(records)
+        ):
+            return self._insert_run(records)
         pool = self.pool
         stats = pool.stats
         disk = pool.disk
@@ -201,14 +211,86 @@ class HeapFile:
                 count += 1
         finally:
             if hits:
+                # Our own flush keeps a still-valid lease warm; a lease
+                # the last pull from ``records`` broke stays broken.
+                if pool.epoch == expected:
+                    expected += hits
                 stats.hits += hits
                 pool.epoch += hits
-                expected = pool.epoch  # our own flush keeps the lease warm
             self._num_records += count
             if page is not None and pool.epoch == expected:
                 self._tail_frame = frame
                 self._tail_epoch = pool.epoch
         return count
+
+    def _insert_run(self, records: List[Tuple[Any, ...]]) -> int:
+        """:meth:`insert_many` for a validated list of fixed-size records.
+
+        Nothing but this loop touches the pool while a list is consumed,
+        so after the first touch of the tail (a real fetch unless the
+        lease of the previous call still holds) every touch is a hit on
+        the MRU page.  Each page is filled with one ``extend`` and its
+        touches are accounted in one step: one per record it takes, plus
+        one for the record that finds it full.
+        """
+        n = len(records)
+        if not n:
+            return 0
+        pool = self.pool
+        stats = pool.stats
+        size = self._fixed_size
+        total = size + SLOT_BYTES
+        file_id = self.file_id
+        frame = self._tail_frame
+        page = None
+        hits = 0  # tail touches not yet flushed to the counters
+        pos = 0
+        try:
+            if self._tail_page_no is not None:
+                if frame is None or pool.epoch != self._tail_epoch:
+                    frame = pool.fetch_frame(PageId(file_id, self._tail_page_no))
+                    hits = -1  # the real fetch was the first record's touch
+                page = frame.page
+                if page.frozen:
+                    page = pool.disk.cow_page(page.page_id)
+                    frame.page = page
+            while True:
+                if page is not None:
+                    fit = min(page.free_bytes // total, n - pos)
+                    if fit:
+                        page_records = page.records
+                        if page_records is None:
+                            page_records = page._materialize()
+                        page_records.extend(records[pos : pos + fit])
+                        page._sizes.extend([size] * fit)
+                        page.used_bytes += total * fit
+                        page.free_bytes -= total * fit
+                        page.version += fit
+                        frame.dirty = True
+                        pos += fit
+                        hits += fit
+                    if pos == n:
+                        break
+                    hits += 1  # the next record touches the full tail
+                    stats.hits += hits
+                    pool.epoch += hits
+                    hits = 0
+                # Empty file or full tail: allocate a fresh tail page,
+                # whose first record costs no touch.
+                page = pool.new_page(file_id)
+                page.codec = self.schema.codec
+                self._tail_page_no = page.page_id.page_no
+                frame = pool.frame_of(page.page_id)
+                page.insert(records[pos], size)
+                pos += 1
+        finally:
+            if hits > 0:
+                stats.hits += hits
+                pool.epoch += hits
+            self._num_records += pos
+        self._tail_frame = frame
+        self._tail_epoch = pool.epoch
+        return n
 
     def update(self, rid: RecordId, record: Tuple[Any, ...]) -> None:
         """Overwrite the record at ``rid`` in place."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import operator
 import struct
+from itertools import chain
 from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -352,6 +353,9 @@ class Schema:
         self._validators: Tuple[Callable[[Any], None], ...] = tuple(
             f.validate for f in self.fields
         )
+        #: Every field is exactly an IntField: :meth:`validate_many` can
+        #: then prove a whole batch valid without a per-record call.
+        self._int_only: bool = all(type(f) is IntField for f in self.fields)
         self._projectors: Dict[Tuple[str, ...], Callable[[Sequence[Any]], Tuple[Any, ...]]] = {}
         sizes = [f.fixed_size for f in self.fields]
         self._fixed_record_size: Optional[int] = (
@@ -406,6 +410,24 @@ class Schema:
             )
         for validator, value in zip(validators, record):
             validator(value)
+
+    def validate_many(self, records: List[Sequence[Any]]) -> bool:
+        """Whether one batch check proves every record passes :meth:`validate`.
+
+        For all-``IntField`` schemas the arity and exact-``int`` tests
+        run over the whole list at C speed.  ``False`` proves nothing —
+        some record may be bad, or the schema has other field types —
+        and the caller must fall back to :meth:`validate` record by
+        record, which raises the error for the first bad one.
+        """
+        if not self._int_only:
+            return False
+        try:
+            return set(map(len, records)) <= {len(self.fields)} and set(
+                map(type, chain.from_iterable(records))
+            ) <= {int}
+        except TypeError:  # a record without a length: validate() names it
+            return False
 
     def record_size(self, record: Sequence[Any]) -> int:
         """Bytes the record occupies on a page (excluding the slot entry)."""
@@ -489,6 +511,7 @@ class Schema:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._validators = tuple(f.validate for f in self.fields)
+        self._int_only = all(type(f) is IntField for f in self.fields)
         self._var_sizers = tuple(
             (i, f.size_of) for i, f in enumerate(self.fields) if f.fixed_size is None
         )

@@ -1,8 +1,16 @@
 """Join operators against a B-tree inner."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.query.join import iterative_substitution_join, merge_probe_join
+from repro.query.join import (
+    iterative_substitution_join,
+    join_sorted_temp,
+    merge_probe_join,
+)
+from repro.query.temp import make_temp
+from repro.storage.catalog import Catalog
+from repro.storage.page import PageId
 from repro.storage.record import CharField, IntField, Schema
 
 
@@ -93,3 +101,131 @@ class TestIterativeSubstitution:
         list(iterative_substitution_join(shuffled, tree))
         random_cost = catalog.disk.reads
         assert random_cost > sorted_cost
+
+
+# ----------------------------------------------------------------------
+# the batched walk against the literal cursor loop, on twin pools
+# ----------------------------------------------------------------------
+KV_SCHEMA = Schema([IntField("key"), IntField("value")])
+KEY_SCHEMA = Schema([IntField("key")])
+PER_LEAF = 7  # (key, value) records to a 128-byte leaf
+
+
+def cursor_join(sorted_keys, inner):
+    """The merge join as a literal record-at-a-time BTreeCursor loop: the
+    reference ``BTreeFile.merge_walk`` must match touch for touch."""
+    cursor = inner.cursor()
+    last_key = object()
+    last_matches = []
+    for key in sorted_keys:
+        if key == last_key:
+            yield from last_matches
+            continue
+        cursor.seek(key)
+        last_key = key
+        last_matches = []
+        record = cursor.current()
+        while record is not None and record[0] == key:
+            last_matches.append(record)
+            yield record
+            cursor.advance()
+            record = cursor.current()
+
+
+def _twin(tree_keys, unique, frames, cold):
+    """A small-page catalog: the inner tree plus a six-page ``foreign`` heap."""
+    catalog = Catalog(buffer_pages=frames, page_size=128)
+    tree = catalog.create_btree("inner", KV_SCHEMA, "key", unique=unique)
+    tree.bulk_load([(key, i) for i, key in enumerate(tree_keys)])
+    catalog.create_heap("foreign", KEY_SCHEMA).insert_many([(k,) for k in range(80)])
+    if cold:
+        catalog.pool.clear(flush=True)
+    return catalog, tree
+
+
+def _ledger(catalog):
+    pool, disk = catalog.pool, catalog.disk
+    return (
+        pool.stats.snapshot(), pool.epoch, disk.reads, disk.writes,
+        list(pool._frames),
+    )
+
+
+def _drive(catalog, matches, pokes):
+    """Consume ``matches``, using the pool after the match indices in
+    ``pokes`` (a consumer may, between two results): an even index touches
+    one foreign page, an odd one scans enough of them to evict the leaf."""
+    foreign = catalog.get("foreign")
+    out = []
+    for index, record in enumerate(matches):
+        out.append(record)
+        if index in pokes:
+            if index % 2:
+                list(foreign.scan())
+            else:
+                catalog.pool.fetch(PageId(foreign.file_id, 0))
+    return out
+
+
+def assert_walk_matches_cursor(tree_keys, unique, probes, frames, cold, outer, pokes=()):
+    """Run one join both ways; results, counters, I/O and LRU order agree."""
+    walk_catalog, walk_tree = _twin(tree_keys, unique, frames, cold)
+    ref_catalog, ref_tree = _twin(tree_keys, unique, frames, cold)
+    if outer == "temp":
+        # Page batches: the outer fetches a temp page at every boundary.
+        records = [(key,) for key in probes]
+        temp = make_temp(walk_catalog.pool, KEY_SCHEMA, records)
+        got = join_sorted_temp(temp, walk_tree)
+        ref_temp = make_temp(ref_catalog.pool, KEY_SCHEMA, records)
+        want = list(cursor_join((r[0] for r in ref_temp.scan()), ref_tree))
+        ref_temp.drop()
+    else:
+        keys = list(probes) if outer == "list" else iter(probes)
+        got = _drive(walk_catalog, merge_probe_join(keys, walk_tree), pokes)
+        want = _drive(ref_catalog, cursor_join(iter(probes), ref_tree), pokes)
+    assert got == want
+    assert _ledger(walk_catalog) == _ledger(ref_catalog)
+    return got
+
+
+OUTERS = ("list", "lazy", "temp")
+
+
+class TestMergeWalkMatchesCursor:
+    @pytest.mark.parametrize("outer", OUTERS)
+    @pytest.mark.parametrize("unique", [True, False])
+    def test_every_key_including_each_leafs_last(self, outer, unique):
+        # 60 keys = 9 leaves under a 3-frame pool: every probe of a
+        # leaf's last record steps to the next leaf, every descent evicts.
+        tree_keys = list(range(0, 120, 2)) if unique else [k // 3 for k in range(60)]
+        probes = sorted(set(tree_keys))
+        got = assert_walk_matches_cursor(tree_keys, unique, probes, 3, True, outer)
+        assert [record[0] for record in got] == tree_keys
+
+    @pytest.mark.parametrize("outer", OUTERS)
+    def test_absent_duplicate_and_out_of_range_probes(self, outer):
+        tree_keys = list(range(10, 110, 2))
+        probes = [-5, 3, 10, 10, 11, 11, 22, 22, 22, 23] + [
+            2 * PER_LEAF * i + 8 for i in range(1, 7)
+        ] + [108, 108, 109, 200, 200]
+        assert_walk_matches_cursor(tree_keys, True, sorted(probes), 4, False, outer)
+
+    def test_empty_and_single_leaf_trees(self):
+        for tree_keys in ([], [5], [5, 5, 5]):
+            for outer in OUTERS:
+                assert_walk_matches_cursor(tree_keys, False, [1, 5, 5, 9], 3, False, outer)
+
+    @given(
+        unique=st.booleans(),
+        tree_keys=st.lists(st.integers(0, 80), max_size=90),
+        probes=st.lists(st.integers(-2, 83), max_size=60),
+        frames=st.integers(3, 7),
+        cold=st.booleans(),
+        outer=st.sampled_from(OUTERS),
+        pokes=st.frozensets(st.integers(0, 40), max_size=6),
+    )
+    def test_random_joins(self, unique, tree_keys, probes, frames, cold, outer, pokes):
+        tree_keys = sorted(set(tree_keys)) if unique else sorted(tree_keys)
+        assert_walk_matches_cursor(
+            tree_keys, unique, sorted(probes), frames, cold, outer, pokes
+        )
