@@ -1,11 +1,14 @@
 #!/usr/bin/env python
 """Benchmark-regression gate: fail CI when the engine gets slower.
 
-Compares a freshly produced ``BENCH_sweeps.json`` (the cold-run telemetry
-`python -m repro report` writes) against a committed baseline and exits
-non-zero when the cold run slowed down by more than the tolerance
-(default 25%).  The per-experiment breakdown is printed either way, so a
-passing run still shows where time moved.
+Compares a freshly produced ``BENCH_sweeps.json`` (the cold run's ledger
+record, as `python -m repro report --bench-out` writes it) against a
+committed baseline and exits non-zero when the cold run slowed down by
+more than the tolerance (default 25%).  Only ``scale``,
+``total_seconds`` and each experiment's ``name``/``seconds`` are read,
+and the committed baseline holds just those.  The per-experiment
+breakdown is printed either way, so a passing run still shows where time
+moved.
 
 Usage::
 

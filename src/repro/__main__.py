@@ -66,22 +66,11 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _jobs_arg(value: str) -> int:
-    """``--jobs`` parser: a positive int, or ``auto`` for all cores."""
-    from repro.experiments.pool import resolve_jobs
-
-    try:
-        return resolve_jobs(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def _configure_policy(args: argparse.Namespace) -> None:
     from repro.experiments.pool import configure_retry_policy
 
     configure_retry_policy(
-        max_retries=getattr(args, "max_retries", None),
-        point_timeout=getattr(args, "point_timeout", None),
+        max_retries=args.max_retries, point_timeout=args.point_timeout
     )
 
 
@@ -155,30 +144,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.report import main as report_main
+    from repro.experiments import report
 
-    argv = ["--scale", str(args.scale), "--out", args.out, "--jobs", str(args.jobs)]
-    if args.only:
-        argv += ["--only"] + args.only
-    if args.no_point_cache:
-        argv += ["--no-point-cache"]
-    if args.no_db_cache:
-        argv += ["--no-db-cache"]
-    if args.bench_out is not None:
-        argv += ["--bench-out", args.bench_out]
-    if args.max_retries is not None:
-        argv += ["--max-retries", str(args.max_retries)]
-    if args.point_timeout is not None:
-        argv += ["--point-timeout", str(args.point_timeout)]
-    if args.live is True:
-        argv += ["--live"]
-    elif args.live is False:
-        argv += ["--no-live"]
-    if args.no_spans:
-        argv += ["--no-spans"]
-    if args.no_ledger:
-        argv += ["--no-ledger"]
-    return _run_profiled(args, lambda: report_main(argv))
+    return _run_profiled(args, lambda: report.run(args))
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
@@ -196,18 +164,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import main as bench_main
+    from repro.experiments import bench
 
-    argv: List[str] = [
-        "--repeat", str(args.repeat),
-        "--warmup", str(args.warmup),
-        "--out", args.out,
-    ]
-    if args.only:
-        argv += ["--only"] + args.only
-    if args.no_ledger:
-        argv += ["--no-ledger"]
-    return bench_main(argv)
+    return bench.run(args)
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -445,20 +404,11 @@ def cmd_footprint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-retries", dest="max_retries", type=int, default=None,
-        help="per-point retry budget before the point is quarantined "
-        "(default 2)",
-    )
-    parser.add_argument(
-        "--point-timeout", dest="point_timeout", type=float, default=None,
-        help="seconds one point may run before it counts as a failed "
-        "attempt (default: no limit)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments import bench as bench_cli
+    from repro.experiments import report as report_cli
+    from repro.experiments.report import add_policy_arguments, jobs_arg
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -474,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--overlap-factor", dest="overlap_factor", type=int)
     run.add_argument("--num-queries", dest="num_queries", type=int)
     run.add_argument("--seed", type=int)
-    run.add_argument("--jobs", type=_jobs_arg, default=1,
+    run.add_argument("--jobs", type=jobs_arg, default=1,
                      help="worker processes for sweep execution "
                      "('auto' = one per core)")
     run.add_argument("--out", default="results",
@@ -485,42 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--profile", action="store_true",
                      help="run under cProfile; print the top 30 by "
                      "cumulative time and save OUT/profile-run.pstats")
-    _add_policy_flags(run)
+    add_policy_arguments(run)
 
     report = sub.add_parser("report", help="run every figure/table experiment")
-    report.add_argument("--scale", type=float, default=1.0,
-                        help="database scale relative to the paper's "
-                        "10,000 parents (default: full paper scale)")
-    report.add_argument("--out", default="results")
-    report.add_argument("--only", nargs="*")
-    report.add_argument("--jobs", type=_jobs_arg, default=1,
-                        help="worker processes for sweep points "
-                        "(1 = serial, 'auto' = one per core)")
-    report.add_argument("--no-point-cache", dest="no_point_cache",
-                        action="store_true",
-                        help="recompute every point (skip OUT/.pointcache)")
-    report.add_argument("--no-db-cache", dest="no_db_cache",
-                        action="store_true",
-                        help="rebuild every database (skip OUT/.dbcache)")
-    report.add_argument("--bench-out", dest="bench_out", default=None,
-                        help="telemetry JSON path ('' disables)")
+    report_cli.add_arguments(report)
     report.add_argument("--profile", action="store_true",
                         help="run under cProfile; print the top 30 by "
                         "cumulative time and save OUT/profile-report.pstats")
-    report_live = report.add_mutually_exclusive_group()
-    report_live.add_argument("--live", dest="live", action="store_true",
-                             default=None,
-                             help="live sweep progress line on stderr "
-                             "(default: auto when stderr is a terminal)")
-    report_live.add_argument("--no-live", dest="live", action="store_false",
-                             help="suppress the live progress line")
-    report.add_argument("--no-spans", dest="no_spans", action="store_true",
-                        help="disable wall-clock span profiling (drops the "
-                        "ledger's span rollups; measured results are "
-                        "identical either way)")
-    report.add_argument("--no-ledger", dest="no_ledger", action="store_true",
-                        help="skip appending this run to OUT/ledger.jsonl")
-    _add_policy_flags(report)
 
     perf = sub.add_parser(
         "perf",
@@ -548,22 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--flame-out", dest="flame_out", default=None,
                       help="flame: output path (default OUT/flame-*.txt)")
 
-    bench = sub.add_parser(
+    bench_cli.add_arguments(sub.add_parser(
         "bench", help="microbenchmark the storage/query hot paths"
-    )
-    bench.add_argument("--repeat", type=int, default=5,
-                       help="measured timing passes per benchmark "
-                       "(ns_per_op is min-of-k; p50/p95 come from all k)")
-    bench.add_argument("--warmup", type=int, default=1,
-                       help="unmeasured leading passes per benchmark")
-    bench.add_argument("--only", nargs="*",
-                       help="run only the named benchmarks")
-    bench.add_argument("--out", default="results",
-                       help="directory for BENCH_micro.json and the run "
-                       "ledger ('' disables)")
-    bench.add_argument("--no-ledger", dest="no_ledger", action="store_true",
-                       help="skip appending a kind=micro record to "
-                       "OUT/ledger.jsonl")
+    ))
 
     chaos = sub.add_parser(
         "chaos",
@@ -574,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--fault-seed", dest="fault_seed", type=int, default=0,
                        help="seed of the fault schedule (same seed = same "
                        "injection points)")
-    chaos.add_argument("--jobs", type=_jobs_arg, default=1,
+    chaos.add_argument("--jobs", type=jobs_arg, default=1,
                        help="worker processes (adds worker-crash faults; "
                        "'auto' = one per core)")
     chaos.add_argument("--out", default="results",
@@ -599,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--serve-duration", dest="serve_duration", type=float,
                        default=3.0,
                        help="seconds the serve phase drives client load")
-    _add_policy_flags(chaos)
+    add_policy_arguments(chaos)
 
     serve = sub.add_parser(
         "serve",

@@ -389,25 +389,25 @@ def run_benchmarks(
     }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro bench", description="storage/query hot-path microbenchmarks"
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``bench`` flags, for ``repro bench`` and :func:`main` alike."""
     parser.add_argument("--repeat", type=int, default=5,
                         help="measured timing passes per benchmark "
                         "(ns_per_op is min-of-k; p50/p95 come from all k)")
     parser.add_argument("--warmup", type=int, default=1,
                         help="unmeasured leading passes per benchmark")
     parser.add_argument("--only", nargs="*", choices=sorted(BENCHMARKS),
-                        help="run only the named benchmarks")
+                        metavar="ONLY", help="run only the named benchmarks")
     parser.add_argument("--out", default="results",
                         help="directory for BENCH_micro.json and the run "
                         "ledger ('' disables)")
     parser.add_argument("--no-ledger", dest="no_ledger", action="store_true",
                         help="skip appending a kind=micro record to "
                         "OUT/ledger.jsonl")
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
+    """Run the benchmarks an :func:`add_arguments` namespace describes."""
     payload = run_benchmarks(
         repeat=args.repeat, only=args.only, warmup=args.warmup
     )
@@ -436,6 +436,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 os.path.join(args.out, _ledger.LEDGER_FILENAME)
             ).append(record)
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro bench", description="storage/query hot-path microbenchmarks"
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover - module entry

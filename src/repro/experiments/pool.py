@@ -9,12 +9,13 @@ module turns that structure into an explicit execution layer:
   (workload parameters + strategy + run options, or a deep-hierarchy
   query point).  Experiments build a flat list of points and get their
   :class:`~repro.workload.driver.CostReport` rows back *in input order*;
-* :func:`run_sweep` — executes a point list serially (``jobs=1``, the
-  default) or fans it out over a process pool.  Workers build and reuse
-  databases locally through a bounded per-worker
-  :class:`~repro.experiments.runner.DatabaseCache`; only the measured
-  reports travel back to the parent, so results are bit-for-bit
-  identical to a serial run regardless of completion order;
+* :func:`run_sweep` — runs a point list through one dispatch loop,
+  driven by an in-process executor (``jobs=1``, the default) or a
+  process pool.  Workers build and reuse databases locally through a
+  bounded per-worker :class:`~repro.experiments.runner.DatabaseCache`;
+  only the measured reports travel back to the parent, so results are
+  bit-for-bit identical to an in-process run regardless of completion
+  order;
 * :class:`PointCache` — a persistent on-disk memo (one checksummed JSON
   file per finished point under ``results/.pointcache/``) keyed by a
   stable hash of the point plus a fingerprint of the ``repro`` source
@@ -26,7 +27,7 @@ Databases themselves are reused through the copy-on-write snapshot
 store (:mod:`repro.storage.snapshot`): when :func:`configure_db_store`
 names a store root (the report runner and CLI point it at
 ``results/.dbcache/``), every built shape is frozen once and each
-point attaches a clone in milliseconds — serially, in every pool
+point attaches a clone in milliseconds — in-process, in every pool
 worker, and across repeated report runs.  ``SWEEP_LOG`` entries carry
 the build/attach split so the saving is visible in telemetry.
 
@@ -41,8 +42,8 @@ deterministic, so every failure is recoverable by re-deriving state —
   tables render with degraded cells instead of dying) and continues;
 * pool workers that crash or hang past ``point_timeout`` are detected
   in the parent, the pool is rebuilt, and their points re-dispatched; a
-  pool that keeps failing degrades the remainder of the sweep to serial
-  in-process execution;
+  pool that keeps failing is swapped for the in-process executor and
+  the same loop finishes the sweep;
 * Ctrl-C terminates workers, keeps every completed point checkpointed
   in the cache, and raises :class:`~repro.errors.SweepInterrupted` so
   the CLI can print a "rerun to resume" hint instead of a traceback;
@@ -76,6 +77,7 @@ import tempfile
 import threading
 import time
 from collections import deque
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -114,7 +116,7 @@ WORKER_DB_CACHE_SIZE = 4
 
 #: Telemetry trail: one entry per :func:`run_sweep` call, with point
 #: counts, cache hits, fault/recovery counters and wall-clock seconds.
-#: The report runner drains this into ``BENCH_sweeps.json``.
+#: The report runner sums these into the run's ledger record.
 SWEEP_LOG: List[Dict[str, Any]] = []
 
 #: Optional live-progress callback (``None`` → zero overhead).  Set via
@@ -146,7 +148,7 @@ class RetryPolicy:
     SIGALRM backstop on the main thread, and the parent-side watchdog
     for pool workers; ``None`` disables); ``max_pool_restarts`` bounds
     how often a crashed or hung worker pool is rebuilt before the sweep
-    degrades to serial execution.
+    continues on the in-process executor.
 
     The serving layer reuses this policy for client-side retry with
     jittered exponential backoff (:mod:`repro.serve.clients`).
@@ -270,7 +272,7 @@ _DB_STORE: Optional[SnapshotStore] = None
 def configure_db_store(root: Optional[str]) -> None:
     """Point sweep execution at a snapshot store (None disables reuse).
 
-    Serial sweeps and pool workers alike materialize databases through
+    In-process sweeps and pool workers alike materialize databases through
     the store under ``root``; built shapes are frozen and persisted so
     later points, workers and report runs attach clones instead of
     rebuilding.
@@ -513,25 +515,30 @@ def execute_point(
     return _report_to_payload(_execute_workload(point, db_cache))
 
 
+def _db_shape(point: SweepPoint) -> Tuple[Any, Dict[str, bool]]:
+    """The strategy instance of a workload point and the database it needs."""
+    strategy = make_strategy(point.strategy, **dict(point.strategy_kwargs))
+    if point.db_cache is not None:
+        want_cache = point.db_cache
+    else:
+        want_cache = strategy.uses_cache and point.strategy != "DFSCACHE-INSIDE"
+    return strategy, {
+        "clustering": strategy.uses_clustering,
+        "cache": want_cache,
+        "procedural": point.db_procedural,
+    }
+
+
 def _execute_workload(
     point: SweepPoint, db_cache: Optional[DatabaseCache]
 ) -> CostReport:
     params = point.params
     if params is None:
         raise PointFailed("workload point without params: %r" % (point,), point=point)
-    strategy = make_strategy(point.strategy, **dict(point.strategy_kwargs))
+    strategy, shape = _db_shape(point)
     if db_cache is None:
         db_cache = DatabaseCache()
-    if point.db_cache is not None:
-        want_cache = point.db_cache
-    else:
-        want_cache = strategy.uses_cache and point.strategy != "DFSCACHE-INSIDE"
-    db = db_cache.get(
-        params,
-        clustering=strategy.uses_clustering,
-        cache=want_cache,
-        procedural=point.db_procedural,
-    )
+    db = db_cache.get(params, **shape)
     if point.strategy == "DFSCACHE-INSIDE" and db.inside_cache is None:
         db.enable_inside_cache(
             params.size_cache, unit_bytes_hint=params.size_unit * params.child_bytes
@@ -594,6 +601,7 @@ def _execute_deep(point: SweepPoint, db_cache: Optional[DatabaseCache]) -> float
     rng = derive_rng(base.seed, stream=point.depth)
     total = 0
     for _ in range(point.queries):
+        _deadline.check_active("deep query")
         lo = rng.randrange(max(1, base.num_roots - point.span + 1))
         query = DeepQuery(lo, lo + point.span - 1, point.depth)
         db.start_measurement(cold=True)
@@ -756,54 +764,59 @@ def _injection_delta(
 
 
 def _run_task(
-    task: Tuple[int, SweepPoint]
-) -> Tuple[int, Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
-    """Worker-side execution of one point (with worker-side retries).
+    point: SweepPoint,
+    db_cache: Optional[DatabaseCache] = None,
+    policy: Optional[RetryPolicy] = None,
+) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
+    """Execute one point with its retries, for either executor.
 
-    Returns ``(index, payload, db_stats_delta, task_counters)``.  A
-    point that exhausts its retries comes back as a ``kind="failed"``
-    payload rather than an exception, so its database-cache telemetry
-    still reaches the parent.  The ``worker.crash``/``worker.hang``
-    sites fire here — before any measurement — to exercise the parent's
-    pool-recovery machinery.
+    A pool worker calls this with the point alone and runs against the
+    state :func:`_init_worker` left in the process; the in-process
+    executor passes its own ``db_cache`` and ``policy``.  Returns
+    ``(payload, db_stats_delta, task_counters)``.  A point that
+    exhausts its retries comes back as a ``kind="failed"`` payload
+    rather than an exception, so its database-cache telemetry still
+    reaches the parent.  The ``worker.crash``/``worker.hang`` sites fire
+    here — before any measurement, and in worker processes only — to
+    exercise the parent's pool-recovery machinery.
     """
-    index, point = task
     _fault.hit("worker.crash")
     _fault.hit("worker.hang")
-    cache = _WORKER_DB_CACHE if _WORKER_DB_CACHE is not None else DatabaseCache()
+    in_worker = db_cache is None
+    if in_worker:
+        db_cache, policy = _WORKER_DB_CACHE, _WORKER_POLICY
     task_counters: Dict[str, Any] = {"retries": 0, "timeouts": 0}
-    plan = _fault.active()
+    # A worker fires its own copy of the plan, which the parent cannot
+    # see.  In-process the plan is the parent's, and run_sweep counts it
+    # once, from the plan itself.
+    plan = _fault.active() if in_worker else None
     injections_before = dict(plan.injections) if plan is not None else {}
-    before = cache.stats_snapshot()
+    before = db_cache.stats_snapshot()
     try:
-        payload = _execute_with_recovery(point, cache, _WORKER_POLICY, task_counters)
+        with _spans.span("point.execute"):
+            payload = _execute_with_recovery(point, db_cache, policy, task_counters)
     except PointFailed as exc:
         payload = {
             "kind": "failed",
             "error": str(exc.cause or exc),
             "attempts": exc.attempts,
         }
-    after = cache.stats_snapshot()
+    # Delta, not totals: a worker's cache and the store singleton's
+    # counters outlive the task.
+    delta = _stats_delta(db_cache.stats_snapshot(), before)
     if plan is not None:
         task_counters["injections"] = _injection_delta(
             plan.injections, injections_before
         )
-    return index, payload, _stats_delta(after, before), task_counters
+    return payload, delta, task_counters
 
 
 def _dispatch_key(point: SweepPoint) -> Tuple:
     """Sort key grouping points that can share one built database."""
     if point.kind == "deep":
         return ("deep", repr(point.deep_params))
-    params = point.params
-    strategy_cls = make_strategy(point.strategy, **dict(point.strategy_kwargs))
-    if point.db_cache is not None:
-        want_cache = point.db_cache
-    else:
-        want_cache = strategy_cls.uses_cache and point.strategy != "DFSCACHE-INSIDE"
-    return ("workload",) + DatabaseCache().shape_key(
-        params, strategy_cls.uses_clustering, want_cache, point.db_procedural
-    )
+    _strategy, shape = _db_shape(point)
+    return ("workload",) + DatabaseCache().shape_key(point.params, **shape)
 
 
 def _cost_estimate(point: SweepPoint) -> float:
@@ -869,19 +882,20 @@ def run_sweep(
 ) -> List[Any]:
     """Measure every point; results come back in input order.
 
-    ``jobs=1`` runs serially in-process with one shared
-    :class:`DatabaseCache` (the default, and what the tests exercise).
-    ``jobs>1`` fans uncached points out over a worker pool.  With a
-    ``cache``, previously finished points are answered from disk and
-    only the remainder is computed (each stored atomically the moment it
-    completes).  ``policy`` (default :data:`DEFAULT_POLICY`) budgets
-    retries, per-point deadlines and pool restarts; a point that
-    exhausts the budget yields a :class:`FailedPoint` in its slot and
-    the sweep continues.
+    One dispatch loop serves both modes: ``jobs=1`` (the default, and
+    what the tests exercise) drives it with an in-process executor and
+    one shared :class:`DatabaseCache`; ``jobs>1`` fans uncached points
+    out over a worker pool.  With a ``cache``, previously finished
+    points are answered from disk and only the remainder is computed
+    (each stored atomically the moment it completes).  ``policy``
+    (default :data:`DEFAULT_POLICY`) budgets retries, per-point
+    deadlines and pool restarts; a point that exhausts the budget yields
+    a :class:`FailedPoint` in its slot and the sweep continues.
     """
     policy = policy or DEFAULT_POLICY
     t_start = time.perf_counter()
     counters: Dict[str, Any] = {
+        "injections": {},
         "retries": 0,
         "timeouts": 0,
         "pool_restarts": 0,
@@ -914,22 +928,19 @@ def run_sweep(
     db_stats: Dict[str, Any] = {}
     if pending:
         try:
-            if jobs > 1 and len(pending) > 1:
-                db_stats = _run_parallel(
-                    points, pending, keys, results, cache, jobs, policy, counters
-                )
-            else:
-                db_stats = _run_serial(
-                    points, pending, keys, results, cache, policy, counters
-                )
+            db_stats = _dispatch(
+                points, pending, keys, results, cache, jobs, policy, counters
+            )
         except KeyboardInterrupt:
             completed = sum(1 for result in results if result is not None)
             raise SweepInterrupted(completed, len(points)) from None
 
+    # The parent's own fires (in-process points, point-cache writes)
+    # plus what the workers' copies of the plan reported with each task.
     injections = _injection_delta(
         plan.injections if plan is not None else {}, injections_before
     )
-    for site, count in counters.pop("worker_injections", {}).items():
+    for site, count in counters["injections"].items():
         injections[site] = injections.get(site, 0) + count
     cache_stats = (
         _stats_delta(cache.stats_snapshot(), cache_before)
@@ -981,45 +992,6 @@ def _record_fault_metrics(faults: Dict[str, Any]) -> None:
         reg.inc("fault.quarantined", len(faults["quarantined"]))
 
 
-def _run_serial(
-    points: Sequence[SweepPoint],
-    pending: Sequence[int],
-    keys: List[Optional[str]],
-    results: List[Any],
-    cache: Optional[PointCache],
-    policy: RetryPolicy,
-    counters: Dict[str, Any],
-) -> Dict[str, Any]:
-    """Execute ``pending`` in-process, checkpointing after every point."""
-    db_cache = DatabaseCache(store=_db_store())
-    before = db_cache.stats_snapshot()
-    progress = _PROGRESS
-    for i in pending:
-        # The ``sweep.kill`` site SIGKILLs the process here — *between*
-        # points — so every completed point is already checkpointed.
-        _fault.hit("sweep.kill")
-        try:
-            with _spans.span("point.execute"):
-                payload = _execute_with_recovery(
-                    points[i], db_cache, policy, counters
-                )
-        except PointFailed as exc:
-            results[i] = FailedPoint(points[i], exc.cause or exc, exc.attempts)
-            counters["quarantined"].append(point_label(points[i]))
-            if progress is not None:
-                progress("point_done", {"index": i, "failed": True})
-            continue
-        if cache is not None and keys[i] is not None:
-            with _spans.span("point.cache_write"):
-                cache.put(keys[i], payload)
-        results[i] = _payload_to_result(payload)
-        if progress is not None:
-            progress("point_done", {"index": i, "failed": False})
-    # Delta, not totals: the store singleton's counters span every
-    # run_sweep call in this process.
-    return _stats_delta(db_cache.stats_snapshot(), before)
-
-
 def _aggregate_reports(results: Sequence[Any]) -> Dict[str, Any]:
     """Sweep-level buffer-pool and I/O totals over the CostReport rows.
 
@@ -1045,7 +1017,45 @@ def _aggregate_reports(results: Sequence[Any]) -> Dict[str, Any]:
     return {"reports": reports, "buffer": buffer, "io": io}
 
 
-def _run_parallel(
+class _InProcessExecutor:
+    """The executor interface over this process: ``submit`` runs the task.
+
+    What ``jobs=1`` uses, and what a sweep whose pools keep failing
+    swaps in.  Points share one unbounded :class:`DatabaseCache` over
+    the process-wide store for the executor's lifetime.
+    """
+
+    def __init__(self, policy: RetryPolicy) -> None:
+        self._db_cache = DatabaseCache(store=_db_store())
+        self._policy = policy
+
+    def submit(self, fn: Any, point: SweepPoint) -> "Future[Any]":
+        # The ``sweep.kill`` site SIGKILLs the process here — *between*
+        # points — so every completed point is already checkpointed.
+        _fault.hit("sweep.kill")
+        future: "Future[Any]" = Future()
+        try:
+            future.set_result(fn(point, self._db_cache, self._policy))
+        except Exception as exc:  # KeyboardInterrupt reaches run_sweep
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, **_kwargs: Any) -> None:
+        pass
+
+
+def _shutdown_hard(executor: Any) -> None:
+    """Shut an executor down without waiting for (or sparing) its workers."""
+    processes = list((getattr(executor, "_processes", None) or {}).values())
+    executor.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        if process.is_alive():
+            process.terminate()
+    for process in processes:
+        process.join(1.0)
+
+
+def _dispatch(
     points: Sequence[SweepPoint],
     pending: List[int],
     keys: List[Optional[str]],
@@ -1055,73 +1065,73 @@ def _run_parallel(
     policy: RetryPolicy,
     counters: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """Fan ``pending`` out over a worker pool, surviving worker loss.
+    """Run ``pending`` through an executor, checkpointing every point.
 
-    Workers run points (with worker-side retries) and stream results
-    back; the parent is the watchdog.  A crashed worker breaks the
-    whole executor (``BrokenProcessPool``), so the pool is rebuilt and
+    The loop is the same whichever executor it drives: submit up to
+    ``width`` tasks, turn finished ones into results, recover from lost
+    ones.  With ``jobs > 1`` and more than one point the executor is a
+    process pool and the parent is its watchdog: a crashed worker breaks
+    the whole pool (``BrokenExecutor``), so the pool is rebuilt and
     unfinished points re-dispatched; a worker that hangs past
     ``policy.point_timeout`` is detected by deadline, its pool is torn
     down the same way, and the hung point is charged an attempt.  After
     ``policy.max_pool_restarts`` rebuilds the sweep stops trusting
-    process pools and finishes the remainder serially (a logged
-    downgrade, never an abort).
+    process pools, swaps in the in-process executor and keeps looping (a
+    logged downgrade, never an abort).  Returns the summed database
+    cache counters of the executed tasks.
     """
-    import multiprocessing as mp
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    method = "fork" if "fork" in mp.get_all_start_methods() else None
-    context = mp.get_context(method)
-    # Cost-aware longest-first order (see _dispatch_order).  The shared
-    # ``todo`` deque is the work-stealing queue: the parent hands each
-    # free worker exactly one point at a time, so a worker that drains
-    # its database group simply steals the next pending point — no
-    # worker idles behind a static partition while another has backlog.
-    order = _dispatch_order(points, pending)
-    todo: "deque[int]" = deque(order)
-    attempts: Dict[int, int] = {i: 0 for i in order}
-    db_stats: Dict[str, Any] = {}
-    worker_injections: Dict[str, int] = {}
-    restarts = 0
+    progress = _PROGRESS
     plan = _fault.active()
+    db_stats: Dict[str, Any] = {}
+    restarts = 0
 
-    def make_executor() -> ProcessPoolExecutor:
+    def make_pool() -> Any:
+        import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
+
+        method = "fork" if "fork" in mp.get_all_start_methods() else None
         return ProcessPoolExecutor(
             max_workers=jobs,
-            mp_context=context,
+            mp_context=mp.get_context(method),
             initializer=_init_worker,
             initargs=(DB_STORE_ROOT, plan, policy),
         )
 
-    def shutdown_hard(pool: ProcessPoolExecutor) -> None:
-        processes = list(getattr(pool, "_processes", {}).values())
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except TypeError:  # pragma: no cover - pre-3.9 signature
-            pool.shutdown(wait=False)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(1.0)
+    if jobs > 1 and len(pending) > 1:
+        # Cost-aware longest-first order (see _dispatch_order).  The
+        # shared ``todo`` deque is the work-stealing queue: the parent
+        # hands each free worker exactly one point at a time, so a
+        # worker that drains its database group simply steals the next
+        # pending point — no worker idles behind a static partition
+        # while another has backlog.
+        order = _dispatch_order(points, pending)
+        executor: Any = make_pool()
+        width = jobs
+    else:
+        order = pending
+        executor = _InProcessExecutor(policy)
+        width = 1
+    todo: "deque[int]" = deque(order)
+    attempts: Dict[int, int] = {}
+    running: Dict[Any, Tuple[int, float]] = {}
+
+    def quarantine(index: int, error: Any, tries: int) -> None:
+        results[index] = FailedPoint(points[index], error, tries)
+        counters["quarantined"].append(point_label(points[index]))
+        if progress is not None:
+            progress("point_done", {"index": index, "failed": True})
 
     def finish(index: int, payload: Dict[str, Any], delta: Dict[str, Any],
                task_counters: Dict[str, Any]) -> None:
         for key, value in delta.items():
             db_stats[key] = db_stats.get(key, 0) + value
-        counters["retries"] += task_counters.get("retries", 0)
-        counters["timeouts"] += task_counters.get("timeouts", 0)
+        counters["retries"] += task_counters["retries"]
+        counters["timeouts"] += task_counters["timeouts"]
+        injections = counters["injections"]
         for site, count in task_counters.get("injections", {}).items():
-            worker_injections[site] = worker_injections.get(site, 0) + count
-        progress = _PROGRESS
+            injections[site] = injections.get(site, 0) + count
         if payload.get("kind") == "failed":
-            results[index] = FailedPoint(
-                points[index], payload["error"], payload["attempts"]
-            )
-            counters["quarantined"].append(point_label(points[index]))
-            if progress is not None:
-                progress("point_done", {"index": index, "failed": True})
+            quarantine(index, payload["error"], payload["attempts"])
             return
         if cache is not None and keys[index] is not None:
             with _spans.span("point.cache_write"):
@@ -1132,128 +1142,100 @@ def _run_parallel(
 
     def charge_attempt(index: int, error: BaseException) -> None:
         """One failed parent-side attempt for ``index`` (requeue or give up)."""
-        attempts[index] += 1
+        attempts[index] = attempts.get(index, 0) + 1
         if attempts[index] > policy.max_retries:
-            results[index] = FailedPoint(points[index], error, attempts[index])
-            counters["quarantined"].append(point_label(points[index]))
+            quarantine(index, error, attempts[index])
         else:
             counters["retries"] += 1
             todo.append(index)
 
-    executor = make_executor()
-    running: Dict[Any, Tuple[int, float]] = {}
+    def replace_pool(requeue: List[int]) -> None:
+        """Tear the pool down; re-dispatch ``requeue`` on its successor."""
+        nonlocal executor, restarts, width
+        todo.extendleft(requeue)
+        running.clear()
+        restarts += 1
+        counters["pool_restarts"] += 1
+        _shutdown_hard(executor)
+        if restarts <= policy.max_pool_restarts:
+            executor = make_pool()
+            return
+        counters["downgrades"] += 1
+        sys.stderr.write(
+            "repro: worker pool failed %d times; finishing the sweep "
+            "in-process without a pool\n" % restarts
+        )
+        executor = _InProcessExecutor(policy)
+        width = 1
+
     try:
-        try:
-            while todo or running:
-                # Submit at most one task per worker, so a future's age
-                # approximates its execution time (deadline accuracy).
-                broken = False
-                while todo and len(running) < jobs:
-                    i = todo.popleft()
+        while todo or running:
+            # Submit at most one task per worker, so a future's age
+            # approximates its execution time (deadline accuracy).
+            broken = False
+            while todo and len(running) < width:
+                i = todo.popleft()
+                try:
+                    future = executor.submit(_run_task, points[i])
+                except BrokenExecutor:
+                    todo.appendleft(i)
+                    broken = True
+                    break
+                running[future] = (i, time.monotonic())
+            if not broken:
+                done, _ = wait(
+                    set(running), timeout=0.2, return_when=FIRST_COMPLETED
+                )
+                for future in done:
+                    index, _t0 = running.pop(future)
                     try:
-                        future = executor.submit(_run_task, (i, points[i]))
-                    except BrokenProcessPool:
-                        todo.appendleft(i)
-                        broken = True
-                        break
-                    running[future] = (i, time.monotonic())
-                if not broken and running:
-                    done, _ = wait(
-                        set(running), timeout=0.2, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        index, _t0 = running.pop(future)
-                        try:
-                            _, payload, delta, task_counters = future.result()
-                        except BrokenProcessPool:
-                            # The worker died; innocents die with it.
-                            # Re-dispatch without charging an attempt —
-                            # the restart budget bounds crash loops.
-                            todo.appendleft(index)
-                            broken = True
-                        except Exception as exc:
-                            charge_attempt(index, exc)
-                        else:
-                            finish(index, payload, delta, task_counters)
-                if broken:
-                    for future, (index, _t0) in running.items():
+                        outcome = future.result()
+                    except BrokenExecutor:
+                        # The worker died; innocents die with it.
+                        # Re-dispatch without charging an attempt —
+                        # the restart budget bounds crash loops.
                         todo.appendleft(index)
-                    running.clear()
-                    restarts += 1
-                    counters["pool_restarts"] += 1
-                    shutdown_hard(executor)
-                    if restarts > policy.max_pool_restarts:
-                        raise WorkerLost(
-                            "worker pool failed %d times" % restarts
-                        )
-                    executor = make_executor()
-                    continue
-                if policy.point_timeout and running:
-                    now = time.monotonic()
-                    hung = [
-                        (future, index)
-                        for future, (index, t0) in running.items()
-                        if now - t0 > policy.point_timeout
+                        broken = True
+                    except Exception as exc:
+                        charge_attempt(index, exc)
+                    else:
+                        finish(index, *outcome)
+            if broken:
+                replace_pool([index for index, _t0 in running.values()])
+            elif policy.point_timeout and running:
+                now = time.monotonic()
+                hung = [
+                    index
+                    for index, t0 in running.values()
+                    if now - t0 > policy.point_timeout
+                ]
+                if hung:
+                    innocent = [
+                        index for index, _t0 in running.values()
+                        if index not in hung
                     ]
-                    if hung:
-                        hung_futures = {future for future, _ in hung}
-                        for future, index in hung:
-                            counters["timeouts"] += 1
-                            charge_attempt(
-                                index,
-                                WorkerLost(
-                                    "worker exceeded the %.3gs point deadline"
-                                    % policy.point_timeout
-                                ),
-                            )
-                        for future, (index, _t0) in running.items():
-                            if future not in hung_futures:
-                                todo.appendleft(index)
-                        running.clear()
-                        restarts += 1
-                        counters["pool_restarts"] += 1
-                        shutdown_hard(executor)
-                        if restarts > policy.max_pool_restarts:
-                            raise WorkerLost(
-                                "worker pool failed %d times" % restarts
-                            )
-                        executor = make_executor()
-        except KeyboardInterrupt:
-            # Flush whatever already finished so those points stay
-            # checkpointed, then terminate the workers and let
-            # run_sweep translate this into SweepInterrupted.
-            for future, (index, _t0) in list(running.items()):
-                if future.done():
-                    try:
-                        _, payload, delta, task_counters = future.result()
-                    except BaseException:
-                        continue
-                    finish(index, payload, delta, task_counters)
-            raise
-        except WorkerLost as exc:
-            # Graceful degradation: stop trusting process pools and
-            # finish the remainder serially in this process.
-            counters["downgrades"] += 1
-            sys.stderr.write(
-                "repro: %s; finishing the sweep serially without a pool\n" % exc
-            )
-            remaining = [i for i in order if results[i] is None]
-            serial_stats = _run_serial(
-                points, remaining, keys, results, cache, policy, counters
-            )
-            for key, value in serial_stats.items():
-                db_stats[key] = db_stats.get(key, 0) + value
+                    for index in hung:
+                        counters["timeouts"] += 1
+                        charge_attempt(
+                            index,
+                            WorkerLost(
+                                "worker exceeded the %.3gs point deadline"
+                                % policy.point_timeout
+                            ),
+                        )
+                    replace_pool(innocent)
+    except KeyboardInterrupt:
+        # Flush whatever already finished so those points stay
+        # checkpointed, then terminate the workers and let run_sweep
+        # translate this into SweepInterrupted.
+        for future, (index, _t0) in list(running.items()):
+            if future.done():
+                try:
+                    outcome = future.result()
+                except BaseException:
+                    continue
+                finish(index, *outcome)
+        raise
     finally:
-        shutdown_hard(executor)
-    counters["worker_injections"] = worker_injections
+        _shutdown_hard(executor)
     return db_stats
-
-
-def run_sweep_reports(
-    points: Sequence[SweepPoint],
-    jobs: int = 1,
-    cache: Optional[PointCache] = None,
-    policy: Optional[RetryPolicy] = None,
-) -> List[CostReport]:
-    """:func:`run_sweep` for all-workload grids, typed as cost reports."""
-    return run_sweep(points, jobs=jobs, cache=cache, policy=policy)

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.experiments.report [--scale S] [--out DIR] [--jobs N]
+    python -m repro report [--scale S] [--out DIR] [--jobs N]
 
 Writes one plain-text table plus a structured ``.json`` twin per
 figure/section under ``DIR`` (default ``results/``) and prints everything
@@ -13,9 +13,9 @@ to stdout.  ``--jobs N`` fans sweep points out over N worker processes
 copy-on-write snapshots under ``DIR/.dbcache/`` — every later point,
 worker and report run attaches a clone in milliseconds instead of
 rebuilding (``--no-db-cache`` disables that).  Per-experiment
-wall-clock, point-count and build/attach telemetry lands in
-``--bench-out`` (default ``BENCH_sweeps.json``) so the perf trajectory
-is machine-readable.
+wall-clock, point-count and build/attach telemetry forms the run's
+ledger record: one line appended to ``DIR/ledger.jsonl``, and the same
+record pretty-printed to ``--bench-out`` when that is given.
 EXPERIMENTS.md records a run of this module next to the paper's reported
 shapes.
 """
@@ -74,6 +74,10 @@ def experiment_suite(
             call(ablations.run_buffer_policy, scale=scale),
         ),
     ]
+
+
+#: Every experiment name, in report order (what ``--only`` accepts).
+EXPERIMENT_NAMES = [name for name, _ in experiment_suite(1.0)]
 
 
 def annotate(name: str, result: ExperimentResult) -> str:
@@ -178,64 +182,69 @@ def _round_floats(counters: dict, digits: int = 3) -> dict:
     }
 
 
-def _jobs_arg(value: str) -> int:
-    """``--jobs`` parser: a positive int, or ``auto`` for all cores."""
+def jobs_arg(value: str) -> int:
+    """argparse ``type=`` for ``--jobs``: a positive int, or ``auto``."""
     try:
         return pool.resolve_jobs(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def add_policy_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``--max-retries``/``--point-timeout`` flags of an argparse parser
+    (their values go to :func:`pool.configure_retry_policy`)."""
+    parser.add_argument(
+        "--max-retries", dest="max_retries", type=int, default=None,
+        help="per-point retry budget before the point is quarantined "
+        "(default 2)",
+    )
+    parser.add_argument(
+        "--point-timeout", dest="point_timeout", type=float, default=None,
+        help="seconds one point may run before it counts as a failed "
+        "attempt (default: no limit)",
+    )
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``report`` flags, for ``repro report`` and :func:`main` alike."""
     parser.add_argument(
         "--scale",
         type=float,
         default=1.0,
         help="database scale relative to the paper's 10,000 parents "
-        "(1.0 = full paper scale)",
+        "(default: full paper scale)",
     )
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument(
         "--only",
         nargs="*",
-        default=None,
+        choices=EXPERIMENT_NAMES,
+        metavar="ONLY",
         help="subset of experiment names to run",
     )
     parser.add_argument(
         "--jobs",
-        type=_jobs_arg,
+        type=jobs_arg,
         default=1,
-        help="worker processes for sweep points (1 = serial, the "
+        help="worker processes for sweep points (1 = in-process, the "
         "default; 'auto' = one per core — the resolved count is "
-        "recorded in the telemetry and the run ledger)",
+        "recorded in the run's ledger record)",
     )
     parser.add_argument(
         "--no-point-cache",
         action="store_true",
-        help="recompute every sweep point instead of memoizing under OUT/.pointcache",
+        help="recompute every point (skip OUT/%s)" % pool.POINT_CACHE_DIRNAME,
     )
     parser.add_argument(
         "--no-db-cache",
         action="store_true",
-        help="rebuild every database instead of attaching copy-on-write "
-        "snapshot clones from OUT/.dbcache",
+        help="rebuild every database (skip OUT/%s)" % pool.DB_CACHE_DIRNAME,
     )
     parser.add_argument(
         "--bench-out",
-        default="BENCH_sweeps.json",
-        help="telemetry JSON path ('' disables)",
-    )
-    parser.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="skip appending this run to OUT/%s" % _ledger.LEDGER_FILENAME,
-    )
-    parser.add_argument(
-        "--no-spans",
-        action="store_true",
-        help="disable wall-clock span profiling for this run (spans are "
-        "digest-neutral; this only drops the ledger's span rollups)",
+        default=None,
+        help="also write this run's ledger record, pretty-printed, to "
+        "this path (default: not written)",
     )
     live = parser.add_mutually_exclusive_group()
     live.add_argument(
@@ -243,8 +252,8 @@ def main(argv=None) -> int:
         dest="live",
         action="store_true",
         default=None,
-        help="live sweep progress on stderr (default: auto when stderr "
-        "is a terminal)",
+        help="live sweep progress line on stderr (default: auto when "
+        "stderr is a terminal)",
     )
     live.add_argument(
         "--no-live",
@@ -253,20 +262,21 @@ def main(argv=None) -> int:
         help="suppress the live progress line",
     )
     parser.add_argument(
-        "--max-retries",
-        dest="max_retries",
-        type=int,
-        default=None,
-        help="per-point retry budget before a cell is quarantined (default 2)",
+        "--no-spans",
+        action="store_true",
+        help="disable wall-clock span profiling (drops the ledger's span "
+        "rollups; measured results are identical either way)",
     )
     parser.add_argument(
-        "--point-timeout",
-        dest="point_timeout",
-        type=float,
-        default=None,
-        help="seconds one point may run before it counts as a failed attempt",
+        "--no-ledger",
+        action="store_true",
+        help="skip appending this run to OUT/%s" % _ledger.LEDGER_FILENAME,
     )
-    args = parser.parse_args(argv)
+    add_policy_arguments(parser)
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run the report an :func:`add_arguments` namespace describes."""
     os.makedirs(args.out, exist_ok=True)
 
     pool.configure_retry_policy(
@@ -280,21 +290,13 @@ def main(argv=None) -> int:
     point_cache = (
         None
         if args.no_point_cache
-        else PointCache(os.path.join(args.out, ".pointcache"))
+        else PointCache(os.path.join(args.out, pool.POINT_CACHE_DIRNAME))
     )
     suite = experiment_suite(
         args.scale,
         jobs=args.jobs,
         point_cache=point_cache,
     )
-    names = [name for name, _ in suite]
-    if args.only:
-        unknown = [name for name in args.only if name not in names]
-        if unknown:
-            parser.error(
-                "unknown experiment name(s): %s (choose from: %s)"
-                % (", ".join(unknown), ", ".join(names))
-            )
 
     live = args.live
     if live is None:
@@ -314,19 +316,17 @@ def main(argv=None) -> int:
     telemetry: List[dict] = []
     t_start = time.perf_counter()
     try:
-        for name, run in suite:
+        for name, run_experiment in suite:
             if args.only and name not in args.only:
                 continue
             if dashboard is not None:
                 dashboard.set_experiment(name)
             sweeps_before = len(pool.SWEEP_LOG)
             t0 = time.perf_counter()
-            result = run()
+            result = run_experiment()
             seconds = time.perf_counter() - t0
             sweeps = pool.SWEEP_LOG[sweeps_before:]
             buffer = _sum_nested(sweeps, "buffer")
-            io = _sum_nested(sweeps, "io")
-            db = _round_floats(_sum_nested(sweeps, "db"))
             faults = _sum_faults(sweeps)
             telemetry.append(
                 {
@@ -336,8 +336,8 @@ def main(argv=None) -> int:
                     "cache_hits": sum(s["cache_hits"] for s in sweeps),
                     "executed": sum(s["executed"] for s in sweeps),
                     "buffer": buffer,
-                    "io": io,
-                    "db": db,
+                    "io": _sum_nested(sweeps, "io"),
+                    "db": _round_floats(_sum_nested(sweeps, "db")),
                     "faults": faults,
                 }
             )
@@ -371,85 +371,48 @@ def main(argv=None) -> int:
     total_seconds = time.perf_counter() - t_start
     print("total: %.1fs" % total_seconds)
 
-    if args.bench_out:
-        db_totals = _round_floats(_sum_nested(telemetry, "db"))
-        store = pool._db_store()
-        # ``jobs`` is always the *resolved* worker count (``--jobs
-        # auto`` resolves before it gets here).
-        # Schema 5: records ``ledger_schema`` — the run ledger gained
-        # the ``kind="serve"`` record family (ledger schema 2), and the
-        # bench artifact is where that coupling is pinned for CI.  The
-        # ``db`` dicts lost two fields (the non-arena attach count and
-        # the pickled-payload byte count) without a bump: none was
-        # added, and ``arena_attaches`` vs ``attaches`` is the split.
-        bench = {
-            "schema": 5,
-            "ledger_schema": _ledger.LEDGER_SCHEMA,
-            "scale": args.scale,
-            "jobs": args.jobs,
-            "point_cache": not args.no_point_cache,
-            "point_cache_stats": (
-                point_cache.stats_snapshot() if point_cache else {}
-            ),
-            "db_cache": not args.no_db_cache,
-            "db": db_totals,
-            "faults": _sum_faults(telemetry),
-            "db_bytes_on_disk": store.bytes_on_disk() if store else 0,
-            "cpu_count": os.cpu_count(),
-            "python": "%d.%d.%d" % sys.version_info[:3],
-            "code_fingerprint": pool.code_fingerprint()[:16],
-            "total_seconds": round(total_seconds, 3),
-            "experiments": telemetry,
+    plan = _fault.active()
+    fault_config = None
+    if plan is not None:
+        fault_config = {
+            "seed": plan.seed,
+            "sites": {
+                site: {
+                    "rate": spec.rate,
+                    "count": spec.count,
+                    "after": spec.after,
+                }
+                for site, spec in sorted(plan.specs.items())
+            },
         }
-        with open(args.bench_out, "w") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
+    store = pool._db_store()
+    # ``jobs`` is always the *resolved* worker count (``--jobs
+    # auto`` resolves before it gets here).
+    record = _ledger.report_record(
+        scale=args.scale,
+        jobs=args.jobs,
+        total_seconds=total_seconds,
+        experiments=telemetry,
+        faults=_sum_faults(telemetry),
+        db=_round_floats(_sum_nested(telemetry, "db")),
+        point_cache=point_cache.stats_snapshot() if point_cache else {},
+        fingerprint=pool.code_fingerprint()[:16],
+        spans=prof.rollups() if prof is not None and prof.stats else None,
+        fault_config=fault_config,
+    )
+    record["db_bytes_on_disk"] = store.bytes_on_disk() if store else 0
     if not args.no_ledger:
-        plan = _fault.active()
-        fault_config = None
-        if plan is not None:
-            fault_config = {
-                "seed": plan.seed,
-                "sites": {
-                    site: {
-                        "rate": spec.rate,
-                        "count": spec.count,
-                        "after": spec.after,
-                    }
-                    for site, spec in sorted(plan.specs.items())
-                },
-            }
-        record = _ledger.report_record(
-            scale=args.scale,
-            jobs=args.jobs,
-            total_seconds=total_seconds,
-            experiments=telemetry,
-            faults=_sum_faults(telemetry),
-            db=_round_floats(_sum_nested(telemetry, "db")),
-            point_cache=point_cache.stats_snapshot() if point_cache else {},
-            fingerprint=pool.code_fingerprint()[:16],
-            spans=prof.rollups() if prof is not None and prof.stats else None,
-            fault_config=fault_config,
-        )
         _ledger.RunLedger(
             os.path.join(args.out, _ledger.LEDGER_FILENAME)
         ).append(record)
+    if args.bench_out:
+        with open(args.bench_out, "w") as handle:
+            json.dump(record, handle, indent=2, sort_keys=True)
+            handle.write("\n")
     return 0
 
 
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    from repro.errors import SweepInterrupted
-
-    try:
-        sys.exit(main())
-    except SweepInterrupted as exc:
-        sys.stderr.write(
-            "\ninterrupted: %d/%d sweep point(s) completed and "
-            "checkpointed — rerun the same command to resume.\n"
-            % (exc.completed, exc.total)
-        )
-        sys.exit(130)
-    except KeyboardInterrupt:
-        sys.stderr.write("\ninterrupted.\n")
-        sys.exit(130)
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    add_arguments(parser)
+    return run(parser.parse_args(argv))

@@ -28,15 +28,13 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.strategies.base import make_strategy
 from repro.errors import FaultInjected
 from repro.obs import spans as _spans
 from repro.storage.snapshot import Snapshot, SnapshotStore
 from repro.util.fmt import format_table
-from repro.workload.driver import CostReport, run_sequence
+from repro.workload.driver import CostReport
 from repro.workload.generator import build_database
 from repro.workload.params import WorkloadParams
-from repro.workload.queries import generate_sequence
 
 #: Target total I/O-bearing work per measured point, used to shrink the
 #: number of queries at large NumTop.
@@ -381,7 +379,6 @@ def run_point(
     strategy_name: str,
     db_cache: Optional[DatabaseCache] = None,
     num_retrieves: Optional[int] = None,
-    sequence=None,
     cold_retrieves: bool = False,
     warmup_fraction: float = 0.0,
     **strategy_kwargs: Any,
@@ -391,39 +388,21 @@ def run_point(
     ``warmup_fraction`` runs that leading share of the sequence
     unmeasured (steady-state approximation for short sequences).
 
-    The common (``sequence=None``) case delegates to the sweep engine's
-    executor in :mod:`repro.experiments.pool`, so one-off points and
-    pooled sweeps share a single measurement code path.
+    Delegates to the sweep engine's executor in
+    :mod:`repro.experiments.pool`, so one-off points and pooled sweeps
+    share a single measurement code path.
     """
-    if sequence is None:
-        from repro.experiments.pool import SweepPoint, _execute_workload
+    from repro.experiments.pool import SweepPoint, _execute_workload
 
-        point = SweepPoint(
-            params=params,
-            strategy=strategy_name,
-            num_retrieves=num_retrieves,
-            cold_retrieves=cold_retrieves,
-            warmup_fraction=warmup_fraction,
-            strategy_kwargs=tuple(sorted(strategy_kwargs.items())),
-        )
-        return _execute_workload(point, db_cache)
-    # Caller-supplied sequence: run it directly.
-    strategy = make_strategy(strategy_name, **strategy_kwargs)
-    if db_cache is None:
-        db_cache = DatabaseCache()
-    db = db_cache.get(
-        params,
-        clustering=strategy.uses_clustering,
-        cache=strategy.uses_cache and strategy_name != "DFSCACHE-INSIDE",
+    point = SweepPoint(
+        params=params,
+        strategy=strategy_name,
+        num_retrieves=num_retrieves,
+        cold_retrieves=cold_retrieves,
+        warmup_fraction=warmup_fraction,
+        strategy_kwargs=tuple(sorted(strategy_kwargs.items())),
     )
-    if strategy_name == "DFSCACHE-INSIDE" and db.inside_cache is None:
-        db.enable_inside_cache(
-            params.size_cache, unit_bytes_hint=params.size_unit * params.child_bytes
-        )
-    warmup = int(len(sequence) * warmup_fraction)
-    return run_sequence(
-        db, strategy, sequence, cold_retrieves=cold_retrieves, warmup=warmup
-    )
+    return _execute_workload(point, db_cache)
 
 
 def scaled_num_tops(params: WorkloadParams, fractions: Sequence[float]) -> List[int]:

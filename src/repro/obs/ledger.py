@@ -15,10 +15,13 @@ Record schema (``schema`` = :data:`LEDGER_SCHEMA`):
   ``"unknown"``), ``python``, ``fingerprint`` (source fingerprint
   prefix);
 * ``kind == "report"``: ``scale``, ``jobs``, ``total_seconds``,
-  ``experiments`` (name → wall seconds / point counts), ``buffer``,
-  ``db``, ``point_cache``, ``faults`` and ``spans`` — the
+  ``experiments`` (one row each: name, wall seconds, point counts and
+  the buffer/io/db/faults counters), the run totals ``buffer``, ``db``,
+  ``point_cache``, ``faults`` and ``quarantined``, the host facts
+  ``db_bytes_on_disk`` and ``cpu_count``, and ``spans`` — the
   :meth:`~repro.obs.spans.SpanProfiler.rollups` of the run, keyed by
-  ``;``-joined span path with count/total/self/p50/p95/p99 ms;
+  ``;``-joined span path with count/total/self/p50/p95/p99 ms.
+  ``repro report --bench-out`` writes this record pretty-printed;
 * ``kind == "micro"``: ``benchmarks`` (name → ns-per-op summary from
   ``repro bench``);
 * ``kind == "serve"`` (schema >= 2): serving-layer configuration
@@ -166,36 +169,27 @@ def report_record(
     """One ``kind="report"`` ledger record from report-run telemetry.
 
     ``experiments`` is the report runner's telemetry list (one dict per
-    experiment with name/seconds/points/cache_hits/executed/buffer);
-    only the trend-relevant fields are kept, so ledger lines stay small
-    enough to diff by eye.
+    experiment with name/seconds/points/cache_hits/executed and the
+    buffer/io/db/faults counters); rows are kept as they are, and the
+    buffer counters are also summed into a run total.
     """
     import sys
 
     buffer_totals: Dict[str, int] = {}
-    per_experiment = []
     for entry in experiments:
         for key, value in entry.get("buffer", {}).items():
             buffer_totals[key] = buffer_totals.get(key, 0) + value
-        per_experiment.append(
-            {
-                "name": entry["name"],
-                "seconds": entry["seconds"],
-                "points": entry["points"],
-                "cache_hits": entry["cache_hits"],
-                "executed": entry["executed"],
-            }
-        )
     record: Dict[str, Any] = {
         "schema": LEDGER_SCHEMA,
         "kind": "report",
         "git": git_revision(),
         "python": "%d.%d.%d" % sys.version_info[:3],
+        "cpu_count": os.cpu_count(),
         "fingerprint": fingerprint,
         "scale": scale,
         "jobs": jobs,
         "total_seconds": round(total_seconds, 3),
-        "experiments": per_experiment,
+        "experiments": experiments,
         "buffer": buffer_totals,
         "db": db,
         "point_cache": point_cache,

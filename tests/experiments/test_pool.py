@@ -7,6 +7,8 @@ import pytest
 from repro.experiments import pool
 from repro.experiments.pool import PointCache, SweepPoint, point_key, run_sweep
 from repro.experiments.runner import DatabaseCache
+from repro.fault import plan as fault_plan
+from repro.fault.plan import FaultPlan, FaultSpec
 from repro.workload.params import WorkloadParams
 
 
@@ -283,3 +285,112 @@ class TestScheduler:
                 seen.append(key)
         assert len(seen) == 2
         assert keys == sorted(keys, key=seen.index)
+
+
+class TestOneDispatchLoop:
+    """One loop, two executors: in-process (jobs=1) and a process pool."""
+
+    FAST = pool.RetryPolicy(max_retries=1, backoff_seconds=0.001)
+
+    @pytest.fixture(autouse=True)
+    def no_active_plan(self):
+        fault_plan.clear()
+        yield
+        fault_plan.clear()
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_either_executor_same_results_quarantine_and_progress(
+        self, params, jobs
+    ):
+        bad = SweepPoint(
+            params=params, strategy="BFS", sequence="mixed", num_retrieves=3
+        )  # mixed sequence without mix_num_tops
+        points = [_point(params, "DFS"), _point(params, "BFS"), bad,
+                  _point(params, "DFSCACHE")]
+        events = []
+        pool.set_progress(lambda event, info: events.append((event, info)))
+        try:
+            results = run_sweep(points, jobs=jobs, policy=self.FAST)
+        finally:
+            pool.set_progress(None)
+        # Each executor is held to the same executor-free reference, so
+        # the two parametrisations are equal to each other.
+        for point, result in zip(points, results):
+            if point is bad:
+                assert isinstance(result, pool.FailedPoint)
+            else:
+                direct = pool._payload_to_result(pool.execute_point(point))
+                assert dataclasses.asdict(result) == dataclasses.asdict(direct)
+        faults = pool.SWEEP_LOG[-1]["faults"]
+        assert faults["quarantined"] == [pool.point_label(bad)]
+        assert faults["retries"] == 0
+        done = sorted(
+            (info["index"], info["failed"])
+            for event, info in events
+            if event == "point_done"
+        )
+        assert done == [(0, False), (1, False), (2, True), (3, False)]
+
+    def test_in_process_injections_are_counted_once(self, params, tmp_path):
+        # One site fires inside the task, one in the parent's checkpoint
+        # write; in-process both hit the same plan object.
+        plan = FaultPlan([
+            FaultSpec("point.poison", count=1),
+            FaultSpec("pointcache.save", count=1),
+        ])
+        fault_plan.install(plan)
+        cache = PointCache(str(tmp_path))
+        run_sweep([_point(params)], cache=cache, policy=self.FAST)
+        assert plan.injections == {"point.poison": 1, "pointcache.save": 1}
+        assert pool.SWEEP_LOG[-1]["faults"]["injections"] == plan.injections
+
+    def test_exhausted_pool_budget_finishes_in_process(self, params):
+        points = [
+            _point(params.replace(num_top=num_top)) for num_top in (2, 5, 10)
+        ]
+        clean = run_sweep(points, policy=self.FAST)
+        # Every worker dies on its first task, and no rebuild is allowed.
+        fault_plan.install(FaultPlan([FaultSpec("worker.crash", count=1)]))
+        degraded = run_sweep(
+            points,
+            jobs=2,
+            policy=dataclasses.replace(self.FAST, max_pool_restarts=0),
+        )
+        assert [dataclasses.asdict(r) for r in degraded] == [
+            dataclasses.asdict(r) for r in clean
+        ]
+        faults = pool.SWEEP_LOG[-1]["faults"]
+        assert (faults["pool_restarts"], faults["downgrades"]) == (1, 1)
+        assert faults["quarantined"] == []
+        assert faults["injections"] == {}  # worker.* never fires in the parent
+
+    def test_deep_point_honours_its_deadline_off_the_main_thread(self):
+        """No SIGALRM off the main thread: the deep loop must poll."""
+        import threading
+
+        from repro.workload.deepgen import DeepParams
+
+        point = SweepPoint(
+            kind="deep",
+            deep_params=DeepParams(
+                num_roots=60, depth=2, use_factor=3, buffer_pages=20
+            ),
+            depth=2,
+            span=3,
+            queries=2,
+            runner="dfs",
+        )
+        policy = pool.RetryPolicy(max_retries=0, point_timeout=1e-9)
+        entries = []
+
+        def sweep():
+            run_sweep([point], policy=policy)
+            entries.append(pool.SWEEP_LOG[-1])
+
+        thread = threading.Thread(target=sweep)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive()
+        (entry,) = entries
+        assert entry["faults"]["timeouts"] == 1
+        assert entry["faults"]["quarantined"] == [pool.point_label(point)]

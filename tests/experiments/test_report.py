@@ -75,11 +75,15 @@ class TestMain:
         assert record["kind"] == "report"
         assert record["scale"] == 0.05
         assert record["spans"]
-        # Telemetry: one entry per experiment, with point counts.
+        # --bench-out is that same record, pretty-printed: one row per
+        # experiment, with point counts and its counters.
         payload = json.loads(bench.read_text())
+        assert payload == record
+        assert (payload["kind"], payload["schema"]) == ("report", 2)
         assert payload["jobs"] == 1
-        assert payload["db_cache"] is True
+        assert payload["point_cache"]["stores"] > 0
         (entry,) = payload["experiments"]
+        assert {"buffer", "io", "db", "faults"} <= set(entry)
         assert entry["name"] == "ablation_buffer_policy"
         assert entry["points"] == entry["executed"] + entry["cache_hits"]
         assert entry["points"] > 0
@@ -110,6 +114,17 @@ class TestMain:
             warm["experiments"][0]["cache_hits"]
             == cold["experiments"][0]["executed"]
         )
+
+    def test_bench_out_is_written_only_when_given(self, tmp_path, monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code = report.main(
+            ["--scale", "0.05", "--out", str(tmp_path / "out"),
+             "--only", "ablation_buffer"]
+        )
+        assert code == 0
+        assert os.listdir(cwd) == []
 
     def test_unknown_only_name_errors(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

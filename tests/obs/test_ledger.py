@@ -78,7 +78,7 @@ class TestGitRevision:
 
 
 class TestRecordBuilders:
-    def test_report_record_keeps_trend_fields_only(self):
+    def test_report_record_keeps_experiment_rows(self):
         record = report_record(
             scale=0.1,
             jobs=2,
@@ -91,11 +91,10 @@ class TestRecordBuilders:
         )
         assert record["kind"] == "report"
         assert record["total_seconds"] == 3.142
-        names = [e["name"] for e in record["experiments"]]
-        assert names == ["fig3", "fig4"]
-        # buffer counters are summed across experiments, not kept per-exp
+        # experiment rows are kept verbatim; buffer counters are also
+        # summed across them
+        assert record["experiments"] == [entry("fig3"), entry("fig4", seconds=2.0)]
         assert record["buffer"] == {"hits": 20, "misses": 10}
-        assert "buffer" not in record["experiments"][0]
         # quarantine is split out of the fault counters
         assert record["quarantined"] == ["fig3/p1"]
         assert "quarantined" not in record["faults"]
