@@ -27,7 +27,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.cache import InsideUnitCache, UnitCache, unit_hashkey
 from repro.core.clustering import ClusterAssignment, ClusterStore
 from repro.core.oid import Oid
-from repro.errors import WorkloadError
+from repro.errors import KeyNotFoundError, WorkloadError
+from repro.query.join import Projector, iterative_substitution_join
 from repro.storage.btree import BTreeFile
 from repro.storage.catalog import Catalog
 from repro.storage.record import Schema
@@ -196,6 +197,15 @@ class ComplexObjectDB:
     def fetch_child(self, rel_index: int, key: int) -> Tuple[Any, ...]:
         """Random access to one subobject through its relation's B-tree."""
         return self.child_rels[rel_index].lookup_one(key)
+
+    def fetch_children(
+        self, rel_index: int, keys: Sequence[int], project: Optional[Projector] = None
+    ) -> List[Any]:
+        """The (projected) subobjects ``keys`` of one child relation, in order."""
+        out = iterative_substitution_join(keys, self.child_rels[rel_index], project)
+        if len(out) != len(keys):  # OIDs are unique keys: one match each
+            raise KeyNotFoundError("dangling OID into ChildRel[%d]" % rel_index)
+        return out
 
     def child_record_bytes(self, record: Tuple[Any, ...]) -> int:
         return self.child_schema.record_size(record)

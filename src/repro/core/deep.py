@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.measure import CHILD_PHASE, CostMeter, NullMeter, PARENT_PHASE
 from repro.core.oid import Oid
 from repro.errors import QueryError
-from repro.query.join import join_sorted_temp
+from repro.query.join import iterative_substitution_join, join_sorted_temp
 from repro.query.sort import external_sort
 from repro.query.temp import make_temp
 from repro.storage.btree import BTreeFile
@@ -125,20 +125,22 @@ def deep_dfs(
         roots = list(db.levels[0].range_scan(query.lo, query.hi))
 
     results: List[Any] = []
-    target_attr = db.attr_index(query.depth, query.attr)
+    target = itemgetter(db.attr_index(query.depth, query.attr))
 
     def expand(record, level: int) -> None:
-        if level == query.depth:
-            results.append(record[target_attr])
+        inner = db.levels[level + 1]
+        keys = [oid.key for oid in db.children_of(record)]
+        if level + 1 == query.depth:
+            results.extend(iterative_substitution_join(keys, inner, target))
             return
-        for oid in db.children_of(record):
-            child = db.levels[level + 1].lookup_one(oid.key)
-            expand(child, level + 1)
+        # One-key joins: each child's own expansion runs before the next probe.
+        for key in keys:
+            for child in iterative_substitution_join((key,), inner):
+                expand(child, level + 1)
 
     with meter.phase(CHILD_PHASE):
         for root in roots:
-            for oid in db.children_of(root):
-                expand(db.levels[1].lookup_one(oid.key), 1)
+            expand(root, 0)
     return results
 
 

@@ -13,6 +13,8 @@ pages that a merge join would visit once.
 
 from __future__ import annotations
 
+from itertools import chain, groupby
+from operator import attrgetter, itemgetter
 from typing import Any, List, Optional
 
 from repro.core.database import ComplexObjectDB
@@ -39,9 +41,11 @@ class DfsStrategy(Strategy):
         with meter.phase(PARENT_PHASE), stage("scan"):
             parents = list(db.parents_in_range(query.lo, query.hi))
         results: List[Any] = []
-        with meter.phase(CHILD_PHASE), stage("probe"):
-            for parent in parents:
-                for oid in db.children_of(parent):
-                    child = db.fetch_child(oid.rel - 1, oid.key)
-                    results.append(db.child_schema.value(child, query.attr))
+        with meter.phase(CHILD_PHASE):
+            attr = itemgetter(db.child_schema.field_index(query.attr))
+            children = itemgetter(db.parent_schema.field_index("children"))
+            oids = chain.from_iterable(map(children, parents))
+            # One join per run of consecutive OIDs into the same relation.
+            for rel, run in groupby(oids, key=attrgetter("rel")):
+                results += db.fetch_children(rel - 1, [oid.key for oid in run], attr)
         return results

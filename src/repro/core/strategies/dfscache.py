@@ -57,10 +57,7 @@ class DfsCacheStrategy(Strategy):
         hashkey = unit_hashkey(rel_index, child_keys)
         payload = cache.lookup(hashkey)  # tags itself cache-probe
         if payload is None:
-            with stage("probe"):
-                children = tuple(
-                    db.fetch_child(rel_index, key) for key in child_keys
-                )
+            children = tuple(db.fetch_children(rel_index, child_keys))
             payload_bytes = sum(db.child_record_bytes(c) for c in children)
             # insert tags itself cache-maintain
             cache.insert(hashkey, rel_index, child_keys, children, payload_bytes)
@@ -106,10 +103,7 @@ class InsideDfsCacheStrategy(Strategy):
                 rel_index, child_keys = db.unit_ref_of(parent)
                 payload = cache.lookup(parent_key)
                 if payload is None:
-                    with stage("probe"):
-                        payload = tuple(
-                            db.fetch_child(rel_index, key) for key in child_keys
-                        )
+                    payload = tuple(db.fetch_children(rel_index, child_keys))
                     payload_bytes = sum(db.child_record_bytes(c) for c in payload)
                     cache.insert(
                         parent_key, rel_index, child_keys, payload, payload_bytes

@@ -29,6 +29,8 @@ I-lock invalidation as DFSCACHE, keyed by a hash of the procedure text.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.database import ComplexObjectDB
@@ -101,10 +103,9 @@ class _ProceduralBase(Strategy):
         if self.cached_rep == "values":
             results.extend(child[attr_index] for child in payload)
         else:  # cached OIDs: the values still need fetching
-            with stage("probe"):
-                for rel_index, key in payload:
-                    child = db.fetch_child(rel_index, key)
-                    results.append(child[attr_index])
+            attr = itemgetter(attr_index)
+            for rel_index, run in groupby(payload, key=itemgetter(0)):
+                results += db.fetch_children(rel_index, [key for _, key in run], attr)
         return True
 
     def _execute_batch(self, db, procedures, attr_index, ret2_index, results):

@@ -13,13 +13,13 @@ Two joins cover everything the paper's strategies need:
 
 * :func:`iterative_substitution_join` — the nested-loop join INGRES calls
   iterative substitution: one full B-tree descent per outer key, in outer
-  order.  This is what DFS does implicitly and what the optimizer would
-  pick for tiny outers.
+  order.  This is what DFS, the caching strategies' materialisation and
+  the deep recursion run, one call per unit of subobject keys.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.trace import stage
 from repro.query.temp import TempRelation
@@ -81,12 +81,14 @@ def join_sorted_temp(
 
 
 def iterative_substitution_join(
-    keys: Iterable[Any],
+    keys: Sequence[Any],
     inner: BTreeFile,
     project: Optional[Projector] = None,
-) -> Iterator[Any]:
-    """Nested-loop join: one B-tree lookup per outer key, in outer order."""
+) -> List[Any]:
+    """Nested-loop join: one B-tree descent per outer key, in outer order.
+
+    The whole join (:meth:`BTreeFile.probe_many`) runs, and its ``probe``
+    stage closes, before the caller sees a match.  Absent keys match nothing.
+    """
     with stage("probe"):
-        for key in keys:
-            for record in inner.lookup(key):
-                yield project(record) if project is not None else record
+        return inner.probe_many(keys, project)

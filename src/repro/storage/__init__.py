@@ -14,7 +14,7 @@ Layering (bottom to top):
 """
 
 from repro.storage.buffer import BufferPool, BufferStats, DEFAULT_BUFFER_PAGES
-from repro.storage.btree import BTreeCursor, BTreeFile, INDEX_ENTRY_BYTES
+from repro.storage.btree import BTreeFile, INDEX_ENTRY_BYTES
 from repro.storage.catalog import Catalog
 from repro.storage.disk import DiskManager, IoSnapshot
 from repro.storage.hashfile import HashFile, stable_hash
@@ -35,7 +35,6 @@ __all__ = [
     "BufferPool",
     "BufferStats",
     "DEFAULT_BUFFER_PAGES",
-    "BTreeCursor",
     "BTreeFile",
     "INDEX_ENTRY_BYTES",
     "Catalog",

@@ -12,9 +12,9 @@ page-based B+tree with:
   complete general-purpose access method (exercised by tests and by the
   examples, not by the reproduction workload);
 * in-place updates of equal-size records (the paper's update queries);
-* :meth:`BTreeFile.merge_walk`, the sorted-probe pattern that makes the
-  breadth-first strategies' merge join efficient: probing keys in
-  ascending order touches each qualifying leaf page once.
+* :meth:`BTreeFile.merge_walk`, the sorted-probe pattern of the merge
+  join (ascending keys touch each qualifying leaf page once), and
+  :meth:`BTreeFile.probe_many`, the nested-loop join's descent per key.
 
 Node "header" fields (is-leaf flag, next-leaf pointer) live in two flat
 sidecar columns indexed by ``page_no`` rather than on the page records —
@@ -29,25 +29,28 @@ is realistic.
 Raw-speed notes
 ---------------
 
-The probe paths (``lookup``, ``update_field``, ``merge_walk``) are the
-hottest code in the simulator; they are written against the buffer pool's
-epoch-guarded lease contract (see :mod:`repro.storage.buffer`):
+Two operators carry the probes, both written against the buffer pool's
+epoch-guarded lease contract (see :mod:`repro.storage.buffer`) and both
+tested counter for counter against the record-at-a-time cursor loop of
+``tests/storage/btree_cursor.py``:
 
-* ``lookup`` runs the descent with direct pool fetches, then emulates the
-  historical cursor loop over the leaf **touch by touch**, collapsing
-  consecutive touches of the same resident leaf into self-accounted hits
-  — every counter and the eviction stream stay bit-identical to the
-  cursor-based implementation, pinned by the golden trace digests;
-* ``update_field``'s second root-to-leaf descent re-touches the same
-  pages in the same order with no pool operation in between, so the LRU
-  order provably cannot change; :meth:`BufferPool.replay_writable`
-  collapses it into one call (guarded: falls back to the slow path when
-  the lookup crossed a leaf boundary or the pool is tiny);
-* ``merge_walk`` takes the merge join's probe keys a batch at a time and
-  defers the touches of its leased leaf the same way, settling them
+* ``merge_walk`` — **sorted** probes (the merge join): keys arrive a
+  batch at a time, a key on the current leaf costs touches of that leaf
+  only, and the touches of the leased leaf are deferred and settled
   before every real pool operation and before the outer moves;
-  :class:`BTreeCursor` is the record-at-a-time reference it is tested
-  against.
+* ``probe_many`` — **unsorted** probes (the nested-loop join; ``lookup``
+  and ``lookup_one`` are its one-key forms): an inline descent of real
+  fetches per key.  Right after the leaf's own fetch the leaf is
+  resident and most recently used, so the cursor loop's further touches
+  of it — four, when the match is unique and not the leaf's last record
+  — are hits that move nothing: ``hits += 4; epoch += 4`` is the same
+  ledger.  A last-slot match, a duplicate run or an absent key may step
+  to the next leaf, so those take ``_collect_matches``, the
+  touch-by-touch walk ``update_field`` shares.
+
+``update_field``'s second descent re-touches the same pages in the same
+order with nothing in between; :meth:`BufferPool.replay_writable`
+collapses it into one call (guarded, see the method).
 """
 
 from __future__ import annotations
@@ -70,102 +73,6 @@ KeyFunc = Callable[[Tuple[Any, ...]], Any]
 
 #: ``_next_leaf`` entry of the last leaf (and of every internal node).
 NO_LEAF = -1
-
-
-class BTreeCursor:
-    """Forward cursor over leaf records, ordered by key.
-
-    ``seek(key)`` positions at the first record with key >= ``key``.  When
-    the target is on the current leaf the cursor stays there (no index
-    descent); otherwise it descends from the root.  This is exactly the
-    access pattern of a merge join whose outer is sorted.
-
-    No operator uses the cursor: it is the literal record-at-a-time
-    reference — one pool touch per ``seek`` / ``current`` / ``advance``
-    step — that :meth:`BTreeFile.merge_walk` must match counter for
-    counter (``tests/query/test_join.py`` drives both on twin pools).
-    """
-
-    __slots__ = ("tree", "_page_no", "_slot", "_lease_no", "_frame", "_epoch")
-
-    def __init__(self, tree: "BTreeFile") -> None:
-        self.tree = tree
-        self._page_no: Optional[int] = None
-        self._slot = 0
-        # Epoch lease on the current leaf (see buffer module docstring).
-        self._lease_no: Optional[int] = None
-        self._frame = None
-        self._epoch = -1
-
-    def _touch(self, page_no: int) -> Page:
-        """One pool touch of ``page_no`` (lease-collapsed when free).
-
-        While the pool epoch matches the lease, the page is provably still
-        resident and MRU, so the touch is accounted directly (one hit, one
-        epoch bump — what :meth:`BufferPool.fetch` would have done, minus
-        the no-op ``move_to_end``).  Otherwise a real fetch re-establishes
-        the lease.
-        """
-        pool = self.tree.pool
-        if page_no == self._lease_no and pool.epoch == self._epoch:
-            pool.stats.hits += 1
-            pool.epoch += 1
-            self._epoch = pool.epoch
-            return self._frame.page
-        frame = pool.fetch_frame(self.tree._page_ids()[page_no])
-        self._lease_no = page_no
-        self._frame = frame
-        self._epoch = pool.epoch
-        return frame.page
-
-    def seek(self, key: Any) -> None:
-        """Position at the first record with key >= ``key``.
-
-        If the target is on the already-resident current leaf, only that
-        (buffered) page is touched; otherwise a root-to-leaf descent reads
-        exactly the target leaf plus the (hot) index pages above it.
-        Peeking at sibling leaves to avoid a descent would *cost* a page
-        read, not save one, so it is never done.
-        """
-        if self._page_no is not None:
-            page = self._touch(self._page_no)
-            keys = self.tree._leaf_keys(page)
-            if keys and keys[0] <= key <= keys[-1]:
-                self._slot = bisect.bisect_left(keys, key)
-                return
-        page_no, slot = self.tree._find_leaf_slot(key)
-        self._page_no, self._slot = page_no, slot
-        self._skip_to_valid()
-
-    def current(self) -> Optional[Tuple[Any, ...]]:
-        """Record under the cursor, or None when exhausted."""
-        if self._page_no is None:
-            return None
-        page = self._touch(self._page_no)
-        records = page.records
-        if records is None:
-            records = page._materialize()
-        if self._slot >= len(records):
-            return None
-        return records[self._slot]
-
-    def advance(self) -> None:
-        """Move to the next record in key order."""
-        if self._page_no is None:
-            return
-        self._slot += 1
-        self._skip_to_valid()
-
-    def _skip_to_valid(self) -> None:
-        while self._page_no is not None:
-            page = self._touch(self._page_no)
-            records = page.records
-            if records is None:
-                records = page._materialize()
-            if self._slot < len(records):
-                return
-            self._page_no = self.tree._next(self._page_no)
-            self._slot = 0
 
 
 class BTreeFile:
@@ -375,23 +282,6 @@ class BTreeFile:
         self._sep_cache[page_no] = (page.version, seps)
         return seps
 
-    def _descend(self, key: Any) -> List[int]:
-        """Return the page-number path from root to the leaf for ``key``."""
-        if self._root is None:
-            raise KeyNotFoundError("btree %r is empty" % self.name)
-        path = [self._root]
-        node = self._root
-        while not self._is_leaf[node]:
-            page = self._fetch(node)
-            seps = self._separators(page)
-            # Child i covers keys in [seps[i], seps[i+1]).
-            idx = bisect.bisect_right(seps, key) - 1
-            if idx < 0:
-                idx = 0
-            node = page.get(idx)[1]
-            path.append(node)
-        return path
-
     def _descend_for_insert(self, key: Any) -> List[int]:
         """Descend for a write, keeping entry-0 separators true bounds.
 
@@ -420,8 +310,7 @@ class BTreeFile:
         return path
 
     def _descend_leaf(self, key: Any, ids: List[PageId]) -> int:
-        """The leaf page number for ``key`` (identical touches to
-        :meth:`_descend`, without materializing the path list)."""
+        """The leaf page number for ``key``: one fetch per index level."""
         is_leaf = self._is_leaf
         fetch = self.pool.fetch
         sep_cache = self._sep_cache
@@ -457,15 +346,16 @@ class BTreeFile:
     # reads
     # ------------------------------------------------------------------
     def _collect_matches(
-        self, leaf_no: int, key: Any, ids: List[PageId]
+        self, leaf_no: int, page: Page, slot: int, key: Any
     ) -> Tuple[List[Tuple[Any, ...]], Optional[int], int, bool]:
-        """Gather all records with ``key`` starting from ``leaf_no``.
+        """Gather all records with ``key`` from ``slot`` of leaf ``leaf_no``.
 
-        Emulates the historical cursor loop (seek / current / advance)
+        ``page`` is the leaf as the descent's own fetch just returned it
+        (opening the lease), ``slot`` its first position with a key >=
+        ``key``.  Emulates the cursor loop (seek / current / advance)
         **touch by touch**, collapsing runs of touches on the same
-        resident leaf into self-accounted hits under the pool's epoch
-        lease — the counters and eviction stream are bit-identical to the
-        cursor implementation, at a fraction of the Python overhead.
+        resident leaf into self-accounted hits — counters and eviction
+        stream are bit-identical to the cursor reference.
 
         Returns ``(matches, match_leaf, match_slot, moved)`` where
         ``match_leaf``/``match_slot`` locate the first match and ``moved``
@@ -476,14 +366,10 @@ class BTreeFile:
         stats = pool.stats
         next_leaf = self._next_leaf
         key_index = self._key_index
-        # The real leaf fetch of _find_leaf_slot, opening the lease.
-        frame = pool.fetch_frame(ids[leaf_no])
         current_no = leaf_no
-        page = frame.page
         records = page.records
         if records is None:
             records = page._materialize()
-        slot = bisect.bisect_left(self._leaf_keys(page), key)
         page_no = leaf_no
         hits = 0
         out: List[Tuple[Any, ...]] = []
@@ -500,9 +386,8 @@ class BTreeFile:
                         stats.hits += hits
                         pool.epoch += hits
                         hits = 0
-                    frame = pool.fetch_frame(ids[page_no])
+                    page = pool.fetch(self._page_ids()[page_no])
                     current_no = page_no
-                    page = frame.page
                     records = page.records
                     if records is None:
                         records = page._materialize()
@@ -526,17 +411,76 @@ class BTreeFile:
             pool.epoch += hits
         return out, match_leaf, match_slot, current_no != leaf_no
 
+    def probe_many(
+        self,
+        keys: Sequence[Any],
+        project: Optional[Callable[[Tuple[Any, ...]], Any]] = None,
+    ) -> List[Any]:
+        """The (projected) matches of ``keys``, probed in the given order.
+
+        The unsorted-probe operator of a nested-loop join: one
+        root-to-leaf descent per key, touch for touch the cursor loop
+        (see "Raw-speed notes" for the four-touch rule).  Absent keys
+        match nothing.  ``keys`` is a materialised sequence, so nothing
+        but this loop touches the pool between two probes.
+        """
+        out: List[Any] = []
+        root = self._root
+        if root is None:
+            return out
+        ids = self._page_ids()
+        pool = self.pool
+        stats = pool.stats
+        fetch = pool.fetch
+        is_leaf = self._is_leaf
+        sep_cache = self._sep_cache
+        key_cache = self._leaf_key_cache
+        bisect_right = bisect.bisect_right
+        bisect_left = bisect.bisect_left
+        append = out.append
+        for key in keys:
+            node = root
+            while not is_leaf[node]:
+                page = fetch(ids[node])
+                cached = sep_cache.get(node)
+                if cached is not None and cached[0] == page.version:
+                    seps = cached[1]
+                else:
+                    seps = self._separators(page)
+                idx = bisect_right(seps, key) - 1
+                if idx < 0:
+                    idx = 0
+                records = page.records
+                if records is None:
+                    records = page._materialize()
+                node = records[idx][1]
+            page = fetch(ids[node])
+            cached = key_cache.get(node)
+            if cached is not None and cached[0] == page.version:
+                lkeys = cached[1]
+            else:
+                lkeys = self._leaf_keys(page)
+            slot = bisect_left(lkeys, key)
+            if slot + 1 < len(lkeys) and lkeys[slot] == key != lkeys[slot + 1]:
+                stats.hits += 4
+                pool.epoch += 4
+                records = page.records
+                if records is None:
+                    records = page._materialize()
+                record = records[slot]
+                append(record if project is None else project(record))
+            else:
+                matches = self._collect_matches(node, page, slot, key)[0]
+                out.extend(matches if project is None else map(project, matches))
+        return out
+
     def lookup(self, key: Any) -> List[Tuple[Any, ...]]:
         """All records with exactly ``key`` (one element when unique)."""
-        if self._root is None:
-            return []
-        ids = self._page_ids()
-        leaf_no = self._descend_leaf(key, ids)
-        return self._collect_matches(leaf_no, key, ids)[0]
+        return self.probe_many((key,))
 
     def lookup_one(self, key: Any) -> Tuple[Any, ...]:
         """The unique record with ``key``; raises KeyNotFoundError."""
-        records = self.lookup(key)
+        records = self.probe_many((key,))
         if not records:
             raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
         return records[0]
@@ -597,9 +541,6 @@ class BTreeFile:
     def scan(self) -> Iterator[Tuple[Any, ...]]:
         """Full scan in key order."""
         return self.range_scan()
-
-    def cursor(self) -> BTreeCursor:
-        return BTreeCursor(self)
 
     def _walk_fetch(self, page_no: int, hits: int) -> Tuple[Page, List[Tuple[Any, ...]]]:
         """Settle ``hits`` deferred touches, then really fetch leaf ``page_no``
@@ -876,7 +817,9 @@ class BTreeFile:
             raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
         ids = self._page_ids()
         leaf_no = self._descend_leaf(key, ids)
-        out, match_leaf, match_slot, moved = self._collect_matches(leaf_no, key, ids)
+        page = self.pool.fetch(ids[leaf_no])
+        slot = bisect.bisect_left(self._leaf_keys(page), key)
+        out, match_leaf, match_slot, moved = self._collect_matches(leaf_no, page, slot, key)
         if not out:
             raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
         schema = self.schema

@@ -38,7 +38,7 @@ fetch may, while ``pool.epoch`` is unchanged, account further touches of
 that same page itself (``stats.hits += 1; pool.epoch += 1``) and reuse
 the frame directly.  The counters and the eviction behaviour remain
 bit-identical to calling :meth:`fetch`; only the Python-level overhead
-disappears.  The B-tree probe paths (``lookup``, ``update_field``,
+disappears.  The B-tree probe paths (``probe_many``, ``update_field``,
 ``merge_walk``) and the heap's append path all use this pattern.
 
 A lease holder may also *defer* its self-accounted touches — count them
@@ -59,7 +59,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import BufferPoolFullError
 from repro.obs import spans as _spans
@@ -221,8 +221,7 @@ class BufferPool:
     def fetch(self, page_id: PageId, pin: bool = False) -> Page:
         """Return the page for ``page_id``, reading it on a miss."""
         # Hottest path in the whole simulator (tens of millions of calls
-        # per sweep) — the hit branch is inlined rather than routed
-        # through _touch()/_make_room().
+        # per sweep) — the hit branch is inlined; a miss goes to _admit().
         frames = self._frames
         frame = frames.get(page_id)
         self.epoch += 1
@@ -233,20 +232,7 @@ class BufferPool:
             else:
                 self._referenced[page_id] = True
         else:
-            self.stats.misses += 1
-            # Span the miss path only: the hit branch above stays free of
-            # any profiler test (it runs tens of millions of times).
-            prof = _spans._PROFILER
-            t0 = perf_counter_ns() if prof is not None else 0
-            if len(frames) >= self.capacity:
-                if self._is_lru:
-                    self._evict_lru()
-                else:
-                    self._evict_clock()
-            frame = _Frame(self.disk.read_page(page_id))
-            self._install(page_id, frame)
-            if prof is not None:
-                prof.add("pool.fetch_miss", perf_counter_ns() - t0)
+            frame = self._admit(page_id)
         if pin:
             frame.pins += 1
         return frame.page
@@ -269,20 +255,8 @@ class BufferPool:
                 frames.move_to_end(page_id)
             else:
                 self._referenced[page_id] = True
-        else:
-            self.stats.misses += 1
-            prof = _spans._PROFILER
-            t0 = perf_counter_ns() if prof is not None else 0
-            if len(frames) >= self.capacity:
-                if self._is_lru:
-                    self._evict_lru()
-                else:
-                    self._evict_clock()
-            frame = _Frame(self.disk.read_page(page_id))
-            self._install(page_id, frame)
-            if prof is not None:
-                prof.add("pool.fetch_miss", perf_counter_ns() - t0)
-        return frame
+            return frame
+        return self._admit(page_id)
 
     def writable(self, page_id: PageId, pin: bool = False) -> Page:
         """Fetch ``page_id`` with write intent (copy-on-write aware).
@@ -338,7 +312,8 @@ class BufferPool:
 
     def new_page(self, file_id: int, pin: bool = False) -> Page:
         """Allocate a fresh page and install it dirty (no read charged)."""
-        self._make_room()
+        if len(self._frames) >= self.capacity:
+            self._evict_one()
         self.epoch += 1
         page = self.disk.allocate_page(file_id)
         frame = _Frame(page, dirty=True)
@@ -479,38 +454,53 @@ class BufferPool:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _admit(self, page_id: PageId) -> _Frame:
+        """The miss path of :meth:`fetch` / :meth:`fetch_frame`: count the
+        miss, evict if full, read the page and install it as MRU."""
+        self.stats.misses += 1
+        # The span covers the miss only: the hit branches stay free of
+        # any profiler test (they run tens of millions of times).
+        prof = _spans._PROFILER
+        t0 = perf_counter_ns() if prof is not None else 0
+        if len(self._frames) >= self.capacity:
+            self._evict_one()
+        frame = _Frame(self.disk.read_page(page_id))
+        self._install(page_id, frame)
+        if prof is not None:
+            prof.add("pool.fetch_miss", perf_counter_ns() - t0)
+        return frame
+
     def _install(self, page_id: PageId, frame: _Frame) -> None:
         self._frames[page_id] = frame
         if not self._is_lru:
             self._referenced[page_id] = True
             self._clock_ring.append(page_id)
 
-    def _touch(self, page_id: PageId) -> None:
+    def _evict_one(self) -> None:
+        """Evict the policy's victim, writing it back first if dirty."""
+        frames = self._frames
         if self._is_lru:
-            self._frames.move_to_end(page_id)
+            for page_id, frame in frames.items():  # LRU -> MRU order
+                if frame.pins == 0:
+                    break
+            else:
+                raise BufferPoolFullError(
+                    "all %d frames pinned; cannot evict" % len(frames)
+                )
         else:
-            self._referenced[page_id] = True
+            page_id, frame = self._clock_victim()
+        self.stats.evictions += 1
+        if frame.dirty:
+            self.stats.dirty_evictions += 1
+            self.disk.write_page(frame.page)
+        del frames[page_id]
+        if not self._is_lru:
+            self._referenced.pop(page_id, None)
+            self._clock_ring.pop(self._clock_hand)
 
-    def _make_room(self) -> None:
-        if len(self._frames) < self.capacity:
-            return
-        if self._is_lru:
-            self._evict_lru()
-        else:
-            self._evict_clock()
-
-    def _evict_lru(self) -> None:
-        for page_id, frame in self._frames.items():  # LRU -> MRU order
-            if frame.pins == 0:
-                self._evict(page_id, frame)
-                return
-        raise BufferPoolFullError(
-            "all %d frames pinned; cannot evict" % len(self._frames)
-        )
-
-    def _evict_clock(self) -> None:
-        # Second-chance sweep: clear reference bits until an unreferenced,
-        # unpinned frame comes under the hand.
+    def _clock_victim(self) -> Tuple[PageId, _Frame]:
+        """Second-chance sweep: clear reference bits until an unreferenced,
+        unpinned frame comes under the hand, and leave the hand on it."""
         self._clock_ring = [p for p in self._clock_ring if p in self._frames]
         if not self._clock_ring:
             raise BufferPoolFullError("clock ring empty; cannot evict")
@@ -521,20 +511,10 @@ class BufferPool:
             page_id = self._clock_ring[self._clock_hand]
             frame = self._frames[page_id]
             if frame.pins == 0 and not self._referenced.get(page_id, False):
-                self._evict(page_id, frame)
-                self._clock_ring.pop(self._clock_hand)
-                return
+                return page_id, frame
             self._referenced[page_id] = False
             self._clock_hand += 1
             sweeps += 1
         raise BufferPoolFullError(
             "all %d frames pinned; cannot evict" % len(self._frames)
         )
-
-    def _evict(self, page_id: PageId, frame: _Frame) -> None:
-        self.stats.evictions += 1
-        if frame.dirty:
-            self.stats.dirty_evictions += 1
-            self.disk.write_page(frame.page)
-        del self._frames[page_id]
-        self._referenced.pop(page_id, None)

@@ -173,12 +173,15 @@ class DiskManager:
         if _fault._PLAN is not None:
             _fault.hit("disk.read")
             _fault.hit("disk.torn")
-        page = self._get(page_id)
+        file_id, page_no = page_id
+        pages = self._files.get(file_id)
+        if pages is None or not 0 <= page_no < len(pages):
+            return self._get(page_id)  # raises the specific error
         self.reads += 1
-        self._file_reads[page_id.file_id] += 1
+        self._file_reads[file_id] += 1
         if self.io_hook is not None:
             self.io_hook("read", page_id)
-        return page
+        return pages[page_no]
 
     def write_page(self, page: Page) -> None:
         """Persist a page, counting one write.

@@ -5,6 +5,7 @@ The defining invariant: every strategy answers the same logical query, so
 except BFSNODUP, which returns the values of *distinct* subobjects.
 """
 
+import random
 from collections import Counter
 
 import pytest
@@ -26,6 +27,57 @@ def expected_values(db, query):
         for oid in db.children_of(parent):
             out.append(db.fetch_child(oid.rel - 1, oid.key)[attr_index])
     return out
+
+
+class ReferenceModel:
+    """Dict-of-lists model of a database's logical content, read off the
+    relations by full scans (no strategy and no point probe involved)."""
+
+    def __init__(self, db):
+        self.schema = db.child_schema
+        self.parents = {
+            db.parent_key_of(parent): [
+                (oid.rel - 1, oid.key) for oid in db.children_of(parent)
+            ]
+            for parent in db.parent_rel.scan()
+        }
+        self.children = {
+            (rel_index, child[0]): list(child)
+            for rel_index, rel in enumerate(db.child_rels)
+            for child in rel.scan()
+        }
+
+    def retrieve(self, query, distinct=False):
+        refs = [
+            ref
+            for key in range(query.lo, query.hi + 1)
+            for ref in self.parents.get(key, ())
+        ]
+        attr_index = self.schema.field_index(query.attr)
+        if distinct:
+            refs = set(refs)
+        return Counter(self.children[ref][attr_index] for ref in refs)
+
+    def update(self, update):
+        for ref in update.refs:
+            self.children[ref][self.schema.field_index("ret1")] = update.value
+
+
+def random_operations(model, seed, steps=200):
+    """A seeded interleaving of retrieves, updates and cache resets."""
+    rng = random.Random(seed)
+    refs = sorted(model.children)
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.6:
+            lo = rng.randrange(len(model.parents))
+            attr = rng.choice(("ret1", "ret2", "ret3"))
+            yield RetrieveQuery(lo, lo + rng.randrange(16), attr)
+        elif roll < 0.9:
+            targets = tuple(rng.sample(refs, rng.randint(1, 3)))
+            yield UpdateQuery(targets, rng.randrange(10**6))
+        else:
+            yield "reset-cache"
 
 
 class TestRegistry:
@@ -73,6 +125,32 @@ class TestEquivalence:
         tiny_db.reset_cache()
         got = make_strategy(name).retrieve(tiny_db, query)
         assert Counter(got) == reference
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_under_interleaving(self, tiny_params, name, seed):
+        """Every registered strategy, on a database with just what it
+        needs, against the same seeded mix of retrieves, updates and
+        cache resets: each retrieve equals the model's answer."""
+        strategy = make_strategy(name)
+        db = build_database(
+            tiny_params.replace(seed=seed),
+            clustering=strategy.uses_clustering,
+            cache=strategy.uses_cache,
+            procedural=name.startswith("PROC-"),
+        )
+        if name == "DFSCACHE-INSIDE":
+            db.enable_inside_cache(tiny_params.size_cache, 500)
+        model = ReferenceModel(db)
+        for step, op in enumerate(random_operations(model, seed)):
+            if isinstance(op, RetrieveQuery):
+                got = Counter(strategy.retrieve(db, op))
+                assert got == model.retrieve(op, distinct=name == "BFSNODUP"), (step, op)
+            elif isinstance(op, UpdateQuery):
+                strategy.update(db, op)
+                model.update(op)
+            else:
+                db.reset_cache()
 
     def test_bfsnodup_returns_distinct_subobjects(self, tiny_db):
         query = RetrieveQuery(0, 199, "ret1")

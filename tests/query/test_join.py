@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import KeyNotFoundError
+from repro.obs import MetricsRegistry, Tracer
+from repro.obs.trace import stage
 from repro.query.join import (
     iterative_substitution_join,
     join_sorted_temp,
@@ -12,6 +15,7 @@ from repro.query.temp import make_temp
 from repro.storage.catalog import Catalog
 from repro.storage.page import PageId
 from repro.storage.record import CharField, IntField, Schema
+from tests.storage.btree_cursor import BTreeCursor
 
 
 @pytest.fixture
@@ -77,6 +81,18 @@ class TestIterativeSubstitution:
         nested = sorted(r[0] for r in iterative_substitution_join(keys, inner))
         assert merge == nested
 
+    def test_probe_stage_is_closed_when_the_join_returns(self, catalog, inner):
+        # A caller that reads only the first match (or uses the pool
+        # between matches) must not stay attributed to ``probe``.
+        tracer = Tracer(registry=MetricsRegistry())
+        with tracer.observe(catalog.disk):
+            matches = iterative_substitution_join([6, 2, 4], inner)
+            assert next(iter(matches))[0] == 6
+            assert tracer.stage is None
+            with stage("scan"):
+                iterative_substitution_join([8], inner)
+                assert tracer.stage == "scan"
+
     def test_random_probes_cost_more_than_sorted(self, catalog):
         # The inner must exceed the buffer pool for the access pattern to
         # matter (a fully resident tree makes every plan free).
@@ -114,7 +130,7 @@ PER_LEAF = 7  # (key, value) records to a 128-byte leaf
 def cursor_join(sorted_keys, inner):
     """The merge join as a literal record-at-a-time BTreeCursor loop: the
     reference ``BTreeFile.merge_walk`` must match touch for touch."""
-    cursor = inner.cursor()
+    cursor = BTreeCursor(inner)
     last_key = object()
     last_matches = []
     for key in sorted_keys:
@@ -132,9 +148,9 @@ def cursor_join(sorted_keys, inner):
             record = cursor.current()
 
 
-def _twin(tree_keys, unique, frames, cold):
+def _twin(tree_keys, unique, frames, cold, policy="lru"):
     """A small-page catalog: the inner tree plus a six-page ``foreign`` heap."""
-    catalog = Catalog(buffer_pages=frames, page_size=128)
+    catalog = Catalog(buffer_pages=frames, page_size=128, buffer_policy=policy)
     tree = catalog.create_btree("inner", KV_SCHEMA, "key", unique=unique)
     tree.bulk_load([(key, i) for i, key in enumerate(tree_keys)])
     catalog.create_heap("foreign", KEY_SCHEMA).insert_many([(k,) for k in range(80)])
@@ -147,23 +163,28 @@ def _ledger(catalog):
     pool, disk = catalog.pool, catalog.disk
     return (
         pool.stats.snapshot(), pool.epoch, disk.reads, disk.writes,
-        list(pool._frames),
+        list(pool._frames), dict(pool._referenced), pool._clock_hand,
     )
 
 
-def _drive(catalog, matches, pokes):
-    """Consume ``matches``, using the pool after the match indices in
-    ``pokes`` (a consumer may, between two results): an even index touches
-    one foreign page, an odd one scans enough of them to evict the leaf."""
+def _poke(catalog, index):
+    """Use the pool as a foreign party would: an even ``index`` touches one
+    foreign page, an odd one scans enough of them to evict the leaf."""
     foreign = catalog.get("foreign")
+    if index % 2:
+        list(foreign.scan())
+    else:
+        catalog.pool.fetch(PageId(foreign.file_id, 0))
+
+
+def _drive(catalog, matches, pokes):
+    """Consume ``matches``, poking the pool after the match indices in
+    ``pokes`` (a consumer may, between two results)."""
     out = []
     for index, record in enumerate(matches):
         out.append(record)
         if index in pokes:
-            if index % 2:
-                list(foreign.scan())
-            else:
-                catalog.pool.fetch(PageId(foreign.file_id, 0))
+            _poke(catalog, index)
     return out
 
 
@@ -229,3 +250,85 @@ class TestMergeWalkMatchesCursor:
         assert_walk_matches_cursor(
             tree_keys, unique, sorted(probes), frames, cold, outer, pokes
         )
+
+
+# ----------------------------------------------------------------------
+# the batched nested-loop probe against the literal cursor loop
+# ----------------------------------------------------------------------
+def cursor_probe(keys, inner):
+    """The nested-loop join as a literal BTreeCursor loop — a fresh cursor,
+    hence a root-to-leaf descent, per key: the reference
+    ``BTreeFile.probe_many`` must match touch for touch."""
+    out = []
+    for key in keys:
+        cursor = BTreeCursor(inner)
+        cursor.seek(key)
+        record = cursor.current()
+        while record is not None and record[0] == key:
+            out.append(record)
+            cursor.advance()
+            record = cursor.current()
+    return out
+
+
+def assert_probe_matches_cursor(tree_keys, unique, batches, frames, policy, cold):
+    """Probe batch after batch both ways, a foreign poke after each; after
+    every batch results, counters, I/O and replacement state agree."""
+    got_catalog, got_tree = _twin(tree_keys, unique, frames, cold, policy)
+    ref_catalog, ref_tree = _twin(tree_keys, unique, frames, cold, policy)
+    for index, batch in enumerate(batches):
+        assert got_tree.probe_many(batch) == cursor_probe(batch, ref_tree)
+        assert _ledger(got_catalog) == _ledger(ref_catalog)
+        _poke(got_catalog, index)
+        _poke(ref_catalog, index)
+    return got_tree, ref_tree, got_catalog, ref_catalog
+
+
+class TestProbeManyMatchesCursor:
+    @pytest.mark.parametrize("policy", ["lru", "clock"])
+    @pytest.mark.parametrize("frames", [2, 3, 8])
+    @pytest.mark.parametrize("unique", [True, False])
+    def test_leaf_first_leaf_last_absent_and_repeated_keys(self, unique, frames, policy):
+        # Nine leaves of seven: every key is probed, so each leaf's first
+        # record and its last (the one whose cursor loop steps right).
+        tree_keys = list(range(0, 120, 2)) if unique else [k // 3 for k in range(60)]
+        present = sorted(set(tree_keys))
+        batches = [
+            present,
+            present[::-1],
+            [-3, present[0], present[0], 7, present[-1], present[-1], 500],
+            [present[PER_LEAF - 1], present[PER_LEAF], present[PER_LEAF - 1]],
+            [],
+        ]
+        assert_probe_matches_cursor(tree_keys, unique, batches, frames, policy, True)
+
+    def test_projection_and_the_join_operator(self, inner):
+        assert inner.probe_many([6, 3, 2], project=lambda r: r[1]) == [60, 20]
+        assert iterative_substitution_join((4, 4), inner) == inner.lookup(4) * 2
+
+    def test_empty_and_single_leaf_trees(self):
+        for tree_keys in ([], [5], [5, 5, 5]):
+            assert_probe_matches_cursor(tree_keys, False, [[1, 5, 5, 9]], 3, "lru", False)
+
+    def test_missing_key_leaves_the_counters_where_the_cursor_does(self):
+        tree_keys = list(range(0, 120, 2))
+        for absent in (-1, 13, 2 * PER_LEAF - 1, 500):
+            got_tree, ref_tree, got_catalog, ref_catalog = assert_probe_matches_cursor(
+                tree_keys, True, [[4, 40]], 3, "lru", True
+            )
+            with pytest.raises(KeyNotFoundError):
+                got_tree.lookup_one(absent)
+            assert cursor_probe([absent], ref_tree) == []
+            assert _ledger(got_catalog) == _ledger(ref_catalog)
+
+    @given(
+        unique=st.booleans(),
+        tree_keys=st.lists(st.integers(0, 80), max_size=90),
+        batches=st.lists(st.lists(st.integers(-2, 83), max_size=25), max_size=5),
+        frames=st.integers(2, 8),
+        policy=st.sampled_from(["lru", "clock"]),
+        cold=st.booleans(),
+    )
+    def test_random_probes(self, unique, tree_keys, batches, frames, policy, cold):
+        tree_keys = sorted(set(tree_keys)) if unique else sorted(tree_keys)
+        assert_probe_matches_cursor(tree_keys, unique, batches, frames, policy, cold)

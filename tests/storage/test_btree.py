@@ -9,6 +9,7 @@ from repro.storage.btree import BTreeFile
 from repro.storage.catalog import Catalog
 from repro.storage.record import CharField, IntField, Schema
 from repro.storage.snapshot import Snapshot
+from tests.storage.btree_cursor import BTreeCursor
 
 
 def make_tree(catalog, name="t", unique=True) -> BTreeFile:
@@ -178,19 +179,19 @@ class TestUpdate:
 
 class TestCursor:
     def test_seek_and_walk(self, loaded):
-        cursor = loaded.cursor()
+        cursor = BTreeCursor(loaded)
         cursor.seek(100)
         assert cursor.current()[0] == 100
         cursor.advance()
         assert cursor.current()[0] == 102
 
     def test_seek_between_keys(self, loaded):
-        cursor = loaded.cursor()
+        cursor = BTreeCursor(loaded)
         cursor.seek(101)
         assert cursor.current()[0] == 102
 
     def test_seek_past_end(self, loaded):
-        cursor = loaded.cursor()
+        cursor = BTreeCursor(loaded)
         cursor.seek(5000)
         assert cursor.current() is None
 
@@ -199,7 +200,7 @@ class TestCursor:
         tree.bulk_load([rec(k) for k in range(2000)])
         catalog.pool.clear(flush=True)
         catalog.disk.reset_counters()
-        cursor = tree.cursor()
+        cursor = BTreeCursor(tree)
         for k in range(0, 2000, 5):
             cursor.seek(k)
             assert cursor.current()[0] == k
