@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from repro import __version__
 from repro.core.representations import matrix_summary
-from repro.core.strategies import REGISTRY
+from repro.core.strategies import REGISTRY, make_strategy
 from repro.util.fmt import format_kv, format_table
 from repro.workload.generator import build_database
 from repro.workload.params import WorkloadParams
@@ -105,6 +105,7 @@ def _run_profiled(args: argparse.Namespace, fn):
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.pool import (
         DB_CACHE_DIRNAME,
+        FailedPoint,
         SweepPoint,
         configure_db_store,
         run_sweep,
@@ -123,6 +124,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         num_retrieves=params.num_queries,
     )
     report = _run_profiled(args, lambda: run_sweep([point], jobs=args.jobs)[0])
+    if isinstance(report, FailedPoint):
+        # Its repr carries the point label, the attempts and the cause.
+        sys.stderr.write("quarantined: %r\n" % (report,))
+        return 1
     pairs = [
         ("strategy", report.strategy),
         ("parents", params.num_parents),
@@ -161,12 +166,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
             flame_out=args.flame_out,
         )
     return perf_trend(args.out, last=args.last, threshold=args.threshold)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments import bench
-
-    return bench.run(args)
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -281,20 +280,10 @@ def cmd_dbcache(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     from repro.core.explain import explain, measured_explain
     from repro.core.queries import RetrieveQuery
+    from repro.workload.driver import database_for
 
     params = _params_from_args(args)
-    strategy_cls = REGISTRY[args.strategy]
-    db = build_database(
-        params,
-        clustering=strategy_cls.uses_clustering,
-        cache=strategy_cls.uses_cache or args.strategy.startswith("PROC"),
-        procedural=args.strategy.startswith("PROC"),
-    )
-    if args.strategy == "DFSCACHE-INSIDE":
-        db.enable_inside_cache(
-            params.size_cache,
-            unit_bytes_hint=params.size_unit * params.child_bytes,
-        )
+    db = database_for(params, make_strategy(args.strategy))
     query = RetrieveQuery(0, params.num_top - 1, "ret1")
     if getattr(args, "measure", False):
         print(measured_explain(args.strategy, db, query))
@@ -306,28 +295,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.strategies.base import make_strategy
     from repro.obs import MetricsRegistry, Tracer
-    from repro.workload.driver import run_sequence
+    from repro.workload.driver import database_for, run_sequence
     from repro.workload.queries import generate_sequence
 
     params = _params_from_args(args)
     strategy = make_strategy(args.strategy)
-    procedural = args.strategy.startswith("PROC")
-    want_cache = procedural or (
-        strategy.uses_cache and args.strategy != "DFSCACHE-INSIDE"
-    )
-    db = build_database(
-        params,
-        clustering=strategy.uses_clustering,
-        cache=want_cache,
-        procedural=procedural,
-    )
-    if args.strategy == "DFSCACHE-INSIDE":
-        db.enable_inside_cache(
-            params.size_cache,
-            unit_bytes_hint=params.size_unit * params.child_bytes,
-        )
+    db = database_for(params, strategy)
     sequence = generate_sequence(params, db)
     registry = MetricsRegistry()
     tracer = Tracer(registry=registry, keep_events=True)
@@ -405,7 +379,6 @@ def cmd_footprint(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.experiments import bench as bench_cli
     from repro.experiments import report as report_cli
     from repro.experiments.report import add_policy_arguments, jobs_arg
 
@@ -468,10 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="flame: strategy for the span-profiled run")
     perf.add_argument("--flame-out", dest="flame_out", default=None,
                       help="flame: output path (default OUT/flame-*.txt)")
-
-    bench_cli.add_arguments(sub.add_parser(
-        "bench", help="microbenchmark the storage/query hot paths"
-    ))
 
     chaos = sub.add_parser(
         "chaos",
@@ -632,7 +601,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": cmd_trace,
         "dbcache": cmd_dbcache,
         "chaos": cmd_chaos,
-        "bench": cmd_bench,
         "perf": cmd_perf,
         "serve": cmd_serve,
         "fuzz": cmd_fuzz,

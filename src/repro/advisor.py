@@ -23,8 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.strategies.base import make_strategy
 from repro.errors import WorkloadError
-from repro.workload.driver import run_sequence
-from repro.workload.generator import build_database
+from repro.workload.driver import database_for, run_sequence
 from repro.workload.params import WorkloadParams
 from repro.workload.queries import generate_sequence
 
@@ -113,11 +112,7 @@ def recommend(
     costs: Dict[str, float] = {}
     for name in candidates:
         strategy = make_strategy(name)
-        db = build_database(
-            params,
-            clustering=strategy.uses_clustering,
-            cache=strategy.uses_cache,
-        )
+        db = database_for(params, strategy)
         sequence = generate_sequence(params, db)
         report = run_sequence(db, strategy, sequence, warmup=len(sequence) // 4)
         costs[name] = report.avg_io_per_retrieve

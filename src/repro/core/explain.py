@@ -139,12 +139,10 @@ def explain(
             "  est BFS child cost: %.1f pages" % estimate.bfs_cost,
             "  -> chosen plan: %s" % estimate.choice,
         ]
-    elif strategy_name.startswith("PROC"):
-        cached = {
-            "PROC-EXEC": "none",
-            "PROC-CACHE-OIDS": "OIDs",
-            "PROC-CACHE-VALUES": "values",
-        }[strategy_name]
+    elif REGISTRY[strategy_name].uses_procedures:
+        cached = {None: "none", "oids": "OIDs", "values": "values"}[
+            REGISTRY[strategy_name].cached_rep
+        ]
         lines = [
             "%s: procedural representation (cached: %s)" % (strategy_name, cached),
             _parent_line(db, query, s),

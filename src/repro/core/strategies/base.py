@@ -27,15 +27,48 @@ class Strategy(abc.ABC):
 
     #: Registry key and display name ("DFS", "BFS", ...).
     name: str = "?"
-    #: Whether the strategy reads/maintains the unit cache.
+    #: Whether the strategy reads/maintains a unit cache.
     uses_cache: bool = False
+    #: Whether that cache is the inside (per-object) one of the A3
+    #: ablation instead of the outside Cache relation.
+    uses_inside_cache: bool = False
     #: Whether the strategy runs against ClusterRel instead of
     #: ParentRel/ChildRel.
     uses_clustering: bool = False
+    #: Whether the strategy executes the parents' stored queries (the
+    #: procedural primary representation).
+    uses_procedures: bool = False
+
+    def database_shape(
+        self, cache: Optional[bool] = None, procedural: bool = False
+    ) -> Dict[str, bool]:
+        """``build_database`` keywords for the database this strategy needs.
+
+        ``cache``/``procedural`` force a facility the strategy itself
+        does not need (the matrix experiment runs every column against
+        one procedural, cache-enabled database).
+        """
+        if cache is None:
+            cache = self.uses_cache and not self.uses_inside_cache
+        return {
+            "clustering": self.uses_clustering,
+            "cache": cache,
+            "procedural": procedural or self.uses_procedures,
+        }
 
     def check_database(self, db: ComplexObjectDB) -> None:
         """Raise QueryError unless ``db`` has what this strategy needs."""
-        if self.uses_cache and db.cache is None:
+        if self.uses_procedures and db.procedures is None:
+            raise QueryError(
+                "strategy %s needs a procedural database "
+                "(build_database(..., procedural=True))" % self.name
+            )
+        if self.uses_inside_cache:
+            if db.inside_cache is None:
+                raise QueryError(
+                    "strategy %s needs an inside-cache-enabled database" % self.name
+                )
+        elif self.uses_cache and db.cache is None:
             raise QueryError("strategy %s needs a cache-enabled database" % self.name)
         if self.uses_clustering and db.cluster is None:
             raise QueryError(

@@ -77,12 +77,7 @@ class InsideDfsCacheStrategy(Strategy):
 
     name = "DFSCACHE-INSIDE"
     uses_cache = True
-
-    def check_database(self, db: ComplexObjectDB) -> None:
-        from repro.errors import QueryError
-
-        if db.inside_cache is None:
-            raise QueryError("DFSCACHE-INSIDE needs an inside-cache-enabled database")
+    uses_inside_cache = True
 
     def retrieve(
         self,

@@ -37,7 +37,6 @@ from repro.core.database import ComplexObjectDB
 from repro.core.measure import CHILD_PHASE, CostMeter, NullMeter, PARENT_PHASE
 from repro.core.queries import RetrieveQuery
 from repro.core.strategies.base import Strategy, register
-from repro.errors import QueryError
 from repro.obs.trace import stage
 from repro.storage.hashfile import stable_hash
 
@@ -51,17 +50,9 @@ def procedure_hashkey(procedure: Tuple[int, int, int]) -> int:
 class _ProceduralBase(Strategy):
     """Shared plumbing: procedure resolution and batched scans."""
 
+    uses_procedures = True
     #: What gets cached: None, "oids", or "values".
     cached_rep: Optional[str] = None
-
-    def check_database(self, db: ComplexObjectDB) -> None:
-        if db.procedures is None:
-            raise QueryError(
-                "strategy %s needs a procedural database "
-                "(build_database(..., procedural=True))" % self.name
-            )
-        if self.cached_rep is not None and db.cache is None:
-            raise QueryError("strategy %s needs a cache-enabled database" % self.name)
 
     # ------------------------------------------------------------------
     def retrieve(

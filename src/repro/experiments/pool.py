@@ -97,7 +97,7 @@ from repro.obs import spans as _spans
 from repro.storage.snapshot import SnapshotStore
 from repro.util import deadline as _deadline
 from repro.util.fingerprint import code_fingerprint  # noqa: F401  (re-export)
-from repro.workload.driver import CostReport, run_sequence
+from repro.workload.driver import CostReport, database_for, run_sequence
 from repro.workload.params import WorkloadParams
 from repro.workload.queries import generate_mixed_sequence, generate_sequence
 
@@ -515,34 +515,22 @@ def execute_point(
     return _report_to_payload(_execute_workload(point, db_cache))
 
 
-def _db_shape(point: SweepPoint) -> Tuple[Any, Dict[str, bool]]:
-    """The strategy instance of a workload point and the database it needs."""
-    strategy = make_strategy(point.strategy, **dict(point.strategy_kwargs))
-    if point.db_cache is not None:
-        want_cache = point.db_cache
-    else:
-        want_cache = strategy.uses_cache and point.strategy != "DFSCACHE-INSIDE"
-    return strategy, {
-        "clustering": strategy.uses_clustering,
-        "cache": want_cache,
-        "procedural": point.db_procedural,
-    }
-
-
 def _execute_workload(
     point: SweepPoint, db_cache: Optional[DatabaseCache]
 ) -> CostReport:
     params = point.params
     if params is None:
         raise PointFailed("workload point without params: %r" % (point,), point=point)
-    strategy, shape = _db_shape(point)
+    strategy = make_strategy(point.strategy, **dict(point.strategy_kwargs))
     if db_cache is None:
         db_cache = DatabaseCache()
-    db = db_cache.get(params, **shape)
-    if point.strategy == "DFSCACHE-INSIDE" and db.inside_cache is None:
-        db.enable_inside_cache(
-            params.size_cache, unit_bytes_hint=params.size_unit * params.child_bytes
-        )
+    db = database_for(
+        params,
+        strategy,
+        db_cache.get,
+        cache=point.db_cache,
+        procedural=point.db_procedural,
+    )
     if point.sequence == "mixed":
         if not point.mix_num_tops:
             raise PointFailed(
@@ -815,7 +803,8 @@ def _dispatch_key(point: SweepPoint) -> Tuple:
     """Sort key grouping points that can share one built database."""
     if point.kind == "deep":
         return ("deep", repr(point.deep_params))
-    _strategy, shape = _db_shape(point)
+    strategy = make_strategy(point.strategy, **dict(point.strategy_kwargs))
+    shape = strategy.database_shape(point.db_cache, point.db_procedural)
     return ("workload",) + DatabaseCache().shape_key(point.params, **shape)
 
 

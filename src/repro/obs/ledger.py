@@ -1,6 +1,6 @@
 """The persistent run ledger: ``results/ledger.jsonl``.
 
-Every full report run and every micro-benchmark run appends one JSON
+Every full report run and every serve run appends one JSON
 record to an append-only JSONL file, so the performance trajectory of
 the reproduction is queryable across commits (``repro perf`` renders
 the trend and flags regressions).  One line per run keeps the file
@@ -10,10 +10,9 @@ telemetry must not sink a run.
 
 Record schema (``schema`` = :data:`LEDGER_SCHEMA`):
 
-* common: ``schema``, ``kind`` (``"report"`` | ``"micro"`` |
-  ``"serve"``), ``ts`` (unix seconds), ``git`` (short revision or
-  ``"unknown"``), ``python``, ``fingerprint`` (source fingerprint
-  prefix);
+* common: ``schema``, ``kind`` (``"report"`` | ``"serve"``), ``ts``
+  (unix seconds), ``git`` (short revision or ``"unknown"``),
+  ``python``, ``fingerprint`` (source fingerprint prefix);
 * ``kind == "report"``: ``scale``, ``jobs``, ``total_seconds``,
   ``experiments`` (one row each: name, wall seconds, point counts and
   the buffer/io/db/faults counters), the run totals ``buffer``, ``db``,
@@ -22,8 +21,6 @@ Record schema (``schema`` = :data:`LEDGER_SCHEMA`):
   :meth:`~repro.obs.spans.SpanProfiler.rollups` of the run, keyed by
   ``;``-joined span path with count/total/self/p50/p95/p99 ms.
   ``repro report --bench-out`` writes this record pretty-printed;
-* ``kind == "micro"``: ``benchmarks`` (name → ns-per-op summary from
-  ``repro bench``);
 * ``kind == "serve"`` (schema >= 2): serving-layer configuration
   (``scale``, ``clients``, ``readers``, ``queue_depth``,
   ``publish_interval``, ``pr_update``, ``strategy``, ``duration``),
@@ -91,7 +88,7 @@ def git_revision(root: Optional[str] = None) -> str:
 
 
 class RunLedger:
-    """Append-only JSONL ledger of report and micro-benchmark runs."""
+    """Append-only JSONL ledger of report and serve runs."""
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -240,19 +237,3 @@ def serve_record(
     }
     record.update(config)
     return record
-
-
-def micro_record(
-    benchmarks: Dict[str, Dict[str, Any]], fingerprint: str
-) -> Dict[str, Any]:
-    """One ``kind="micro"`` ledger record from ``repro bench`` results."""
-    import sys
-
-    return {
-        "schema": LEDGER_SCHEMA,
-        "kind": "micro",
-        "git": git_revision(),
-        "python": "%d.%d.%d" % sys.version_info[:3],
-        "fingerprint": fingerprint,
-        "benchmarks": benchmarks,
-    }

@@ -9,8 +9,7 @@ wants:
   diff of the two most recent *comparable* runs (same scale and jobs)
   with regressions past the threshold flagged, then the latest run's
   span rollups (count, total, p50/p95/p99 ms per span path), then —
-  when ``repro bench`` records exist — the micro-benchmark trajectory,
-  then — when ``repro serve`` records exist — the serving-layer trend
+  when ``repro serve`` records exist — the serving-layer trend
   (throughput, latency percentiles, publish lag) with p95 latency
   regressions flagged at the same threshold;
 * **flame**: collapsed-stack output for flamegraph.pl / speedscope,
@@ -166,37 +165,6 @@ def render_spans(record: Dict[str, Any], limit: int = 14) -> Optional[str]:
     )
 
 
-def render_micro(records: List[Dict[str, Any]]) -> Optional[str]:
-    """Latest-vs-previous ns/op for every ``repro bench`` benchmark."""
-    if not records:
-        return None
-    latest = records[-1].get("benchmarks", {})
-    previous = records[-2].get("benchmarks", {}) if len(records) > 1 else {}
-    rows = []
-    for name in sorted(latest):
-        entry = latest[name]
-        ns = entry.get("ns_per_op")
-        p95 = entry.get("p95_ns_per_op")
-        before = previous.get(name, {}).get("ns_per_op")
-        if before:
-            delta = "%+.0f%%" % ((ns - before) / before * 100.0) if ns else "?"
-        else:
-            delta = "-"
-        rows.append(
-            [
-                name,
-                "%d" % ns if ns is not None else "?",
-                "%d" % p95 if p95 is not None else "?",
-                delta,
-            ]
-        )
-    return format_table(
-        ["benchmark", "ns/op", "p95 ns/op", "vs prev"],
-        rows,
-        title="Micro-benchmarks (%d bench run(s) in ledger)" % len(records),
-    )
-
-
 def render_serve(
     records: List[Dict[str, Any]],
     last: int = 10,
@@ -262,11 +230,10 @@ def perf_trend(
     """The default ``repro perf`` view; returns a process exit code."""
     ledger = RunLedger(os.path.join(out_dir, LEDGER_FILENAME))
     reports = ledger.read("report")
-    micro = ledger.read("micro")
     serves = ledger.read("serve")
-    if not reports and not micro and not serves:
+    if not reports and not serves:
         print(
-            "no ledger at %s — run `repro report` (or `repro bench`) first"
+            "no ledger at %s — run `repro report` (or `repro serve`) first"
             % ledger.path
         )
         return 1
@@ -290,10 +257,6 @@ def perf_trend(
         if spans_table:
             print()
             print(spans_table)
-    micro_table = render_micro(micro)
-    if micro_table:
-        print()
-        print(micro_table)
     serve_table, serve_flagged = render_serve(
         serves, last=last, threshold=threshold
     )

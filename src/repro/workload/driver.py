@@ -19,7 +19,7 @@ breakdown of Figure 5 comes from the strategies' phase attribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.database import ComplexObjectDB
 from repro.core.measure import CostMeter
@@ -277,6 +277,26 @@ def _run_measured(
     return report
 
 
+def database_for(
+    params: WorkloadParams,
+    strategy: Strategy,
+    build: Callable[..., ComplexObjectDB] = build_database,
+    **forced: Any,
+) -> ComplexObjectDB:
+    """The database ``strategy`` needs, from ``build(params, **shape)``.
+
+    ``build`` is :func:`build_database` or a ``DatabaseCache.get``;
+    ``forced`` goes to :meth:`Strategy.database_shape`.  The inside
+    cache is no part of a stored shape: it is enabled on the result.
+    """
+    db = build(params, **strategy.database_shape(**forced))
+    if strategy.uses_inside_cache and db.inside_cache is None:
+        db.enable_inside_cache(
+            params.size_cache, unit_bytes_hint=params.size_unit * params.child_bytes
+        )
+    return db
+
+
 def measure_strategy(
     params: WorkloadParams,
     strategy_name: str,
@@ -287,15 +307,12 @@ def measure_strategy(
     """Convenience wrapper: build what is missing, run, report.
 
     A database built here gets exactly the facilities the strategy needs
-    (clustering for DFSCLUST, a cache for DFSCACHE/SMART).
+    (:func:`database_for`: clustering for DFSCLUST, a cache for
+    DFSCACHE/SMART, stored procedures for PROC-*).
     """
     strategy = make_strategy(strategy_name, **strategy_kwargs)
     if db is None:
-        db = build_database(
-            params,
-            clustering=strategy.uses_clustering,
-            cache=strategy.uses_cache,
-        )
+        db = database_for(params, strategy)
     if sequence is None:
         sequence = generate_sequence(params, db)
     return run_sequence(db, strategy, sequence)

@@ -7,8 +7,8 @@ from repro.obs.ledger import (
     LEDGER_SCHEMA,
     RunLedger,
     git_revision,
-    micro_record,
     report_record,
+    serve_record,
 )
 
 
@@ -34,7 +34,7 @@ class TestRunLedger:
 
     def test_append_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "ledger.jsonl"
-        RunLedger(str(path)).append({"kind": "micro"})
+        RunLedger(str(path)).append({"kind": "serve"})
         assert path.exists()
 
     def test_records_keep_file_order(self, tmp_path):
@@ -57,7 +57,7 @@ class TestRunLedger:
     def test_kind_filter_and_last(self, tmp_path):
         ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
         ledger.append({"kind": "report", "index": 0})
-        ledger.append({"kind": "micro", "index": 1})
+        ledger.append({"kind": "serve", "index": 1})
         ledger.append({"kind": "report", "index": 2})
         assert [r["index"] for r in ledger.read("report")] == [0, 2]
         assert [r["index"] for r in ledger.last(1, "report")] == [2]
@@ -117,8 +117,16 @@ class TestRecordBuilders:
         assert record["fault_config"] == {"seed": 7}
 
     def test_records_are_json_serialisable_one_line(self):
-        record = micro_record({"heap_scan": {"ns_per_op": 9}}, "abc")
+        record = serve_record(
+            config={"scale": 0.1, "clients": 2},
+            requests={"ok": 9},
+            latency_ms={"retrieve": {"p95": 1.5}},
+            publish={"publishes": 3},
+            admission={"shed": 0},
+            verified=True,
+            fingerprint="abc",
+        )
         line = json.dumps(record, sort_keys=True)
         assert "\n" not in line
-        assert record["kind"] == "micro"
+        assert record["kind"] == "serve" and record["clients"] == 2
         assert record["schema"] == LEDGER_SCHEMA

@@ -3,6 +3,7 @@
 import cProfile
 import os
 
+from repro.__main__ import main
 from repro.obs.ledger import LEDGER_FILENAME, RunLedger
 from repro.obs.perfcli import (
     collapsed_from_pstats,
@@ -10,7 +11,6 @@ from repro.obs.perfcli import (
     perf_flame,
     perf_trend,
     render_diff,
-    render_micro,
     render_spans,
     render_trend,
 )
@@ -103,7 +103,7 @@ class TestDiff:
         assert "new" in table and flagged == []
 
 
-class TestSpansAndMicro:
+class TestSpans:
     def test_spans_table_ranks_by_total(self):
         rollup = {"count": 2, "total_ms": 0.0, "p50_ms": 0.0,
                   "p95_ms": 0.0, "p99_ms": 0.0}
@@ -114,17 +114,6 @@ class TestSpansAndMicro:
         table = render_spans(record)
         assert table.index("hot") < table.index("cold")
         assert render_spans(report()) is None
-
-    def test_micro_table_shows_delta_vs_previous(self):
-        records = [
-            {"benchmarks": {"heap_scan": {"ns_per_op": 100,
-                                          "p95_ns_per_op": 120}}},
-            {"benchmarks": {"heap_scan": {"ns_per_op": 150,
-                                          "p95_ns_per_op": 180}}},
-        ]
-        table = render_micro(records)
-        assert "+50%" in table
-        assert render_micro([]) is None
 
 
 class TestPerfTrendCommand:
@@ -145,6 +134,18 @@ class TestPerfTrendCommand:
         assert "Wall time vs previous" in out
         assert "point.execute" in out and "p95_ms" in out
         assert "REGRESSION: fig3" in out
+
+    def test_micro_lines_of_an_older_checkout_are_ignored(self, tmp_path, capsys):
+        ledger = RunLedger(str(tmp_path / LEDGER_FILENAME))
+        old = {"kind": "micro", "benchmarks": {"heap_scan": {"ns_per_op": 9}}}
+        ledger.append(dict(old))
+        ledger.append(report(seconds=1.0, ts=1))
+        ledger.append(dict(old))
+        ledger.append({"kind": "serve", "ts": 2, "scale": 0.1, "clients": 2})
+        assert main(["perf", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "Report runs (1 of 1" in out and "Serve runs (1 of 1" in out
+        assert "heap_scan" not in out and "Micro" not in out
 
 
 class TestFlame:

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.__main__ import main
+from repro.core.strategies import REGISTRY
+from repro.experiments import pool
+from repro.fault import plan as fault_plan
 
 
 class TestList:
@@ -12,6 +15,43 @@ class TestList:
         for name in ("DFS", "BFS", "DFSCACHE", "DFSCLUST", "SMART", "PROC-EXEC"):
             assert name in out
         assert "shaded" in out
+
+
+class TestCommands:
+    def test_eleven_commands_and_no_bench(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = capsys.readouterr().out
+        commands = usage[usage.index("{") + 1:usage.index("}")].split(",")
+        assert len(commands) == 11 and "perf" in commands
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+class TestEveryRegisteredStrategy:
+    """argparse offers every registered name, so every name must run."""
+
+    def test_run(self, name, tmp_path, capsys):
+        assert main(
+            ["run", "--strategy", name, "--scale", "0.02", "--num-queries", "3",
+             "--out", str(tmp_path)]
+        ) == 0
+        assert "avg I/O per retrieve" in capsys.readouterr().out
+
+    def test_trace(self, name, capsys):
+        assert main(
+            ["trace", "--strategy", name, "--scale", "0.02", "--num-queries", "3"]
+        ) == 0
+        assert "self-check" in capsys.readouterr().out
+
+    def test_explain_measure(self, name, capsys):
+        assert main(
+            ["explain", "--strategy", name, "--scale", "0.02", "--measure"]
+        ) == 0
+        assert "measured (traced cold run)" in capsys.readouterr().out
 
 
 class TestRun:
@@ -37,6 +77,27 @@ class TestRun:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--strategy", "NOPE"])
+
+    def test_quarantined_point_is_reported_not_a_traceback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # --max-retries rewrites the module-wide policy; put it back after.
+        monkeypatch.setattr(pool, "DEFAULT_POLICY", pool.DEFAULT_POLICY)
+        fault_plan.install(
+            fault_plan.FaultPlan([fault_plan.FaultSpec("point.poison", count=1)])
+        )
+        try:
+            code = main(
+                ["run", "--strategy", "BFS", "--scale", "0.02", "--num-top", "5",
+                 "--max-retries", "0", "--out", str(tmp_path)]
+            )
+        finally:
+            fault_plan.clear()
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "quarantined: FailedPoint(BFS@num_top=5, attempts=1" in captured.err
+        assert "point.poison" in captured.err
+        assert "avg I/O" not in captured.out
 
 
 class TestFootprint:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.advisor import WorkloadSketch, recommend
 from repro.core.queries import RetrieveQuery, UpdateQuery
-from repro.core.strategies import make_strategy
+from repro.core.strategies import REGISTRY, make_strategy
+from repro.experiments.runner import run_point
 from repro.workload.driver import measure_strategy, run_sequence
 from repro.workload.generator import build_database
 from repro.workload.queries import generate_sequence
@@ -88,3 +90,20 @@ class TestMeasureStrategy:
     def test_strategy_kwargs_forwarded(self, tiny_db, tiny_params):
         report = measure_strategy(tiny_params, "SMART", db=tiny_db, threshold=1)
         assert report.strategy == "SMART"
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+class TestEveryRegisteredStrategy:
+    """One shape rule: each entry point builds the database the name needs."""
+
+    def test_measures_like_a_sweep_point(self, tiny_params, name):
+        report = measure_strategy(tiny_params, name)
+        point = run_point(tiny_params, name, num_retrieves=tiny_params.num_queries)
+        assert report.avg_io_per_retrieve == point.avg_io_per_retrieve > 0
+
+    def test_advisor_races_it(self, tiny_params, name):
+        rec = recommend(
+            WorkloadSketch(), candidates=[name], num_retrieves=4,
+            base_params=tiny_params,
+        )
+        assert rec.costs[name] > 0
