@@ -109,9 +109,10 @@ POINT_CACHE_DIRNAME = ".pointcache"
 #: report's output directory (next to the point cache).
 DB_CACHE_DIRNAME = ".dbcache"
 
-#: Per-worker database cache bound: a worker keeps at most this many
-#: built databases alive (evicted least-recently-used; rebuilding a
-#: dropped database is deterministic, so results are unaffected).
+#: Database cache bound of every executor, a pool worker and the
+#: in-process one alike: at most this many shapes stay alive (evicted
+#: least-recently-used; re-attaching or rebuilding a dropped shape is
+#: deterministic, so results are unaffected).
 WORKER_DB_CACHE_SIZE = 4
 
 #: Telemetry trail: one entry per :func:`run_sweep` call, with point
@@ -700,38 +701,8 @@ def _init_worker(
     if plan is not None:
         _fault.install(plan)
     store = SnapshotStore(store_root) if store_root else None
-    if store is not None:
-        _prewarm_arenas(store)
     _WORKER_DB_CACHE = DatabaseCache(max_entries=WORKER_DB_CACHE_SIZE, store=store)
     _WORKER_POLICY = policy or RetryPolicy()
-
-
-def _prewarm_arenas(store: SnapshotStore) -> int:
-    """mmap every stored arena for the current fingerprint at pool start.
-
-    Populating the worker's per-process arena registry up front moves
-    the one-time parse (header check, stub build, codec unpickle) out of
-    the first point of each shape; attach itself stays lazy and
-    zero-copy.  Corrupt or foreign files are skipped — the normal
-    ``get()`` path quarantines them when actually consulted.
-    """
-    from repro.storage import arena as _arena
-
-    prefix = "%s%s-" % (SnapshotStore.FILE_PREFIX, store.fingerprint[:12])
-    count = 0
-    try:
-        names = sorted(os.listdir(store.root))
-    except OSError:
-        return 0
-    for name in names:
-        if not (name.startswith(prefix) and name.endswith(".arena")):
-            continue
-        try:
-            _arena.registry().load(os.path.join(store.root, name))
-            count += 1
-        except Exception:
-            continue
-    return count
 
 
 def _stats_delta(
@@ -1010,12 +981,15 @@ class _InProcessExecutor:
     """The executor interface over this process: ``submit`` runs the task.
 
     What ``jobs=1`` uses, and what a sweep whose pools keep failing
-    swaps in.  Points share one unbounded :class:`DatabaseCache` over
-    the process-wide store for the executor's lifetime.
+    swaps in.  Points share one :class:`DatabaseCache` over the
+    process-wide store for the executor's lifetime, bounded like a pool
+    worker's (:data:`WORKER_DB_CACHE_SIZE`).
     """
 
     def __init__(self, policy: RetryPolicy) -> None:
-        self._db_cache = DatabaseCache(store=_db_store())
+        self._db_cache = DatabaseCache(
+            max_entries=WORKER_DB_CACHE_SIZE, store=_db_store()
+        )
         self._policy = policy
 
     def submit(self, fn: Any, point: SweepPoint) -> "Future[Any]":

@@ -124,6 +124,10 @@ class DatabaseCache:
     long sweep — or a pool worker that sees many shapes — cannot hold
     every database it ever built.  Rebuilding an evicted database is
     fully deterministic, so a bound never changes measured results.
+    In snapshot mode this bound and the store's memory tier decide
+    which loaded arenas a sweep keeps mapped (the arena registry keeps
+    none alive); an evicted shape is re-parsed from its file when it
+    comes back.
 
     Without a store, the cache holds live databases and later points
     *reuse* them, mutations and all (the driver's reset contract keeps

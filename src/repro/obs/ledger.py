@@ -12,7 +12,9 @@ Record schema (``schema`` = :data:`LEDGER_SCHEMA`):
 
 * common: ``schema``, ``kind`` (``"report"`` | ``"serve"``), ``ts``
   (unix seconds), ``git`` (short revision or ``"unknown"``),
-  ``python``, ``fingerprint`` (source fingerprint prefix);
+  ``python``, ``fingerprint`` (source fingerprint prefix),
+  ``peak_rss_mb`` (peak resident set size of the recording process,
+  MiB — pool workers not included; absent from older records);
 * ``kind == "report"``: ``scale``, ``jobs``, ``total_seconds``,
   ``experiments`` (one row each: name, wall seconds, point counts and
   the buffer/io/db/faults counters), the run totals ``buffer``, ``db``,
@@ -150,6 +152,13 @@ class RunLedger:
 # ----------------------------------------------------------------------
 # record builders
 # ----------------------------------------------------------------------
+def peak_rss_mb() -> float:
+    """This process's peak resident set size in MiB (Linux reports KiB)."""
+    import resource
+
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+
+
 def report_record(
     *,
     scale: float,
@@ -186,6 +195,7 @@ def report_record(
         "scale": scale,
         "jobs": jobs,
         "total_seconds": round(total_seconds, 3),
+        "peak_rss_mb": peak_rss_mb(),
         "experiments": experiments,
         "buffer": buffer_totals,
         "db": db,
@@ -229,6 +239,7 @@ def serve_record(
         "git": git_revision(),
         "python": "%d.%d.%d" % sys.version_info[:3],
         "fingerprint": fingerprint,
+        "peak_rss_mb": peak_rss_mb(),
         "requests": requests,
         "latency_ms": latency_ms,
         "publish": publish,

@@ -5,13 +5,13 @@ it into the views an engineer tracking the reproduction's performance
 wants:
 
 * **trend** (the default): one row per report run (when / git / scale /
-  jobs / wall seconds / point counts), then a per-experiment wall-time
-  diff of the two most recent *comparable* runs (same scale and jobs)
-  with regressions past the threshold flagged, then the latest run's
-  span rollups (count, total, p50/p95/p99 ms per span path), then —
-  when ``repro serve`` records exist — the serving-layer trend
-  (throughput, latency percentiles, publish lag) with p95 latency
-  regressions flagged at the same threshold;
+  jobs / wall seconds / peak RSS / point counts), then a per-experiment
+  wall-time diff of the two most recent *comparable* runs (same scale
+  and jobs) with regressions past the threshold flagged, then the
+  latest run's span rollups (count, total, p50/p95/p99 ms per span
+  path), then — when ``repro serve`` records exist — the serving-layer
+  trend (throughput, latency percentiles, publish lag, peak RSS) with
+  p95 latency regressions flagged at the same threshold;
 * **flame**: collapsed-stack output for flamegraph.pl / speedscope,
   either from a fresh span-profiled measurement run (the default) or
   converted from a ``--profile`` cProfile dump (``--pstats``).
@@ -40,6 +40,11 @@ def _when(record: Dict[str, Any]) -> str:
     return time.strftime("%Y-%m-%d %H:%M", time.localtime(ts))
 
 
+def _peak_mb(record: Dict[str, Any]) -> str:
+    peak = record.get("peak_rss_mb")
+    return "-" if peak is None else "%.1f" % peak
+
+
 # ----------------------------------------------------------------------
 # trend rendering
 # ----------------------------------------------------------------------
@@ -59,14 +64,15 @@ def render_trend(
                 record.get("scale", "?"),
                 record.get("jobs", "?"),
                 "%.1f" % record.get("total_seconds", 0.0),
+                _peak_mb(record),
                 sum(e.get("points", 0) for e in experiments),
                 sum(e.get("executed", 0) for e in experiments),
                 len(record.get("quarantined", [])),
             ]
         )
     return format_table(
-        ["when", "git", "scale", "jobs", "total_s", "points", "executed",
-         "quarantined"],
+        ["when", "git", "scale", "jobs", "total_s", "peak_mb", "points",
+         "executed", "quarantined"],
         rows,
         title="Report runs (%d of %d in ledger)"
         % (len(rows), len(records)),
@@ -173,7 +179,8 @@ def render_serve(
     """Serve-run trend table plus flagged p95 latency regressions.
 
     One row per ``kind="serve"`` ledger record: throughput, client-side
-    retrieve latency percentiles, publish-lag p95 and shed counts.  The
+    retrieve latency percentiles, publish-lag p95, shed counts and peak
+    RSS (``-`` for records written before it was recorded).  The
     latest run's retrieve p95 is compared against the most recent
     earlier run with the same scale/clients/readers shape; growth past
     ``threshold`` is flagged exactly like sweep wall-time regressions.
@@ -197,12 +204,13 @@ def render_serve(
                 "%.1f" % latency.get("p99", 0.0),
                 "%.1f" % publish.get("lag_ms", {}).get("p95", 0.0),
                 requests.get("shed", 0),
+                _peak_mb(record),
                 {True: "yes", False: "NO", None: "-"}[record.get("verified")],
             ]
         )
     table = format_table(
         ["when", "git", "scale", "clients", "rps", "p50_ms", "p95_ms",
-         "p99_ms", "lag_p95", "shed", "verified"],
+         "p99_ms", "lag_p95", "shed", "peak_mb", "verified"],
         rows,
         title="Serve runs (%d of %d in ledger)" % (len(rows), len(records)),
     )

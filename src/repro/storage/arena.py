@@ -29,13 +29,17 @@ frozen page was replaced by a persistent id (its index position), so
 unpickling it wires the file lists straight to the shared stubs and
 carries only catalog structure.
 
-Per process, an :class:`ArenaRegistry` loads each arena once: one mmap,
-one stub list, one shared-objects unpickle and one metadata unpickle
-into a frozen *template* database.  Every attach then clones that
-template through :meth:`repro.storage.snapshot.Snapshot.attach` — the
-same structural clone a freshly frozen database takes, O(#files) — so
-the stubs (and therefore each page's lazily decoded record cache) and
-the shared immutables are reused by all clones in the process.
+Loading an arena means one mmap, one stub list, one shared-objects
+unpickle and one metadata unpickle into a frozen *template* database.
+Every attach then clones that template through
+:meth:`repro.storage.snapshot.Snapshot.attach` — the same structural
+clone a freshly frozen database takes, O(#files) — so the stubs (and
+therefore each page's lazily decoded record cache) and the shared
+immutables are reused by all clones of that load.  The per-process
+:class:`ArenaRegistry` only removes duplicates: while anyone holds a
+loaded arena, a second load of the same file returns it.  What stays
+resident is decided by the holders — the snapshot store's memory tier
+and the sweep's bounded database cache — never by the registry.
 
 Integrity: the header, index, shared and metadata regions are SHA-256
 checksummed and the total file size is validated, so truncation or a
@@ -56,6 +60,7 @@ import os
 import pickle
 import struct
 import threading
+import weakref
 from typing import Any, Dict, List, Optional
 
 from repro.errors import CacheCorrupt
@@ -231,11 +236,14 @@ class _ArenaUnpickler(pickle.Unpickler):
 class ArenaState:
     """One loaded arena: the mmap, the shared page stubs, the template.
 
-    Built once per process per arena file (see :class:`ArenaRegistry`);
-    :meth:`attach` then clones the template like any frozen database.
+    Built once per arena file for as long as any holder keeps it (see
+    :class:`ArenaRegistry`); :meth:`attach` then clones the template
+    like any frozen database.  There is no explicit unmap: stub pages
+    hold ``memoryview`` slices of the mapping, so the mapping lives
+    exactly as long as the last state or clone that uses it.
     """
 
-    __slots__ = ("path", "pages", "_mmap", "_stubs", "_template")
+    __slots__ = ("path", "pages", "_mmap", "_stubs", "_template", "__weakref__")
 
     def __init__(
         self, path: str, mm: mmap.mmap, stubs: List[Page], template: Any
@@ -252,13 +260,6 @@ class ArenaState:
     def attach(self) -> Any:
         """A fresh, fully mutable database clone sharing the stub pages."""
         return self._template.attach()
-
-    def close(self) -> None:
-        """Best-effort unmap (fails silently while stub views are live)."""
-        try:
-            self._mmap.close()
-        except BufferError:
-            pass
 
 
 def _load_state(path: str) -> ArenaState:
@@ -377,31 +378,36 @@ def _parse(path: str, mm: mmap.mmap) -> ArenaState:
 
 
 class ArenaRegistry:
-    """Per-process cache of loaded arenas, keyed by file path.
+    """Per-process index of the loaded arenas still in use, by file path.
 
-    A cached state answers for the bytes that were at ``path`` when it
+    The registry holds its states *weakly*: it promises one mapping per
+    file for as long as anyone uses it, and nothing more.  Residency is
+    bounded by the holders — the snapshot store's memory LRU and the
+    sweep's :class:`~repro.experiments.runner.DatabaseCache` — and a
+    state they all dropped is unmapped by the garbage collector, so a
+    later :meth:`load` reparses the file.
+
+    A live state answers for the bytes that were at ``path`` when it
     was mapped (the mapping pins that inode), so whoever replaces the
     file must :meth:`discard` the path, as ``SnapshotStore.put`` does.
     Deterministic rebuilds writing byte-identical arenas only make
-    another process's cached state a valid cache hit; correctness does
-    not rest on it.  A failed load caches nothing — after quarantine +
-    rebuild the next load reads the fresh file.
+    another process's state a valid hit; correctness does not rest on
+    it.  A failed load registers nothing — after quarantine + rebuild
+    the next load reads the fresh file.
 
     Thread-safe: the serving layer's reader threads attach concurrently,
     so :meth:`load` holds the registry lock across the check *and* the
     map — two threads racing on the same path get one ``ArenaState``
-    (one mmap), never a duplicate mapping.  Loads are rare and bounded
-    (one per distinct database shape), so serializing them costs
-    nothing on the hot path.  :meth:`pin` / :meth:`unpin` refcount a
-    mapping so concurrent users can keep it alive across a
-    :meth:`discard` — the unmap is deferred until the last pin drops.
+    (one mmap), never a duplicate mapping.  Loads are rare (one per
+    database shape entering the memory tier), so serializing them costs
+    nothing on the hot path.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._states: Dict[str, ArenaState] = {}
-        self._pins: Dict[str, int] = {}
-        self._retired: Dict[str, ArenaState] = {}
+        self._states: "weakref.WeakValueDictionary[str, ArenaState]" = (
+            weakref.WeakValueDictionary()
+        )
 
     def load(self, path: str) -> ArenaState:
         with self._lock:
@@ -412,40 +418,18 @@ class ArenaRegistry:
                 self._states[path] = state
             return state
 
-    def pin(self, path: str) -> ArenaState:
-        """Load and refcount: the mapping survives ``discard`` until
-        the matching :meth:`unpin`."""
-        state = self.load(path)
-        with self._lock:
-            self._pins[path] = self._pins.get(path, 0) + 1
-        return state
-
-    def unpin(self, path: str) -> None:
-        with self._lock:
-            count = self._pins.get(path, 0) - 1
-            if count > 0:
-                self._pins[path] = count
-                return
-            self._pins.pop(path, None)
-            retired = self._retired.pop(path, None)
-        if retired is not None:
-            retired.close()
-
     def discard(self, path: str) -> None:
+        """Forget ``path``: the next :meth:`load` maps the file anew.
+
+        Holders of the old state keep using it (and its mapping) until
+        they drop it.
+        """
         with self._lock:
-            state = self._states.pop(path, None)
-            if state is not None and self._pins.get(path, 0) > 0:
-                # Still pinned: defer the unmap to the last unpin.
-                self._retired[path] = state
-                state = None
-        if state is not None:
-            state.close()
+            self._states.pop(path, None)
 
     def clear(self) -> None:
         with self._lock:
-            paths = list(self._states)
-        for path in paths:
-            self.discard(path)
+            self._states.clear()
 
 
 _REGISTRY = ArenaRegistry()
@@ -461,6 +445,7 @@ class ArenaSnapshot:
 
     Drop-in for :class:`~repro.storage.snapshot.Snapshot` wherever only
     :meth:`attach` is needed (the database cache's per-point clone path).
+    Holding the handle is what keeps the loaded arena resident.
     """
 
     __slots__ = ("_state",)

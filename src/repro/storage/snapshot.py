@@ -35,8 +35,8 @@ This module provides the two pieces that make reuse cheap and safe:
   fingerprint, so any code change orphans every stored snapshot at once.
   The on-disk format is the flat mmap-backed **arena**
   (:mod:`repro.storage.arena`, ``*.arena``): loading one maps the file
-  read-only and shares its page images across every attach in the
-  process with zero pickling of page payloads.
+  read-only and shares its page images across every attach made while
+  it stays loaded, with zero pickling of page payloads.
 
 Copy-on-write never changes measured costs: a real engine modifies the
 already-buffered frame in place, so the private copy is free — page
@@ -104,9 +104,13 @@ class SnapshotStore:
 
     Keys are arbitrary strings (the sweep layer uses a hash of the
     database shape); each key maps to one arena file under ``root``.  A
-    bounded in-memory LRU of snapshot handles fronts the files, and the
-    process-wide :class:`~repro.storage.arena.ArenaRegistry` maps each
-    file once, so repeated attaches in one process never re-parse it.
+    bounded in-memory LRU of snapshot handles (``max_memory_entries``)
+    fronts the files, and together with the sweep's
+    :class:`~repro.experiments.runner.DatabaseCache` it is what keeps a
+    loaded arena resident: the process-wide
+    :class:`~repro.storage.arena.ArenaRegistry` holds states weakly and
+    only merges concurrent loads of one file.  A shape every holder has
+    evicted is re-parsed from its file on the next :meth:`get`.
 
     Concurrency: writes go to a temporary file renamed into place
     (atomic on POSIX), and builds are deterministic, so workers racing
@@ -161,8 +165,8 @@ class SnapshotStore:
         bit rot, or an injected ``snapshot.load`` fault — is quarantined
         and reported as a miss; corruption is never an error here.
         Disk hits return an :class:`~repro.storage.arena.ArenaSnapshot`
-        backed by the process-wide registry (one mmap + stub build per
-        process).
+        backed by the process-wide registry (one mmap + stub build for
+        as long as any holder keeps the handle).
         """
         with self._memory_lock:
             snapshot = self._memory.get(key)

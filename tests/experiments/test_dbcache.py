@@ -9,6 +9,7 @@ serially, across runs, and from parallel workers.
 """
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.core.strategies.base import REGISTRY
 from repro.experiments import pool
 from repro.experiments.pool import SweepPoint, run_sweep
 from repro.experiments.runner import DatabaseCache
+from repro.storage import arena
 from repro.storage.snapshot import SnapshotStore
 from repro.workload.params import WorkloadParams
 
@@ -156,6 +158,38 @@ class TestSweepTelemetry:
         entry = pool.SWEEP_LOG[-1]
         assert entry["db"]["builds"] == 0
         assert entry["db"]["arena_attaches"] == entry["db"]["attaches"] == 1
+
+
+class TestBoundedResidency:
+    def test_sweep_keeps_a_bounded_set_of_arenas_mapped(
+        self, tiny_params, tmp_path, store_guard, monkeypatch
+    ):
+        """Six shapes visited A B C D E F A: at most the cache bound stays
+        mapped, and the re-parsed A measures exactly like the first A."""
+        shapes = [tiny_params.replace(seed=seed) for seed in range(1, 7)]
+        points = [_point(params, "DFS") for params in shapes + shapes[:1]]
+        mapped = []
+        real_load = arena._load_state
+
+        def counting_load(path):
+            state = real_load(path)  # a cold miss raises FileNotFoundError
+            mapped.append(path)
+            return state
+
+        monkeypatch.setattr(arena, "_load_state", counting_load)
+        root = str(tmp_path / "bounded")
+        pool.configure_db_store(root)
+        bounded = run_sweep(points)
+        gc.collect()
+        live = [path for path in arena.registry()._states if path.startswith(root)]
+        assert len(live) <= pool.WORKER_DB_CACHE_SIZE
+        # Six puts map their arena; A fell out of every holder and was
+        # mapped again from its file.
+        assert len(mapped) == 7
+
+        monkeypatch.setattr(pool, "WORKER_DB_CACHE_SIZE", None)
+        pool.configure_db_store(str(tmp_path / "unbounded"))
+        assert run_sweep(points) == bounded
 
 
 class TestSharedStoreAcrossWorkers:

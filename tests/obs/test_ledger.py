@@ -116,6 +116,18 @@ class TestRecordBuilders:
         assert record["spans"]["point.execute"]["count"] == 4
         assert record["fault_config"] == {"seed": 7}
 
+    def test_both_record_kinds_carry_peak_rss(self):
+        report = report_record(
+            scale=0.1, jobs=1, total_seconds=1.0, experiments=[], faults={},
+            db={}, point_cache={}, fingerprint="abc",
+        )
+        serve = serve_record(
+            config={}, requests={}, latency_ms={}, publish={}, admission={},
+            verified=None, fingerprint="abc",
+        )
+        for record in (report, serve):
+            assert isinstance(record["peak_rss_mb"], float)
+
     def test_records_are_json_serialisable_one_line(self):
         record = serve_record(
             config={"scale": 0.1, "clients": 2},

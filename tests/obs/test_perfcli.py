@@ -11,6 +11,7 @@ from repro.obs.perfcli import (
     perf_flame,
     perf_trend,
     render_diff,
+    render_serve,
     render_spans,
     render_trend,
 )
@@ -53,6 +54,19 @@ class TestTrend:
         records = [report(ts=1_000_000 + i) for i in range(5)]
         table = render_trend(records, last=2)
         assert "2 of 5" in table
+
+    def test_peak_rss_rendered_and_dash_for_older_records(self):
+        newer = dict(report(ts=2), peak_rss_mb=55.5)
+        table = render_trend([report(ts=1), newer])
+        older, latest = [line for line in table.splitlines() if "deadbeef" in line]
+        assert "peak_mb" in table
+        assert "55.5" in latest and " - " in older
+
+    def test_serve_table_renders_peak_rss(self):
+        table, _flagged = render_serve(
+            [{"kind": "serve", "ts": 1}, {"kind": "serve", "ts": 2, "peak_rss_mb": 41.4}]
+        )
+        assert "peak_mb" in table and "41.4" in table
 
 
 class TestComparablePair:

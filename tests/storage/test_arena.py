@@ -1,15 +1,22 @@
-"""Mmap snapshot arenas: round trip, corruption recovery, COW, zero-pickle."""
+"""Mmap snapshot arenas: round trip, corruption recovery, COW, zero-pickle,
+registry lifetime."""
 
+import gc
 import os
 import pickle
+import weakref
 
 import pytest
 
+from repro.core.strategies.base import make_strategy
+from repro.obs import MetricsRegistry, Tracer
 from repro.storage import arena
 from repro.storage.arena import ArenaSnapshot, build_arena
 from repro.storage.page import Page
 from repro.storage.snapshot import Snapshot, SnapshotStore
+from repro.workload.driver import run_sequence
 from repro.workload.generator import build_database
+from repro.workload.queries import generate_sequence
 
 
 @pytest.fixture
@@ -123,8 +130,9 @@ class TestCorruption:
         path = store._arena_path("k")
         with open(path, "r+b") as handle:
             handle.truncate(32)
-        # The writing process's registry pins the pre-damage mapping;
-        # drop it to model a fresh process meeting the damaged file.
+        # The writing store still holds the pre-damage mapping, so the
+        # registry would hand it out; drop the registration to model a
+        # fresh process meeting the damaged file.
         arena.registry().discard(path)
         fresh = SnapshotStore(str(tmp_path))
         assert fresh.get("k") is None  # miss: caller rebuilds
@@ -216,17 +224,49 @@ class TestRegistryConcurrency:
         assert all(state is states[0] for state in states)
         registry.clear()
 
-    def test_pinned_mapping_survives_discard_until_last_unpin(self, arena_path):
-        registry = arena.ArenaRegistry()
-        state = registry.pin(arena_path)
-        registry.pin(arena_path)
-        registry.discard(arena_path)
-        # Two pins outstanding: the mapping must still be readable.
-        assert state.attach().fetch_parent(1) is not None
-        registry.unpin(arena_path)
-        assert state.attach().fetch_parent(1) is not None
-        registry.unpin(arena_path)  # last unpin closes the mapping
-        # A fresh load after discard reparses the (unchanged) file.
-        fresh = registry.load(arena_path)
-        assert fresh is not state
-        registry.clear()
+
+def _dfs_run(db, params):
+    """``(retrieve I/O, trace digest)`` of a traced DFS sequence on ``db``."""
+    tracer = Tracer(registry=MetricsRegistry(), keep_events=False)
+    report = run_sequence(
+        db, make_strategy("DFS"), generate_sequence(params, db), tracer=tracer
+    )
+    return report.retrieve_io, report.traced["digest"]
+
+
+class TestRegistryLifetime:
+    """The registry holds states weakly; clones keep only the mapping."""
+
+    def test_clone_outlives_every_handle(self, tiny_params, tmp_path, monkeypatch):
+        store = SnapshotStore(str(tmp_path))
+        store.put("k", Snapshot.freeze(build_database(tiny_params)))
+        path = store._arena_path("k")
+        handle = store.get("k")
+        state = weakref.ref(handle._state)
+        mapping = weakref.ref(handle._state._mmap)
+        clone_a, clone_b = handle.attach(), handle.attach()
+        expected = _dfs_run(clone_b, tiny_params)
+
+        del handle, clone_b
+        arena.registry().discard(path)
+        store._memory.clear()
+        gc.collect()
+        # No handle is left, so the state is gone, but clone A's stub
+        # pages still view the mapping and answer exactly like B did.
+        assert state() is None
+        assert mapping() is not None
+        assert _dfs_run(clone_a, tiny_params) == expected
+        del clone_a
+        gc.collect()
+        assert mapping() is None
+
+        parses = []
+        real_load = arena._load_state
+
+        def counting_load(load_path):
+            parses.append(load_path)
+            return real_load(load_path)
+
+        monkeypatch.setattr(arena, "_load_state", counting_load)
+        assert store.get("k") is not None
+        assert parses == [path]
