@@ -66,14 +66,6 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _configure_policy(args: argparse.Namespace) -> None:
-    from repro.experiments.pool import configure_retry_policy
-
-    configure_retry_policy(
-        max_retries=args.max_retries, point_timeout=args.point_timeout
-    )
-
-
 def _run_profiled(args: argparse.Namespace, fn):
     """Run ``fn`` under cProfile when ``--profile`` was given.
 
@@ -110,8 +102,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         configure_db_store,
         run_sweep,
     )
+    from repro.experiments.report import apply_policy_arguments
 
-    _configure_policy(args)
+    apply_policy_arguments(args)
     configure_db_store(
         None
         if args.no_db_cache
@@ -169,9 +162,10 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.experiments.report import apply_policy_arguments
     from repro.fault.chaos import run_chaos
 
-    _configure_policy(args)
+    apply_policy_arguments(args)
     return run_chaos(
         scale=args.scale,
         fault_seed=args.fault_seed,

@@ -103,9 +103,9 @@ class DeadlineExceeded(ReproError):
 
     Raised by :meth:`repro.util.deadline.Deadline.check` (and the
     driver's per-operation check) when the enclosing operation outlived
-    its budget.  Unlike a ``SIGALRM`` timeout this works on any thread —
-    the sweep engine translates it into :class:`WorkerLost` so retry
-    accounting is identical on both paths.
+    its budget, on whatever thread runs it.  The sweep engine translates
+    it into :class:`WorkerLost`, so a point timeout is charged exactly
+    like a pool worker the parent's watchdog gave up on.
     """
 
 

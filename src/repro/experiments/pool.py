@@ -23,13 +23,13 @@ module turns that structure into an explicit execution layer:
   repeated sweep resumes from the cache, and any code change invalidates
   every entry at once.
 
-Databases themselves are reused through the copy-on-write snapshot
-store (:mod:`repro.storage.snapshot`): when :func:`configure_db_store`
-names a store root (the report runner and CLI point it at
-``results/.dbcache/``), every built shape is frozen once and each
-point attaches a clone in milliseconds — in-process, in every pool
-worker, and across repeated report runs.  ``SWEEP_LOG`` entries carry
-the build/attach split so the saving is visible in telemetry.
+Every point runs on a fresh copy-on-write clone of a frozen database
+template (:mod:`repro.storage.snapshot`), built once per shape.  When
+:func:`configure_db_store` names a store root (the report runner and
+CLI point it at ``results/.dbcache/``), the templates also persist, so
+every pool worker and every later report run attaches instead of
+building.  ``SWEEP_LOG`` entries carry the build/attach split so the
+saving is visible in telemetry.
 
 Fault tolerance (see :mod:`repro.fault`): a point's measurement is
 deterministic, so every failure is recoverable by re-deriving state —
@@ -53,15 +53,12 @@ deterministic, so every failure is recoverable by re-deriving state —
 
 Fault and recovery counters (injections, retries, timeouts, pool
 restarts, quarantined cells, cache corruption and downgrades) land in
-each ``SWEEP_LOG`` entry and the process-wide
-:class:`~repro.obs.MetricsRegistry`.
+each ``SWEEP_LOG`` entry.
 
 Determinism contract: a point's measurement depends only on its spec.
-The database build is seeded, ``run_sequence(reset=True)`` starts every
-run from a cold buffer pool and an empty cache, and the workload's
-updates rewrite fixed-size integer fields in place — so re-running a
-point against a reused database yields the same report as against a
-fresh one (``tests/experiments/test_pool.py`` pins this down, and
+The database build is seeded and every execution starts from a pristine
+clone of it, so no point sees what ran (or crashed) before it
+(``tests/experiments/test_pool.py`` pins this down, and
 ``tests/fault/`` pins that recovery never changes a measured result).
 """
 
@@ -71,10 +68,8 @@ import dataclasses
 import hashlib
 import json
 import os
-import signal
 import sys
 import tempfile
-import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
@@ -145,11 +140,13 @@ class RetryPolicy:
     ``max_retries`` is per point (so a point runs at most
     ``max_retries + 1`` times); ``backoff_seconds`` is the base of the
     exponential backoff between attempts; ``point_timeout`` bounds one
-    execution (a cooperative monotonic deadline on every thread, a
-    SIGALRM backstop on the main thread, and the parent-side watchdog
-    for pool workers; ``None`` disables); ``max_pool_restarts`` bounds
-    how often a crashed or hung worker pool is rebuilt before the sweep
-    continues on the in-process executor.
+    execution (a cooperative monotonic deadline checked between
+    operations on whatever thread runs the point, plus the parent-side
+    watchdog for pool workers; ``None`` disables);
+    ``max_pool_restarts`` bounds how often a crashed or hung worker
+    pool is rebuilt before the sweep continues on the in-process
+    executor.  The policy travels with every task, so both executors
+    apply the same one.
 
     The serving layer reuses this policy for client-side retry with
     jittered exponential backoff (:mod:`repro.serve.clients`).
@@ -168,23 +165,13 @@ DEFAULT_POLICY = RetryPolicy()
 
 
 def configure_retry_policy(
-    max_retries: Optional[int] = None,
-    point_timeout: Optional[float] = None,
-    backoff_seconds: Optional[float] = None,
+    max_retries: Optional[int] = None, point_timeout: Optional[float] = None
 ) -> None:
     """Adjust :data:`DEFAULT_POLICY` (None leaves a field unchanged)."""
     global DEFAULT_POLICY
+    changes = {"max_retries": max_retries, "point_timeout": point_timeout}
     DEFAULT_POLICY = dataclasses.replace(
-        DEFAULT_POLICY,
-        **{
-            name: value
-            for name, value in (
-                ("max_retries", max_retries),
-                ("point_timeout", point_timeout),
-                ("backoff_seconds", backoff_seconds),
-            )
-            if value is not None
-        },
+        DEFAULT_POLICY, **{k: v for k, v in changes.items() if v is not None}
     )
 
 
@@ -607,42 +594,21 @@ def _execute_deep(point: SweepPoint, db_cache: Optional[DatabaseCache]) -> float
 def _point_deadline(seconds: Optional[float]) -> Iterator[None]:
     """Raise :class:`WorkerLost` if the body outlives ``seconds``.
 
-    Two mechanisms layer.  A cooperative monotonic
-    :class:`~repro.util.deadline.Deadline` is enforced for the body
-    (the measurement driver checks it between operations), which works
-    on *any* thread — the historic bug was that ``SIGALRM`` silently
-    no-opped off the main thread, so embedded or threaded sweeps ran
-    without a timeout.  On the main thread of SIGALRM platforms the
-    alarm stays armed as a backstop that interrupts even a single
-    operation that never reaches a cooperative checkpoint.  Both paths
-    surface as :class:`WorkerLost`, so retry/timeout accounting is
-    identical regardless of which one fired.
+    A cooperative monotonic :class:`~repro.util.deadline.Deadline` is
+    enforced for the body: the measurement driver and the deep-query
+    loop check it between operations, on whatever thread runs the
+    point, and the process's signals and timers stay untouched.  The
+    translation to :class:`WorkerLost` makes a point timeout count
+    exactly like a pool worker the parent's watchdog gave up on.
     """
     if not seconds:
         yield
         return
-    use_alarm = (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-
-    def _timed_out(signum: int, frame: Any) -> None:
-        raise WorkerLost("point exceeded its %.3gs deadline" % seconds)
-
-    if use_alarm:
-        previous = signal.signal(signal.SIGALRM, _timed_out)
-        signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         with _deadline.enforced(_deadline.Deadline.after(seconds)):
             yield
     except DeadlineExceeded:
-        raise WorkerLost(
-            "point exceeded its %.3gs deadline" % seconds
-        ) from None
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+        raise WorkerLost("point exceeded its %.3gs deadline" % seconds) from None
 
 
 def _execute_with_recovery(
@@ -653,10 +619,10 @@ def _execute_with_recovery(
 ) -> Dict[str, Any]:
     """Run one point with the policy's retry/deadline budget.
 
-    Failures are retried with exponential backoff against a freshly
-    materialized database (the previous attempt may have left a
-    half-mutated clone; re-attaching is deterministic, so the retry's
-    measurement is identical to an undisturbed run).  Raises
+    Failures are retried with exponential backoff; every attempt runs on
+    a fresh clone of the frozen template, so whatever a failed attempt
+    left half-done is gone and the retry's measurement is identical to
+    an undisturbed run.  Raises
     :class:`PointFailed` once the budget is exhausted — or immediately
     for malformed specs, which no retry can fix.
     """
@@ -680,7 +646,6 @@ def _execute_with_recovery(
                     cause=exc,
                 )
             counters["retries"] += 1
-            db_cache.clear()
             time.sleep(policy.backoff_seconds * (2 ** (attempts - 1)))
 
 
@@ -688,21 +653,17 @@ def _execute_with_recovery(
 # the sweep engine
 # ----------------------------------------------------------------------
 _WORKER_DB_CACHE: Optional[DatabaseCache] = None
-_WORKER_POLICY: RetryPolicy = DEFAULT_POLICY
 
 
 def _init_worker(
-    store_root: Optional[str] = None,
-    plan: Optional["_fault.FaultPlan"] = None,
-    policy: Optional[RetryPolicy] = None,
+    store_root: Optional[str] = None, plan: Optional["_fault.FaultPlan"] = None
 ) -> None:
-    global _WORKER_DB_CACHE, _WORKER_POLICY
+    global _WORKER_DB_CACHE
     _fault.mark_worker()
     if plan is not None:
         _fault.install(plan)
     store = SnapshotStore(store_root) if store_root else None
     _WORKER_DB_CACHE = DatabaseCache(max_entries=WORKER_DB_CACHE_SIZE, store=store)
-    _WORKER_POLICY = policy or RetryPolicy()
 
 
 def _stats_delta(
@@ -724,14 +685,14 @@ def _injection_delta(
 
 def _run_task(
     point: SweepPoint,
+    policy: RetryPolicy,
     db_cache: Optional[DatabaseCache] = None,
-    policy: Optional[RetryPolicy] = None,
 ) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
     """Execute one point with its retries, for either executor.
 
-    A pool worker calls this with the point alone and runs against the
-    state :func:`_init_worker` left in the process; the in-process
-    executor passes its own ``db_cache`` and ``policy``.  Returns
+    Both executors pass the sweep's ``policy`` with the point.  A pool
+    worker runs against the database cache :func:`_init_worker` left in
+    the process; the in-process executor passes its own.  Returns
     ``(payload, db_stats_delta, task_counters)``.  A point that
     exhausts its retries comes back as a ``kind="failed"`` payload
     rather than an exception, so its database-cache telemetry still
@@ -743,7 +704,7 @@ def _run_task(
     _fault.hit("worker.hang")
     in_worker = db_cache is None
     if in_worker:
-        db_cache, policy = _WORKER_DB_CACHE, _WORKER_POLICY
+        db_cache = _WORKER_DB_CACHE
     task_counters: Dict[str, Any] = {"retries": 0, "timeouts": 0}
     # A worker fires its own copy of the plan, which the parent cannot
     # see.  In-process the plan is the parent's, and run_sweep counts it
@@ -919,8 +880,6 @@ def run_sweep(
         + db_stats.get("corrupt", 0),
         "quarantined": list(counters["quarantined"]),
     }
-    _record_fault_metrics(faults)
-
     entry = {
         "points": len(points),
         "cache_hits": hits,
@@ -935,21 +894,6 @@ def run_sweep(
     if progress is not None:
         progress("sweep_end", entry)
     return results
-
-
-def _record_fault_metrics(faults: Dict[str, Any]) -> None:
-    """Mirror one sweep's fault/recovery counters into the obs registry."""
-    from repro.obs import registry
-
-    reg = registry()
-    for site, count in faults["injections"].items():
-        reg.inc("fault.injections", count, site=site)
-    for name in ("retries", "timeouts", "pool_restarts", "downgrades",
-                 "cache_corrupt"):
-        if faults[name]:
-            reg.inc("fault.%s" % name, faults[name])
-    if faults["quarantined"]:
-        reg.inc("fault.quarantined", len(faults["quarantined"]))
 
 
 def _aggregate_reports(results: Sequence[Any]) -> Dict[str, Any]:
@@ -986,19 +930,18 @@ class _InProcessExecutor:
     worker's (:data:`WORKER_DB_CACHE_SIZE`).
     """
 
-    def __init__(self, policy: RetryPolicy) -> None:
+    def __init__(self) -> None:
         self._db_cache = DatabaseCache(
             max_entries=WORKER_DB_CACHE_SIZE, store=_db_store()
         )
-        self._policy = policy
 
-    def submit(self, fn: Any, point: SweepPoint) -> "Future[Any]":
+    def submit(self, fn: Any, *args: Any) -> "Future[Any]":
         # The ``sweep.kill`` site SIGKILLs the process here — *between*
         # points — so every completed point is already checkpointed.
         _fault.hit("sweep.kill")
         future: "Future[Any]" = Future()
         try:
-            future.set_result(fn(point, self._db_cache, self._policy))
+            future.set_result(fn(*args, self._db_cache))
         except Exception as exc:  # KeyboardInterrupt reaches run_sweep
             future.set_exception(exc)
         return future
@@ -1057,7 +1000,7 @@ def _dispatch(
             max_workers=jobs,
             mp_context=mp.get_context(method),
             initializer=_init_worker,
-            initargs=(DB_STORE_ROOT, plan, policy),
+            initargs=(DB_STORE_ROOT, plan),
         )
 
     if jobs > 1 and len(pending) > 1:
@@ -1072,7 +1015,7 @@ def _dispatch(
         width = jobs
     else:
         order = pending
-        executor = _InProcessExecutor(policy)
+        executor = _InProcessExecutor()
         width = 1
     todo: "deque[int]" = deque(order)
     attempts: Dict[int, int] = {}
@@ -1128,7 +1071,7 @@ def _dispatch(
             "repro: worker pool failed %d times; finishing the sweep "
             "in-process without a pool\n" % restarts
         )
-        executor = _InProcessExecutor(policy)
+        executor = _InProcessExecutor()
         width = 1
 
     try:
@@ -1139,7 +1082,7 @@ def _dispatch(
             while todo and len(running) < width:
                 i = todo.popleft()
                 try:
-                    future = executor.submit(_run_task, points[i])
+                    future = executor.submit(_run_task, points[i], policy)
                 except BrokenExecutor:
                     todo.appendleft(i)
                     broken = True

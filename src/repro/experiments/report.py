@@ -192,7 +192,7 @@ def jobs_arg(value: str) -> int:
 
 def add_policy_arguments(parser: argparse.ArgumentParser) -> None:
     """The ``--max-retries``/``--point-timeout`` flags of an argparse parser
-    (their values go to :func:`pool.configure_retry_policy`)."""
+    (:func:`apply_policy_arguments` installs their values)."""
     parser.add_argument(
         "--max-retries", dest="max_retries", type=int, default=None,
         help="per-point retry budget before the point is quarantined "
@@ -202,6 +202,13 @@ def add_policy_arguments(parser: argparse.ArgumentParser) -> None:
         "--point-timeout", dest="point_timeout", type=float, default=None,
         help="seconds one point may run before it counts as a failed "
         "attempt (default: no limit)",
+    )
+
+
+def apply_policy_arguments(args: argparse.Namespace) -> None:
+    """Make the :func:`add_policy_arguments` flags the sweep default policy."""
+    pool.configure_retry_policy(
+        max_retries=args.max_retries, point_timeout=args.point_timeout
     )
 
 
@@ -279,9 +286,7 @@ def run(args: argparse.Namespace) -> int:
     """Run the report an :func:`add_arguments` namespace describes."""
     os.makedirs(args.out, exist_ok=True)
 
-    pool.configure_retry_policy(
-        max_retries=args.max_retries, point_timeout=args.point_timeout
-    )
+    apply_policy_arguments(args)
     pool.configure_db_store(
         None
         if args.no_db_cache

@@ -5,18 +5,18 @@ recipe: build databases over a parameter sweep, run each strategy on a
 random query sequence, and tabulate the average I/O per retrieve.  This
 module centralises:
 
-* :class:`ExperimentResult` — rows + rendered table, so benchmarks and
-  the CLI print exactly the series the paper plots;
+* :class:`ExperimentResult` — rows + rendered table, so tests and the
+  CLI print exactly the series the paper plots;
 * :func:`adaptive_queries` — fewer queries for huge-NumTop points (their
   per-query variance is tiny and their per-query cost is large), keeping
   pure-Python sweeps tractable without biasing averages;
-* :func:`run_point` — build/reuse a database, run one strategy, return
-  its report.
+* :func:`run_point` — attach a database, run one strategy, return its
+  report.
 
-Databases are cached per shape (the parameters that affect the stored
-bytes), because a sweep over NumTop or Pr(UPDATE) can reuse one database;
-updates only rewrite integer fields in place, and the driver resets the
-cache, buffer pool and counters between runs.
+Databases are built once per shape (the parameters that affect the
+stored bytes) and frozen; every point then runs on a fresh clone, so a
+sweep over NumTop or Pr(UPDATE) shares one build without any point
+seeing another's updates.
 """
 
 from __future__ import annotations
@@ -118,32 +118,28 @@ def adaptive_queries(num_top: int, requested: Optional[int] = None) -> int:
 
 
 class DatabaseCache:
-    """Reuses built databases across sweep points with the same shape.
+    """Frozen database templates per shape; every get is a fresh clone.
+
+    The cache holds immutable :class:`~repro.storage.snapshot.Snapshot`
+    templates, and every :meth:`get` / :meth:`get_deep` attaches a
+    **fresh copy-on-write clone** (milliseconds).  Each point then
+    executes against pristine state, so a measurement — including its
+    full traced event stream — is independent of which points ran
+    before it, in this process or any worker.  That history
+    independence is what makes fault recovery exact: a retried, killed
+    or re-dispatched point replays bit-identically.
+
+    A :class:`~repro.storage.snapshot.SnapshotStore` only adds
+    persistence: built templates are written to it and later caches,
+    workers and runs load them instead of building.  A store read or
+    write failure drops the store (:meth:`_degrade`) and nothing else.
 
     ``max_entries`` bounds the cache (least-recently-used eviction) so a
     long sweep — or a pool worker that sees many shapes — cannot hold
-    every database it ever built.  Rebuilding an evicted database is
-    fully deterministic, so a bound never changes measured results.
-    In snapshot mode this bound and the store's memory tier decide
-    which loaded arenas a sweep keeps mapped (the arena registry keeps
-    none alive); an evicted shape is re-parsed from its file when it
-    comes back.
-
-    Without a store, the cache holds live databases and later points
-    *reuse* them, mutations and all (the driver's reset contract keeps
-    measured costs identical either way).
-
-    With a :class:`~repro.storage.snapshot.SnapshotStore`, the cache
-    operates in *snapshot mode*: it holds immutable
-    :class:`~repro.storage.snapshot.Snapshot` templates and every
-    :meth:`get` attaches a **fresh copy-on-write clone** (milliseconds).
-    Each point then executes against pristine state, so a measurement —
-    including its full traced event stream — is independent of which
-    points ran before it, in this process or any worker.  That history
-    independence is what makes fault recovery exact: a retried, killed
-    or re-dispatched point replays bit-identically.  A store read or
-    write failure degrades *persistence* only (snapshots stay in the
-    in-process LRU); snapshot mode itself is never lost mid-sweep.
+    every template it ever built.  Re-loading or rebuilding an evicted
+    shape is deterministic, so a bound never changes measured results.
+    This bound and the store's memory tier decide which loaded arenas a
+    sweep keeps mapped (the arena registry keeps none alive).
     """
 
     #: Parameters that change the stored data (anything else can vary
@@ -168,15 +164,10 @@ class DatabaseCache:
         max_entries: Optional[int] = None,
         store: Optional[SnapshotStore] = None,
     ) -> None:
-        #: Live databases (classic mode) or Snapshot templates
-        #: (snapshot mode), LRU-bounded by ``max_entries`` either way.
-        self._cache: "OrderedDict[Tuple, Any]" = OrderedDict()
+        #: Snapshot templates, LRU-bounded by ``max_entries``.
+        self._cache: "OrderedDict[Tuple, Snapshot]" = OrderedDict()
         self.max_entries = max_entries
         self.store = store
-        #: Fixed at construction: a store request puts the cache in
-        #: snapshot mode for its whole lifetime, even if the store
-        #: itself is later dropped by :meth:`_degrade`.
-        self.snapshot_mode = store is not None
         self.builds = 0
         self.attaches = 0
         #: The share of ``attaches`` cloned from an mmap arena; the rest
@@ -204,20 +195,16 @@ class DatabaseCache:
         cache: bool = False,
         procedural: bool = False,
     ):
-        key = self.shape_key(params, clustering, cache, procedural)
-        return self._materialize(
-            key,
-            lambda: build_database(
-                params, clustering=clustering, cache=cache, procedural=procedural
-            ),
-        )
+        """A fresh clone of the database for this shape."""
+        return self._attach(self.snapshot_for(params, clustering, cache, procedural))
 
     def get_deep(self, params):
-        """Build/reuse a deep-hierarchy database for ``DeepParams``."""
+        """A fresh clone of the deep-hierarchy database for ``DeepParams``."""
         from repro.workload.deepgen import build_deep_database
 
-        key = ("deep", params)
-        return self._materialize(key, lambda: build_deep_database(params))
+        return self._attach(
+            self._template(("deep", params), lambda: build_deep_database(params))
+        )
 
     def snapshot_for(
         self,
@@ -225,62 +212,26 @@ class DatabaseCache:
         clustering: bool = False,
         cache: bool = False,
         procedural: bool = False,
-    ):
-        """The immutable snapshot template for a shape (snapshot mode only).
+    ) -> Snapshot:
+        """The immutable snapshot template for a shape.
 
         The serving layer builds its MVCC version chain on top of the
         template itself — epoch 0 is this snapshot, later epochs are
         frozen clones — so it needs the template handle, not the
-        pre-attached clone :meth:`get` returns.  Shares the store (and
+        attached clone :meth:`get` returns.  Shares the store (and
         therefore built artifacts) with report/sweep runs of the same
         shape.
         """
-        if not self.snapshot_mode:
-            raise ValueError("snapshot_for requires a store-backed cache")
         key = self.shape_key(params, clustering, cache, procedural)
-        snapshot = self._cache.get(key)
-        if snapshot is None:
-            snapshot = self._obtain_snapshot(
-                key,
-                lambda: build_database(
-                    params, clustering=clustering, cache=cache, procedural=procedural
-                ),
-            )
-            self._cache[key] = snapshot
-            self._evict_over_bound()
-        elif self.max_entries is not None:
-            self._cache.move_to_end(key)
-        return snapshot
+        return self._template(
+            key,
+            lambda: build_database(
+                params, clustering=clustering, cache=cache, procedural=procedural
+            ),
+        )
 
-    def _materialize(self, key: Tuple, build) -> Any:
-        """A runnable database for ``key``.
-
-        Classic mode reuses the cached live database (building on a
-        miss).  Snapshot mode looks up the cached (or stored) immutable
-        template — freezing a fresh build on a miss — and always attaches
-        a new pristine clone, so every caller gets history-independent
-        state.
-        """
-        if not self.snapshot_mode:
-            db = self._cache.get(key)
-            if db is None:
-                t0 = time.perf_counter()
-                with _spans.span("db.build"):
-                    db = build()
-                self.builds += 1
-                self.build_seconds += time.perf_counter() - t0
-                self._cache[key] = db
-                self._evict_over_bound()
-            elif self.max_entries is not None:
-                self._cache.move_to_end(key)
-            return db
-        snapshot = self._cache.get(key)
-        if snapshot is None:
-            snapshot = self._obtain_snapshot(key, build)
-            self._cache[key] = snapshot
-            self._evict_over_bound()
-        elif self.max_entries is not None:
-            self._cache.move_to_end(key)
+    def _attach(self, snapshot: Snapshot) -> Any:
+        """A new pristine clone of ``snapshot``."""
         t0 = time.perf_counter()
         with _spans.span("db.attach"):
             clone = snapshot.attach()
@@ -290,14 +241,18 @@ class DatabaseCache:
         self.attach_seconds += time.perf_counter() - t0
         return clone
 
-    def _obtain_snapshot(self, key: Tuple, build) -> Snapshot:
-        """The immutable template for ``key``: from the store, or built.
+    def _template(self, key: Tuple, build) -> Snapshot:
+        """The template for ``key``: cached, from the store, or built.
 
         A store failure on either path degrades persistence and falls
         back to a local deterministic build; it never aborts the sweep.
         """
+        snapshot = self._cache.get(key)
+        if snapshot is not None:
+            if self.max_entries is not None:
+                self._cache.move_to_end(key)
+            return snapshot
         store_key = self.snapshot_key(key)
-        snapshot = None
         if self.store is not None:
             try:
                 snapshot = self.store.get(store_key)
@@ -327,15 +282,18 @@ class DatabaseCache:
                     else:
                         if revived is not None:
                             snapshot = revived
+        self._cache[key] = snapshot
+        while self.max_entries is not None and len(self._cache) > self.max_entries:
+            self._cache.popitem(last=False)
         return snapshot
 
     def _degrade(self, exc: BaseException) -> None:
         """Drop the persistent store after a store fault.
 
-        Persistence is lost; snapshot mode is not.  Templates stay in
-        this cache's own LRU, every point still attaches a pristine
-        clone, and measurements continue bit-identically — a store that
-        cannot be read or written must never sink (or skew) a sweep.
+        Persistence is lost, nothing else: templates stay in this
+        cache's own LRU, every point still attaches a pristine clone,
+        and measurements continue bit-identically — a store that cannot
+        be read or written must never sink (or skew) a sweep.
         """
         self.store = None
         self.downgrades += 1
@@ -364,12 +322,6 @@ class DatabaseCache:
         if self.store is not None:
             stats.update(self.store.stats)
         return stats
-
-    def _evict_over_bound(self) -> None:
-        if self.max_entries is None:
-            return
-        while len(self._cache) > self.max_entries:
-            self._cache.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._cache)

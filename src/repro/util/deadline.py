@@ -1,19 +1,18 @@
 """Monotonic-clock deadlines with cooperative cancellation.
 
-``SIGALRM`` — the original ``--point-timeout`` mechanism — only works on
-the main thread of the main interpreter, so anything that measures from
-a worker thread (the serving layer's readers, a sweep embedded in a
-host application) silently ran without a deadline.  A :class:`Deadline`
-is the thread-safe replacement: a fixed point on ``time.monotonic_ns``
-that any thread can poll.
+A :class:`Deadline` is a fixed point on ``time.monotonic_ns`` that any
+thread can poll.  It is the one timeout mechanism of ``--point-timeout``
+and of the serving layer's per-request budgets, so a sweep behaves the
+same on the main thread, a worker thread or inside a host application,
+and never touches the process's signal handlers or interval timers.
 
 Cancellation is *cooperative*: long-running code calls
 :func:`check_active` at its natural checkpoints (the measurement driver
-does so between operations) and the check raises
-:class:`~repro.errors.DeadlineExceeded` once the innermost
-:func:`enforced` deadline of the current thread has passed.  The serial
-sweep path additionally keeps ``SIGALRM`` as a backstop so a single
-operation that never reaches a checkpoint is still interrupted.
+does so between operations, the deep-query loop between queries) and
+the check raises :class:`~repro.errors.DeadlineExceeded` once the
+innermost :func:`enforced` deadline of the current thread has passed.
+A pool worker stuck inside one operation is the parent's problem: its
+watchdog tears the pool down once the point outlives its budget.
 
 The active deadline is tracked per thread (a ``threading.local``), so
 concurrent requests with different budgets never observe each other.

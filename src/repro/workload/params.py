@@ -16,7 +16,8 @@ Defaults reproduce the paper's setup:
 ``scaled()`` shrinks the database while preserving the ratios the paper
 says matter ("the results for larger database sizes can be obtained from
 scaling ... provided a proportionally larger cache and main memory buffer
-is used") — benchmarks use it to keep pure-Python sweeps tractable.
+is used") — tests and reduced-scale reports use it to keep pure-Python
+sweeps tractable.
 """
 
 from __future__ import annotations

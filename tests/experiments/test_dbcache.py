@@ -194,12 +194,9 @@ class TestBoundedResidency:
 
 class TestSharedStoreAcrossWorkers:
     def _points(self, params):
-        # Measured reports are invariant to database reuse (the engine's
-        # determinism contract), so the store-backed parallel run and the
-        # store-less serial run compare exactly.  Traces are not compared
-        # across that boundary: store-less points reuse mutated databases,
-        # so their unmeasured reset-flush events depend on what ran before
-        # (snapshot-mode points always attach pristine clones and don't).
+        # Every point runs on a pristine clone with or without a store, so
+        # the store-backed parallel run and the store-less serial run
+        # compare exactly.
         return [
             SweepPoint(
                 params=params.replace(num_top=num_top),

@@ -23,11 +23,9 @@ def _point(params, strategy="BFS", **kwargs):
 
 class TestDeterminism:
     def test_same_point_twice_through_one_database_cache(self, params):
-        """Re-running a point against a reused database is bit-identical.
-
-        This guards the driver's reset contract: run_sequence(reset=True)
-        must leave no state behind that could shift a later measurement.
-        """
+        """Re-running a point through one database cache is bit-identical:
+        each run gets its own clone, so nothing the first left behind can
+        shift the second."""
         db_cache = DatabaseCache()
         first = pool.execute_point(_point(params), db_cache)
         second = pool.execute_point(_point(params), db_cache)
@@ -201,15 +199,10 @@ class TestCounterIsolation:
     """Pooled workers reuse processes: nothing may leak between points."""
 
     def test_buffer_stats_do_not_leak_across_points(self, params):
-        """A point's buffer delta is identical however many ran before it.
-
-        The driver measures PoolStats as a snapshot delta, so the live
-        counters of a reused database can keep running without polluting
-        any later point's report.
-        """
+        """A point's buffer delta is identical however many ran before it."""
         db_cache = DatabaseCache()
         first = pool.execute_point(_point(params, "DFSCACHE"), db_cache)
-        for _ in range(2):  # churn the same pooled database
+        for _ in range(2):  # churn clones of the same cached template
             pool.execute_point(_point(params, "DFSCACHE"), db_cache)
         again = pool.execute_point(_point(params, "DFSCACHE"), db_cache)
         fresh = pool.execute_point(_point(params, "DFSCACHE"), DatabaseCache())
@@ -365,7 +358,7 @@ class TestOneDispatchLoop:
         assert faults["injections"] == {}  # worker.* never fires in the parent
 
     def test_deep_point_honours_its_deadline_off_the_main_thread(self):
-        """No SIGALRM off the main thread: the deep loop must poll."""
+        """The deep-query loop polls the cooperative deadline."""
         import threading
 
         from repro.workload.deepgen import DeepParams
@@ -394,3 +387,52 @@ class TestOneDispatchLoop:
         (entry,) = entries
         assert entry["faults"]["timeouts"] == 1
         assert entry["faults"]["quarantined"] == [pool.point_label(point)]
+
+    def test_every_experiments_costliest_point_times_out_cooperatively(
+        self, monkeypatch
+    ):
+        """The deadline is the only timeout, so every experiment must reach
+        a cooperative checkpoint: its costliest point, off the main
+        thread, under a 1 ms budget, fails fast as one timeout."""
+        import threading
+        import time
+
+        from repro.experiments import report
+
+        class Captured(Exception):
+            def __init__(self, points):
+                super().__init__()
+                self.points = list(points)
+
+        def capture(points, **_kwargs):
+            raise Captured(points)
+
+        for module in (report.ablations, report.deep, report.fig3, report.fig4,
+                       report.fig5, report.fig7, report.matrix, report.opt,
+                       report.sec62, report.smart):
+            monkeypatch.setattr(module, "run_sweep", capture)
+        costliest = {}
+        for name, run_experiment in report.experiment_suite(0.05):
+            with pytest.raises(Captured) as caught:
+                run_experiment()
+            costliest[name] = max(caught.value.points, key=pool._cost_estimate)
+        assert sorted(costliest) == sorted(report.EXPERIMENT_NAMES)
+
+        policy = pool.RetryPolicy(max_retries=0, point_timeout=1e-3)
+        outcomes = {}
+
+        def sweep():
+            for name, point in costliest.items():
+                (result,) = run_sweep([point], policy=policy)
+                outcomes[name] = (result, pool.SWEEP_LOG[-1]["faults"])
+
+        t0 = time.perf_counter()
+        thread = threading.Thread(target=sweep)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive()
+        assert time.perf_counter() - t0 <= 10.0
+        assert sorted(outcomes) == sorted(costliest)
+        for name, (result, faults) in outcomes.items():
+            assert isinstance(result, pool.FailedPoint), name
+            assert faults["timeouts"] == 1, name

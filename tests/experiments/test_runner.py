@@ -43,7 +43,8 @@ class TestDatabaseCache:
         cache = DatabaseCache()
         a = cache.get(tiny_params)
         b = cache.get(tiny_params.replace(num_top=3))  # num_top is not shape
-        assert a is b
+        assert a is not b  # two clones of one build
+        assert (cache.builds, cache.attaches, len(cache)) == (1, 2, 1)
 
     def test_distinguishes_shape_changes(self, tiny_params):
         cache = DatabaseCache()
@@ -63,22 +64,38 @@ class TestDatabaseCache:
         a = cache.get(tiny_params)
         cache.clear()
         assert cache.get(tiny_params) is not a
+        assert cache.builds == 2
 
     def test_bounded_cache_evicts_least_recently_used(self, tiny_params):
         cache = DatabaseCache(max_entries=2)
-        a = cache.get(tiny_params)
+        cache.get(tiny_params)
         cache.get(tiny_params.replace(use_factor=2))
-        assert cache.get(tiny_params) is a  # refreshes a's recency
+        cache.get(tiny_params)  # refreshes its recency without a build
+        assert cache.builds == 2
         cache.get(tiny_params.replace(use_factor=3))  # evicts use_factor=2
         assert len(cache) == 2
-        assert cache.get(tiny_params) is a
+        cache.get(tiny_params)
+        assert cache.builds == 3
+        cache.get(tiny_params.replace(use_factor=2))  # evicted: built again
+        assert (cache.builds, cache.attaches) == (4, 6)
 
     def test_get_deep_reuses_database(self):
         from repro.workload.deepgen import DeepParams
 
         cache = DatabaseCache()
         base = DeepParams(num_roots=40, depth=2, use_factor=3)
-        assert cache.get_deep(base) is cache.get_deep(base)
+        assert cache.get_deep(base) is not cache.get_deep(base)
+        assert (cache.builds, cache.attaches) == (1, 2)
+
+    def test_every_get_reads_the_pristine_build(self, tiny_params):
+        """What one point writes into its clone never reaches the next."""
+        cache = DatabaseCache()
+        first = cache.get(tiny_params)
+        oid, ret1 = next(first.child_rels[0].scan())[:2]
+        first.apply_update([(0, oid)], ret1 + 1)  # rewrites a ChildRel page
+        assert first.child_rels[0].lookup_one(oid)[1] == ret1 + 1
+        second = cache.get(tiny_params)
+        assert second.child_rels[0].lookup_one(oid)[1] == ret1
 
 
 class TestRunPoint:

@@ -162,8 +162,9 @@ class TestSmartShapes:
         return smart.run(scale=SCALE)
 
     def test_smart_beats_bfs_at_low_update_rates(self, result):
-        row = result.rows[0]  # Pr(UPDATE) = 0
+        row = result.rows[0]
         pr, bfs, dfscache, smart_cost = row
+        assert pr == 0.0
         assert smart_cost < bfs
 
     def test_smart_beats_dfscache_on_the_mix(self, result):
@@ -182,6 +183,7 @@ class TestAblationShapes:
         hit_rates = result.column("hit_rate")
         assert costs[-1] < costs[0]  # bigger cache, cheaper queries
         assert hit_rates[-1] > hit_rates[0]
+        assert hit_rates == sorted(hit_rates)  # no step lowers the hit rate
 
     def test_buffer_size_helps_but_preserves_order(self):
         result = ablations.run_buffer_size(scale=SCALE)
@@ -224,6 +226,7 @@ class TestMatrixShapes:
         return matrix.run(scale=0.2)
 
     def test_procedural_column_ordering(self, result):
+        assert result.rows[0][0] == 0.0  # the first row is read-only
         pr0 = dict(zip(result.headers[1:], result.rows[0][1:]))
         assert pr0["PROC-CACHE-VALUES"] < pr0["PROC-CACHE-OIDS"] < pr0["PROC-EXEC"]
 

@@ -1,5 +1,6 @@
 """Deadline helper: monotonic expiry, per-thread enforcement, pool glue."""
 
+import signal
 import threading
 import time
 
@@ -7,10 +8,10 @@ import pytest
 
 from repro.core.strategies.base import make_strategy
 from repro.errors import DeadlineExceeded, WorkerLost
-from repro.experiments.pool import _point_deadline
+from repro.experiments.pool import RetryPolicy, SweepPoint, _point_deadline, run_sweep
 from repro.util.deadline import Deadline, active, check_active, enforced
 from repro.util.rng import derive_rng
-from repro.workload.driver import run_sequence
+from repro.workload.driver import CostReport, run_sequence
 from repro.workload.queries import generate_sequence
 
 
@@ -90,6 +91,27 @@ class TestPointDeadline:
     def test_no_timeout_means_no_deadline(self):
         with _point_deadline(None):
             assert active() is None
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timers")
+    def test_timed_sweep_leaves_the_callers_timer_alone(self, tiny_params):
+        """An embedder's SIGALRM handler and armed timer survive a sweep."""
+
+        def handler(signum, frame):  # pragma: no cover - never fires
+            pass
+
+        previous = signal.signal(signal.SIGALRM, handler)
+        signal.setitimer(signal.ITIMER_REAL, 30)
+        try:
+            point = SweepPoint(params=tiny_params, strategy="BFS", num_retrieves=3)
+            (report,) = run_sweep([point], policy=RetryPolicy(point_timeout=10))
+            remaining, _interval = signal.getitimer(signal.ITIMER_REAL)
+            handler_after = signal.getsignal(signal.SIGALRM)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert isinstance(report, CostReport)
+        assert remaining > 20
+        assert handler_after is handler
 
     def test_driver_checkpoints_between_operations(self, tiny_db, tiny_params):
         strategy = make_strategy("BFS")
