@@ -289,7 +289,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs import MetricsRegistry, Tracer, profiled
     from repro.workload.driver import database_for, run_sequence
     from repro.workload.queries import generate_sequence
 
@@ -300,9 +300,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     tracer = Tracer(registry=registry, keep_events=True)
     # run_sequence self-validates: it raises TraceValidationError unless
-    # the traced totals equal the report's own cost accounting.
-    report = run_sequence(db, strategy, sequence, tracer=tracer)
+    # the traced totals equal the report's own cost accounting.  The
+    # span profiler times the same stage annotations the pages follow.
+    with profiled() as prof:
+        report = run_sequence(db, strategy, sequence, tracer=tracer)
     summary = report.traced
+    stage_ns = prof.stage_ns()
 
     print(format_kv([
         ("strategy", report.strategy),
@@ -313,7 +316,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         ("avg I/O per retrieve", round(report.avg_io_per_retrieve, 2)),
         ("event digest", summary["digest"][:16]),
     ]))
-    wall_ns = getattr(report, "wall_ns", None) or {}
     for title, field in (
         ("page kind", "by_kind"),
         ("phase", "by_phase"),
@@ -321,15 +323,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
         ("relation", "by_relation"),
     ):
         print()
-        if field == "by_phase" and wall_ns:
-            # Simulated page counts next to real time, phase by phase:
-            # the wall column is the CostMeter's always-on per-phase
-            # clock, never part of the traced digest.
+        if field == "by_stage":
             rows = [
-                [name, count, "%.1f" % (wall_ns.get(name, 0) / 1e6)]
+                [name, count, "%.1f" % (stage_ns.get(name, 0) / 1e6)]
                 for name, count in sorted(summary[field].items())
             ]
-            print(format_table([title, "pages", "wall_ms"], rows))
+            print(format_table([title, "pages", "ms"], rows))
         else:
             rows = [
                 [name, count] for name, count in sorted(summary[field].items())

@@ -202,7 +202,7 @@ def measured_explain(
     executor does.
     """
     from repro.core.measure import CostMeter
-    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs import MetricsRegistry, Tracer, profiled
 
     text = explain(strategy_name, db, query, **strategy_kwargs)
     strategy = make_strategy(strategy_name, **strategy_kwargs)
@@ -211,11 +211,12 @@ def measured_explain(
     tracer = Tracer(registry=MetricsRegistry(), keep_events=False)
     tracer.strategy = strategy.name
     meter = CostMeter(db.disk, tracer=tracer)
-    with tracer.observe(db.disk):
+    with profiled() as prof, tracer.observe(db.disk):
         tracer.begin_op("retrieve", 0)
         strategy.retrieve(db, query, meter)
         tracer.end_op()
     summary = tracer.summary()
+    stage_ns = prof.stage_ns()
     measured = summary["measured"]
     s = _stats(db, query)
 
@@ -231,21 +232,13 @@ def measured_explain(
             s[child_key] if child_key else None,
         ),
         _estimate_line("total pages", measured["retrieve_io"], None),
+        # Pages next to the wall time of the same stage:* spans (the
+        # profiler never feeds the page counts, so they stay exact).
         "    by stage:      "
         + " ".join(
-            "%s=%d" % (name, pages)
+            "%s=%d/%.1f" % (name, pages, stage_ns.get(name, 0) / 1e6)
             for name, pages in sorted(summary["by_stage"].items())
-        ),
-    ]
-    # Simulated page counts next to real time: the meter's per-phase
-    # wall clock rides along with the I/O attribution (it never feeds
-    # the counters above, so estimates stay deterministic).
-    if meter.wall_ns:
-        lines.append(
-            "    wall clock:    "
-            + " ".join(
-                "%s=%.1fms" % (name, elapsed / 1e6)
-                for name, elapsed in sorted(meter.wall_ns.items())
-            )
         )
+        + "  (pages/ms)",
+    ]
     return "\n".join(lines)

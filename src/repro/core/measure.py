@@ -13,11 +13,14 @@ Standard phase names (strategies may add others):
 * ``"child"``  — fetching subobject values (joins, cache probes,
   materialisation, random cluster accesses);
 * ``"update"`` — update queries, including cache invalidation.
+
+The meter counts pages and nothing else: it reads no clock.  Where the
+real time goes is the span profiler's business (:mod:`repro.obs.spans`),
+whose ``stage:*`` spans sit on the same operator annotations.
 """
 
 from __future__ import annotations
 
-from time import perf_counter_ns
 from typing import Dict, Optional
 
 from repro.storage.disk import DiskManager, IoSnapshot
@@ -33,15 +36,10 @@ class _PhaseContext:
     Reads the disk's raw ``reads``/``writes`` integers directly instead
     of materialising :class:`IoSnapshot` objects on entry — the phase
     bracket runs once per measured query and showed up in profiles.
-
-    Each bracket also accumulates its wall-clock nanoseconds into
-    :attr:`CostMeter.wall_ns`, so simulated page counts and real time
-    are attributed to the same phases (``repro trace`` and
-    ``repro explain --measure`` print them side by side).  The clock
-    never feeds the I/O counters or the trace digests.
+    It reads page counters only, never a clock.
     """
 
-    __slots__ = ("meter", "name", "_reads", "_writes", "_t0")
+    __slots__ = ("meter", "name", "_reads", "_writes")
 
     def __init__(self, meter: "CostMeter", name: str) -> None:
         self.meter = meter
@@ -60,10 +58,8 @@ class _PhaseContext:
         disk = meter.disk
         self._reads = disk.reads
         self._writes = disk.writes
-        self._t0 = perf_counter_ns()
 
     def __exit__(self, *exc: object) -> None:
-        elapsed = perf_counter_ns() - self._t0
         meter = self.meter
         disk = meter.disk
         name = self.name
@@ -71,8 +67,6 @@ class _PhaseContext:
         phases = meter._phases
         accumulated = phases.get(name)
         phases[name] = delta if accumulated is None else accumulated + delta
-        wall = meter.wall_ns
-        wall[name] = wall.get(name, 0) + elapsed
         meter._active = None
         tracer = meter.tracer
         if tracer is not None:
@@ -107,8 +101,6 @@ class CostMeter:
         self.disk = disk
         self.tracer = tracer
         self._phases: Dict[str, IoSnapshot] = {}
-        #: Wall-clock nanoseconds accumulated per phase.
-        self.wall_ns: Dict[str, int] = {}
         self._active: Optional[str] = None
 
     def phase(self, name: str) -> _PhaseContext:
@@ -148,16 +140,8 @@ class CostMeter:
         """Copy of the per-phase accumulators."""
         return dict(self._phases)
 
-    def merge(self, other: "CostMeter") -> None:
-        """Fold another meter's accumulators into this one."""
-        for name, snap in other._phases.items():
-            self._phases[name] = self._phases.get(name, IoSnapshot()) + snap
-        for name, elapsed in other.wall_ns.items():
-            self.wall_ns[name] = self.wall_ns.get(name, 0) + elapsed
-
     def reset(self) -> None:
         self._phases.clear()
-        self.wall_ns.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = ", ".join(
@@ -171,7 +155,6 @@ class NullMeter(CostMeter):
 
     def __init__(self) -> None:  # no disk needed
         self._phases = {}
-        self.wall_ns = {}
         self._active = None
 
     def phase(self, name: str) -> _NullPhase:

@@ -656,12 +656,18 @@ _WORKER_DB_CACHE: Optional[DatabaseCache] = None
 
 
 def _init_worker(
-    store_root: Optional[str] = None, plan: Optional["_fault.FaultPlan"] = None
+    store_root: Optional[str] = None,
+    plan: Optional["_fault.FaultPlan"] = None,
+    profile: bool = False,
 ) -> None:
     global _WORKER_DB_CACHE
     _fault.mark_worker()
     if plan is not None:
         _fault.install(plan)
+    # A forked worker holds a copy of the parent's profiler, whose spans
+    # would never come back; record into a fresh one that _run_task ships.
+    if profile:
+        _spans.enable(_spans.SpanProfiler())
     store = SnapshotStore(store_root) if store_root else None
     _WORKER_DB_CACHE = DatabaseCache(max_entries=WORKER_DB_CACHE_SIZE, store=store)
 
@@ -693,10 +699,11 @@ def _run_task(
     Both executors pass the sweep's ``policy`` with the point.  A pool
     worker runs against the database cache :func:`_init_worker` left in
     the process; the in-process executor passes its own.  Returns
-    ``(payload, db_stats_delta, task_counters)``.  A point that
-    exhausts its retries comes back as a ``kind="failed"`` payload
-    rather than an exception, so its database-cache telemetry still
-    reaches the parent.  The ``worker.crash``/``worker.hang`` sites fire
+    ``(payload, db_stats_delta, task_counters)``; a profiling worker
+    adds its span profiler as ``task_counters["spans"]`` and starts a
+    fresh one.  A point that exhausts its retries comes back as a
+    ``kind="failed"`` payload rather than an exception, so its
+    database-cache telemetry still reaches the parent.  The ``worker.crash``/``worker.hang`` sites fire
     here — before any measurement, and in worker processes only — to
     exercise the parent's pool-recovery machinery.
     """
@@ -728,6 +735,9 @@ def _run_task(
         task_counters["injections"] = _injection_delta(
             plan.injections, injections_before
         )
+    if in_worker and _spans._PROFILER is not None:
+        task_counters["spans"] = _spans.disable()
+        _spans.enable(_spans.SpanProfiler())
     return payload, delta, task_counters
 
 
@@ -1000,7 +1010,7 @@ def _dispatch(
             max_workers=jobs,
             mp_context=mp.get_context(method),
             initializer=_init_worker,
-            initargs=(DB_STORE_ROOT, plan),
+            initargs=(DB_STORE_ROOT, plan, _spans._PROFILER is not None),
         )
 
     if jobs > 1 and len(pending) > 1:
@@ -1036,6 +1046,9 @@ def _dispatch(
         injections = counters["injections"]
         for site, count in task_counters.get("injections", {}).items():
             injections[site] = injections.get(site, 0) + count
+        worker_spans = task_counters.get("spans")
+        if worker_spans is not None and _spans._PROFILER is not None:
+            _spans._PROFILER.merge(worker_spans)
         if payload.get("kind") == "failed":
             quarantine(index, payload["error"], payload["attempts"])
             return

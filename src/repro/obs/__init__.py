@@ -3,8 +3,8 @@
 The observability layer of the reproduction.  Five pieces:
 
 * :class:`MetricsRegistry` (:mod:`repro.obs.registry`) — tagged
-  counters/gauges/percentile-capable histograms with deterministic
-  JSON snapshots;
+  counters and percentile-capable histograms with deterministic JSON
+  snapshots;
 * :class:`Tracer` (:mod:`repro.obs.trace`) — hooks the simulated disk
   and emits one structured :class:`TraceEvent` per physical page
   access, tagged with relation, page kind, driver phase, strategy
@@ -23,7 +23,7 @@ annotation helpers return shared no-op context managers.
 """
 
 from repro.obs import spans
-from repro.obs.registry import Histogram, MetricsRegistry, registry, reset_registry
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.spans import SpanProfiler, profiled, span
 from repro.obs.trace import (
     PAGE_KINDS,
@@ -46,8 +46,6 @@ __all__ = [
     "profiled",
     "span",
     "spans",
-    "registry",
-    "reset_registry",
     "PAGE_KINDS",
     "STAGES",
     "TraceEvent",

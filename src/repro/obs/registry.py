@@ -1,16 +1,15 @@
-"""The metrics registry: counters, gauges and histograms.
+"""The metrics registry: counters and histograms.
 
 The paper's evaluation methodology is "instrument the system and read
 its counters" (Section 4 uses INGRES's I/O counters); this module is the
 reproduction's generalisation of that idea.  A :class:`MetricsRegistry`
-holds three families of instruments, each identified by a name plus a
+holds two families of instruments, each identified by a name plus a
 set of string tags:
 
 * **counters** — monotonically increasing totals (page reads by
   relation kind, cache probes, ...);
-* **gauges**   — last-written values (resident pages, cached units);
 * **histograms** — distributions summarised as count/sum/min/max plus
-  power-of-two buckets (per-query I/O).
+  power-of-two buckets and percentiles (per-query I/O, latencies).
 
 Instruments are created lazily on first touch, so recording is one dict
 lookup plus an integer add — cheap enough to leave in the measurement
@@ -21,18 +20,11 @@ snapshot keyed ``name{tag=value,...}`` for telemetry files and tests.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro.util.stats import percentile
+from repro.util.stats import Reservoir
 
 TagKey = Tuple[str, Tuple[Tuple[str, str], ...]]
-
-#: Bound on each histogram's retained-sample reservoir.  Past it, the
-#: reservoir is decimated (every other sample kept) and the sampling
-#: stride doubles — deterministic systematic sampling, so identical
-#: observation streams always retain identical reservoirs and identical
-#: percentile estimates.
-SAMPLE_CAP = 4096
 
 
 def _key(name: str, tags: Dict[str, Any]) -> TagKey:
@@ -49,31 +41,27 @@ def _label(key: TagKey) -> str:
     return "%s{%s}" % (name, ",".join("%s=%s" % pair for pair in tags))
 
 
-class Histogram:
+class Histogram(Reservoir):
     """count/sum/min/max, percentiles, plus power-of-two buckets.
 
     Bucket ``i`` counts observations with ``2**(i-1) < value <= 2**i``
     (bucket 0 counts values <= 1).  Power-of-two edges keep the
-    structure value-free and mergeable.  A bounded, deterministically
-    decimated sample reservoir (:data:`SAMPLE_CAP`) additionally makes
-    the histogram percentile-capable: :meth:`quantile` and the
-    p50/p95/p99 fields of :meth:`as_dict` interpolate over the retained
-    samples — the latency summaries the serving-layer era reports
-    through (ROADMAP item 3).
+    structure value-free and mergeable.  The inherited
+    :class:`~repro.util.stats.Reservoir` makes the histogram
+    percentile-capable: :meth:`quantile` and the p50/p95/p99 fields of
+    :meth:`as_dict` interpolate over its retained samples — the latency
+    summaries the serving layer reports through.
     """
 
-    __slots__ = ("count", "total", "min", "max", "buckets", "samples",
-                 "_stride", "_skip")
+    __slots__ = ("count", "total", "min", "max", "buckets")
 
     def __init__(self) -> None:
+        Reservoir.__init__(self)
         self.count = 0
         self.total = 0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
         self.buckets: Dict[int, int] = {}
-        self.samples: List[float] = []
-        self._stride = 1
-        self._skip = 0
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -88,22 +76,11 @@ class Histogram:
             edge <<= 1
             bucket += 1
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-        if self._skip:
-            self._skip -= 1
-            return
-        self._skip = self._stride - 1
-        self.samples.append(value)
-        if len(self.samples) > SAMPLE_CAP:
-            del self.samples[::2]
-            self._stride *= 2
+        self.offer(value)
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Linear-interpolation percentile over the retained samples."""
-        return percentile(self.samples, q)
 
     def merge(self, other: "Histogram") -> None:
         self.count += other.count
@@ -114,10 +91,7 @@ class Histogram:
             self.max = other.max
         for bucket, count in other.buckets.items():
             self.buckets[bucket] = self.buckets.get(bucket, 0) + count
-        self.samples.extend(other.samples)
-        while len(self.samples) > SAMPLE_CAP:
-            del self.samples[::2]
-            self._stride *= 2
+        self.merge_samples(other)
 
     def as_dict(self) -> Dict[str, Any]:
         # Key order is part of the snapshot contract: new percentile
@@ -136,11 +110,10 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Tagged counters, gauges and histograms with a JSON-able snapshot."""
+    """Tagged counters and histograms with a JSON-able snapshot."""
 
     def __init__(self) -> None:
         self._counters: Dict[TagKey, int] = {}
-        self._gauges: Dict[TagKey, float] = {}
         self._histograms: Dict[TagKey, Histogram] = {}
 
     # ------------------------------------------------------------------
@@ -150,10 +123,6 @@ class MetricsRegistry:
         """Add ``value`` to the counter ``name`` with ``tags``."""
         key = _key(name, tags)
         self._counters[key] = self._counters.get(key, 0) + value
-
-    def set_gauge(self, name: str, value: float, **tags: Any) -> None:
-        """Set the gauge ``name`` with ``tags`` to ``value``."""
-        self._gauges[_key(name, tags)] = value
 
     def observe(self, name: str, value: float, **tags: Any) -> None:
         """Record one observation into the histogram ``name`` / ``tags``."""
@@ -168,9 +137,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter(self, name: str, **tags: Any) -> int:
         return self._counters.get(_key(name, tags), 0)
-
-    def gauge(self, name: str, **tags: Any) -> Optional[float]:
-        return self._gauges.get(_key(name, tags))
 
     def histogram(self, name: str, **tags: Any) -> Optional[Histogram]:
         return self._histograms.get(_key(name, tags))
@@ -191,7 +157,7 @@ class MetricsRegistry:
         return total
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
+        return len(self._counters) + len(self._histograms)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -199,18 +165,12 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every instrument (between sweep points)."""
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's instruments into this one.
-
-        Counters and histogram contents add; gauges take the other
-        registry's (more recent) value.
-        """
+        """Fold another registry's instruments into this one (all add)."""
         for key, value in other._counters.items():
             self._counters[key] = self._counters.get(key, 0) + value
-        self._gauges.update(other._gauges)
         for key, hist in other._histograms.items():
             mine = self._histograms.get(key)
             if mine is None:
@@ -223,27 +183,8 @@ class MetricsRegistry:
             "counters": {
                 _label(key): self._counters[key] for key in sorted(self._counters)
             },
-            "gauges": {
-                _label(key): self._gauges[key] for key in sorted(self._gauges)
-            },
             "histograms": {
                 _label(key): self._histograms[key].as_dict()
                 for key in sorted(self._histograms)
             },
         }
-
-
-#: Process-wide default registry (the CLI's tracer records here unless
-#: given its own).  Sweep workers always use per-point registries, so
-#: this global never influences measured results.
-_DEFAULT = MetricsRegistry()
-
-
-def registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _DEFAULT
-
-
-def reset_registry() -> None:
-    """Zero the process-wide default registry."""
-    _DEFAULT.reset()

@@ -5,13 +5,13 @@ page accesses go*; this module answers *where does the wall clock go*.
 A :class:`SpanProfiler` aggregates nested, named spans measured with
 :func:`time.perf_counter_ns`:
 
-* a span is opened with the :func:`span` context manager (or the
-  :func:`profiled` decorator) and identified by its **path** — the
-  ``;``-joined chain of enclosing span names (``sweep.point;db.attach``)
-  — so nesting is first-class and the aggregate is a call tree;
+* a span is opened with the :func:`span` context manager and
+  identified by its **path** — the ``;``-joined chain of enclosing span
+  names (``point.execute;db.attach``) — so nesting is first-class and
+  the aggregate is a call tree;
 * per path the profiler keeps count, total/min/max nanoseconds and a
-  deterministic, bounded sample reservoir from which p50/p95/p99 are
-  computed (:func:`repro.util.stats.percentile`);
+  deterministic, bounded sample reservoir
+  (:class:`repro.util.stats.Reservoir`) from which p50/p95/p99 come;
 * :meth:`SpanProfiler.collapsed` renders the tree in the collapsed-stack
   format that ``flamegraph.pl`` and speedscope consume (one
   ``path value`` line per stack, value = self-time in microseconds).
@@ -29,38 +29,31 @@ global read, an ``is None`` test and two trivial method calls.
 
 from __future__ import annotations
 
-import functools
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.util.stats import percentile
+from repro.util.stats import Reservoir
 
 #: Separator between nested span names in an aggregate path.
 PATH_SEP = ";"
 
-#: Per-path sample reservoir bound.  When a path exceeds it, the
-#: reservoir is decimated (every other sample kept) and the sampling
-#: stride doubles — deterministic systematic sampling, so two identical
-#: runs retain identical reservoirs.
-SAMPLE_CAP = 4096
+#: Name prefix of the spans :func:`repro.obs.trace.stage` opens.
+STAGE_PREFIX = "stage:"
 
 
-class SpanStat:
+class SpanStat(Reservoir):
     """Aggregate of every completed span at one path."""
 
-    __slots__ = ("count", "total_ns", "min_ns", "max_ns", "child_ns",
-                 "samples", "_stride", "_skip")
+    __slots__ = ("count", "total_ns", "min_ns", "max_ns", "child_ns")
 
     def __init__(self) -> None:
+        Reservoir.__init__(self)
         self.count = 0
         self.total_ns = 0
         self.min_ns: Optional[int] = None
         self.max_ns = 0
         #: Time spent in *named* child spans (for self-time computation).
         self.child_ns = 0
-        self.samples: List[int] = []
-        self._stride = 1
-        self._skip = 0
 
     def add(self, elapsed_ns: int) -> None:
         self.count += 1
@@ -69,23 +62,12 @@ class SpanStat:
             self.min_ns = elapsed_ns
         if elapsed_ns > self.max_ns:
             self.max_ns = elapsed_ns
-        if self._skip:
-            self._skip -= 1
-            return
-        self._skip = self._stride - 1
-        samples = self.samples
-        samples.append(elapsed_ns)
-        if len(samples) > SAMPLE_CAP:
-            del samples[::2]
-            self._stride *= 2
+        self.offer(elapsed_ns)
 
     @property
     def self_ns(self) -> int:
         """Time not attributed to any named child span."""
         return max(0, self.total_ns - self.child_ns)
-
-    def percentile_ns(self, q: float) -> float:
-        return percentile(self.samples, q)
 
     def as_dict(self) -> Dict[str, Any]:
         """Deterministically ordered JSON-able rollup (milliseconds)."""
@@ -96,9 +78,9 @@ class SpanStat:
             "self_ms": round(self.self_ns * to_ms, 3),
             "min_ms": round((self.min_ns or 0) * to_ms, 3),
             "max_ms": round(self.max_ns * to_ms, 3),
-            "p50_ms": round(self.percentile_ns(50) * to_ms, 3),
-            "p95_ms": round(self.percentile_ns(95) * to_ms, 3),
-            "p99_ms": round(self.percentile_ns(99) * to_ms, 3),
+            "p50_ms": round(self.quantile(50) * to_ms, 3),
+            "p95_ms": round(self.quantile(95) * to_ms, 3),
+            "p99_ms": round(self.quantile(99) * to_ms, 3),
         }
 
 
@@ -214,17 +196,26 @@ class SpanProfiler:
                 lines.append("%s %d" % (path, self_us))
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def publish(self, registry: Any) -> None:
-        """Promote span reservoirs into ``registry`` histograms.
+    def stage_ns(self) -> Dict[str, int]:
+        """Nanoseconds per operator stage, the innermost stage winning.
 
-        Each path becomes a ``span.ms{path=...}`` histogram whose
-        percentile-capable snapshot (p50/p95/p99) lands in the
-        registry's :meth:`~repro.obs.registry.MetricsRegistry.as_dict`.
+        A ``stage:X`` span is charged its total time minus that of the
+        ``stage:*`` spans nested inside it — the attribution the tracer
+        applies to pages, so a stage's ms sit beside its page count.
         """
-        for path in sorted(self.stats):
-            stat = self.stats[path]
-            for sample in stat.samples:
-                registry.observe("span.ms", sample * 1e-6, path=path)
+        totals: Dict[str, int] = {}
+        for path, stat in self.stats.items():
+            names = path.split(PATH_SEP)
+            if not names[-1].startswith(STAGE_PREFIX):
+                continue
+            inner = names[-1][len(STAGE_PREFIX):]
+            totals[inner] = totals.get(inner, 0) + stat.total_ns
+            for name in reversed(names[:-1]):
+                if name.startswith(STAGE_PREFIX):
+                    outer = name[len(STAGE_PREFIX):]
+                    totals[outer] = totals.get(outer, 0) - stat.total_ns
+                    break
+        return totals
 
     def reset(self) -> None:
         self.stats.clear()
@@ -245,10 +236,7 @@ class SpanProfiler:
                 mine.min_ns = stat.min_ns
             if stat.max_ns > mine.max_ns:
                 mine.max_ns = stat.max_ns
-            mine.samples.extend(stat.samples)
-            while len(mine.samples) > SAMPLE_CAP:
-                del mine.samples[::2]
-                mine._stride *= 2
+            mine.merge_samples(stat)
 
 
 # ----------------------------------------------------------------------
@@ -263,10 +251,6 @@ _PROFILER: Optional[SpanProfiler] = None
 def profiler() -> Optional[SpanProfiler]:
     """The enabled profiler, if any."""
     return _PROFILER
-
-
-def enabled() -> bool:
-    return _PROFILER is not None
 
 
 def enable(prof: Optional[SpanProfiler] = None) -> SpanProfiler:
@@ -321,20 +305,3 @@ class _ProfiledContext:
 def profiled(prof: Optional[SpanProfiler] = None) -> _ProfiledContext:
     """``with profiled() as prof:`` — profiling on for the block only."""
     return _ProfiledContext(prof)
-
-
-def traced_span(name: str) -> Callable:
-    """Decorator: run the function body inside ``span(name)``."""
-
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            prof = _PROFILER
-            if prof is None:
-                return fn(*args, **kwargs)
-            with prof.span(name):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

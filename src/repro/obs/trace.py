@@ -18,7 +18,7 @@ slot is a single ``is not None`` check on the hot path, so tracing costs
 *nothing* when off — aggregates events into a
 :class:`~repro.obs.registry.MetricsRegistry`, keeps a running SHA-256
 digest of the canonical event stream (the determinism fingerprint), and
-can export the raw events as JSON lines.
+can retain the raw events for export as JSON lines.
 
 :func:`validate_report` is the self-check the whole subsystem exists
 for: the traced totals must *exactly* equal the costs a
@@ -113,19 +113,6 @@ class TraceEvent:
             "strategy": self.strategy,
         }
 
-    def canonical(self) -> str:
-        """Order- and content-stable line used for the stream digest."""
-        return "%s|%s|%d|%s|%s|%s|%s|%s" % (
-            self.op,
-            self.relation,
-            self.page_no,
-            self.kind,
-            self.phase or "-",
-            self.stage or "-",
-            self.op_kind or "-",
-            "-" if self.op_index is None else self.op_index,
-        )
-
 
 class TraceValidationError(ReproError, AssertionError):
     """Traced totals disagree with the driver's reported costs.
@@ -203,7 +190,7 @@ def stage(name: str):
     prof = _spans._PROFILER
     if tracer is None and prof is None:
         return _NULL_CONTEXT
-    span = prof.span("stage:" + name) if prof is not None else None
+    span = prof.span(_spans.STAGE_PREFIX + name) if prof is not None else None
     return _StageContext(tracer, name, span)
 
 
@@ -213,21 +200,20 @@ def stage(name: str):
 class Tracer:
     """Captures, aggregates and digests physical page accesses.
 
-    ``keep_events=False`` drops the raw event list (aggregates and the
-    digest are maintained incrementally), which is what sweep points use
-    so traced summaries stay small enough to memoize.
+    **Batched emission.**  ``on_io`` records only the event's canonical
+    line plus a per ``(op, relation, kind)`` count, and defers the
+    digest update, the aggregate dictionaries and the metrics-registry
+    increment until the attribution context changes (phase/stage write,
+    operation bracket, or any read of the results).  A batch never spans
+    two contexts, so the deferred attribution is exact, and the digest
+    is fed the same bytes whichever way the stream is cut
+    (``update(a); update(b)`` == one update of the concatenation).
 
-    **Batched emission.**  When no raw events are kept and no previous
-    hook is chained — the pooled-sweep configuration — ``on_io`` runs a
-    fast path: it records only the canonical line plus a per
-    ``(op, relation, kind)`` count, and defers the digest update, the
-    aggregate dictionaries and the metrics-registry increment until the
-    attribution context changes (phase/stage write, operation bracket,
-    or any read of the results).  The digest is fed the identical byte
-    stream (``update(a); update(b)`` == one update of the concatenation)
-    and the counts are exact, so everything observable — including the
-    determinism digest — is bit-identical to per-event emission; only
-    the per-page Python overhead of the bulk scan paths is gone.
+    ``keep_events=True`` additionally retains every event as a
+    :class:`TraceEvent` for :meth:`write_jsonl`; it changes no aggregate
+    and no digest.  Sweep points use ``keep_events=False`` so traced
+    summaries stay small enough to memoize.  A tracer built without a
+    ``registry`` records into one of its own.
     """
 
     def __init__(
@@ -235,17 +221,12 @@ class Tracer:
         registry: Optional[MetricsRegistry] = None,
         keep_events: bool = True,
     ) -> None:
-        from repro.obs import registry as registry_module
-
-        self.registry = (
-            registry if registry is not None else registry_module.registry()
-        )
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.keep_events = keep_events
         self.events: List[TraceEvent] = []
-        # batched fast path (see class docstring)
+        # the pending batch (see class docstring)
         self._pending: List[str] = []
         self._pending_groups: Dict[Any, int] = {}
-        self._fast = not keep_events
         # attribution context
         self._phase: Optional[str] = None
         self._stage: Optional[str] = None
@@ -265,7 +246,6 @@ class Tracer:
         self._op_start_seq = 0
         # attachment
         self._disk: Optional[Any] = None
-        self._prev_hook: Optional[Any] = None
         self._kinds: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
@@ -296,26 +276,22 @@ class Tracer:
     # attachment lifecycle
     # ------------------------------------------------------------------
     def attach(self, disk: Any) -> None:
-        """Install as ``disk``'s io_hook (chaining any existing hook)."""
+        """Install as ``disk``'s io_hook, which must be free."""
         if self._disk is not None:
             raise RuntimeError("tracer is already attached to a disk")
+        if disk.io_hook is not None:
+            raise RuntimeError("disk already has an io_hook")
         self._disk = disk
-        self._prev_hook = disk.io_hook
-        # A chained hook needs every event delivered in order, so only
-        # the unchained aggregate-only tracer may batch.
-        self._fast = not self.keep_events and self._prev_hook is None
         disk.io_hook = self.on_io
 
     def detach(self) -> None:
-        """Restore the disk's previous io_hook."""
+        """Clear the disk's io_hook."""
         if self._disk is None:
             return
         if self._pending:
             self._flush()
-        self._disk.io_hook = self._prev_hook
+        self._disk.io_hook = None
         self._disk = None
-        self._prev_hook = None
-        self._fast = not self.keep_events
 
     def activate(self) -> None:
         """Make this the process-wide tracer stage annotations target."""
@@ -355,73 +331,46 @@ class Tracer:
             info = (normalize_relation(name, kind), kind)
             self._kinds[file_id] = info
         relation, kind = info
-        if self._fast:
-            # Batched path: canonical line + grouped count now, digest /
-            # aggregates / registry at the next context change or read.
-            self._seq += 1
-            self._pending.append(
-                "%s|%s|%d|%s|%s|%s|%s|%s"
-                % (
-                    op,
-                    relation,
-                    page_id.page_no,
-                    kind,
-                    self._phase or "-",
-                    self._stage or "-",
-                    self.op_kind or "-",
-                    "-" if self.op_index is None else self.op_index,
+        # The one canonical-line format: what the stream digest hashes.
+        self._pending.append(
+            "%s|%s|%d|%s|%s|%s|%s|%s"
+            % (
+                op,
+                relation,
+                page_id.page_no,
+                kind,
+                self._phase or "-",
+                self._stage or "-",
+                self.op_kind or "-",
+                "-" if self.op_index is None else self.op_index,
+            )
+        )
+        groups = self._pending_groups
+        group = (op, relation, kind)
+        groups[group] = groups.get(group, 0) + 1
+        if self.keep_events:
+            self.events.append(
+                TraceEvent(
+                    seq=self._seq,
+                    op=op,
+                    file_id=file_id,
+                    page_no=page_id.page_no,
+                    relation=relation,
+                    kind=kind,
+                    phase=self._phase,
+                    stage=self._stage,
+                    op_kind=self.op_kind,
+                    op_index=self.op_index,
+                    strategy=self.strategy,
                 )
             )
-            groups = self._pending_groups
-            group = (op, relation, kind)
-            groups[group] = groups.get(group, 0) + 1
-            return
-        event = TraceEvent(
-            seq=self._seq,
-            op=op,
-            file_id=file_id,
-            page_no=page_id.page_no,
-            relation=relation,
-            kind=kind,
-            phase=self._phase,
-            stage=self._stage,
-            op_kind=self.op_kind,
-            op_index=self.op_index,
-            strategy=self.strategy,
-        )
         self._seq += 1
-        if self.keep_events:
-            self.events.append(event)
-        self._digest.update(event.canonical().encode())
-        self._digest.update(b"\n")
-        if op == "read":
-            self.reads += 1
-        else:
-            self.writes += 1
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-        self.by_relation[relation] = self.by_relation.get(relation, 0) + 1
-        if self._phase is not None:
-            self.by_phase[self._phase] = self.by_phase.get(self._phase, 0) + 1
-        if self._stage is not None:
-            self.by_stage[self._stage] = self.by_stage.get(self._stage, 0) + 1
-        if self.op_kind is not None:
-            self.measured[self.op_kind] += 1
-        self.registry.inc(
-            "io.pages",
-            op=op,
-            kind=kind,
-            phase=self._phase or "-",
-            stage=self._stage or "-",
-        )
-        if self._prev_hook is not None:
-            self._prev_hook(op, page_id)
 
     def _flush(self) -> None:
         """Drain the batched events into digest, aggregates and registry.
 
-        The canonical lines are joined with the same ``\\n`` separators
-        the per-event path feeds the digest, so the hash state after a
-        flush is byte-for-byte what unbatched emission would produce.
+        Each canonical line is terminated by ``\\n``, so the hash state
+        after a flush is independent of where the batches were cut.
         """
         pending = self._pending
         if not pending:

@@ -1,4 +1,4 @@
-"""Streaming summary statistics used by the experiment drivers."""
+"""Streaming summary statistics used by the experiment drivers and obs."""
 
 from __future__ import annotations
 
@@ -29,6 +29,53 @@ def percentile(values: Sequence[float], q: float) -> float:
         return float(data[lo])
     frac = pos - lo
     return data[lo] * (1.0 - frac) + data[hi] * frac
+
+
+#: Bound on a :class:`Reservoir`'s retained samples.
+SAMPLE_CAP = 4096
+
+
+class Reservoir:
+    """Bounded, deterministically decimated sample reservoir.
+
+    Every ``stride``-th observation is retained; once more than
+    :data:`SAMPLE_CAP` are held, every other one is dropped and the
+    stride doubles.  This is systematic sampling, so identical
+    observation streams retain identical samples and give identical
+    :meth:`quantile` estimates.  The metrics registry's histograms and
+    the span profiler's per-path stats both keep their samples here.
+    """
+
+    __slots__ = ("samples", "_stride", "_skip")
+
+    def __init__(self) -> None:
+        self.samples: List[float] = []
+        self._stride = 1
+        self._skip = 0
+
+    def offer(self, value: float) -> None:
+        """Present one observation; it is kept if it falls on the stride."""
+        if self._skip:
+            self._skip -= 1
+            return
+        self._skip = self._stride - 1
+        samples = self.samples
+        samples.append(value)
+        if len(samples) > SAMPLE_CAP:
+            del samples[::2]
+            self._stride *= 2
+
+    def merge_samples(self, other: "Reservoir") -> None:
+        """Append ``other``'s samples, decimating back under the cap."""
+        samples = self.samples
+        samples.extend(other.samples)
+        while len(samples) > SAMPLE_CAP:
+            del samples[::2]
+            self._stride *= 2
+
+    def quantile(self, q: float) -> float:
+        """Linear-interpolation percentile over the retained samples."""
+        return percentile(self.samples, q)
 
 
 class RunningStats:

@@ -56,14 +56,6 @@ class CostReport:
     #: :meth:`repro.obs.Tracer.summary`.
     traced: Optional[Dict[str, Any]] = None
 
-    def __post_init__(self) -> None:
-        # Wall-clock nanoseconds per CostMeter phase (parent/child/
-        # update).  Deliberately NOT a dataclass field: real time varies
-        # run to run, while ``dataclasses.asdict(report)`` equality and
-        # the chaos harness's result digests pin bit-identical measured
-        # results — wall clock rides along as an annotation only.
-        self.wall_ns: Optional[Dict[str, int]] = None
-
     @property
     def avg_io_per_retrieve(self) -> float:
         """The paper's yardstick: sequence I/O amortised per retrieve."""
@@ -259,7 +251,7 @@ def _run_measured(
         }
 
     pool_delta = db.pool.stats.snapshot() - pool_before
-    report = CostReport(
+    return CostReport(
         strategy=strategy.name,
         num_retrieves=retrieves,
         num_updates=updates,
@@ -273,8 +265,6 @@ def _run_measured(
         cache_stats=cache_stats,
         buffer_stats=pool_delta.as_dict(),
     )
-    report.wall_ns = dict(meter.wall_ns)
-    return report
 
 
 def database_for(

@@ -59,16 +59,6 @@ class TestPhases:
         with meter.phase("b"):  # must not complain about an active phase
             pass
 
-    def test_merge(self, disk):
-        a = CostMeter(disk)
-        with a.phase("x"):
-            charge(disk, reads=1)
-        b = CostMeter(disk)
-        with b.phase("x"):
-            charge(disk, reads=2)
-        a.merge(b)
-        assert a.cost("x") == 3
-
     def test_reset(self, disk):
         meter = CostMeter(disk)
         with meter.phase("x"):

@@ -225,6 +225,19 @@ class TestCounterIsolation:
         assert accesses > 0
 
 
+class TestWorkerSpans:
+    def test_pooled_sweep_merges_worker_spans(self, params):
+        """Spans a pool worker records reach the parent's profiler."""
+        from repro.obs.spans import profiled
+
+        points = [_point(params, name) for name in ("DFS", "BFS", "DFSCACHE")]
+        with profiled() as prof:
+            run_sweep(points, jobs=2)
+        assert pool.SWEEP_LOG[-1]["executed"] == len(points)
+        assert prof.stats["point.execute"].count == len(points)
+        assert any("driver.retrieve" in path for path in prof.stats)
+
+
 class TestScheduler:
     """Cost-aware dispatch: heaviest shape first, costliest point first."""
 

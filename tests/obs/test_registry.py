@@ -1,8 +1,8 @@
-"""The metrics registry: counters, gauges, histograms, snapshots."""
+"""The metrics registry: counters, histograms, snapshots."""
 
 import json
 
-from repro.obs.registry import Histogram, MetricsRegistry, registry, reset_registry
+from repro.obs.registry import Histogram, MetricsRegistry
 
 
 class TestCounters:
@@ -37,15 +37,6 @@ class TestCounters:
         reg.inc("a", kind="y")
         reg.inc("b")
         assert len(list(reg.counters_matching("a"))) == 2
-
-
-class TestGauges:
-    def test_last_write_wins(self):
-        reg = MetricsRegistry()
-        reg.set_gauge("pool.resident", 10)
-        reg.set_gauge("pool.resident", 7)
-        assert reg.gauge("pool.resident") == 7
-        assert reg.gauge("missing") is None
 
 
 class TestHistogram:
@@ -84,11 +75,10 @@ class TestSnapshot:
     def test_as_dict_is_deterministic_and_jsonable(self):
         reg = MetricsRegistry()
         reg.inc("io.pages", 2, op="read", kind="child")
-        reg.set_gauge("pool.resident", 12)
         reg.observe("op.io", 3, kind="retrieve")
         snap = reg.as_dict()
+        assert list(snap) == ["counters", "histograms"]
         assert snap["counters"] == {"io.pages{kind=child,op=read}": 2}
-        assert snap["gauges"] == {"pool.resident": 12}
         assert snap["histograms"]["op.io{kind=retrieve}"]["count"] == 1
         json.dumps(snap)  # must be serialisable as-is
 
@@ -96,28 +86,16 @@ class TestSnapshot:
         a, b = MetricsRegistry(), MetricsRegistry()
         a.inc("c", 1)
         b.inc("c", 2)
-        b.set_gauge("g", 9)
         b.observe("h", 4)
         a.merge(b)
         assert a.counter("c") == 3
-        assert a.gauge("g") == 9
         assert a.histogram("h").count == 1
 
     def test_reset_drops_everything(self):
         reg = MetricsRegistry()
         reg.inc("c")
-        reg.set_gauge("g", 1)
         reg.observe("h", 1)
-        assert len(reg) == 3
+        assert len(reg) == 2
         reg.reset()
         assert len(reg) == 0
-        assert reg.as_dict() == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-class TestDefaultRegistry:
-    def test_process_default_is_shared_and_resettable(self):
-        reset_registry()
-        registry().inc("smoke")
-        assert registry().counter("smoke") == 1
-        reset_registry()
-        assert registry().counter("smoke") == 0
+        assert reg.as_dict() == {"counters": {}, "histograms": {}}

@@ -1,23 +1,18 @@
 """Wall-clock span profiling: off-path cost, nesting, digest neutrality."""
 
-import dataclasses
-
 from repro.fault.chaos import chaos_points, result_digest
 from repro.obs import spans
 from repro.obs.spans import (
     NULL_SPAN,
-    SAMPLE_CAP,
     SpanProfiler,
     SpanStat,
     profiled,
     span,
-    traced_span,
 )
 
 
 class TestOffPath:
     def test_off_by_default(self):
-        assert spans.enabled() is False
         assert spans.profiler() is None
 
     def test_disabled_span_is_the_shared_null_span(self):
@@ -29,17 +24,6 @@ class TestOffPath:
     def test_null_span_is_a_noop_context_manager(self):
         with NULL_SPAN as opened:
             assert opened is None
-
-    def test_disabled_decorator_calls_through(self):
-        calls = []
-
-        @traced_span("decorated")
-        def fn(x):
-            calls.append(x)
-            return x + 1
-
-        assert fn(1) == 2
-        assert calls == [1]
 
     def test_enable_disable_roundtrip(self):
         prof = spans.enable()
@@ -82,16 +66,6 @@ class TestNesting:
         assert (stat.count, stat.total_ns) == (2, 4000)
         assert prof.stats["op"].child_ns >= 4000
 
-    def test_decorator_nests_like_a_span(self):
-        @traced_span("leaf")
-        def leaf():
-            return 7
-
-        with profiled() as prof:
-            with span("root"):
-                assert leaf() == 7
-        assert "root;leaf" in prof.stats
-
     def test_profiled_restores_the_previous_profiler(self):
         outer = spans.enable(SpanProfiler())
         try:
@@ -114,20 +88,8 @@ class TestSpanStat:
         stat = SpanStat()
         for ns in range(1, 101):
             stat.add(ns)
-        assert stat.percentile_ns(50) <= stat.percentile_ns(95)
-        assert stat.percentile_ns(99) <= 100
-
-    def test_reservoir_decimation_is_deterministic(self):
-        def fill():
-            stat = SpanStat()
-            for ns in range(3 * SAMPLE_CAP):
-                stat.add(ns)
-            return stat
-
-        a, b = fill(), fill()
-        assert len(a.samples) <= SAMPLE_CAP
-        assert a.samples == b.samples
-        assert a.count == 3 * SAMPLE_CAP  # counters never sampled away
+        assert stat.quantile(50) <= stat.quantile(95)
+        assert stat.quantile(99) <= 100
 
     def test_as_dict_key_order_is_fixed(self):
         stat = SpanStat()
@@ -175,6 +137,15 @@ class TestProfilerViews:
         assert a.stats["x"].max_ns == 100
         assert a.stats["y"].count == 1
 
+    def test_stage_time_goes_to_the_innermost_stage(self):
+        prof = SpanProfiler()
+        prof.add("driver.retrieve;stage:probe", 1000)
+        prof.add("driver.retrieve;stage:probe;stage:cache-probe", 300)
+        prof.add("driver.retrieve;stage:probe;pool.fetch_miss", 50)
+        prof.add("driver.update;stage:probe", 200)
+        prof.add("driver.retrieve", 5000)
+        assert prof.stage_ns() == {"probe": 900, "cache-probe": 300}
+
     def test_reset_clears_everything(self):
         prof = SpanProfiler()
         prof.add("x", 1)
@@ -198,12 +169,3 @@ class TestDigestNeutrality:
         # ...and the measured results — including every traced event
         # digest — are bit-identical to the spans-off run.
         assert result_digest(traced) == result_digest(baseline)
-
-    def test_wall_clock_never_reaches_the_report_dataclass(self):
-        from repro.workload.driver import measure_strategy
-        from repro.workload.params import WorkloadParams
-
-        params = WorkloadParams().scaled(0.02)
-        report = measure_strategy(params, "BFS")
-        assert report.wall_ns  # annotation present...
-        assert "wall_ns" not in dataclasses.asdict(report)  # ...invisible

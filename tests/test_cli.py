@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -176,6 +178,10 @@ class TestTrace:
         assert "self-check" in out
         assert "buffer hit rate" in out
         assert "cache-probe" in out  # DFSCACHE's stage breakdown
+        # The stage table carries each stage's ms beside its pages.
+        assert re.search(r"^\s*stage\s+pages\s+ms$", out, re.MULTILINE)
+        assert re.search(r"^\s*cache-probe\s+\d+\s+\d+\.\d$", out, re.MULTILINE)
+        assert "wall_ms" not in out
 
         import json
 
@@ -205,7 +211,8 @@ class TestExplainMeasure:
         assert "measured (traced cold run)" in out
         assert "parent pages" in out
         assert "by stage" in out
-        assert "merge-join" in out
+        assert re.search(r"merge-join=\d+/\d+\.\d", out)
+        assert "wall clock" not in out
 
     def test_plain_explain_unchanged_without_flag(self, capsys):
         assert main(["explain", "--strategy", "BFS", "--scale", "0.05"]) == 0

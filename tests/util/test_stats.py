@@ -4,7 +4,16 @@ import math
 
 import pytest
 
-from repro.util.stats import RunningStats, histogram, mean, percentile
+from repro.obs.registry import Histogram
+from repro.obs.spans import SpanStat
+from repro.util.stats import (
+    SAMPLE_CAP,
+    Reservoir,
+    RunningStats,
+    histogram,
+    mean,
+    percentile,
+)
 
 
 class TestMean:
@@ -97,3 +106,52 @@ class TestHistogram:
     def test_bad_bins(self):
         with pytest.raises(ValueError):
             histogram([1], bins=0)
+
+
+#: Both reservoir owners, each with its one recording method.
+OWNERS = [
+    pytest.param(Histogram, "observe", id="Histogram"),
+    pytest.param(SpanStat, "add", id="SpanStat"),
+]
+
+
+def _filled(owner, record, values):
+    stat = owner()
+    for value in values:
+        getattr(stat, record)(value)
+    return stat
+
+
+class TestReservoir:
+    def test_quantile_interpolates_over_samples(self):
+        reservoir = Reservoir()
+        for value in (0, 10):
+            reservoir.offer(value)
+        assert reservoir.quantile(25) == 2.5
+
+    @pytest.mark.parametrize("owner,record", OWNERS)
+    def test_decimation_is_deterministic(self, owner, record):
+        a = _filled(owner, record, range(3 * SAMPLE_CAP))
+        b = _filled(owner, record, range(3 * SAMPLE_CAP))
+        assert isinstance(a, Reservoir)
+        assert len(a.samples) <= SAMPLE_CAP
+        assert a.samples == b.samples
+        assert a.count == 3 * SAMPLE_CAP  # counters never sampled away
+
+    @pytest.mark.parametrize("owner,record", OWNERS)
+    def test_decimation_keeps_a_systematic_sample(self, owner, record):
+        stat = _filled(owner, record, range(SAMPLE_CAP + 1))
+        # One past the cap: every other sample dropped...
+        assert stat.samples == list(range(1, SAMPLE_CAP + 1, 2))
+        # ...and the stride doubled: of the next two values one is kept.
+        getattr(stat, record)(SAMPLE_CAP + 1)
+        getattr(stat, record)(SAMPLE_CAP + 2)
+        assert stat.samples[-2:] == [SAMPLE_CAP - 1, SAMPLE_CAP + 1]
+
+    @pytest.mark.parametrize("owner,record", OWNERS)
+    def test_merge_decimates_back_under_the_cap(self, owner, record):
+        a = _filled(owner, record, range(SAMPLE_CAP))
+        b = _filled(owner, record, range(SAMPLE_CAP, 2 * SAMPLE_CAP))
+        a.merge_samples(b)
+        assert len(a.samples) <= SAMPLE_CAP
+        assert a.samples == list(range(1, 2 * SAMPLE_CAP, 2))
