@@ -27,6 +27,7 @@ from repro.core.queries import RetrieveQuery
 from repro.core.strategies.base import Strategy, register
 from repro.core.strategies.bfs import TEMP_SCHEMA
 from repro.core.strategies.dfscache import DfsCacheStrategy
+from repro.core.strategies.optimizer import pages_touched
 from repro.obs.trace import stage
 from repro.query.join import join_sorted_temp
 from repro.query.sort import external_sort
@@ -131,17 +132,10 @@ class SmartStrategy(Strategy):
     ) -> bool:
         """Estimate whether reading cached values beats joining their OIDs.
 
-        Uses only optimizer-grade statistics (page counts); the classic
-        Cardenas/Yao approximation ``L * (1 - exp(-k / L))`` estimates
-        distinct pages touched by ``k`` uniform probes over ``L`` pages.
+        Uses only optimizer-grade statistics (page counts) and OPT's
+        Cardenas/Yao estimate of distinct pages touched
+        (:func:`~repro.core.strategies.optimizer.pages_touched`).
         """
-        import math
-
-        def pages_touched(keys: int, pages: int) -> float:
-            if pages <= 0 or keys <= 0:
-                return 0.0
-            return pages * (1.0 - math.exp(-keys / pages))
-
         cache_pages = max(1, cache.relation.num_pages)
         cache_read_cost = pages_touched(len(cached_units), cache_pages)
         join_savings = 0.0

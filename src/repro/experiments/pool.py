@@ -69,7 +69,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
@@ -89,7 +88,7 @@ from repro.errors import (
 from repro.experiments.runner import DatabaseCache, adaptive_queries
 from repro.fault import plan as _fault
 from repro.obs import spans as _spans
-from repro.storage.snapshot import SnapshotStore
+from repro.storage.snapshot import SnapshotStore, quarantine, write_atomic
 from repro.util import deadline as _deadline
 from repro.util.fingerprint import code_fingerprint  # noqa: F401  (re-export)
 from repro.workload.driver import CostReport, database_for, run_sequence
@@ -254,8 +253,6 @@ def point_label(point: SweepPoint) -> str:
 #: and report runner call :func:`configure_db_store`).
 DB_STORE_ROOT: Optional[str] = None
 
-_DB_STORE: Optional[SnapshotStore] = None
-
 
 def configure_db_store(root: Optional[str]) -> None:
     """Point sweep execution at a snapshot store (None disables reuse).
@@ -265,23 +262,18 @@ def configure_db_store(root: Optional[str]) -> None:
     later points, workers and report runs attach clones instead of
     rebuilding.
     """
-    global DB_STORE_ROOT, _DB_STORE
+    global DB_STORE_ROOT
     DB_STORE_ROOT = root
-    _DB_STORE = None
 
 
 def _db_store() -> Optional[SnapshotStore]:
-    """The process-wide store for :data:`DB_STORE_ROOT` (lazy singleton).
+    """A store over :data:`DB_STORE_ROOT`, or None when reuse is off.
 
-    One store per process keeps its in-memory snapshot LRU effective
-    across consecutive :func:`run_sweep` calls (a report runs many).
+    The store is persistence only, so a new one per caller costs
+    nothing; what stays mapped is bounded by the caller's
+    :class:`DatabaseCache`.
     """
-    global _DB_STORE
-    if DB_STORE_ROOT is None:
-        return None
-    if _DB_STORE is None or _DB_STORE.root != DB_STORE_ROOT:
-        _DB_STORE = SnapshotStore(DB_STORE_ROOT)
-    return _DB_STORE
+    return SnapshotStore(DB_STORE_ROOT) if DB_STORE_ROOT is not None else None
 
 
 def point_key(point: SweepPoint) -> str:
@@ -302,17 +294,17 @@ class PointCache:
 
     Entries live under ``root/points-<fingerprint>/<key>.json`` (one
     directory per code fingerprint; older fingerprints are simply never
-    consulted).  Every entry is written to a temporary file, fsynced and
-    atomically renamed into place — the same discipline as the snapshot
-    store — so a crash (even SIGKILL) can never leave a torn entry: an
-    interrupted sweep resumes from exactly its last completed point.
+    consulted).  Every entry is written through the snapshot store's
+    :func:`~repro.storage.snapshot.write_atomic`, so a crash (even
+    SIGKILL) can never leave a torn entry: an interrupted sweep resumes
+    from exactly its last completed point.
 
     Each entry embeds a SHA-256 checksum of its content.  A zero-byte,
     truncated or bit-flipped entry fails verification at load time, is
-    quarantined (renamed ``*.corrupt``) and treated as a miss — the
-    point is recomputed deterministically and re-stored.  If the cache
-    directory becomes unwritable mid-sweep, the cache downgrades to
-    memory-only operation instead of failing the run.
+    quarantined (:func:`~repro.storage.snapshot.quarantine`) and treated
+    as a miss — the point is recomputed deterministically and re-stored.
+    If the cache directory becomes unwritable mid-sweep, the cache
+    downgrades to memory-only operation instead of failing the run.
     """
 
     def __init__(self, root: str) -> None:
@@ -363,19 +355,10 @@ class PointCache:
         except (ValueError, UnicodeDecodeError, CacheCorrupt):
             # Torn write, partial entry or bit rot: quarantine and treat
             # as a miss — the point recomputes deterministically.
-            self._quarantine(path)
+            self.corrupt += 1
+            quarantine(path)
             return None
         return entry
-
-    def _quarantine(self, path: str) -> None:
-        self.corrupt += 1
-        try:
-            os.replace(path, path + ".corrupt")
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
 
     @staticmethod
     def _checksum(key: Any, result: Any) -> str:
@@ -416,24 +399,11 @@ class PointCache:
 
     def _write_entry(self, key: str, result: Dict[str, Any]) -> None:
         _fault.hit("pointcache.save")
-        os.makedirs(self.dir, exist_ok=True)
         payload = json.dumps(
             {"key": key, "result": result, "check": self._checksum(key, result)},
             sort_keys=True,
         )
-        fd, tmp_path = tempfile.mkstemp(dir=self.dir, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, os.path.join(self.dir, key + ".json"))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        write_atomic(os.path.join(self.dir, key + ".json"), payload.encode())
 
     def stats_snapshot(self) -> Dict[str, int]:
         return {
@@ -728,8 +698,8 @@ def _run_task(
             "error": str(exc.cause or exc),
             "attempts": exc.attempts,
         }
-    # Delta, not totals: a worker's cache and the store singleton's
-    # counters outlive the task.
+    # Delta, not totals: a worker's cache and its store's counters
+    # outlive the task.
     delta = _stats_delta(db_cache.stats_snapshot(), before)
     if plan is not None:
         task_counters["injections"] = _injection_delta(
@@ -936,7 +906,7 @@ class _InProcessExecutor:
 
     What ``jobs=1`` uses, and what a sweep whose pools keep failing
     swaps in.  Points share one :class:`DatabaseCache` over the
-    process-wide store for the executor's lifetime, bounded like a pool
+    configured store for the executor's lifetime, bounded like a pool
     worker's (:data:`WORKER_DB_CACHE_SIZE`).
     """
 

@@ -138,8 +138,8 @@ class DatabaseCache:
     long sweep — or a pool worker that sees many shapes — cannot hold
     every template it ever built.  Re-loading or rebuilding an evicted
     shape is deterministic, so a bound never changes measured results.
-    This bound and the store's memory tier decide which loaded arenas a
-    sweep keeps mapped (the arena registry keeps none alive).
+    This bound alone decides which loaded arenas a sweep keeps mapped:
+    the store and the arena registry keep none alive.
     """
 
     #: Parameters that change the stored data (anything else can vary
@@ -171,8 +171,8 @@ class DatabaseCache:
         self.builds = 0
         self.attaches = 0
         #: The share of ``attaches`` cloned from an mmap arena; the rest
-        #: cloned a template frozen in this process (its ``put`` failed
-        #: and :meth:`_degrade` dropped the store).
+        #: cloned a template frozen in this process (no store, or its
+        #: ``put`` failed or could not re-load the arena it wrote).
         self.arena_attaches = 0
         self.build_seconds = 0.0
         self.attach_seconds = 0.0
@@ -267,21 +267,12 @@ class DatabaseCache:
             self.builds += 1
             self.build_seconds += time.perf_counter() - t0
             if self.store is not None:
+                # Keep the handle the store now serves (the arena just
+                # written): cold and warm points attach one way.
                 try:
-                    self.store.put(store_key, snapshot)
+                    snapshot = self.store.put(store_key, snapshot)
                 except (OSError, FaultInjected) as exc:
                     self._degrade(exc)
-                else:
-                    # Prefer the handle the store now serves (the arena
-                    # just written): cold and warm points then attach
-                    # through one code path.
-                    try:
-                        revived = self.store.get(store_key)
-                    except (OSError, FaultInjected) as exc:
-                        self._degrade(exc)
-                    else:
-                        if revived is not None:
-                            snapshot = revived
         self._cache[key] = snapshot
         while self.max_entries is not None and len(self._cache) > self.max_entries:
             self._cache.popitem(last=False)

@@ -699,8 +699,8 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
         """Cold-read the durable snapshot, optionally under corruption.
 
         A fresh store instance and a discarded registry entry force the
-        on-disk path, as in a cold process (the writer's memory tier or
-        its cached mapping would otherwise answer).  Corrupt bytes must be
+        on-disk path, as in a cold process (a mapping the writer still
+        holds would otherwise answer).  Corrupt bytes must be
         detected, quarantined and reported as a miss — never served —
         after which the deterministic rebuild (re-``put`` of the live
         durable snapshot) must restore the cache.  A clean read must

@@ -38,8 +38,8 @@ therefore each page's lazily decoded record cache) and the shared
 immutables are reused by all clones of that load.  The per-process
 :class:`ArenaRegistry` only removes duplicates: while anyone holds a
 loaded arena, a second load of the same file returns it.  What stays
-resident is decided by the holders — the snapshot store's memory tier
-and the sweep's bounded database cache — never by the registry.
+resident is decided by the holders of the handles — in a sweep, its
+bounded database cache — never by the registry or the snapshot store.
 
 Integrity: the header, index, shared and metadata regions are SHA-256
 checksummed and the total file size is validated, so truncation or a
@@ -243,7 +243,7 @@ class ArenaState:
     exactly as long as the last state or clone that uses it.
     """
 
-    __slots__ = ("path", "pages", "_mmap", "_stubs", "_template", "__weakref__")
+    __slots__ = ("path", "_mmap", "_stubs", "_template", "__weakref__")
 
     def __init__(
         self, path: str, mm: mmap.mmap, stubs: List[Page], template: Any
@@ -252,7 +252,6 @@ class ArenaState:
         from repro.storage.snapshot import Snapshot
 
         self.path = path
-        self.pages = len(stubs)
         self._mmap = mm
         self._stubs = stubs
         self._template = Snapshot(template)
@@ -382,10 +381,10 @@ class ArenaRegistry:
 
     The registry holds its states *weakly*: it promises one mapping per
     file for as long as anyone uses it, and nothing more.  Residency is
-    bounded by the holders — the snapshot store's memory LRU and the
-    sweep's :class:`~repro.experiments.runner.DatabaseCache` — and a
-    state they all dropped is unmapped by the garbage collector, so a
-    later :meth:`load` reparses the file.
+    bounded by the holders of the handles — in a sweep, its
+    :class:`~repro.experiments.runner.DatabaseCache` — and a state they
+    all dropped is unmapped by the garbage collector, so a later
+    :meth:`load` reparses the file.
 
     A live state answers for the bytes that were at ``path`` when it
     was mapped (the mapping pins that inode), so whoever replaces the
@@ -399,7 +398,7 @@ class ArenaRegistry:
     so :meth:`load` holds the registry lock across the check *and* the
     map — two threads racing on the same path get one ``ArenaState``
     (one mmap), never a duplicate mapping.  Loads are rare (one per
-    database shape entering the memory tier), so serializing them costs
+    database shape entering a holder's cache), so serializing them costs
     nothing on the hot path.
     """
 
@@ -456,10 +455,6 @@ class ArenaSnapshot:
 
     def __init__(self, state: ArenaState) -> None:
         self._state = state
-
-    @property
-    def pages(self) -> int:
-        return self._state.pages
 
     def attach(self) -> Any:
         return self._state.attach()

@@ -29,14 +29,18 @@ This module provides the two pieces that make reuse cheap and safe:
   observe each other's updates and the template is never modified.
 
 * :class:`SnapshotStore` — a persistent, process-shared store of frozen
-  databases (one file per shape under ``results/.dbcache/``), fronted by
-  a small in-memory LRU.  Pool workers and repeated report runs attach
-  in milliseconds instead of rebuilding.  Filenames embed the source
-  fingerprint, so any code change orphans every stored snapshot at once.
-  The on-disk format is the flat mmap-backed **arena**
-  (:mod:`repro.storage.arena`, ``*.arena``): loading one maps the file
-  read-only and shares its page images across every attach made while
-  it stays loaded, with zero pickling of page payloads.
+  databases (one file per shape under ``results/.dbcache/``).  It is
+  persistence only: it keeps nothing resident, so what stays mapped is
+  decided by whoever holds the handles it returns (the sweep's bounded
+  :class:`~repro.experiments.runner.DatabaseCache`).  Pool workers and
+  repeated report runs attach in milliseconds instead of rebuilding.
+  Filenames embed the source fingerprint, so any code change orphans
+  every stored snapshot at once.  The on-disk format is the flat
+  mmap-backed **arena** (:mod:`repro.storage.arena`, ``*.arena``):
+  loading one maps the file read-only and shares its page images across
+  every attach made while it stays loaded, with zero pickling of page
+  payloads.  Its :func:`write_atomic` and :func:`quarantine` also serve
+  the sweep's point cache (:class:`repro.experiments.pool.PointCache`).
 
 Copy-on-write never changes measured costs: a real engine modifies the
 already-buffered frame in place, so the private copy is free — page
@@ -48,8 +52,6 @@ from __future__ import annotations
 import copy
 import os
 import tempfile
-import threading
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CacheCorrupt
@@ -57,6 +59,43 @@ from repro.fault import plan as _fault
 from repro.obs import spans as _spans
 from repro.storage import arena as _arena
 from repro.storage.arena import ArenaSnapshot
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Durably replace ``path`` with ``data``.
+
+    The bytes go to a temporary file beside ``path``, are fsynced and
+    renamed into place (atomic on POSIX), so a crash — even SIGKILL —
+    leaves the old file or the new one, never a torn one.  The
+    temporary file is removed on any failure.
+    """
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+
+
+def quarantine(path: str) -> None:
+    """Move a corrupt file aside (``*.corrupt``, kept as evidence) so
+    reloads miss it; delete it if the rename fails."""
+    try:
+        os.replace(path, path + ".corrupt")
+    except OSError:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
 
 class Snapshot:
@@ -103,50 +142,36 @@ class SnapshotStore:
     """Persistent store of database snapshots, shared across processes.
 
     Keys are arbitrary strings (the sweep layer uses a hash of the
-    database shape); each key maps to one arena file under ``root``.  A
-    bounded in-memory LRU of snapshot handles (``max_memory_entries``)
-    fronts the files, and together with the sweep's
-    :class:`~repro.experiments.runner.DatabaseCache` it is what keeps a
-    loaded arena resident: the process-wide
-    :class:`~repro.storage.arena.ArenaRegistry` holds states weakly and
-    only merges concurrent loads of one file.  A shape every holder has
-    evicted is re-parsed from its file on the next :meth:`get`.
+    database shape); each key maps to one arena file under ``root``.
+    The store keeps no handle of its own: it loads through the
+    process-wide :class:`~repro.storage.arena.ArenaRegistry`, which
+    holds states weakly, so a loaded arena stays mapped exactly as long
+    as a caller holds its handle — in a sweep, the bounded
+    :class:`~repro.experiments.runner.DatabaseCache`.  A shape every
+    holder has dropped is re-parsed from its file on the next :meth:`get`.
 
-    Concurrency: writes go to a temporary file renamed into place
-    (atomic on POSIX), and builds are deterministic, so workers racing
-    on one key write identical bytes — last writer wins harmlessly and
-    readers never see a torn file.
+    Concurrency: writes go through :func:`write_atomic`, and builds are
+    deterministic, so workers racing on one key write identical bytes —
+    last writer wins harmlessly and readers never see a torn file.
 
     Crash safety: an arena carries a SHA-256 over each structural
     region (header-declared index, shared-objects and metadata blobs)
     plus its exact size, all verified on load.  A truncated, torn or
-    bit-flipped file fails verification, is *quarantined* (renamed
-    ``*.corrupt``, so the evidence survives for inspection) and counts
-    as a miss — the caller rebuilds deterministically and overwrites it.
+    bit-flipped file fails verification, is quarantined
+    (:func:`quarantine`) and counts as a miss — the caller rebuilds
+    deterministically and overwrites it.
     """
 
     FILE_PREFIX = "db-"
 
-    def __init__(
-        self,
-        root: str,
-        max_memory_entries: int = 4,
-        fingerprint: Optional[str] = None,
-    ) -> None:
+    def __init__(self, root: str, fingerprint: Optional[str] = None) -> None:
         if fingerprint is None:
             from repro.util.fingerprint import code_fingerprint
 
             fingerprint = code_fingerprint()
         self.root = root
         self.fingerprint = fingerprint
-        self.max_memory_entries = max_memory_entries
-        #: Memory tier holds Snapshot or ArenaSnapshot handles alike.
-        #: Guarded by ``_memory_lock`` — the serving layer's threads hit
-        #: the store concurrently and OrderedDict mutation is not atomic.
-        self._memory: "OrderedDict[str, Any]" = OrderedDict()
-        self._memory_lock = threading.Lock()
         self.stats: Dict[str, int] = {
-            "memory_hits": 0,
             "disk_hits": 0,
             "misses": 0,
             "puts": 0,
@@ -159,21 +184,15 @@ class SnapshotStore:
         )
 
     def get(self, key: str) -> Optional[Any]:
-        """The snapshot for ``key``, or None (memory tier, then disk).
+        """The snapshot stored under ``key``, or None.
 
         A stored file that fails checksum verification — torn write,
         bit rot, or an injected ``snapshot.load`` fault — is quarantined
         and reported as a miss; corruption is never an error here.
-        Disk hits return an :class:`~repro.storage.arena.ArenaSnapshot`
+        Hits return an :class:`~repro.storage.arena.ArenaSnapshot`
         backed by the process-wide registry (one mmap + stub build for
         as long as any holder keeps the handle).
         """
-        with self._memory_lock:
-            snapshot = self._memory.get(key)
-            if snapshot is not None:
-                self._memory.move_to_end(key)
-                self.stats["memory_hits"] += 1
-                return snapshot
         path = self._arena_path(key)
         try:
             snapshot = ArenaSnapshot(_arena.registry().load(path))
@@ -183,69 +202,35 @@ class SnapshotStore:
                 # fault): quarantine — the caller rebuilds
                 # deterministically and overwrites the arena.
                 _arena.registry().discard(path)
-                self._quarantine(path)
+                self.stats["corrupt"] += 1
+                quarantine(path)
             self.stats["misses"] += 1
             return None
-        self._remember(key, snapshot)
         self.stats["disk_hits"] += 1
         return snapshot
 
-    def put(self, key: str, snapshot: Snapshot) -> None:
-        """Persist ``snapshot`` under ``key`` (checksummed atomic replace).
+    def put(self, key: str, snapshot: Snapshot) -> Any:
+        """Persist ``snapshot`` under ``key``; return the handle to attach.
 
-        May raise :class:`~repro.errors.FaultInjected`
-        (``snapshot.save`` site) or ``OSError``; callers degrade to
-        store-less operation.
+        That handle is the :class:`~repro.storage.arena.ArenaSnapshot`
+        of the arena just written — the object a cold process would
+        load, so cold and warm attaches clone the same stub-backed
+        template — or ``snapshot`` itself if re-loading the file fails
+        (the next :meth:`get` re-verifies it).  May raise
+        :class:`~repro.errors.FaultInjected` (``snapshot.save`` site) or
+        ``OSError``; callers degrade to store-less operation.
         """
         _fault.hit("snapshot.save")
-        self._remember(key, snapshot)
-        os.makedirs(self.root, exist_ok=True)
-        blob = _arena.build_arena(snapshot._db)
         path = self._arena_path(key)
-        fd, tmp_path = tempfile.mkstemp(dir=self.root, prefix=".tmp-db-")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, _arena.build_arena(snapshot._db))
         self.stats["puts"] += 1
-        # Serve same-process re-attaches from the arena we just wrote,
-        # not the builder's Snapshot: the memory tier then hands out the
-        # exact object a cold process would load, so cold and warm
-        # attaches clone the same stub-backed template.  A mapping of
-        # the file this put replaced must not answer for the new bytes.
+        # A mapping of the file this put replaced must not answer for
+        # the new bytes.
         _arena.registry().discard(path)
         try:
-            state = _arena.registry().load(path)
-        except Exception:
-            pass  # keep the Snapshot; the next disk read re-verifies
-        else:
-            self._remember(key, ArenaSnapshot(state))
-
-    def _quarantine(self, path: str) -> None:
-        """Move a corrupt file aside (``*.corrupt``) so reloads miss it."""
-        self.stats["corrupt"] += 1
-        try:
-            os.replace(path, path + ".corrupt")
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    def _remember(self, key: str, snapshot: Snapshot) -> None:
-        with self._memory_lock:
-            self._memory[key] = snapshot
-            self._memory.move_to_end(key)
-            while len(self._memory) > self.max_memory_entries:
-                self._memory.popitem(last=False)
+            return ArenaSnapshot(_arena.registry().load(path))
+        except (CacheCorrupt, OSError, ValueError):
+            return snapshot
 
     # ------------------------------------------------------------------
     # maintenance / introspection (the ``repro dbcache`` subcommand)
@@ -293,6 +278,4 @@ class SnapshotStore:
                 removed += 1
             except OSError:
                 pass
-        with self._memory_lock:
-            self._memory.clear()
         return removed

@@ -25,8 +25,9 @@ from repro.experiments.pool import (
 )
 from repro.fault import plan as fault_plan
 from repro.fault.plan import FaultPlan, FaultSpec
-from repro.storage.snapshot import SnapshotStore
+from repro.storage.snapshot import Snapshot, SnapshotStore
 from repro.workload.driver import CostReport
+from repro.workload.generator import build_database
 
 FAST = RetryPolicy(max_retries=2, backoff_seconds=0.001)
 
@@ -193,6 +194,59 @@ class TestPointCacheSelfHealing:
         assert cache.downgrades == 1
         assert len(cache) == 2  # memory still answers within the run
         assert _last_faults()["downgrades"] >= 1
+
+
+def _point_cache_writer(root, _params):
+    """``(write(n), entry path)`` for a point cache under ``root``."""
+    cache = PointCache(root)
+    return (
+        lambda n: cache._write_entry("k", {"n": n}),
+        os.path.join(cache.dir, "k.json"),
+    )
+
+
+def _snapshot_store_writer(root, params):
+    """``(write(n), entry path)`` for a snapshot store under ``root``."""
+    store = SnapshotStore(root)
+    return (
+        lambda n: store.put(
+            "k", Snapshot.freeze(build_database(params.replace(seed=n)))
+        ),
+        store._arena_path("k"),
+    )
+
+
+class TestDurableWrite:
+    """Both on-disk caches write through one routine: a write that fails
+    at its fsync leaves no temporary file and the earlier entry intact."""
+
+    @pytest.mark.parametrize(
+        "writer", [_point_cache_writer, _snapshot_store_writer]
+    )
+    def test_failed_fsync_keeps_the_earlier_entry(
+        self, writer, tiny_params, tmp_path, monkeypatch
+    ):
+        root = str(tmp_path / "cache")
+        write, path = writer(root, tiny_params)
+        write(1)
+        with open(path, "rb") as handle:
+            before = handle.read()
+
+        def failing_fsync(fd):
+            raise OSError("fsync failed")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="fsync failed"):
+            write(2)
+        monkeypatch.undo()
+        directory = os.path.dirname(path)
+        assert [n for n in os.listdir(directory) if n.startswith(".tmp-")] == []
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        if writer is _point_cache_writer:
+            assert PointCache(root).get("k") == {"n": 1}
+        else:
+            assert SnapshotStore(root).get("k") is not None
 
 
 class TestStoreDegradation:

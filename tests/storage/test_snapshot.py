@@ -1,6 +1,7 @@
 """Copy-on-write snapshots: frozen pages, clone isolation, the store."""
 
 import copy
+import gc
 import os
 import sys
 
@@ -8,6 +9,8 @@ import pytest
 
 from repro.core.strategies.base import make_strategy
 from repro.errors import FrozenPageError
+from repro.fault import plan as _fault
+from repro.fault.plan import FaultPlan, FaultSpec
 from repro.obs import MetricsRegistry, Tracer
 from repro.storage import arena
 from repro.storage.buffer import BufferPool
@@ -237,14 +240,13 @@ class TestSnapshotStore:
     def _snapshot(self, tiny_params):
         return Snapshot.freeze(build_database(tiny_params))
 
-    def test_roundtrip_memory_then_disk(self, tiny_params, tmp_path):
+    def test_roundtrip_through_disk(self, tiny_params, tmp_path):
         store = SnapshotStore(str(tmp_path))
         assert store.get("k") is None
         store.put("k", self._snapshot(tiny_params))
         assert store.get("k") is not None
         assert store.stats == {
-            "memory_hits": 1,
-            "disk_hits": 0,
+            "disk_hits": 1,
             "misses": 1,
             "puts": 1,
             "corrupt": 0,
@@ -254,14 +256,33 @@ class TestSnapshotStore:
         assert fresh.get("k") is not None
         assert fresh.stats["disk_hits"] == 1
 
-    def test_memory_lru_is_bounded(self, tiny_params, tmp_path):
-        store = SnapshotStore(str(tmp_path), max_memory_entries=2)
+    def test_store_keeps_nothing_resident(self, tiny_params, tmp_path):
+        # The caller's handle is the only thing keeping an arena mapped.
+        store = SnapshotStore(str(tmp_path))
+        handle = store.put("k", self._snapshot(tiny_params))
+        path = store._arena_path("k")
+        del handle
+        gc.collect()
+        assert path not in arena.registry()._states
+
+    def test_put_returns_the_arena_it_wrote(self, tiny_params, tmp_path):
+        store = SnapshotStore(str(tmp_path))
         snapshot = self._snapshot(tiny_params)
-        for key in ("a", "b", "c"):
-            store.put(key, snapshot)
-        assert len(store._memory) == 2
-        assert store.get("a") is not None  # evicted from memory, on disk
-        assert store.stats["disk_hits"] == 1
+        served = store.put("k", snapshot)
+        assert isinstance(served, arena.ArenaSnapshot)
+        assert served._state is arena.registry().load(store._arena_path("k"))
+        # If the written arena cannot be re-loaded, the caller keeps
+        # attaching the snapshot it gave; the file is left for the next
+        # get to verify.
+        _fault.install(
+            FaultPlan([FaultSpec("snapshot.load", rate=1.0, count=1)], seed=1)
+        )
+        try:
+            assert store.put("k", snapshot) is snapshot
+        finally:
+            _fault.clear()
+        assert store.stats["corrupt"] == 0
+        assert isinstance(store.get("k"), arena.ArenaSnapshot)
 
     def test_different_fingerprint_misses(self, tiny_params, tmp_path):
         old = SnapshotStore(str(tmp_path), fingerprint="a" * 64)
