@@ -28,10 +28,6 @@ class FileNotFoundError_(StorageError):
     """A file id referred to a file that was never created or was dropped."""
 
 
-class BufferPoolFullError(StorageError):
-    """Every frame in the buffer pool is pinned; nothing can be evicted."""
-
-
 class FrozenPageError(StorageError):
     """A frozen (snapshot-shared) page was mutated without copy-on-write.
 

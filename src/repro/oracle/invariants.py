@@ -3,7 +3,7 @@
 Each storage engine carries its own ``check_invariants()`` debug hook
 (key order and occupancy for the B-tree, overflow-chain integrity for
 the hash file, per-page ordering for ISAM, tail accounting for heaps,
-slot/byte accounting on every page, frame/pin bookkeeping in the buffer
+slot/byte accounting on every page, frame/policy bookkeeping in the buffer
 pool).  :func:`check_all` fans one call out over everything a
 :class:`~repro.storage.catalog.Catalog` owns, so a state machine can
 assert whole-store well-formedness after every rule with one line.

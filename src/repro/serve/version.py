@@ -99,7 +99,7 @@ class VersionChain:
             return VersionLease(self, head)
 
     def release(self, version: Version) -> None:
-        """Drop one reader pin; retire a superseded, unpinned version."""
+        """Drop one reader pin; retire a superseded version left with none."""
         with self._lock:
             version.readers -= 1
             if version.readers == 0 and version is not self._head:

@@ -6,11 +6,12 @@ counted as I/O.  The paper used a main-memory buffer of 100 INGRES data
 pages, which is the default here (see
 :data:`repro.workload.params.WorkloadParams.buffer_pages`).
 
-The pool is a straightforward pin-count LRU:
+The pool is a straightforward LRU:
 
 * :meth:`fetch` returns a frame's page, moving it to the MRU end;
-* a miss evicts the least recently used *unpinned* frame, writing it back
-  first if dirty (one write);
+* a miss evicts the least recently used frame, writing it back first if
+  dirty (one write), and reads the incoming page into the victim's
+  frame object;
 * :meth:`new_page` installs a freshly allocated page as a dirty frame
   without a read — appending to a temporary relation costs only the
   eventual write-back, as in a real engine;
@@ -52,6 +53,11 @@ and makes the holder flush before its own next touch.  Callers whose
 input is a materialised list (``HeapFile.insert_many(list)``, one batch
 of ``merge_walk``) therefore account a whole run at once; a lazy iterable
 cannot be batched, because any pull from it may touch the pool.
+
+A frame is valid only under its lease.  Eviction recycles the victim's
+:class:`_Frame` for the page that replaces it, so a frame reference
+kept past a change of ``epoch`` may already hold another page; check the
+epoch before touching ``frame.page`` or ``frame.dirty``.
 """
 
 from __future__ import annotations
@@ -59,9 +65,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
-from repro.errors import BufferPoolFullError
 from repro.obs import spans as _spans
 from repro.storage.disk import DiskManager
 from repro.storage.page import Page, PageId
@@ -70,14 +75,14 @@ DEFAULT_BUFFER_PAGES = 100
 
 
 class _Frame:
-    """One buffered page plus its bookkeeping bits."""
+    """One buffer slot: a page and its dirty bit, reused across evictions."""
 
-    __slots__ = ("page", "dirty", "pins")
+    __slots__ = ("page", "dirty")
 
-    def __init__(self, page: Page, dirty: bool = False, pins: int = 0) -> None:
-        self.page = page
-        self.dirty = dirty
-        self.pins = pins
+    page: Page
+
+    def __init__(self) -> None:
+        self.dirty = False
 
 
 @dataclass(frozen=True)
@@ -139,20 +144,7 @@ class BufferStats:
     __slots__ = ("hits", "misses", "evictions", "dirty_evictions")
 
     def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if not self.accesses:
-            return 0.0
-        return self.hits / self.accesses
+        self.reset()
 
     def reset(self) -> None:
         self.hits = 0
@@ -164,18 +156,11 @@ class BufferStats:
         """Immutable copy of the current counters (see :class:`PoolStats`)."""
         return PoolStats(self.hits, self.misses, self.evictions, self.dirty_evictions)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "BufferStats(hits=%d, misses=%d, evictions=%d)" % (
-            self.hits,
-            self.misses,
-            self.evictions,
-        )
-
 
 class BufferPool:
-    """Fixed-capacity page cache with pin counts.
+    """Fixed-capacity page cache.
 
-    ``policy`` selects the replacement victim among unpinned frames:
+    ``policy`` selects the replacement victim:
 
     * ``"lru"``   — least recently used (the default; INGRES-era engines
       were LRU-ish and the paper's numbers assume recency locality);
@@ -218,7 +203,7 @@ class BufferPool:
     # ------------------------------------------------------------------
     # core operations
     # ------------------------------------------------------------------
-    def fetch(self, page_id: PageId, pin: bool = False) -> Page:
+    def fetch(self, page_id: PageId) -> Page:
         """Return the page for ``page_id``, reading it on a miss."""
         # Hottest path in the whole simulator (tens of millions of calls
         # per sweep) — the hit branch is inlined; a miss goes to _admit().
@@ -231,11 +216,8 @@ class BufferPool:
                 frames.move_to_end(page_id)
             else:
                 self._referenced[page_id] = True
-        else:
-            frame = self._admit(page_id)
-        if pin:
-            frame.pins += 1
-        return frame.page
+            return frame.page
+        return self._admit(page_id).page
 
     def fetch_frame(self, page_id: PageId) -> _Frame:
         """:meth:`fetch` returning the frame itself, for lease reuse.
@@ -258,7 +240,7 @@ class BufferPool:
             return frame
         return self._admit(page_id)
 
-    def writable(self, page_id: PageId, pin: bool = False) -> Page:
+    def writable(self, page_id: PageId) -> Page:
         """Fetch ``page_id`` with write intent (copy-on-write aware).
 
         Identical accounting to :meth:`fetch`, but if the page is frozen
@@ -268,7 +250,7 @@ class BufferPool:
         a real engine modifies the buffered frame in place; page sharing
         is an artifact of the simulator keeping live objects on "disk".
         """
-        page = self.fetch(page_id, pin=pin)
+        page = self.fetch(page_id)
         if page.frozen:
             page = self.disk.cow_page(page_id)
             self._frames[page_id].page = page
@@ -310,16 +292,16 @@ class BufferPool:
         """
         return self._frames[page_id]
 
-    def new_page(self, file_id: int, pin: bool = False) -> Page:
+    def new_page(self, file_id: int) -> Page:
         """Allocate a fresh page and install it dirty (no read charged)."""
-        if len(self._frames) >= self.capacity:
-            self._evict_one()
+        frame = self._free_frame()
         self.epoch += 1
-        page = self.disk.allocate_page(file_id)
-        frame = _Frame(page, dirty=True)
-        if pin:
-            frame.pins += 1
-        self._install(page.page_id, frame)
+        frame.page = page = self.disk.allocate_page(file_id)
+        frame.dirty = True
+        self._frames[page.page_id] = frame
+        if not self._is_lru:
+            self._referenced[page.page_id] = True
+            self._clock_ring.append(page.page_id)
         return page
 
     def mark_dirty(self, page_id: PageId) -> None:
@@ -332,15 +314,6 @@ class BufferPool:
         if frame is None:
             raise KeyError("mark_dirty on non-resident page %s" % (page_id,))
         frame.dirty = True
-
-    def unpin(self, page_id: PageId) -> None:
-        """Release one pin on a resident page."""
-        frame = self._frames.get(page_id)
-        if frame is None:
-            raise KeyError("unpin on non-resident page %s" % (page_id,))
-        if frame.pins <= 0:
-            raise ValueError("unpin without pin on %s" % (page_id,))
-        frame.pins -= 1
 
     # ------------------------------------------------------------------
     # maintenance
@@ -407,18 +380,15 @@ class BufferPool:
     def resident_pages(self) -> Iterator[PageId]:
         return iter(list(self._frames.keys()))
 
-    def pinned_count(self) -> int:
-        return sum(1 for f in self._frames.values() if f.pins > 0)
-
     def check_invariants(self) -> None:
-        """Verify frame-table, pin and replacement bookkeeping (debug hook).
+        """Verify frame-table and replacement bookkeeping (debug hook).
 
-        Capacity is a hard bound, pins never go negative, every frame is
-        keyed by its page's own id, and the replacement-policy side
-        structures agree with the frame table: LRU keeps them empty,
-        clock keeps every resident page in the ring (stale ring entries
-        for evicted pages are legal — the sweep filters them lazily) and
-        never tracks a reference bit for a non-resident page.
+        Capacity is a hard bound, every frame is keyed by its page's own
+        id, and the replacement-policy side structures agree with the
+        frame table: LRU keeps them empty, clock keeps every resident
+        page in the ring (stale ring entries for evicted pages are legal
+        — the sweep filters them lazily) and never tracks a reference
+        bit for a non-resident page.
         """
         if len(self._frames) > self.capacity:
             raise AssertionError(
@@ -426,8 +396,6 @@ class BufferPool:
                 % (len(self._frames), self.capacity)
             )
         for page_id, frame in self._frames.items():
-            if frame.pins < 0:
-                raise AssertionError("negative pin count on %s" % (page_id,))
             if frame.page.page_id != page_id:
                 raise AssertionError(
                     "frame keyed %s holds page %s" % (page_id, frame.page.page_id)
@@ -462,59 +430,53 @@ class BufferPool:
         # any profiler test (they run tens of millions of times).
         prof = _spans._PROFILER
         t0 = perf_counter_ns() if prof is not None else 0
-        if len(self._frames) >= self.capacity:
-            self._evict_one()
-        frame = _Frame(self.disk.read_page(page_id))
-        self._install(page_id, frame)
-        if prof is not None:
-            prof.add("pool.fetch_miss", perf_counter_ns() - t0)
-        return frame
-
-    def _install(self, page_id: PageId, frame: _Frame) -> None:
+        frame = self._free_frame()
+        frame.page = self.disk.read_page(page_id)
         self._frames[page_id] = frame
         if not self._is_lru:
             self._referenced[page_id] = True
             self._clock_ring.append(page_id)
+        if prof is not None:
+            prof.add("pool.fetch_miss", perf_counter_ns() - t0)
+        return frame
 
-    def _evict_one(self) -> None:
-        """Evict the policy's victim, writing it back first if dirty."""
+    def _free_frame(self) -> _Frame:
+        """A clean frame for an incoming page: a new one while the pool is
+        filling, else the policy's victim, evicted (written back first if
+        dirty) and handed over for reuse."""
         frames = self._frames
+        if len(frames) < self.capacity:
+            return _Frame()
         if self._is_lru:
-            for page_id, frame in frames.items():  # LRU -> MRU order
-                if frame.pins == 0:
-                    break
-            else:
-                raise BufferPoolFullError(
-                    "all %d frames pinned; cannot evict" % len(frames)
-                )
+            page_id, frame = frames.popitem(last=False)
         else:
             page_id, frame = self._clock_victim()
         self.stats.evictions += 1
         if frame.dirty:
             self.stats.dirty_evictions += 1
-            self.disk.write_page(frame.page)
-        del frames[page_id]
+            try:
+                self.disk.write_page(frame.page)
+            except BaseException:
+                if self._is_lru:  # still resident, dirty and first in line
+                    frames[page_id] = frame
+                    frames.move_to_end(page_id, last=False)
+                raise
+            frame.dirty = False
         if not self._is_lru:
+            del frames[page_id]
             self._referenced.pop(page_id, None)
             self._clock_ring.pop(self._clock_hand)
+        return frame
 
     def _clock_victim(self) -> Tuple[PageId, _Frame]:
-        """Second-chance sweep: clear reference bits until an unreferenced,
-        unpinned frame comes under the hand, and leave the hand on it."""
-        self._clock_ring = [p for p in self._clock_ring if p in self._frames]
-        if not self._clock_ring:
-            raise BufferPoolFullError("clock ring empty; cannot evict")
-        sweeps = 0
-        limit = 2 * len(self._clock_ring) + 1
-        while sweeps < limit:
-            self._clock_hand %= len(self._clock_ring)
-            page_id = self._clock_ring[self._clock_hand]
-            frame = self._frames[page_id]
-            if frame.pins == 0 and not self._referenced.get(page_id, False):
-                return page_id, frame
-            self._referenced[page_id] = False
+        """Second-chance sweep: clear reference bits until an unreferenced
+        frame comes under the hand (within one turn), and leave it there."""
+        ring = self._clock_ring = [p for p in self._clock_ring if p in self._frames]
+        referenced = self._referenced
+        while True:
+            self._clock_hand %= len(ring)
+            page_id = ring[self._clock_hand]
+            if not referenced.get(page_id, False):
+                return page_id, self._frames[page_id]
+            referenced[page_id] = False
             self._clock_hand += 1
-            sweeps += 1
-        raise BufferPoolFullError(
-            "all %d frames pinned; cannot evict" % len(self._frames)
-        )

@@ -128,8 +128,5 @@ class Catalog:
     def io_snapshot(self) -> IoSnapshot:
         return self.disk.snapshot()
 
-    def relation_io(self, name: str) -> IoSnapshot:
-        return self.disk.file_snapshot(self.get(name).file_id)
-
     def total_data_pages(self) -> int:
         return self.disk.total_pages()

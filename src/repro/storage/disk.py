@@ -51,9 +51,10 @@ class IoSnapshot:
 class DiskManager:
     """Holds files of pages and counts every page read and write.
 
-    Per-file counters are kept as well as global ones so experiment code
-    can attribute I/O to individual relations (e.g. the ParCost/ChildCost
-    breakdown of Figure 5).
+    The counters are global.  I/O is attributed to a plan phase (e.g.
+    the ParCost/ChildCost breakdown of Figure 5) by deltas of these
+    counters in :class:`~repro.core.measure.CostMeter`, and to pages and
+    files by :attr:`io_hook` observers such as the I/O tracer.
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE) -> None:
@@ -65,8 +66,6 @@ class DiskManager:
         self._next_file_id = 0
         self.reads = 0
         self.writes = 0
-        self._file_reads: Dict[int, int] = {}
-        self._file_writes: Dict[int, int] = {}
         #: Per-file ``PageId`` list cache (see :meth:`page_ids`).
         self._page_id_cache: Dict[int, List[PageId]] = {}
         #: Optional observer invoked as ``hook(kind, page_id)`` with kind in
@@ -82,12 +81,10 @@ class DiskManager:
         self._next_file_id += 1
         self._files[file_id] = []
         self._file_names[file_id] = name or ("file-%d" % file_id)
-        self._file_reads[file_id] = 0
-        self._file_writes[file_id] = 0
         return file_id
 
     def drop_file(self, file_id: int) -> None:
-        """Remove a file and its pages.  Counters for it are retained."""
+        """Remove a file and its pages."""
         self._require_file(file_id)
         del self._files[file_id]
         del self._file_names[file_id]
@@ -178,7 +175,6 @@ class DiskManager:
         if pages is None or not 0 <= page_no < len(pages):
             return self._get(page_id)  # raises the specific error
         self.reads += 1
-        self._file_reads[file_id] += 1
         if self.io_hook is not None:
             self.io_hook("read", page_id)
         return pages[page_no]
@@ -195,7 +191,6 @@ class DiskManager:
         # there is nothing to copy; only the accounting matters.
         self._require_file(page.page_id.file_id)
         self.writes += 1
-        self._file_writes[page.page_id.file_id] += 1
         if self.io_hook is not None:
             self.io_hook("write", page.page_id)
 
@@ -264,20 +259,10 @@ class DiskManager:
         """Copy the global I/O counters."""
         return IoSnapshot(self.reads, self.writes)
 
-    def file_snapshot(self, file_id: int) -> IoSnapshot:
-        """Copy the counters for one file (zero if never created)."""
-        return IoSnapshot(
-            self._file_reads.get(file_id, 0), self._file_writes.get(file_id, 0)
-        )
-
     def reset_counters(self) -> None:
-        """Zero all counters (global and per-file)."""
+        """Zero the I/O counters."""
         self.reads = 0
         self.writes = 0
-        for file_id in self._file_reads:
-            self._file_reads[file_id] = 0
-        for file_id in self._file_writes:
-            self._file_writes[file_id] = 0
 
     # ------------------------------------------------------------------
     # internals

@@ -1,10 +1,14 @@
-"""Buffer pool: LRU residency, dirty write-back, pinning."""
+"""Buffer pool: LRU residency, dirty write-back, fault order, a model."""
+
+import random
 
 import pytest
 
-from repro.errors import BufferPoolFullError
-from repro.storage.buffer import BufferPool
+from repro.errors import FaultInjected
+from repro.fault import plan as fault
+from repro.storage.buffer import BufferPool, PoolStats
 from repro.storage.disk import DiskManager
+from repro.storage.page import PageId
 
 
 @pytest.fixture
@@ -21,8 +25,6 @@ def fill_file(disk, pages: int) -> int:
 
 class TestFetch:
     def test_miss_then_hit(self, disk):
-        from repro.storage.page import PageId
-
         pool = BufferPool(disk, capacity=4)
         fid = fill_file(disk, 1)
         page = pool.fetch(PageId(fid, 0))
@@ -33,8 +35,6 @@ class TestFetch:
         assert pool.stats.misses == 1
 
     def test_lru_eviction_order(self, disk):
-        from repro.storage.page import PageId
-
         pool = BufferPool(disk, capacity=2)
         fid = fill_file(disk, 3)
         pool.fetch(PageId(fid, 0))
@@ -46,8 +46,6 @@ class TestFetch:
         assert pool.stats.evictions == 1
 
     def test_clean_eviction_writes_nothing(self, disk):
-        from repro.storage.page import PageId
-
         pool = BufferPool(disk, capacity=1)
         fid = fill_file(disk, 2)
         pool.fetch(PageId(fid, 0))
@@ -55,8 +53,6 @@ class TestFetch:
         assert disk.writes == 0
 
     def test_dirty_eviction_writes_back(self, disk):
-        from repro.storage.page import PageId
-
         pool = BufferPool(disk, capacity=1)
         fid = fill_file(disk, 2)
         pool.fetch(PageId(fid, 0))
@@ -82,50 +78,180 @@ class TestNewPage:
         assert disk.writes == 1
 
 
-class TestPins:
-    def test_pinned_pages_survive(self, disk):
-        from repro.storage.page import PageId
+@pytest.fixture
+def one_fault():
+    """Install a plan that fires ``site`` at its first opportunity."""
+    yield lambda site: fault.install(fault.FaultPlan([fault.FaultSpec(site)]))
+    fault.clear()
 
-        pool = BufferPool(disk, capacity=2)
+
+@pytest.mark.parametrize("policy", ["lru", "clock"])
+class TestFaultOrder:
+    """A miss counts itself and the eviction, writes a dirty victim back,
+    and only then reads; a fault at either I/O leaves the pool consistent."""
+
+    def _dirty_victim(self, disk, policy):
+        pool = BufferPool(disk, capacity=2, policy=policy)
         fid = fill_file(disk, 3)
-        pool.fetch(PageId(fid, 0), pin=True)
-        pool.fetch(PageId(fid, 1))
-        pool.fetch(PageId(fid, 2))  # must evict page 1, not pinned page 0
-        assert pool.is_resident(PageId(fid, 0))
+        victim, other, incoming = (PageId(fid, i) for i in range(3))
+        pool.fetch(victim)
+        pool.mark_dirty(victim)
+        pool.fetch(other)
+        return pool, victim, other, incoming
 
-    def test_all_pinned_raises(self, disk):
-        from repro.storage.page import PageId
+    def test_write_back_fault_keeps_the_dirty_victim_first(
+        self, disk, policy, one_fault
+    ):
+        pool, victim, other, incoming = self._dirty_victim(disk, policy)
+        one_fault("disk.write")
+        with pytest.raises(FaultInjected):
+            pool.fetch(incoming)
+        fault.clear()
+        assert list(pool.resident_pages()) == [victim, other]
+        assert pool.is_dirty(victim) and not pool.is_resident(incoming)
+        assert pool.stats.snapshot() == PoolStats(0, 3, 1, 1)
+        assert (disk.reads, disk.writes) == (2, 0)
+        pool.check_invariants()
+        # The retry evicts the same victim, this time writing it back.
+        pool.fetch(incoming)
+        assert list(pool.resident_pages()) == [other, incoming]
+        assert pool.stats.snapshot() == PoolStats(0, 4, 2, 2)
+        assert (disk.reads, disk.writes) == (3, 1)
+        pool.check_invariants()
 
-        pool = BufferPool(disk, capacity=1)
-        fid = fill_file(disk, 2)
-        pool.fetch(PageId(fid, 0), pin=True)
-        with pytest.raises(BufferPoolFullError):
-            pool.fetch(PageId(fid, 1))
+    def test_read_fault_after_eviction_drops_the_victim(
+        self, disk, policy, one_fault
+    ):
+        pool, victim, other, incoming = self._dirty_victim(disk, policy)
+        one_fault("disk.read")
+        with pytest.raises(FaultInjected):
+            pool.fetch(incoming)
+        fault.clear()
+        assert list(pool.resident_pages()) == [other]
+        assert pool.stats.snapshot() == PoolStats(0, 3, 1, 1)
+        assert (disk.reads, disk.writes) == (2, 1)
+        pool.check_invariants()
+        pool.fetch(incoming)
+        assert list(pool.resident_pages()) == [other, incoming]
+        assert not pool.is_dirty(incoming)
+        assert pool.stats.snapshot() == PoolStats(0, 4, 1, 1)
+        assert (disk.reads, disk.writes) == (3, 1)
+        pool.check_invariants()
 
-    def test_unpin_allows_eviction(self, disk):
-        from repro.storage.page import PageId
 
-        pool = BufferPool(disk, capacity=1)
-        fid = fill_file(disk, 2)
-        pool.fetch(PageId(fid, 0), pin=True)
-        pool.unpin(PageId(fid, 0))
-        pool.fetch(PageId(fid, 1))
-        assert pool.is_resident(PageId(fid, 1))
+# ----------------------------------------------------------------------
+# the LRU pool against a list-based model
+# ----------------------------------------------------------------------
+class LruModel:
+    """Residency as a list in LRU -> MRU order, dirty pages as a set."""
 
-    def test_unpin_without_pin_raises(self, disk):
-        from repro.storage.page import PageId
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.order = []
+        self.dirty = set()
+        self.stats = [0, 0, 0, 0]  # hits, misses, evictions, dirty evictions
+        self.io = []
 
-        pool = BufferPool(disk, capacity=2)
-        fid = fill_file(disk, 1)
-        pool.fetch(PageId(fid, 0))
-        with pytest.raises(ValueError):
-            pool.unpin(PageId(fid, 0))
+    def _write(self, pid):
+        self.dirty.discard(pid)
+        self.io.append(("write", pid))
+
+    def _make_room(self):
+        if len(self.order) >= self.capacity:
+            victim = self.order.pop(0)
+            self.stats[2] += 1
+            if victim in self.dirty:
+                self.stats[3] += 1
+                self._write(victim)
+
+    def fetch(self, pid):
+        if pid in self.order:
+            self.stats[0] += 1
+            self.order.remove(pid)
+        else:
+            self.stats[1] += 1
+            self._make_room()
+            self.io.append(("read", pid))
+        self.order.append(pid)
+
+    def new_page(self, pid):
+        self._make_room()
+        self.order.append(pid)
+        self.dirty.add(pid)
+
+    def drop(self, pids, flush=False):
+        for pid in [p for p in self.order if p in pids]:
+            if flush and pid in self.dirty:
+                self._write(pid)
+            self.order.remove(pid)
+            self.dirty.discard(pid)
+
+    def flush_all(self):
+        for pid in [p for p in self.order if p in self.dirty]:
+            self._write(pid)
+
+
+def _random_step(rng, pool, model, disk, files):
+    """Apply one random operation to both ``pool`` and ``model``."""
+    op = rng.choice(
+        ["fetch"] * 5 + ["writable"] * 3 + ["new_page", "invalidate_page",
+         "invalidate_file", "flush_all", "clear"]
+    )
+    fid = rng.choice(files)
+    pid = PageId(fid, rng.randrange(disk.num_pages(fid)))
+    if op == "fetch":
+        pool.fetch(pid)
+        model.fetch(pid)
+    elif op == "writable":
+        pool.writable(pid)
+        pool.mark_dirty(pid)
+        model.fetch(pid)
+        model.dirty.add(pid)
+    elif op == "new_page":
+        model.new_page(pool.new_page(fid).page_id)
+    elif op == "invalidate_page":
+        pool.invalidate_page(pid)
+        model.drop({pid})
+    elif op == "invalidate_file":
+        flush = rng.random() < 0.5
+        pool.invalidate_file(fid, flush=flush)
+        model.drop({p for p in model.order if p.file_id == fid}, flush)
+    elif op == "flush_all":
+        pool.flush_all()
+        model.flush_all()
+    else:
+        flush = rng.random() < 0.5
+        pool.clear(flush=flush)
+        if flush:
+            model.flush_all()
+        model.drop(set(model.order))
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pool_matches_lru_model(capacity, seed):
+    disk = DiskManager(page_size=128)
+    files = [fill_file(disk, 4), fill_file(disk, 3)]
+    events = []
+    disk.io_hook = lambda kind, pid: events.append((kind, pid))
+    pool = BufferPool(disk, capacity=capacity)
+    model = LruModel(capacity)
+    rng = random.Random(seed)
+    for _ in range(300):
+        _random_step(rng, pool, model, disk, files)
+        assert pool.stats.snapshot() == PoolStats(*model.stats)
+        assert events == model.io
+        assert (disk.reads, disk.writes) == (
+            sum(kind == "read" for kind, _ in model.io),
+            sum(kind == "write" for kind, _ in model.io),
+        )
+        assert list(pool._frames) == model.order
+        assert {p for p in pool._frames if pool.is_dirty(p)} == model.dirty
+        pool.check_invariants()
 
 
 class TestMaintenance:
     def test_flush_all_clears_dirty(self, disk):
-        from repro.storage.page import PageId
-
         pool = BufferPool(disk, capacity=4)
         fid = fill_file(disk, 2)
         pool.fetch(PageId(fid, 0))
@@ -160,8 +286,6 @@ class TestMaintenance:
         assert len(pool) == 0
 
     def test_mark_dirty_requires_residency(self, disk):
-        from repro.storage.page import PageId
-
         pool = BufferPool(disk, capacity=2)
         fid = fill_file(disk, 1)
         with pytest.raises(KeyError):
@@ -170,9 +294,6 @@ class TestMaintenance:
 
 class TestPoolStats:
     def test_snapshot_is_frozen_and_detached(self, disk):
-        from repro.storage.buffer import PoolStats
-        from repro.storage.page import PageId
-
         pool = BufferPool(disk, capacity=2)
         fid = fill_file(disk, 1)
         snap = pool.stats.snapshot()
@@ -184,8 +305,6 @@ class TestPoolStats:
             snap.misses = 5  # frozen dataclass
 
     def test_delta_measures_one_interval(self, disk):
-        from repro.storage.page import PageId
-
         pool = BufferPool(disk, capacity=2)
         fid = fill_file(disk, 3)
         pool.fetch(PageId(fid, 0))  # outside the interval
@@ -199,8 +318,6 @@ class TestPoolStats:
         assert delta.hit_rate == pytest.approx(1 / 3)
 
     def test_add_and_as_dict(self):
-        from repro.storage.buffer import PoolStats
-
         a = PoolStats(hits=2, misses=1, evictions=1, dirty_evictions=0)
         b = PoolStats(hits=3, misses=0, evictions=0, dirty_evictions=1)
         total = a + b

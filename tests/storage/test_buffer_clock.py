@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import BufferPoolFullError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.page import PageId
@@ -50,16 +49,6 @@ class TestClockPolicy:
         pool.mark_dirty(PageId(fid, 0))
         pool.fetch(PageId(fid, 1))
         assert disk.writes == 1
-
-    def test_pins_respected(self, disk):
-        pool = BufferPool(disk, capacity=1, policy="clock")
-        fid = fill_file(disk, 2)
-        pool.fetch(PageId(fid, 0), pin=True)
-        with pytest.raises(BufferPoolFullError):
-            pool.fetch(PageId(fid, 1))
-        pool.unpin(PageId(fid, 0))
-        pool.fetch(PageId(fid, 1))
-        assert pool.is_resident(PageId(fid, 1))
 
     def test_capacity_never_exceeded(self, disk):
         pool = BufferPool(disk, capacity=4, policy="clock")

@@ -71,15 +71,6 @@ class TestDrop:
 
 
 class TestAccounting:
-    def test_relation_io(self, catalog):
-        heap = catalog.create_heap("h", schema())
-        heap.insert((1, 1))
-        catalog.pool.clear(flush=True)
-        catalog.disk.reset_counters()
-        list(heap.scan())
-        assert catalog.relation_io("h").reads == 1
-        assert catalog.io_snapshot().reads == 1
-
     def test_total_data_pages(self, catalog):
         heap = catalog.create_heap("h", schema())
         for i in range(100):

@@ -252,3 +252,22 @@ class TestInsertManyMatchesInsert:
             heap.insert((99,))
             ledgers.append(_ledger(catalog, heap))
         assert ledgers[0] == ledgers[1]
+
+
+def test_stale_lease_on_a_reused_frame():
+    # The pool hands an evicted tail's frame to the page that replaces
+    # it; the heap's old lease on that frame must not reach that page.
+    catalog, heap = _twin()
+    other = catalog.get("other")
+    other.insert_many(_oids(0, PER_PAGE * 4))  # fills all four frames
+    heap.insert((0,))  # LRU -> MRU: other 1, 2, 3, h 0
+    stale = heap._tail_frame
+    twin = copy.deepcopy(catalog)  # the copy's heap holds no lease
+    for cat in (catalog, twin):
+        for page_no in (1, 2, 3, 0):  # three hits, then a miss evicting h 0
+            cat.pool.fetch(PageId(other.file_id, page_no))
+    assert stale.page.page_id == PageId(other.file_id, 0)
+    assert heap.insert((1,)) == twin.get("h").insert((1,)) == RecordId(0, 1)
+    assert _ledger(catalog, heap) == _ledger(twin, twin.get("h"))
+    assert catalog.disk.peek_page(PageId(heap.file_id, 0)).record_batch() == [(0,), (1,)]
+    assert len(catalog.disk.peek_page(PageId(other.file_id, 0))) == PER_PAGE
