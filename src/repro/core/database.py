@@ -318,14 +318,18 @@ class ComplexObjectDB:
     def start_measurement(self, cold: bool = True) -> None:
         """Flush state so a measured run starts clean.
 
-        Clears the buffer pool (cold start; the paper's sequences are long
-        enough that steady state dominates, and a cold start treats every
-        strategy identically), zeroes the I/O counters and buffer stats.
+        With ``cold``, clears the buffer pool (cold start; the paper's
+        sequences are long enough that steady state dominates, and a
+        cold start treats every strategy identically).  Always zeroes the
+        I/O counters, the buffer stats and the unit cache's stats: what
+        is read at the end of the interval is then its own count.
         """
         if cold:
             self.pool.clear(flush=True)
         self.disk.reset_counters()
         self.pool.stats.reset()
+        if self.cache is not None:
+            self.cache.stats.reset()
 
     def storage_footprint(self) -> Dict[str, int]:
         """Pages per relation — the storage-requirement view of Section 2.4."""

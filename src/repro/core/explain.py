@@ -22,7 +22,7 @@ from typing import List, Optional
 from repro.core.database import ComplexObjectDB
 from repro.core.queries import RetrieveQuery
 from repro.core.strategies.base import REGISTRY, make_strategy
-from repro.core.strategies.optimizer import pages_touched
+from repro.core.strategies.optimizer import child_probes, pages_touched
 from repro.errors import QueryError
 
 
@@ -31,12 +31,8 @@ def _stats(db: ComplexObjectDB, query: RetrieveQuery) -> dict:
     parents_per_page = max(
         1, db.parent_rel.num_records // max(1, db.parent_rel.num_leaf_pages)
     )
-    referenced = sum(
-        len(unit.child_keys) * len(unit.parents) for unit in db.units
-    )
-    fanout = max(1.0, referenced / max(1, db.parent_rel.num_records))
-    keys = round(num_top * fanout)
-    child_leaves = sum(rel.num_leaf_pages for rel in db.child_rels)
+    k, child_leaves = child_probes(db, num_top)
+    keys = round(k)
     return {
         "num_top": num_top,
         "parent_pages": max(1, round(num_top / parents_per_page)),

@@ -25,7 +25,7 @@ The registered name is ``OPT``.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 from repro.core.database import ComplexObjectDB
 from repro.core.measure import CostMeter
@@ -40,6 +40,17 @@ def pages_touched(keys: float, pages: float) -> float:
     if pages <= 0 or keys <= 0:
         return 0.0
     return pages * (1.0 - math.exp(-keys / pages))
+
+
+def child_probes(db: ComplexObjectDB, num_top: int) -> Tuple[float, int]:
+    """``(keys, child leaf pages)`` for ``num_top`` parents, from catalog
+    statistics: ``keys`` is ``num_top`` times the mean width of the
+    ``children`` attribute — an ANALYZE-style statistic, available
+    without touching data pages at plan time.  Callers round as they
+    need (EXPLAIN prints whole keys, OPT costs the float)."""
+    referenced = sum(len(unit.child_keys) * len(unit.parents) for unit in db.units)
+    fanout = max(1.0, referenced / max(1, db.parent_rel.num_records))
+    return num_top * fanout, sum(rel.num_leaf_pages for rel in db.child_rels)
 
 
 class PlanEstimate:
@@ -76,21 +87,10 @@ class OptStrategy(Strategy):
     # ------------------------------------------------------------------
     def estimate(self, db: ComplexObjectDB, query: RetrieveQuery) -> PlanEstimate:
         """Cost both plans from catalog statistics."""
-        num_parents = max(1, db.parent_rel.num_records)
-        # Average references per parent: an ANALYZE-style statistic (the
-        # mean width of the ``children`` attribute), available without
-        # touching data pages at plan time.
-        referenced = sum(
-            len(unit.child_keys) * len(unit.parents) for unit in db.units
-        )
-        fanout = max(1.0, referenced / num_parents)
-        k = query.num_top * fanout
-
-        buffer_pages = db.pool.capacity
-        child_pages = sum(rel.num_leaf_pages for rel in db.child_rels)
+        k, child_pages = child_probes(db, query.num_top)
         touched = pages_touched(k, child_pages)
 
-        if child_pages <= buffer_pages:
+        if child_pages <= db.pool.capacity:
             dfs_child = min(k, touched)
         else:
             dfs_child = float(k)

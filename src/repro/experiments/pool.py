@@ -53,7 +53,7 @@ deterministic, so every failure is recoverable by re-deriving state —
 
 Fault and recovery counters (injections, retries, timeouts, pool
 restarts, quarantined cells, cache corruption and downgrades) land in
-each ``SWEEP_LOG`` entry.
+each ``SWEEP_LOG`` entry's ``faults`` section, and only there.
 
 Determinism contract: a point's measurement depends only on its spec.
 The database build is seeded and every execution starts from a pristine
@@ -91,6 +91,7 @@ from repro.obs import spans as _spans
 from repro.storage.snapshot import SnapshotStore, quarantine, write_atomic
 from repro.util import deadline as _deadline
 from repro.util.fingerprint import code_fingerprint  # noqa: F401  (re-export)
+from repro.util.stats import add_counts, count_delta
 from repro.workload.driver import CostReport, database_for, run_sequence
 from repro.workload.params import WorkloadParams
 from repro.workload.queries import generate_mixed_sequence, generate_sequence
@@ -113,6 +114,14 @@ WORKER_DB_CACHE_SIZE = 4
 #: counts, cache hits, fault/recovery counters and wall-clock seconds.
 #: The report runner sums these into the run's ledger record.
 SWEEP_LOG: List[Dict[str, Any]] = []
+
+#: The recovery counters of a sweep's ``faults`` section, next to its
+#: per-site ``injections`` and ``quarantined`` labels.  A store's
+#: ``downgrades`` and ``corrupt`` counters are reported here and nowhere
+#: else: ``db`` and the ledger's ``point_cache`` carry traffic only.
+RECOVERY_COUNTERS = (
+    "retries", "timeouts", "pool_restarts", "downgrades", "cache_corrupt"
+)
 
 #: Optional live-progress callback (``None`` → zero overhead).  Set via
 #: :func:`set_progress`; called as ``callback(event, info)`` with events
@@ -321,6 +330,7 @@ class PointCache:
         self.downgrades = 0
         #: False once a write failure disabled on-disk persistence.
         self.persistent = True
+        self._reported: Dict[str, int] = {}
         self._load()
 
     # -- loading -------------------------------------------------------
@@ -406,13 +416,19 @@ class PointCache:
         write_atomic(os.path.join(self.dir, key + ".json"), payload.encode())
 
     def stats_snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-            "downgrades": self.downgrades,
-        }
+        """Lookup and store traffic; the fault counters leave through
+        :meth:`unreported_faults` only."""
+        return {"hits": self.hits, "misses": self.misses, "stores": self.stores}
+
+    def unreported_faults(self) -> Dict[str, int]:
+        """Fault counts since the previous call, under the sweep's
+        recovery names.  :func:`run_sweep` calls it once per sweep, so
+        entries quarantined while the cache loaded count in the first
+        sweep that uses it, and no fault counts twice."""
+        counts = {"downgrades": self.downgrades, "cache_corrupt": self.corrupt}
+        fresh = count_delta(counts, self._reported)
+        self._reported = counts
+        return fresh
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +601,7 @@ def _execute_with_recovery(
     point: SweepPoint,
     db_cache: DatabaseCache,
     policy: RetryPolicy,
-    counters: Dict[str, Any],
+    faults: Dict[str, Any],
 ) -> Dict[str, Any]:
     """Run one point with the policy's retry/deadline budget.
 
@@ -606,7 +622,7 @@ def _execute_with_recovery(
         except Exception as exc:  # KeyboardInterrupt/SystemExit pass through
             attempts += 1
             if isinstance(exc, WorkerLost):
-                counters["timeouts"] += 1
+                faults["timeouts"] += 1
             if attempts > policy.max_retries:
                 raise PointFailed(
                     "point %s failed after %d attempt(s): %s"
@@ -615,7 +631,7 @@ def _execute_with_recovery(
                     attempts=attempts,
                     cause=exc,
                 )
-            counters["retries"] += 1
+            faults["retries"] += 1
             time.sleep(policy.backoff_seconds * (2 ** (attempts - 1)))
 
 
@@ -642,47 +658,34 @@ def _init_worker(
     _WORKER_DB_CACHE = DatabaseCache(max_entries=WORKER_DB_CACHE_SIZE, store=store)
 
 
-def _stats_delta(
-    after: Dict[str, Any], before: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Counter-wise ``after - before`` (workers' caches are long-lived)."""
-    return {key: after[key] - before.get(key, 0) for key in after}
-
-
-def _injection_delta(
-    after: Dict[str, int], before: Dict[str, int]
-) -> Dict[str, int]:
-    return {
-        site: after[site] - before.get(site, 0)
-        for site in after
-        if after[site] - before.get(site, 0)
-    }
-
-
 def _run_task(
     point: SweepPoint,
     policy: RetryPolicy,
     db_cache: Optional[DatabaseCache] = None,
-) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
+) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any], Any]:
     """Execute one point with its retries, for either executor.
 
     Both executors pass the sweep's ``policy`` with the point.  A pool
     worker runs against the database cache :func:`_init_worker` left in
     the process; the in-process executor passes its own.  Returns
-    ``(payload, db_stats_delta, task_counters)``; a profiling worker
-    adds its span profiler as ``task_counters["spans"]`` and starts a
-    fresh one.  A point that exhausts its retries comes back as a
-    ``kind="failed"`` payload rather than an exception, so its
-    database-cache telemetry still reaches the parent.  The ``worker.crash``/``worker.hang`` sites fire
-    here — before any measurement, and in worker processes only — to
-    exercise the parent's pool-recovery machinery.
+    ``(payload, db_stats_delta, task_faults, spans)``: the database
+    cache's traffic over the task, the task's share of the sweep's
+    ``faults`` section (its recovery counters, the cache's
+    ``downgrades``/``corrupt`` and, in a worker, the plan's
+    ``injections``), and a profiling worker's span profiler (it starts
+    a fresh one; ``None`` otherwise).  A point that exhausts its
+    retries comes back as a ``kind="failed"`` payload rather than an
+    exception, so its telemetry still reaches the parent.  The
+    ``worker.crash``/``worker.hang`` sites fire here — before any
+    measurement, and in worker processes only — to exercise the
+    parent's pool-recovery machinery.
     """
     _fault.hit("worker.crash")
     _fault.hit("worker.hang")
     in_worker = db_cache is None
     if in_worker:
         db_cache = _WORKER_DB_CACHE
-    task_counters: Dict[str, Any] = {"retries": 0, "timeouts": 0}
+    faults: Dict[str, Any] = dict.fromkeys(RECOVERY_COUNTERS, 0)
     # A worker fires its own copy of the plan, which the parent cannot
     # see.  In-process the plan is the parent's, and run_sweep counts it
     # once, from the plan itself.
@@ -691,7 +694,7 @@ def _run_task(
     before = db_cache.stats_snapshot()
     try:
         with _spans.span("point.execute"):
-            payload = _execute_with_recovery(point, db_cache, policy, task_counters)
+            payload = _execute_with_recovery(point, db_cache, policy, faults)
     except PointFailed as exc:
         payload = {
             "kind": "failed",
@@ -700,15 +703,16 @@ def _run_task(
         }
     # Delta, not totals: a worker's cache and its store's counters
     # outlive the task.
-    delta = _stats_delta(db_cache.stats_snapshot(), before)
+    delta = count_delta(db_cache.stats_snapshot(), before)
+    faults["downgrades"] += delta.pop("downgrades")
+    faults["cache_corrupt"] += delta.pop("corrupt", 0)
     if plan is not None:
-        task_counters["injections"] = _injection_delta(
-            plan.injections, injections_before
-        )
+        faults["injections"] = count_delta(plan.injections, injections_before)
+    spans = None
     if in_worker and _spans._PROFILER is not None:
-        task_counters["spans"] = _spans.disable()
+        spans = _spans.disable()
         _spans.enable(_spans.SpanProfiler())
-    return payload, delta, task_counters
+    return payload, delta, faults, spans
 
 
 def _dispatch_key(point: SweepPoint) -> Tuple:
@@ -795,17 +799,13 @@ def run_sweep(
     """
     policy = policy or DEFAULT_POLICY
     t_start = time.perf_counter()
-    counters: Dict[str, Any] = {
+    faults: Dict[str, Any] = {
         "injections": {},
-        "retries": 0,
-        "timeouts": 0,
-        "pool_restarts": 0,
-        "downgrades": 0,
+        **dict.fromkeys(RECOVERY_COUNTERS, 0),
         "quarantined": [],
     }
     plan = _fault.active()
     injections_before = dict(plan.injections) if plan is not None else {}
-    cache_before = cache.stats_snapshot() if cache is not None else {}
 
     results: List[Any] = [None] * len(points)
     keys: List[Optional[str]] = [None] * len(points)
@@ -830,36 +830,22 @@ def run_sweep(
     if pending:
         try:
             db_stats = _dispatch(
-                points, pending, keys, results, cache, jobs, policy, counters
+                points, pending, keys, results, cache, jobs, policy, faults
             )
         except KeyboardInterrupt:
             completed = sum(1 for result in results if result is not None)
             raise SweepInterrupted(completed, len(points)) from None
 
-    # The parent's own fires (in-process points, point-cache writes)
-    # plus what the workers' copies of the plan reported with each task.
-    injections = _injection_delta(
-        plan.injections if plan is not None else {}, injections_before
-    )
-    for site, count in counters["injections"].items():
-        injections[site] = injections.get(site, 0) + count
-    cache_stats = (
-        _stats_delta(cache.stats_snapshot(), cache_before)
-        if cache is not None
-        else {}
-    )
-    faults = {
-        "injections": injections,
-        "retries": counters["retries"],
-        "timeouts": counters["timeouts"],
-        "pool_restarts": counters["pool_restarts"],
-        "downgrades": counters["downgrades"]
-        + db_stats.get("downgrades", 0)
-        + cache_stats.get("downgrades", 0),
-        "cache_corrupt": cache_stats.get("corrupt", 0)
-        + db_stats.get("corrupt", 0),
-        "quarantined": list(counters["quarantined"]),
+    # The workers' copies of the plan reported with each task; add the
+    # parent's own fires (in-process points, point-cache writes).
+    if plan is not None:
+        fired = count_delta(plan.injections, injections_before)
+        add_counts(faults["injections"], fired)
+    faults["injections"] = {
+        site: count for site, count in faults["injections"].items() if count
     }
+    if cache is not None:
+        add_counts(faults, cache.unreported_faults())
     entry = {
         "points": len(points),
         "cache_hits": hits,
@@ -881,8 +867,8 @@ def _aggregate_reports(results: Sequence[Any]) -> Dict[str, Any]:
 
     Deep points contribute nothing (their result is a bare float), and
     neither do quarantined :class:`FailedPoint` cells; the buffer
-    counters come from each report's :class:`PoolStats` delta, so
-    cached and freshly executed points aggregate identically.
+    counters are each report's ``buffer_stats``, so cached and freshly
+    executed points aggregate identically.
     """
     buffer = {"hits": 0, "misses": 0, "evictions": 0, "dirty_evictions": 0}
     io = {"retrieve": 0, "update": 0, "parent": 0, "child": 0}
@@ -895,9 +881,7 @@ def _aggregate_reports(results: Sequence[Any]) -> Dict[str, Any]:
         io["update"] += result.update_io
         io["parent"] += result.par_cost
         io["child"] += result.child_cost
-        if result.buffer_stats:
-            for key in buffer:
-                buffer[key] += result.buffer_stats.get(key, 0)
+        add_counts(buffer, result.buffer_stats or {})
     return {"reports": reports, "buffer": buffer, "io": io}
 
 
@@ -949,7 +933,7 @@ def _dispatch(
     cache: Optional[PointCache],
     jobs: int,
     policy: RetryPolicy,
-    counters: Dict[str, Any],
+    faults: Dict[str, Any],
 ) -> Dict[str, Any]:
     """Run ``pending`` through an executor, checkpointing every point.
 
@@ -963,8 +947,9 @@ def _dispatch(
     down the same way, and the hung point is charged an attempt.  After
     ``policy.max_pool_restarts`` rebuilds the sweep stops trusting
     process pools, swaps in the in-process executor and keeps looping (a
-    logged downgrade, never an abort).  Returns the summed database
-    cache counters of the executed tasks.
+    logged downgrade, never an abort).  Fault and recovery counts are
+    added into the sweep's ``faults``; returns the summed database
+    cache traffic of the executed tasks.
     """
     progress = _PROGRESS
     plan = _fault.active()
@@ -1003,20 +988,14 @@ def _dispatch(
 
     def quarantine(index: int, error: Any, tries: int) -> None:
         results[index] = FailedPoint(points[index], error, tries)
-        counters["quarantined"].append(point_label(points[index]))
+        faults["quarantined"].append(point_label(points[index]))
         if progress is not None:
             progress("point_done", {"index": index, "failed": True})
 
     def finish(index: int, payload: Dict[str, Any], delta: Dict[str, Any],
-               task_counters: Dict[str, Any]) -> None:
-        for key, value in delta.items():
-            db_stats[key] = db_stats.get(key, 0) + value
-        counters["retries"] += task_counters["retries"]
-        counters["timeouts"] += task_counters["timeouts"]
-        injections = counters["injections"]
-        for site, count in task_counters.get("injections", {}).items():
-            injections[site] = injections.get(site, 0) + count
-        worker_spans = task_counters.get("spans")
+               task_faults: Dict[str, Any], worker_spans: Any) -> None:
+        add_counts(db_stats, delta)
+        add_counts(faults, task_faults)
         if worker_spans is not None and _spans._PROFILER is not None:
             _spans._PROFILER.merge(worker_spans)
         if payload.get("kind") == "failed":
@@ -1035,7 +1014,7 @@ def _dispatch(
         if attempts[index] > policy.max_retries:
             quarantine(index, error, attempts[index])
         else:
-            counters["retries"] += 1
+            faults["retries"] += 1
             todo.append(index)
 
     def replace_pool(requeue: List[int]) -> None:
@@ -1044,12 +1023,12 @@ def _dispatch(
         todo.extendleft(requeue)
         running.clear()
         restarts += 1
-        counters["pool_restarts"] += 1
+        faults["pool_restarts"] += 1
         _shutdown_hard(executor)
         if restarts <= policy.max_pool_restarts:
             executor = make_pool()
             return
-        counters["downgrades"] += 1
+        faults["downgrades"] += 1
         sys.stderr.write(
             "repro: worker pool failed %d times; finishing the sweep "
             "in-process without a pool\n" % restarts
@@ -1104,7 +1083,7 @@ def _dispatch(
                         if index not in hung
                     ]
                     for index in hung:
-                        counters["timeouts"] += 1
+                        faults["timeouts"] += 1
                         charge_attempt(
                             index,
                             WorkerLost(

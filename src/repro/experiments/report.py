@@ -36,6 +36,7 @@ from repro.experiments.runner import ExperimentResult
 from repro.fault import plan as _fault
 from repro.obs import ledger as _ledger
 from repro.obs import spans as _spans
+from repro.util.stats import add_counts
 
 
 def experiment_suite(
@@ -104,39 +105,28 @@ def annotate(name: str, result: ExperimentResult) -> str:
     return text
 
 
-def _sum_nested(sweeps: List[dict], field: str) -> dict:
-    """Key-wise sum of one nested counter dict over sweep-log entries."""
-    totals: dict = {}
-    for sweep in sweeps:
-        for key, value in sweep.get(field, {}).items():
-            totals[key] = totals.get(key, 0) + value
-    return totals
+def _sum_telemetry(rows: List[dict]) -> dict:
+    """The counters of sweep-log entries (or of telemetry rows), summed.
 
-
-def _sum_faults(entries: List[dict]) -> dict:
-    """Aggregate the fault/recovery counters of sweep-log entries.
-
-    Scalar counters sum, per-site injection counts sum key-wise, and
-    quarantined cell labels concatenate (order preserved, so the report
-    footer lists degraded cells in sweep order).
+    Counts add key-wise, nested counters included, and quarantined cell
+    labels concatenate (order preserved, so the report footer lists
+    degraded cells in sweep order).
     """
     totals: dict = {
-        "injections": {},
-        "retries": 0,
-        "timeouts": 0,
-        "pool_restarts": 0,
-        "downgrades": 0,
-        "cache_corrupt": 0,
-        "quarantined": [],
+        "points": 0,
+        "cache_hits": 0,
+        "executed": 0,
+        "buffer": {},
+        "io": {},
+        "db": {},
+        "faults": {
+            "injections": {},
+            **dict.fromkeys(pool.RECOVERY_COUNTERS, 0),
+            "quarantined": [],
+        },
     }
-    for entry in entries:
-        faults = entry.get("faults", {})
-        for site, count in faults.get("injections", {}).items():
-            totals["injections"][site] = totals["injections"].get(site, 0) + count
-        for name in ("retries", "timeouts", "pool_restarts", "downgrades",
-                     "cache_corrupt"):
-            totals[name] += faults.get(name, 0)
-        totals["quarantined"] += faults.get("quarantined", [])
+    for row in rows:
+        add_counts(totals, {key: row[key] for key in totals})
     return totals
 
 
@@ -145,10 +135,7 @@ def _fault_lines(faults: dict) -> List[str]:
     lines: List[str] = []
     injected = sum(faults["injections"].values())
     recovery = {
-        name: faults[name]
-        for name in ("retries", "timeouts", "pool_restarts", "downgrades",
-                     "cache_corrupt")
-        if faults[name]
+        name: faults[name] for name in pool.RECOVERY_COUNTERS if faults[name]
     }
     if injected or recovery:
         parts = []
@@ -330,22 +317,10 @@ def run(args: argparse.Namespace) -> int:
             t0 = time.perf_counter()
             result = run_experiment()
             seconds = time.perf_counter() - t0
-            sweeps = pool.SWEEP_LOG[sweeps_before:]
-            buffer = _sum_nested(sweeps, "buffer")
-            faults = _sum_faults(sweeps)
-            telemetry.append(
-                {
-                    "name": name,
-                    "seconds": round(seconds, 3),
-                    "points": sum(s["points"] for s in sweeps),
-                    "cache_hits": sum(s["cache_hits"] for s in sweeps),
-                    "executed": sum(s["executed"] for s in sweeps),
-                    "buffer": buffer,
-                    "io": _sum_nested(sweeps, "io"),
-                    "db": _round_floats(_sum_nested(sweeps, "db")),
-                    "faults": faults,
-                }
-            )
+            row = _sum_telemetry(pool.SWEEP_LOG[sweeps_before:])
+            row["db"] = _round_floats(row["db"])
+            telemetry.append({"name": name, "seconds": round(seconds, 3), **row})
+            buffer, faults = row["buffer"], row["faults"]
             text = annotate(name, result)
             text += "\n[%s: %.1fs at scale %.2f]" % (name, seconds, args.scale)
             accesses = buffer.get("hits", 0) + buffer.get("misses", 0)
@@ -391,6 +366,7 @@ def run(args: argparse.Namespace) -> int:
             },
         }
     store = pool._db_store()
+    totals = _sum_telemetry(telemetry)
     # ``jobs`` is always the *resolved* worker count (``--jobs
     # auto`` resolves before it gets here).
     record = _ledger.report_record(
@@ -398,8 +374,8 @@ def run(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         total_seconds=total_seconds,
         experiments=telemetry,
-        faults=_sum_faults(telemetry),
-        db=_round_floats(_sum_nested(telemetry, "db")),
+        faults=totals["faults"],
+        db=_round_floats(totals["db"]),
         point_cache=point_cache.stats_snapshot() if point_cache else {},
         fingerprint=pool.code_fingerprint()[:16],
         spans=prof.rollups() if prof is not None and prof.stats else None,

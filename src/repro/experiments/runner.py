@@ -301,7 +301,11 @@ class DatabaseCache:
         return hashlib.sha256(repr(key).encode()).hexdigest()[:32]
 
     def stats_snapshot(self) -> Dict[str, Any]:
-        """Build/attach counters plus the store's hit counters (if any)."""
+        """Build/attach counters plus the store's counters (if any).
+
+        ``downgrades`` and the store's ``corrupt`` are faults: a sweep
+        task reports them under ``faults``, never beside the traffic.
+        """
         stats: Dict[str, Any] = {
             "builds": self.builds,
             "attaches": self.attaches,

@@ -39,6 +39,7 @@ import shutil
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.pool import (
+    RECOVERY_COUNTERS,
     FailedPoint,
     PointCache,
     SweepPoint,
@@ -48,6 +49,7 @@ from repro.experiments.pool import (
 )
 from repro.fault import plan as _fault
 from repro.util.fmt import format_kv
+from repro.util.stats import add_counts
 from repro.workload.driver import CostReport
 from repro.workload.params import WorkloadParams
 
@@ -118,9 +120,7 @@ def _pass_summary(
     from repro.experiments.pool import SWEEP_LOG
 
     faults = dict(SWEEP_LOG[-1]["faults"])
-    injections = dict(pre_injections or {})
-    for site, count in faults.get("injections", {}).items():
-        injections[site] = injections.get(site, 0) + count
+    injections = add_counts(dict(pre_injections or {}), faults["injections"])
     faults["injections"] = {
         site: count for site, count in injections.items() if count
     }
@@ -268,9 +268,7 @@ def _fault_activity(faults: Dict[str, Any]) -> int:
     restart it forced is the only trace it leaves.
     """
     return sum(faults.get("injections", {}).values()) + sum(
-        faults.get(name, 0)
-        for name in ("retries", "timeouts", "pool_restarts", "downgrades",
-                     "cache_corrupt")
+        faults.get(name, 0) for name in RECOVERY_COUNTERS
     )
 
 
@@ -282,8 +280,7 @@ def _fmt_activity(faults: Dict[str, Any]) -> str:
     ]
     parts += [
         "%s=%d" % (name, faults[name])
-        for name in ("retries", "timeouts", "pool_restarts", "downgrades",
-                     "cache_corrupt")
+        for name in RECOVERY_COUNTERS
         if faults.get(name)
     ]
     return ", ".join(parts) if parts else "no fault activity"

@@ -22,7 +22,13 @@ Record schema (``schema`` = :data:`LEDGER_SCHEMA`):
   ``db_bytes_on_disk`` and ``cpu_count``, and ``spans`` — the
   :meth:`~repro.obs.spans.SpanProfiler.rollups` of the run, keyed by
   ``;``-joined span path with count/total/self/p50/p95/p99 ms.
-  ``repro report --bench-out`` writes this record pretty-printed;
+  ``repro report --bench-out`` writes this record pretty-printed.
+  Each counter has one section: ``buffer`` and ``io`` are the summed
+  measured intervals of the points (zeroed at the start of each,
+  read once at its end); ``db`` is the database cache's build/attach
+  and store traffic; ``point_cache`` its hits/misses/stores; and
+  ``faults`` alone holds injections, recovery counters and every
+  store's ``downgrades`` and corrupt entries (``cache_corrupt``);
 * ``kind == "serve"`` (schema >= 2): serving-layer configuration
   (``scale``, ``clients``, ``readers``, ``queue_depth``,
   ``publish_interval``, ``pr_update``, ``strategy``, ``duration``),
@@ -39,7 +45,10 @@ from __future__ import annotations
 import json
 import os
 import time
+from functools import reduce
 from typing import Any, Dict, List, Optional
+
+from repro.util.stats import add_counts
 
 #: Version stamp on every record; bump on incompatible shape changes.
 #: 2: adds the ``kind == "serve"`` record family (serving-layer runs).
@@ -181,10 +190,6 @@ def report_record(
     """
     import sys
 
-    buffer_totals: Dict[str, int] = {}
-    for entry in experiments:
-        for key, value in entry.get("buffer", {}).items():
-            buffer_totals[key] = buffer_totals.get(key, 0) + value
     record: Dict[str, Any] = {
         "schema": LEDGER_SCHEMA,
         "kind": "report",
@@ -197,7 +202,7 @@ def report_record(
         "total_seconds": round(total_seconds, 3),
         "peak_rss_mb": peak_rss_mb(),
         "experiments": experiments,
-        "buffer": buffer_totals,
+        "buffer": reduce(add_counts, [e.get("buffer", {}) for e in experiments], {}),
         "db": db,
         "point_cache": point_cache,
         "faults": {

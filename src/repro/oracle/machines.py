@@ -312,7 +312,7 @@ class HeapMachine(RuleBasedStateMachine):
         count = self.heap.insert_many(records)
         assert count == len(records)
         pool = self.catalog.pool
-        assert pool.stats.snapshot() == twin.pool.stats.snapshot()
+        assert pool.stats.as_dict() == twin.pool.stats.as_dict()
         assert list(pool._frames) == list(twin.pool._frames)  # eviction order
         assert self.catalog.io_snapshot() == twin.io_snapshot()
         assert self.heap.num_pages == twin.get("h").num_pages

@@ -63,7 +63,6 @@ epoch before touching ``frame.page`` or ``frame.dirty``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Dict, Iterator, Tuple
 
@@ -85,61 +84,13 @@ class _Frame:
         self.dirty = False
 
 
-@dataclass(frozen=True)
-class PoolStats:
-    """Immutable snapshot of the pool's hit/miss/eviction counters.
-
-    Subtract two snapshots to measure one interval without resetting
-    anything — the way pooled sweep workers isolate per-point buffer
-    statistics even though the live counters keep running::
-
-        before = pool.stats.snapshot()
-        ...work...
-        delta = pool.stats.snapshot() - before
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    dirty_evictions: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if not self.accesses:
-            return 0.0
-        return self.hits / self.accesses
-
-    def __sub__(self, other: "PoolStats") -> "PoolStats":
-        return PoolStats(
-            self.hits - other.hits,
-            self.misses - other.misses,
-            self.evictions - other.evictions,
-            self.dirty_evictions - other.dirty_evictions,
-        )
-
-    def __add__(self, other: "PoolStats") -> "PoolStats":
-        return PoolStats(
-            self.hits + other.hits,
-            self.misses + other.misses,
-            self.evictions + other.evictions,
-            self.dirty_evictions + other.dirty_evictions,
-        )
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "dirty_evictions": self.dirty_evictions,
-        }
-
-
 class BufferStats:
-    """Hit/miss/eviction counters for the pool."""
+    """Hit/miss/eviction counters for the pool.
+
+    A measured interval is zero-then-read: :meth:`reset` at its start,
+    :meth:`as_dict` once at its end (see
+    :func:`repro.workload.driver.run_sequence`).
+    """
 
     __slots__ = ("hits", "misses", "evictions", "dirty_evictions")
 
@@ -152,9 +103,14 @@ class BufferStats:
         self.evictions = 0
         self.dirty_evictions = 0
 
-    def snapshot(self) -> PoolStats:
-        """Immutable copy of the current counters (see :class:`PoolStats`)."""
-        return PoolStats(self.hits, self.misses, self.evictions, self.dirty_evictions)
+    def as_dict(self) -> Dict[str, int]:
+        """The counters as a plain dict (a detached copy)."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "dirty_evictions": self.dirty_evictions,
+        }
 
 
 class BufferPool:

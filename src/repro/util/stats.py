@@ -3,7 +3,27 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import Any, Dict, Iterable, List, Sequence
+
+
+def count_delta(after: Dict[str, Any], before: Dict[str, Any]) -> Dict[str, Any]:
+    """Key-wise ``after - before`` over ``after``'s keys (zeros kept)."""
+    return {key: value - before.get(key, 0) for key, value in after.items()}
+
+
+def add_counts(total: Dict[str, Any], delta: Dict[str, Any]) -> Dict[str, Any]:
+    """Add ``delta`` into ``total`` key by key and return ``total``.
+
+    Numbers sum, nested dicts add recursively and lists concatenate;
+    zero-valued keys are kept, so readers may index every key they
+    were given.
+    """
+    for key, value in delta.items():
+        if isinstance(value, dict):
+            add_counts(total.setdefault(key, {}), value)
+        else:
+            total[key] = total[key] + value if key in total else value
+    return total
 
 
 def mean(values: Sequence[float]) -> float:

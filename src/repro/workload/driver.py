@@ -8,7 +8,10 @@ performance noted."
 
 :func:`run_sequence` plays that role: it executes a sequence under one
 strategy, reading the disk's I/O counters around every operation, and
-returns a :class:`CostReport` whose headline number —
+returns a :class:`CostReport`.  The measured interval is zero-then-read:
+the disk, buffer-pool and unit-cache counters are zeroed at its start
+(after any warm-up) and each is read once at its end.  The headline
+number —
 ``avg_io_per_retrieve`` — is total sequence I/O divided by the number of
 retrieve queries (updates and cache invalidations are real work the
 workload pays for; amortising them over the retrieves is how a mixed
@@ -46,11 +49,9 @@ class CostReport:
     par_cost: int
     child_cost: int
     per_retrieve: Dict[str, float]
-    buffer_hit_rate: float
     cache_stats: Optional[Dict[str, Any]] = None
-    #: Buffer-pool hit/miss/eviction counters for the measured interval
-    #: (a :class:`~repro.storage.buffer.PoolStats` snapshot delta, so a
-    #: reused database or an un-reset pool cannot leak counts in).
+    #: Buffer-pool hit/miss/eviction counters of the measured interval
+    #: (zeroed at its start, read once at its end).
     buffer_stats: Optional[Dict[str, int]] = None
     #: Traced event-stream summary (only when run with a tracer); see
     #: :meth:`repro.obs.Tracer.summary`.
@@ -82,37 +83,26 @@ class CostReport:
             return 0.0
         return self.child_cost / self.num_retrieves
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "strategy": self.strategy,
-            "num_retrieves": self.num_retrieves,
-            "num_updates": self.num_updates,
-            "avg_io_per_retrieve": self.avg_io_per_retrieve,
-            "avg_retrieve_io": self.avg_retrieve_io,
-            "par_cost_per_retrieve": self.par_cost_per_retrieve,
-            "child_cost_per_retrieve": self.child_cost_per_retrieve,
-            "update_io": self.update_io,
-            "buffer_hit_rate": self.buffer_hit_rate,
-            "cache": self.cache_stats,
-            "buffer_stats": self.buffer_stats,
-            "traced": self.traced,
-        }
+    @property
+    def buffer_hit_rate(self) -> float:
+        """Buffer-pool hits over accesses in the measured interval."""
+        stats = self.buffer_stats or {}
+        accesses = stats.get("hits", 0) + stats.get("misses", 0)
+        return stats["hits"] / accesses if accesses else 0.0
 
 
 def run_sequence(
     db: ComplexObjectDB,
     strategy: Strategy,
     sequence: Sequence[Operation],
-    reset: bool = True,
     cold_retrieves: bool = False,
     warmup: int = 0,
     tracer=None,
 ) -> CostReport:
     """Execute ``sequence`` under ``strategy`` and measure I/O.
 
-    ``reset`` starts from a clean slate — cold buffer pool, zeroed
-    counters, empty cache — so consecutive runs over the same database
-    are comparable.
+    Every run starts from a clean slate — cold buffer pool, empty cache
+    — so consecutive runs over the same database are comparable.
 
     ``cold_retrieves`` models the paper's Pr(UPDATE) -> 1 limit (used for
     Figures 5 and 7): between consecutive retrieves an unbounded stream
@@ -121,9 +111,10 @@ def run_sequence(
     charged to the preceding interval) before each retrieve.
 
     ``warmup`` executes that many leading operations unmeasured before
-    the counters are zeroed.  The paper's 1000-query sequences amortise
-    the cold start away; short reproduction sequences approximate the
-    same steady state by warming the cache/buffer first.
+    the counters are zeroed (so the unit-cache counters, like the disk
+    and buffer ones, exclude them).  The paper's 1000-query sequences
+    amortise the cold start away; short reproduction sequences
+    approximate the same steady state by warming the cache/buffer first.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) captures every physical
     page access of the run as a structured event.  The traced summary
@@ -133,14 +124,12 @@ def run_sequence(
     count the same disk accesses and must agree exactly.
     """
     if tracer is None:
-        return _run_measured(db, strategy, sequence, reset, cold_retrieves, warmup)
+        return _run_measured(db, strategy, sequence, cold_retrieves, warmup)
     from repro.obs.trace import TraceValidationError, validate_report
 
     tracer.strategy = strategy.name
     with tracer.observe(db.disk):
-        report = _run_measured(
-            db, strategy, sequence, reset, cold_retrieves, warmup, tracer
-        )
+        report = _run_measured(db, strategy, sequence, cold_retrieves, warmup, tracer)
     with _spans.span("point.validate"):
         report.traced = tracer.summary()
         problems = validate_report(report, report.traced)
@@ -155,16 +144,13 @@ def _run_measured(
     db: ComplexObjectDB,
     strategy: Strategy,
     sequence: Sequence[Operation],
-    reset: bool,
     cold_retrieves: bool,
     warmup: int,
     tracer=None,
 ) -> CostReport:
     strategy.check_database(db)
-    if reset:
-        db.reset_cache()
-        db.start_measurement(cold=True)
-
+    db.reset_cache()
+    db.pool.clear(flush=True)
     if warmup:
         for op in sequence[:warmup]:
             if isinstance(op, RetrieveQuery):
@@ -172,11 +158,10 @@ def _run_measured(
             else:
                 strategy.update(db, op)
         sequence = sequence[warmup:]
-        db.disk.reset_counters()
-        db.pool.stats.reset()
+    # The measured interval starts here: zero every counter it reports.
+    db.start_measurement(cold=False)
 
     meter = CostMeter(db.disk, tracer=tracer)
-    pool_before = db.pool.stats.snapshot()
     per_retrieve = RunningStats()
     retrieves = 0
     updates = 0
@@ -250,7 +235,6 @@ def _run_measured(
             "cached_units": db.cache.num_cached,
         }
 
-    pool_delta = db.pool.stats.snapshot() - pool_before
     return CostReport(
         strategy=strategy.name,
         num_retrieves=retrieves,
@@ -261,9 +245,8 @@ def _run_measured(
         par_cost=meter.par_cost,
         child_cost=meter.child_cost,
         per_retrieve=per_retrieve.as_dict(),
-        buffer_hit_rate=pool_delta.hit_rate,
         cache_stats=cache_stats,
-        buffer_stats=pool_delta.as_dict(),
+        buffer_stats=db.pool.stats.as_dict(),
     )
 
 

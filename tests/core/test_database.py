@@ -110,7 +110,7 @@ class TestLifecycle:
         list(db.parents_in_range(0, 50))
         db.start_measurement()
         assert db.disk.snapshot().total == 0
-        assert db.pool.stats.snapshot().accesses == 0
+        assert db.pool.stats.hits + db.pool.stats.misses == 0
         assert len(db.pool) == 0
 
     def test_reset_cache(self, tiny_db):

@@ -8,8 +8,10 @@ cells instead of sinking the sweep.
 """
 
 import dataclasses
+import json
 import math
 import os
+import shutil
 import time
 
 import pytest
@@ -264,6 +266,44 @@ class TestStoreDegradation:
         second = cache.get(tiny_params)  # ...but every get is still a clone
         assert second is not first
         assert (cache.builds, cache.attaches) == (1, 2)
+
+
+class TestOneFaultOneCount:
+    def test_store_faults_are_counted_once_under_faults(self, tmp_path):
+        """A degraded snapshot store and a corrupt point-cache entry each
+        count once, in ``faults``; ``db``/``point_cache`` carry traffic."""
+        from repro.experiments import report
+
+        out = tmp_path / "out"
+        argv = ["--scale", "0.05", "--out", str(out),
+                "--only", "ablation_buffer_policy", "--no-ledger"]
+        bench = tmp_path / "record.json"
+        try:
+            assert report.main(argv) == 0
+            # The next run rebuilds every shape it needs (its put fails)
+            # and finds one damaged checkpoint.
+            shutil.rmtree(out / ".dbcache")
+            victim = sorted((out / ".pointcache").glob("points-*/*.json"))[0]
+            blob = bytearray(victim.read_bytes())
+            blob[len(blob) // 2] ^= 0xFF
+            victim.write_bytes(bytes(blob))
+            fault_plan.install(FaultPlan([FaultSpec("snapshot.save", count=1)]))
+            sweeps_before = len(pool.SWEEP_LOG)
+            assert report.main(argv + ["--bench-out", str(bench)]) == 0
+        finally:
+            pool.configure_db_store(None)
+        sweeps = pool.SWEEP_LOG[sweeps_before:]
+        record = json.loads(bench.read_text())
+        (row,) = record["experiments"]
+        for faults in [record["faults"], row["faults"]]:
+            assert faults["injections"] == {"snapshot.save": 1}
+            assert (faults["downgrades"], faults["cache_corrupt"]) == (1, 1)
+        assert sum(s["faults"]["downgrades"] for s in sweeps) == 1
+        assert sum(s["faults"]["cache_corrupt"] for s in sweeps) == 1
+        for db in [record["db"], row["db"]] + [s["db"] for s in sweeps]:
+            assert not {"downgrades", "corrupt", "cache_corrupt"} & set(db)
+        assert set(record["point_cache"]) == {"hits", "misses", "stores"}
+        assert record["point_cache"]["misses"] == 1  # the quarantined entry
 
 
 class TestInterrupt:

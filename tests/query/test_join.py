@@ -162,7 +162,7 @@ def _twin(tree_keys, unique, frames, cold, policy="lru"):
 def _ledger(catalog):
     pool, disk = catalog.pool, catalog.disk
     return (
-        pool.stats.snapshot(), pool.epoch, disk.reads, disk.writes,
+        pool.stats.as_dict(), pool.epoch, disk.reads, disk.writes,
         list(pool._frames), dict(pool._referenced), pool._clock_hand,
     )
 

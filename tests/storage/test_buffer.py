@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import FaultInjected
 from repro.fault import plan as fault
-from repro.storage.buffer import BufferPool, PoolStats
+from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.page import PageId
 
@@ -14,6 +14,16 @@ from repro.storage.page import PageId
 @pytest.fixture
 def disk() -> DiskManager:
     return DiskManager(page_size=256)
+
+
+def counts(hits, misses, evictions, dirty_evictions):
+    """The dict ``BufferStats.as_dict`` returns for these counters."""
+    return {
+        "hits": hits,
+        "misses": misses,
+        "evictions": evictions,
+        "dirty_evictions": dirty_evictions,
+    }
 
 
 def fill_file(disk, pages: int) -> int:
@@ -109,13 +119,13 @@ class TestFaultOrder:
         fault.clear()
         assert list(pool.resident_pages()) == [victim, other]
         assert pool.is_dirty(victim) and not pool.is_resident(incoming)
-        assert pool.stats.snapshot() == PoolStats(0, 3, 1, 1)
+        assert pool.stats.as_dict() == counts(0, 3, 1, 1)
         assert (disk.reads, disk.writes) == (2, 0)
         pool.check_invariants()
         # The retry evicts the same victim, this time writing it back.
         pool.fetch(incoming)
         assert list(pool.resident_pages()) == [other, incoming]
-        assert pool.stats.snapshot() == PoolStats(0, 4, 2, 2)
+        assert pool.stats.as_dict() == counts(0, 4, 2, 2)
         assert (disk.reads, disk.writes) == (3, 1)
         pool.check_invariants()
 
@@ -128,13 +138,13 @@ class TestFaultOrder:
             pool.fetch(incoming)
         fault.clear()
         assert list(pool.resident_pages()) == [other]
-        assert pool.stats.snapshot() == PoolStats(0, 3, 1, 1)
+        assert pool.stats.as_dict() == counts(0, 3, 1, 1)
         assert (disk.reads, disk.writes) == (2, 1)
         pool.check_invariants()
         pool.fetch(incoming)
         assert list(pool.resident_pages()) == [other, incoming]
         assert not pool.is_dirty(incoming)
-        assert pool.stats.snapshot() == PoolStats(0, 4, 1, 1)
+        assert pool.stats.as_dict() == counts(0, 4, 1, 1)
         assert (disk.reads, disk.writes) == (3, 1)
         pool.check_invariants()
 
@@ -239,7 +249,7 @@ def test_pool_matches_lru_model(capacity, seed):
     rng = random.Random(seed)
     for _ in range(300):
         _random_step(rng, pool, model, disk, files)
-        assert pool.stats.snapshot() == PoolStats(*model.stats)
+        assert pool.stats.as_dict() == counts(*model.stats)
         assert events == model.io
         assert (disk.reads, disk.writes) == (
             sum(kind == "read" for kind, _ in model.io),
@@ -292,40 +302,21 @@ class TestMaintenance:
             pool.mark_dirty(PageId(fid, 0))
 
 
-class TestPoolStats:
-    def test_snapshot_is_frozen_and_detached(self, disk):
+class TestBufferStats:
+    def test_as_dict_is_a_detached_copy(self, disk):
         pool = BufferPool(disk, capacity=2)
         fid = fill_file(disk, 1)
-        snap = pool.stats.snapshot()
-        assert isinstance(snap, PoolStats)
+        snap = pool.stats.as_dict()
         pool.fetch(PageId(fid, 0))
-        assert snap.misses == 0  # the snapshot did not move
+        assert snap == counts(0, 0, 0, 0)  # the copy did not move
         assert pool.stats.misses == 1
-        with pytest.raises(Exception):
-            snap.misses = 5  # frozen dataclass
 
-    def test_delta_measures_one_interval(self, disk):
+    def test_zero_then_read_measures_one_interval(self, disk):
         pool = BufferPool(disk, capacity=2)
         fid = fill_file(disk, 3)
         pool.fetch(PageId(fid, 0))  # outside the interval
-        before = pool.stats.snapshot()
+        pool.stats.reset()
         pool.fetch(PageId(fid, 0))  # hit
         pool.fetch(PageId(fid, 1))  # miss
         pool.fetch(PageId(fid, 2))  # miss + eviction
-        delta = pool.stats.snapshot() - before
-        assert (delta.hits, delta.misses, delta.evictions) == (1, 2, 1)
-        assert delta.accesses == 3
-        assert delta.hit_rate == pytest.approx(1 / 3)
-
-    def test_add_and_as_dict(self):
-        a = PoolStats(hits=2, misses=1, evictions=1, dirty_evictions=0)
-        b = PoolStats(hits=3, misses=0, evictions=0, dirty_evictions=1)
-        total = a + b
-        assert total == PoolStats(hits=5, misses=1, evictions=1, dirty_evictions=1)
-        assert total.as_dict() == {
-            "hits": 5,
-            "misses": 1,
-            "evictions": 1,
-            "dirty_evictions": 1,
-        }
-        assert PoolStats().hit_rate == 0.0
+        assert pool.stats.as_dict() == counts(1, 2, 1, 0)

@@ -1,5 +1,7 @@
 """The measurement driver."""
 
+import dataclasses
+
 import pytest
 
 from repro.advisor import WorkloadSketch, recommend
@@ -69,12 +71,24 @@ class TestRunSequence:
         with pytest.raises(TypeError):
             run_sequence(tiny_db_plain, make_strategy("BFS"), ["nonsense"])
 
-    def test_report_as_dict(self, tiny_db_plain, tiny_params):
+    def test_warmup_excluded_from_cache_stats(self, tiny_db, tiny_params):
+        """Zero-then-read covers the unit cache as it does disk and pool."""
+        sequence = generate_sequence(tiny_params, tiny_db)
+        report = run_sequence(
+            tiny_db, make_strategy("DFSCACHE"), sequence, warmup=len(sequence)
+        )
+        assert report.num_retrieves == 0
+        assert report.cache_stats["hits"] + report.cache_stats["misses"] == 0
+        assert report.buffer_stats["hits"] + report.buffer_stats["misses"] == 0
+
+    def test_buffer_hit_rate_reads_buffer_stats(self, tiny_db_plain, tiny_params):
         sequence = generate_sequence(tiny_params, tiny_db_plain, num_retrieves=3)
-        report = run_sequence(tiny_db_plain, make_strategy("BFS"), sequence)
-        data = report.as_dict()
-        assert data["strategy"] == "BFS"
-        assert data["num_retrieves"] == 3
+        report = run_sequence(tiny_db_plain, make_strategy("DFS"), sequence)
+        stats = report.buffer_stats
+        assert report.buffer_hit_rate == stats["hits"] / (
+            stats["hits"] + stats["misses"]
+        )
+        assert "buffer_hit_rate" not in dataclasses.asdict(report)
 
 
 class TestMeasureStrategy:
