@@ -3,19 +3,15 @@
 ``trace_digests.json`` was generated from the pre-rewrite engine
 (decoded-tuple pages, per-record iteration through the buffer pool); see
 ``generate_digests.py``.  These tests certify that the raw-speed engine
-— zero-copy slotted pages, epoch-guarded buffer leases, batched record
-iteration — reproduces every measured number of the original engine bit
-for bit: the SHA-256 digest of the physical page-access stream, the
-driver's cost accounting, the buffer pool's hit/miss/eviction counters
-and the unit cache's counters.
+— zero-copy slotted pages, hits booked for re-touches of the page
+touched last (the buffer pool's one rule, see :mod:`repro.storage.buffer`),
+batched record iteration — reproduces every measured number of the
+original engine bit for bit: the SHA-256 digest of the physical
+page-access stream, the driver's cost accounting, the buffer pool's
+hit/miss/eviction counters and the unit cache's counters.
 
-The full matrix (11 strategies x 3 configs) takes a few minutes; the
-``golden_digests`` marker lets CI and developers run it explicitly::
-
-    PYTHONPATH=src python -m pytest tests/golden -m golden_digests
-
-A fast smoke subset (one strategy per engine subsystem) runs as part of
-the normal suite so accidental accounting drift is caught early.
+The full matrix is 11 strategies x 3 configs and runs in about a second
+and a half, so every point runs in the normal suite.
 """
 
 import json
@@ -24,18 +20,6 @@ import os
 import pytest
 
 from tests.golden.generate_digests import CONFIGS, GOLDEN_PATH, STRATEGIES, run_point
-
-#: Digest-sensitive subset covering each subsystem: plain B-tree probes
-#: (DFS), temporaries + sort + merge join (BFS), the unit cache and the
-#: update/invalidation path (DFSCACHE under mixed), ISAM + ClusterRel
-#: (DFSCLUST), and the cold-retrieve flush path (OPT).
-SMOKE = (
-    ("retrieve", "DFS"),
-    ("retrieve", "BFS"),
-    ("mixed", "DFSCACHE"),
-    ("retrieve", "DFSCLUST"),
-    ("cold", "OPT"),
-)
 
 ALL_POINTS = [
     (label, name) for label, _, _, _ in CONFIGS for name in STRATEGIES
@@ -50,35 +34,19 @@ def golden():
         return json.load(handle)
 
 
-def _config(label):
+def config(label):
+    """``(scale, overrides, run_kwargs)`` of the config named ``label``."""
     for config_label, scale, overrides, run_kwargs in CONFIGS:
         if config_label == label:
             return scale, overrides, run_kwargs
     raise KeyError(label)
 
 
-def _check_point(golden, label, name):
-    scale, overrides, run_kwargs = _config(label)
+@pytest.mark.parametrize("label,name", ALL_POINTS)
+def test_digest_bit_identical(golden, label, name):
+    scale, overrides, run_kwargs = config(label)
     expected = golden["points"]["%s/%s" % (label, name)]
     actual = run_point(name, scale, overrides, run_kwargs)
     # The digest is the strongest check (it pins the exact event stream);
     # comparing the full dicts keeps failures readable, field by field.
     assert actual == expected
-
-
-@pytest.mark.parametrize("label,name", SMOKE)
-def test_smoke_digest_bit_identical(golden, label, name):
-    _check_point(golden, label, name)
-
-
-@pytest.mark.golden_digests
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_GOLDEN_FULL"),
-    reason="full golden matrix is slow; set REPRO_GOLDEN_FULL=1 (CI does)",
-)
-@pytest.mark.parametrize(
-    "label,name",
-    [point for point in ALL_POINTS if point not in SMOKE],
-)
-def test_digest_bit_identical(golden, label, name):
-    _check_point(golden, label, name)
