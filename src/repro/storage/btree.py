@@ -29,28 +29,24 @@ is realistic.
 Raw-speed notes
 ---------------
 
-Two operators carry the probes, both written against the buffer pool's
-epoch-guarded lease contract (see :mod:`repro.storage.buffer`) and both
-tested counter for counter against the record-at-a-time cursor loop of
-``tests/storage/btree_cursor.py``:
+Two operators carry the probes, both tested counter for counter against
+the record-at-a-time cursor loop of ``tests/storage/btree_cursor.py``.
+Every touch they do not fetch follows the buffer pool's one rule: a
+re-touch of the page touched last is booked as a hit, after asking the
+pool (see "The page touched last" in :mod:`repro.storage.buffer`).
 
 * ``merge_walk`` — **sorted** probes (the merge join): keys arrive a
-  batch at a time, a key on the current leaf costs touches of that leaf
-  only, and the touches of the leased leaf are deferred and settled
-  before every real pool operation and before the outer moves;
+  batch at a time, and a key on the current leaf costs touches of that
+  leaf only;
 * ``probe_many`` — **unsorted** probes (the nested-loop join; ``lookup``
   and ``lookup_one`` are its one-key forms): an inline descent of real
-  fetches per key.  Right after the leaf's own fetch the leaf is
-  resident and most recently used, so the cursor loop's further touches
-  of it — four, when the match is unique and not the leaf's last record
-  — are hits that move nothing: ``hits += 4; epoch += 4`` is the same
-  ledger.  A last-slot match, a duplicate run or an absent key may step
-  to the next leaf, so those take ``_collect_matches``, the
-  touch-by-touch walk ``update_field`` shares.
+  fetches per key.  When the match is unique and not the leaf's last
+  record, the cursor loop's further touches of the just-fetched leaf
+  are four re-touches of the page touched last: ``hits += 4``.  A
+  last-slot match, a duplicate run or an absent key may step to the
+  next leaf, so those take ``_collect_matches``, touch by touch.
 
-``update_field``'s second descent re-touches the same pages in the same
-order with nothing in between; :meth:`BufferPool.replay_writable`
-collapses it into one call (guarded, see the method).
+``update_field`` is a ``lookup_one`` and an ``update``.
 """
 
 from __future__ import annotations
@@ -345,71 +341,52 @@ class BTreeFile:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def _collect_matches(
-        self, leaf_no: int, page: Page, slot: int, key: Any
-    ) -> Tuple[List[Tuple[Any, ...]], Optional[int], int, bool]:
-        """Gather all records with ``key`` from ``slot`` of leaf ``leaf_no``.
+    def _collect_matches(self, page: Page, slot: int, key: Any) -> List[Tuple[Any, ...]]:
+        """All records with ``key`` from ``slot`` of ``page``, the leaf
+        the descent just fetched.
 
-        ``page`` is the leaf as the descent's own fetch just returned it
-        (opening the lease), ``slot`` its first position with a key >=
-        ``key``.  Emulates the cursor loop (seek / current / advance)
-        **touch by touch**, collapsing runs of touches on the same
-        resident leaf into self-accounted hits — counters and eviction
-        stream are bit-identical to the cursor reference.
-
-        Returns ``(matches, match_leaf, match_slot, moved)`` where
-        ``match_leaf``/``match_slot`` locate the first match and ``moved``
-        reports whether the walk ever left ``leaf_no`` (which disqualifies
-        the ``update_field`` replay fast path).
+        Emulates the cursor loop (seek / current / advance) **touch by
+        touch**: a touch of the page touched last is booked as a hit, any
+        other is a real fetch, so counters and eviction stream are
+        bit-identical to the cursor reference.
         """
         pool = self.pool
         stats = pool.stats
+        fetch = pool.fetch
+        ids = self._page_ids()
         next_leaf = self._next_leaf
         key_index = self._key_index
-        current_no = leaf_no
-        records = page.records
-        if records is None:
-            records = page._materialize()
-        page_no = leaf_no
-        hits = 0
+        page_no = page.page_id.page_no
         out: List[Tuple[Any, ...]] = []
-        match_leaf: Optional[int] = None
-        match_slot = 0
         while True:
-            # _skip_to_valid: one touch per iteration, moving right past
-            # empty/exhausted leaves.
-            while page_no >= 0:
-                if page_no == current_no:
-                    hits += 1
-                else:
-                    if hits:
-                        stats.hits += hits
-                        pool.epoch += hits
-                        hits = 0
-                    page = pool.fetch(self._page_ids()[page_no])
-                    current_no = page_no
-                    records = page.records
-                    if records is None:
-                        records = page._materialize()
-                if slot < len(records):
-                    break
+            # _skip_to_valid(): a touch per leaf tried, moving right past
+            # exhausted leaves (the next leaf is a real fetch).
+            if pool.last.page is page:
+                stats.hits += 1
+            else:
+                page = fetch(ids[page_no])
+            records = page.records
+            if records is None:
+                records = page._materialize()
+            while slot >= len(records):
                 page_no = next_leaf[page_no]
+                if page_no < 0:
+                    return out
                 slot = 0
-            if page_no < 0:
-                break
-            # current(): one touch (same leaf by construction) + read.
-            hits += 1
+                page = fetch(ids[page_no])
+                records = page.records
+                if records is None:
+                    records = page._materialize()
+            # current(): a touch of the same leaf, then a read.
+            if pool.last.page is page:
+                stats.hits += 1
+            else:
+                fetch(ids[page_no])
             record = records[slot]
             if record[key_index] != key:
-                break
-            if not out:
-                match_leaf, match_slot = page_no, slot
+                return out
             out.append(record)
             slot += 1  # advance()
-        if hits:
-            stats.hits += hits
-            pool.epoch += hits
-        return out, match_leaf, match_slot, current_no != leaf_no
 
     def probe_many(
         self,
@@ -461,16 +438,19 @@ class BTreeFile:
             else:
                 lkeys = self._leaf_keys(page)
             slot = bisect_left(lkeys, key)
-            if slot + 1 < len(lkeys) and lkeys[slot] == key != lkeys[slot + 1]:
+            if (
+                slot + 1 < len(lkeys)
+                and lkeys[slot] == key != lkeys[slot + 1]
+                and pool.last.page is page
+            ):
                 stats.hits += 4
-                pool.epoch += 4
                 records = page.records
                 if records is None:
                     records = page._materialize()
                 record = records[slot]
                 append(record if project is None else project(record))
             else:
-                matches = self._collect_matches(node, page, slot, key)[0]
+                matches = self._collect_matches(page, slot, key)
                 out.extend(matches if project is None else map(project, matches))
         return out
 
@@ -542,18 +522,14 @@ class BTreeFile:
         """Full scan in key order."""
         return self.range_scan()
 
-    def _walk_fetch(self, page_no: int, hits: int) -> Tuple[Page, List[Tuple[Any, ...]]]:
-        """Settle ``hits`` deferred touches, then really fetch leaf ``page_no``
-        (:meth:`merge_walk`'s touch when its lease does not hold)."""
-        pool = self.pool
-        if hits:
-            pool.stats.hits += hits
-            pool.epoch += hits
-        page = pool.fetch(self._page_ids()[page_no])
+    def _walk_fetch(self, page_no: int) -> Tuple[Page, List[Tuple[Any, ...]], int]:
+        """Really fetch leaf ``page_no`` for :meth:`merge_walk`: the page,
+        its records and its version."""
+        page = self.pool.fetch(self._page_ids()[page_no])
         records = page.records
         if records is None:
             records = page._materialize()
-        return page, records
+        return page, records, page.version
 
     def merge_walk(
         self,
@@ -569,14 +545,12 @@ class BTreeFile:
         to its predecessor re-emits the previous matches without a touch;
         absent keys match nothing.
 
-        Keys arrive in batches.  Pulling the next batch may touch the
-        pool (the outer is typically a page-at-a-time scan of a sorted
-        temporary); consuming one batch cannot.  Touches of the leased
-        leaf are deferred hits (see :mod:`repro.storage.buffer`), flushed
-        before every real pool operation, before the next batch is pulled
-        and when the walk ends.  The lease is re-checked at every touch
-        that follows a ``yield`` or a pull from the outer, so the consumer
-        may use the pool between two matches.
+        Keys arrive in batches; the consumer and the outer may use the
+        pool between two matches and between two batches.  A touch of the
+        walk's leaf is booked as a hit when the pool's page touched last
+        is the very page (and version) the walk holds, and is a real
+        fetch otherwise (see "Raw-speed notes").  Booked hits are added to
+        the counters when a batch ends and when the walk ends.
         """
         if self._root is None:
             for _ in key_batches:  # an empty tree still consumes its outer
@@ -589,12 +563,11 @@ class BTreeFile:
         bisect_left = bisect.bisect_left
         page_no = -1  # leaf under the walk (-1: not positioned / exhausted)
         slot = 0
-        lease_no = -1  # leaf whose touches may be deferred ...
-        expected = -1  # ... while pool.epoch still equals this
-        page = None
+        page = None  # leaf page_no as the walk last fetched it ...
+        version = -1  # ... and its version then
         records: List[Tuple[Any, ...]] = []
         keys: Optional[List[Any]] = None
-        hits = 0  # deferred touches of the leased leaf
+        hits = 0  # booked touches not yet added to the counters
         last_key: Any = object()
         matches: List[Any] = []
         try:
@@ -608,13 +581,11 @@ class BTreeFile:
                     skip = True
                     if page_no >= 0:
                         # seek(): one touch, then stay if the leaf spans key.
-                        if page_no == lease_no and pool.epoch == expected:
+                        granted = pool.last.page is page and page.version == version
+                        if granted:
                             hits += 1
                         else:
-                            page, records = self._walk_fetch(page_no, hits)
-                            hits = 0
-                            lease_no = page_no
-                            expected = pool.epoch
+                            page, records, version = self._walk_fetch(page_no)
                             keys = None
                         if keys is None:
                             keys = self._leaf_keys(page)
@@ -622,38 +593,39 @@ class BTreeFile:
                             slot = bisect_left(keys, key)
                             skip = False
                     if skip:
-                        # seek() by descent; its leaf fetch opens the lease.
-                        if hits:
-                            stats.hits += hits
-                            pool.epoch += hits
-                            hits = 0
-                        page_no = lease_no = self._descend_leaf(key, self._page_ids())
-                        page, records = self._walk_fetch(page_no, 0)
-                        expected = pool.epoch
+                        # seek() by descent, ending in a real leaf fetch.
+                        page_no = self._descend_leaf(key, self._page_ids())
+                        page, records, version = self._walk_fetch(page_no)
                         keys = self._leaf_keys(page)
                         slot = bisect_left(keys, key)
                     while True:
                         if skip:
                             # _skip_to_valid(): a touch per leaf tried,
-                            # moving right past exhausted leaves.
-                            while page_no >= 0:
-                                if page_no == lease_no and pool.epoch == expected:
-                                    hits += 1
-                                else:
-                                    page, records = self._walk_fetch(page_no, hits)
-                                    hits = 0
-                                    lease_no = page_no
-                                    expected = pool.epoch
-                                    keys = None
-                                if slot < len(records):
-                                    break
+                            # moving right past exhausted leaves (the next
+                            # leaf is a real fetch).
+                            granted = pool.last.page is page and page.version == version
+                            if granted:
+                                hits += 1
+                            else:
+                                page, records, version = self._walk_fetch(page_no)
+                                keys = None
+                            while slot >= len(records):
                                 page_no = next_leaf[page_no]
+                                if page_no < 0:
+                                    break
                                 slot = 0
+                                page, records, version = self._walk_fetch(page_no)
+                                keys = None
+                                granted = False
                             if page_no < 0:
                                 break
-                        # current(): one touch and a read.  Nothing ran
-                        # since the touch above leased this very leaf.
-                        hits += 1
+                        # current(): a touch of the same leaf and a read,
+                        # right after the touch above: booked on its grant,
+                        # else the pool is asked.
+                        if granted or pool.last.page is page:
+                            hits += 1
+                        else:
+                            self._walk_fetch(page_no)
                         record = records[slot]
                         if record[key_index] != key:
                             break
@@ -662,17 +634,11 @@ class BTreeFile:
                         yield value
                         slot += 1  # advance()
                         skip = True
-                # The outer is about to move: settle the deferred hits.
-                if hits:
-                    if pool.epoch == expected:
-                        expected += hits
-                    stats.hits += hits
-                    pool.epoch += hits
-                    hits = 0
-        finally:
-            if hits:
+                # The outer is about to move: book the deferred hits.
                 stats.hits += hits
-                pool.epoch += hits
+                hits = 0
+        finally:
+            stats.hits += hits
 
     # ------------------------------------------------------------------
     # writes
@@ -802,46 +768,14 @@ class BTreeFile:
     def update_field(self, key: Any, field_name: str, value: Any) -> Tuple[Any, ...]:
         """Set one field of the record with ``key``; return the new record.
 
-        Fast path: the historical implementation performed a lookup and
-        then a second root-to-leaf descent (:meth:`update`).  When the
-        lookup never left the target leaf, the second descent re-touches
-        exactly the pages the lookup just touched, in the same order, with
-        no other pool operation in between — all hits of already-MRU-suffix
-        pages, so the LRU order and eviction stream are provably unchanged.
-        :meth:`BufferPool.replay_writable` collapses those ``height + 1``
-        touches into two counter bumps.  The guard ``capacity > height + 1``
-        keeps degenerate tiny pools (where the lookup itself could evict
-        part of the path) on the slow, literal path.
+        A :meth:`lookup_one`, then :meth:`update` with the new record:
+        touch for touch a read descent and a write descent, the read's
+        re-touches of its leaf booked under the pool's one rule (see
+        "Raw-speed notes").
         """
-        if self._root is None:
-            raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
-        ids = self._page_ids()
-        leaf_no = self._descend_leaf(key, ids)
-        page = self.pool.fetch(ids[leaf_no])
-        slot = bisect.bisect_left(self._leaf_keys(page), key)
-        out, match_leaf, match_slot, moved = self._collect_matches(leaf_no, page, slot, key)
-        if not out:
-            raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
-        schema = self.schema
-        index = schema.field_index(field_name)
-        # Only the incoming value needs validation — the other fields come
-        # straight off the page and were validated on insert.
-        schema.fields[index].validate(value)
-        if index == self._key_index and value != key:
-            raise StorageError("update must preserve the key")
-        old = out[0]
+        old = self.lookup_one(key)
+        index = self.schema.field_index(field_name)
         new_record = old[:index] + (value,) + old[index + 1:]
-        if not moved and match_leaf == leaf_no and self.pool.capacity > self.height + 1:
-            page = self.pool.replay_writable(ids[leaf_no], self.height + 1)
-            old_version = page.version
-            page.replace(match_slot, new_record, schema.record_size(new_record))
-            # The key column is unchanged (key-preserving update), so the
-            # memoized keys stay valid — re-stamp them with the bumped
-            # page version instead of rebuilding on the next probe.
-            cached = self._leaf_key_cache.get(leaf_no)
-            if cached is not None and cached[0] == old_version:
-                self._leaf_key_cache[leaf_no] = (page.version, cached[1])
-            return new_record
         self.update(key, new_record)
         return new_record
 

@@ -20,44 +20,34 @@ The pool is a straightforward LRU:
   dirty pages age out naturally, which matches how the paper's update
   costs behave).
 
-Epoch-guarded leases
---------------------
+The page touched last
+---------------------
 
 The simulator's measured numbers depend on the exact order of pool
 operations (evictions are decided by LRU order, and the trace digests
 pin the physical access stream bit for bit), so hot paths cannot simply
-skip pool traffic.  What they *can* do is recognise the one re-touch
-that is provably free: re-fetching the page that was touched last.  If
-no pool operation happened in between, the page is still resident and
-still MRU, so the old code's ``fetch`` would count a hit and perform a
-no-op ``move_to_end`` — no eviction, no reordering, no I/O can occur.
+skip pool traffic.  What they *can* skip is the one touch that changes
+nothing but ``stats.hits``: a re-touch of the page touched last.  Under
+LRU that page is already MRU, so the move is a no-op; under clock its
+reference bit is already set, because bits are cleared only by a victim
+sweep and a sweep ends by installing another page.
 
-:attr:`epoch` makes "no pool operation happened in between" checkable in
-O(1): every touch (hit or miss), page installation, invalidation and
-clear bumps it.  A caller that remembers ``(frame, epoch)`` after a
-fetch may, while ``pool.epoch`` is unchanged, account further touches of
-that same page itself (``stats.hits += 1; pool.epoch += 1``) and reuse
-the frame directly.  The counters and the eviction behaviour remain
-bit-identical to calling :meth:`fetch`; only the Python-level overhead
-disappears.  The B-tree probe paths (``probe_many``, ``update_field``,
-``merge_walk``) and the heap's append path all use this pattern.
+The pool owns that fact: :attr:`BufferPool.last` is the frame of the
+page touched last.  A caller holding a page the pool handed out asks "is
+this the page touched last?" by identity, ``pool.last.page is page``.
+On a "yes" it may book the re-touch itself (``stats.hits += 1``, or
+``+= k`` for ``k`` such touches with nothing in between) and use
+``pool.last``, the frame that holds the page *now*; a booked hit is a
+plain sum, so it may be added whenever convenient.  A "no" is always
+safe: it costs a real :meth:`~BufferPool.fetch`, which is the same hit.
+Every operation that can move, evict, install, invalidate or clear a
+frame resets :attr:`~BufferPool.last` before it starts, so no failure
+leaves a stale "yes" behind.
 
-A lease holder may also *defer* its self-accounted touches — count them
-locally and add them to ``stats.hits`` and ``epoch`` in one step — under
-one rule: flush the deferred hits before any real pool operation of your
-own, before advancing a lazy input, and on the way out.  Touches are
-only ever deferred while ``epoch`` still equals the holder's own last
-real operation, so no other party's lease can be valid at the same time;
-whoever touches the pool next does a real fetch, which breaks this lease
-and makes the holder flush before its own next touch.  Callers whose
-input is a materialised list (``HeapFile.insert_many(list)``, one batch
-of ``merge_walk``) therefore account a whole run at once; a lazy iterable
-cannot be batched, because any pull from it may touch the pool.
-
-A frame is valid only under its lease.  Eviction recycles the victim's
-:class:`_Frame` for the page that replaces it, so a frame reference
-kept past a change of ``epoch`` may already hold another page; check the
-epoch before touching ``frame.page`` or ``frame.dirty``.
+Eviction reuses the victim's :class:`_Frame` for the incoming page, so no
+caller keeps a frame across pool traffic it does not control: the frame
+it may use is the one :attr:`~BufferPool.last` or :meth:`fetch_frame`
+hands out at that touch.
 """
 
 from __future__ import annotations
@@ -82,6 +72,11 @@ class _Frame:
 
     def __init__(self) -> None:
         self.dirty = False
+
+
+#: :attr:`BufferPool.last` when no page is the page touched last.
+NO_FRAME = _Frame()
+NO_FRAME.page = None  # type: ignore[assignment]
 
 
 class BufferStats:
@@ -149,12 +144,10 @@ class BufferPool:
         self._clock_ring: list = []
         self._clock_hand = 0
         self.stats = BufferStats()
-        #: Bumped on every operation that touches or changes pool state
-        #: (fetches, installs, invalidations, clears — including the
-        #: self-accounted lease re-touches).  A cached ``(frame, epoch)``
-        #: pair is reusable exactly while ``epoch`` is unchanged; see the
-        #: module docstring.
-        self.epoch = 0
+        #: The frame of the page touched last, or :data:`NO_FRAME` after
+        #: anything else changed the frames; see "The page touched last"
+        #: in the module docstring.
+        self.last: _Frame = NO_FRAME
 
     # ------------------------------------------------------------------
     # core operations
@@ -165,34 +158,29 @@ class BufferPool:
         # per sweep) — the hit branch is inlined; a miss goes to _admit().
         frames = self._frames
         frame = frames.get(page_id)
-        self.epoch += 1
         if frame is not None:
             self.stats.hits += 1
             if self._is_lru:
                 frames.move_to_end(page_id)
             else:
                 self._referenced[page_id] = True
+            self.last = frame
             return frame.page
         return self._admit(page_id).page
 
     def fetch_frame(self, page_id: PageId) -> _Frame:
-        """:meth:`fetch` returning the frame itself, for lease reuse.
-
-        Identical accounting to :meth:`fetch`.  The returned frame plus
-        the post-call :attr:`epoch` form a lease: while ``epoch`` is
-        unchanged the caller may self-account re-touches of this page
-        (``stats.hits += 1; epoch += 1``) and read ``frame.page`` /
-        set ``frame.dirty`` directly.
+        """:meth:`fetch` returning the frame itself, for a caller that
+        writes the page and its dirty bit directly (identical accounting).
         """
         frames = self._frames
         frame = frames.get(page_id)
-        self.epoch += 1
         if frame is not None:
             self.stats.hits += 1
             if self._is_lru:
                 frames.move_to_end(page_id)
             else:
                 self._referenced[page_id] = True
+            self.last = frame
             return frame
         return self._admit(page_id)
 
@@ -212,52 +200,17 @@ class BufferPool:
             self._frames[page_id].page = page
         return page
 
-    def replay_writable(self, page_id: PageId, touches: int) -> Page:
-        """Re-touch a just-written page ``touches`` times, write-intent.
-
-        Collapses a run of re-touches that the slow path would perform on
-        a page that is already MRU — e.g. ``update_field``'s second
-        root-to-leaf descent, which re-fetches the same index pages and
-        leaf in the same order with no other pool operation in between,
-        leaving the LRU order and residency exactly as they were.  Counts
-        ``touches`` logical hits (bit-identical to the slow path's
-        counters: every re-touch of a resident page is a hit), applies
-        copy-on-write if the page is frozen, and marks the frame dirty.
-
-        The caller must guarantee the collapsed touches would all have
-        been hits of already-resident pages in unchanged LRU order; the
-        B-tree guards its call sites accordingly.
-        """
-        frame = self._frames[page_id]
-        self.stats.hits += touches
-        self.epoch += touches
-        page = frame.page
-        if page.frozen:
-            page = self.disk.cow_page(page_id)
-            frame.page = page
-        frame.dirty = True
-        return page
-
-    def frame_of(self, page_id: PageId) -> _Frame:
-        """The resident frame for ``page_id``, WITHOUT accounting a touch.
-
-        Only for establishing a lease immediately after an operation that
-        already touched ``page_id`` (e.g. :meth:`new_page`): pair the
-        returned frame with the current :attr:`epoch`.  Raises ``KeyError``
-        if the page is not resident.
-        """
-        return self._frames[page_id]
-
     def new_page(self, file_id: int) -> Page:
         """Allocate a fresh page and install it dirty (no read charged)."""
         frame = self._free_frame()
-        self.epoch += 1
         frame.page = page = self.disk.allocate_page(file_id)
         frame.dirty = True
-        self._frames[page.page_id] = frame
+        page_id = page.page_id
+        self._frames[page_id] = frame
         if not self._is_lru:
-            self._referenced[page.page_id] = True
-            self._clock_ring.append(page.page_id)
+            self._referenced[page_id] = True
+            self._clock_ring.append(page_id)
+        self.last = frame
         return page
 
     def mark_dirty(self, page_id: PageId) -> None:
@@ -294,7 +247,7 @@ class BufferPool:
         Used when a page is deallocated; its contents are garbage, so a
         write-back would charge I/O for data nobody can read again.
         """
-        self.epoch += 1
+        self.last = NO_FRAME
         if self._frames.pop(page_id, None) is not None:
             self._referenced.pop(page_id, None)
 
@@ -305,7 +258,7 @@ class BufferPool:
         discarded *without* write-back unless ``flush`` is requested,
         matching the free disposal of scratch data.
         """
-        self.epoch += 1
+        self.last = NO_FRAME
         victims = [pid for pid in self._frames if pid.file_id == file_id]
         for pid in victims:
             frame = self._frames.pop(pid)
@@ -315,7 +268,7 @@ class BufferPool:
 
     def clear(self, flush: bool = True) -> None:
         """Empty the pool (cold cache), optionally flushing dirty frames."""
-        self.epoch += 1
+        self.last = NO_FRAME
         if flush:
             self.flush_all()
         self._frames.clear()
@@ -380,7 +333,8 @@ class BufferPool:
     # ------------------------------------------------------------------
     def _admit(self, page_id: PageId) -> _Frame:
         """The miss path of :meth:`fetch` / :meth:`fetch_frame`: count the
-        miss, evict if full, read the page and install it as MRU."""
+        miss, evict if full, read the page and install it as MRU (and as
+        the page touched last)."""
         self.stats.misses += 1
         # The span covers the miss only: the hit branches stay free of
         # any profiler test (they run tens of millions of times).
@@ -392,6 +346,7 @@ class BufferPool:
         if not self._is_lru:
             self._referenced[page_id] = True
             self._clock_ring.append(page_id)
+        self.last = frame
         if prof is not None:
             prof.add("pool.fetch_miss", perf_counter_ns() - t0)
         return frame
@@ -399,7 +354,10 @@ class BufferPool:
     def _free_frame(self) -> _Frame:
         """A clean frame for an incoming page: a new one while the pool is
         filling, else the policy's victim, evicted (written back first if
-        dirty) and handed over for reuse."""
+        dirty) and handed over for reuse.  Forgets the page touched last
+        first: a sweep may clear its reference bit, and a failed
+        write-back must not leave a stale answer behind."""
+        self.last = NO_FRAME
         frames = self._frames
         if len(frames) < self.capacity:
             return _Frame()

@@ -5,18 +5,18 @@ Heaps back the temporary relations that the breadth-first strategies build
 relation type.  All page traffic flows through the buffer pool, so filling
 a temporary charges exactly the write-backs a real engine would pay.
 
-The insert path holds an epoch lease on the tail frame (see
-:mod:`repro.storage.buffer`): while no other pool operation intervenes,
-consecutive appends self-account their tail touches as hits instead of
-going through :meth:`BufferPool.writable` — counters and eviction stream
-bit-identical, an order of magnitude less Python per record.  Scans hand
-out whole decoded pages (:meth:`HeapFile.scan_pages`) so consumers pay one
+:meth:`HeapFile.insert_many` books a tail touch as a hit while the tail
+is the page touched last (the pool's one rule, see "The page touched
+last" in :mod:`repro.storage.buffer`) instead of fetching it — counters
+and eviction stream bit-identical to one :meth:`HeapFile.insert` per
+record, an order of magnitude less Python per record.  Scans hand out
+whole decoded pages (:meth:`HeapFile.scan_pages`) so consumers pay one
 pool touch and one method call per page, not per record.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
@@ -49,21 +49,9 @@ class HeapFile:
         # the heap is the only writer of its file, so this avoids asking
         # the disk manager for the page count on every insert.
         self._tail_page_no: Optional[int] = None
-        # Epoch lease on the tail frame (session-local; never pickled).
-        self._tail_frame = None
-        self._tail_epoch = -1
         # Per-record size when the schema is fixed-size (the common case
         # for temporaries of OIDs) — skips record_size() on every insert.
         self._fixed_size = schema._fixed_record_size
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # The tail lease references a live buffer frame; it is pure
-        # session state and must not survive pickling or snapshot
-        # deep-copies (the revived pool starts at a fresh epoch anyway).
-        state = self.__dict__.copy()
-        state["_tail_frame"] = None
-        state["_tail_epoch"] = -1
-        return state
 
     # ------------------------------------------------------------------
     # properties
@@ -80,39 +68,27 @@ class HeapFile:
     # mutation
     # ------------------------------------------------------------------
     def insert(self, record: Tuple[Any, ...]) -> RecordId:
-        """Append ``record`` to the tail page; return its address."""
+        """Append ``record`` to the tail page; return its address.
+
+        One :meth:`BufferPool.writable` touch of the tail per record: the
+        literal reference :meth:`insert_many` is tested against.
+        """
         self.schema.validate(record)
         size = self._fixed_size
         if size is None:
             size = self.schema.record_size(record)
         pool = self.pool
         if self._tail_page_no is not None:
-            # One tail touch, exactly as pool.writable() would account it:
-            # lease-collapsed when nothing happened since the last touch,
-            # a real fetch otherwise.
-            frame = self._tail_frame
-            if frame is not None and pool.epoch == self._tail_epoch:
-                pool.stats.hits += 1
-                pool.epoch += 1
-                self._tail_epoch = pool.epoch
-            else:
-                frame = pool.fetch_frame(PageId(self.file_id, self._tail_page_no))
-                self._tail_frame = frame
-                self._tail_epoch = pool.epoch
-            page = frame.page
-            if page.frozen:
-                page = pool.disk.cow_page(page.page_id)
-                frame.page = page
+            tail_id = PageId(self.file_id, self._tail_page_no)
+            page = pool.writable(tail_id)
             if page.fits(size):
                 slot = page.insert(record, size)
-                frame.dirty = True
+                pool.mark_dirty(tail_id)
                 self._num_records += 1
                 return RecordId(self._tail_page_no, slot)
         page = pool.new_page(self.file_id)
         page.codec = self.schema.codec
         self._tail_page_no = page.page_id.page_no
-        self._tail_frame = pool.frame_of(page.page_id)
-        self._tail_epoch = pool.epoch
         slot = page.insert(record, size)
         self._num_records += 1
         return RecordId(self._tail_page_no, slot)
@@ -122,14 +98,10 @@ class HeapFile:
 
         Accounting-identical to calling :meth:`insert` once per record —
         one tail touch per record, the same new-page allocations at the
-        same boundaries — but the per-record Python overhead (method
-        dispatch, RecordId construction, lease revalidation) is paid once
-        per page run instead.  Consecutive touches of the tail collapse
-        into a deferred hit count while no other pool operation
-        intervenes; a pull from a lazy ``records`` iterable that fetches
-        source pages (e.g. a merge stream) breaks the lease and forces a
-        real, accounted re-fetch of the tail, exactly as :meth:`insert`
-        would.
+        same boundaries — but a touch of a tail that is still the page
+        touched last is booked as a hit, not fetched.  Every touch asks
+        the pool, because a pull from a lazy ``records`` iterable may
+        touch it; the first touch of a call is a real fetch.
 
         A materialised ``list`` of fixed-size records that one batch
         check proves valid cannot touch the pool while it is consumed,
@@ -142,121 +114,92 @@ class HeapFile:
         ):
             return self._insert_run(records)
         pool = self.pool
-        stats = pool.stats
-        disk = pool.disk
+        cow_page = pool.disk.cow_page
         schema = self.schema
         validate = schema.validate
         record_size = schema.record_size
         fixed = self._fixed_size
         codec = schema.codec
         file_id = self.file_id
+        tail_id = None
+        if self._tail_page_no is not None:
+            tail_id = PageId(file_id, self._tail_page_no)
+        page = None  # the tail page as this call last touched it
+        hits = 0  # booked tail touches, added to the counters on the way out
         count = 0
-        hits = 0  # collapsed tail touches not yet flushed to the counters
-        frame = self._tail_frame
-        page = None
-        expected = -1
-        if frame is not None and pool.epoch == self._tail_epoch:
-            page = frame.page
-            expected = pool.epoch
         try:
             for record in records:
                 validate(record)
                 size = fixed
                 if size is None:
                     size = record_size(record)
-                total = size + SLOT_BYTES
-                if page is not None and pool.epoch == expected:
-                    # Lease-collapsed touch: tail still resident and MRU.
-                    hits += 1
+                if tail_id is not None:
+                    frame = pool.last
+                    if page is not None and frame.page is page:
+                        hits += 1
+                    else:
+                        frame = pool.fetch_frame(tail_id)
+                        page = frame.page
                     if page.frozen:
-                        page = disk.cow_page(page.page_id)
-                        frame.page = page
-                elif self._tail_page_no is not None:
-                    # Foreign pool activity (or batch start): re-acquire
-                    # the tail with a real, accounted fetch.
-                    if hits:
-                        stats.hits += hits
-                        pool.epoch += hits
-                        hits = 0
-                    frame = pool.fetch_frame(PageId(file_id, self._tail_page_no))
-                    expected = pool.epoch
-                    page = frame.page
-                    if page.frozen:
-                        page = disk.cow_page(page.page_id)
-                        frame.page = page
-                if page is not None and total <= page.free_bytes:
-                    records_l = page.records
-                    if records_l is None:
-                        records_l = page._materialize()
-                    records_l.append(record)
-                    page._sizes.append(size)
-                    page.used_bytes += total
-                    page.free_bytes -= total
-                    page.version += 1
-                    frame.dirty = True
-                    count += 1
-                    continue
+                        frame.page = page = cow_page(tail_id)
+                    total = size + SLOT_BYTES
+                    if total <= page.free_bytes:
+                        records_l = page.records
+                        if records_l is None:
+                            records_l = page._materialize()
+                        records_l.append(record)
+                        page._sizes.append(size)
+                        page.used_bytes += total
+                        page.free_bytes -= total
+                        page.version += 1
+                        frame.dirty = True
+                        count += 1
+                        continue
                 # Empty file or full tail (whose touch was counted above):
                 # allocate a fresh tail page.
-                if hits:
-                    stats.hits += hits
-                    pool.epoch += hits
-                    hits = 0
                 page = pool.new_page(file_id)
                 page.codec = codec
-                self._tail_page_no = page.page_id.page_no
-                frame = pool.frame_of(page.page_id)
-                expected = pool.epoch
+                tail_id = page.page_id
+                self._tail_page_no = tail_id.page_no
                 page.insert(record, size)
                 count += 1
         finally:
-            if hits:
-                # Our own flush keeps a still-valid lease warm; a lease
-                # the last pull from ``records`` broke stays broken.
-                if pool.epoch == expected:
-                    expected += hits
-                stats.hits += hits
-                pool.epoch += hits
+            pool.stats.hits += hits
             self._num_records += count
-            if page is not None and pool.epoch == expected:
-                self._tail_frame = frame
-                self._tail_epoch = pool.epoch
         return count
 
     def _insert_run(self, records: List[Tuple[Any, ...]]) -> int:
         """:meth:`insert_many` for a validated list of fixed-size records.
 
         Nothing but this loop touches the pool while a list is consumed,
-        so after the first touch of the tail (a real fetch unless the
-        lease of the previous call still holds) every touch is a hit on
-        the MRU page.  Each page is filled with one ``extend`` and its
-        touches are accounted in one step: one per record it takes, plus
-        one for the record that finds it full.
+        so once the tail is the page touched last (the first touch of a
+        call is a real fetch), every touch until the list ends or the tail
+        fills is a hit on it.  Such a page run is filled with one
+        ``extend`` and its touches are booked in one step: one per record
+        it takes, plus one for the record that finds it full, less the one
+        a real fetch of the tail already paid.
         """
         n = len(records)
-        if not n:
-            return 0
         pool = self.pool
-        stats = pool.stats
         size = self._fixed_size
         total = size + SLOT_BYTES
         file_id = self.file_id
-        frame = self._tail_frame
-        page = None
-        hits = 0  # tail touches not yet flushed to the counters
+        page = None  # the tail page as this call last touched it
         pos = 0
         try:
-            if self._tail_page_no is not None:
-                if frame is None or pool.epoch != self._tail_epoch:
-                    frame = pool.fetch_frame(PageId(file_id, self._tail_page_no))
-                    hits = -1  # the real fetch was the first record's touch
-                page = frame.page
-                if page.frozen:
-                    page = pool.disk.cow_page(page.page_id)
-                    frame.page = page
-            while True:
-                if page is not None:
-                    fit = min(page.free_bytes // total, n - pos)
+            while pos < n:
+                if self._tail_page_no is not None:
+                    frame = pool.last
+                    paid = page is None or frame.page is not page
+                    if paid:  # a real touch, for records[pos]
+                        frame = pool.fetch_frame(PageId(file_id, self._tail_page_no))
+                        page = frame.page
+                    if page.frozen:
+                        frame.page = page = pool.disk.cow_page(page.page_id)
+                    # Without the pool's grant, this step takes one record.
+                    booked = pool.last.page is page
+                    room = n - pos if booked else 1
+                    fit = min(page.free_bytes // total, room)
                     if fit:
                         page_records = page.records
                         if page_records is None:
@@ -268,28 +211,19 @@ class HeapFile:
                         page.version += fit
                         frame.dirty = True
                         pos += fit
-                        hits += fit
-                    if pos == n:
-                        break
-                    hits += 1  # the next record touches the full tail
-                    stats.hits += hits
-                    pool.epoch += hits
-                    hits = 0
+                    if booked:
+                        pool.stats.hits += fit + (fit < room) - paid
+                    if fit == room:
+                        continue
                 # Empty file or full tail: allocate a fresh tail page,
                 # whose first record costs no touch.
                 page = pool.new_page(file_id)
                 page.codec = self.schema.codec
                 self._tail_page_no = page.page_id.page_no
-                frame = pool.frame_of(page.page_id)
                 page.insert(records[pos], size)
                 pos += 1
         finally:
-            if hits > 0:
-                stats.hits += hits
-                pool.epoch += hits
             self._num_records += pos
-        self._tail_frame = frame
-        self._tail_epoch = pool.epoch
         return n
 
     def update(self, rid: RecordId, record: Tuple[Any, ...]) -> None:
@@ -308,8 +242,6 @@ class HeapFile:
         self.pool.disk.truncate_file(self.file_id)
         self._num_records = 0
         self._tail_page_no = None
-        self._tail_frame = None
-        self._tail_epoch = -1
 
     def drop(self) -> None:
         """Destroy the file entirely.  The heap must not be used afterwards."""
@@ -317,8 +249,6 @@ class HeapFile:
         self.pool.disk.drop_file(self.file_id)
         self._num_records = 0
         self._tail_page_no = None
-        self._tail_frame = None
-        self._tail_epoch = -1
 
     # ------------------------------------------------------------------
     # access

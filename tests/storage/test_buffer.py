@@ -26,6 +26,12 @@ def counts(hits, misses, evictions, dirty_evictions):
     }
 
 
+def touched_last(pool):
+    """The id of the page the pool touched last, or None."""
+    page = pool.last.page
+    return None if page is None else page.page_id
+
+
 def fill_file(disk, pages: int) -> int:
     fid = disk.create_file()
     for _ in range(pages):
@@ -147,6 +153,87 @@ class TestFaultOrder:
         assert pool.stats.as_dict() == counts(0, 4, 1, 1)
         assert (disk.reads, disk.writes) == (3, 1)
         pool.check_invariants()
+
+    @pytest.mark.parametrize("site", ["disk.write", "disk.read"])
+    def test_a_failed_miss_forgets_the_page_touched_last(
+        self, disk, policy, one_fault, site
+    ):
+        # Under clock the victim sweep clears ``other``'s reference bit
+        # before the fault, so booking a re-touch of it as a pure hit
+        # would no longer match a fetch.
+        pool, victim, other, incoming = self._dirty_victim(disk, policy)
+        assert touched_last(pool) == other
+        one_fault(site)
+        with pytest.raises(FaultInjected):
+            pool.fetch(incoming)
+        fault.clear()
+        assert touched_last(pool) is None
+
+    def test_a_failed_new_page_forgets_the_page_touched_last(
+        self, disk, policy, one_fault
+    ):
+        pool, victim, other, incoming = self._dirty_victim(disk, policy)
+        one_fault("disk.write")
+        with pytest.raises(FaultInjected):
+            pool.new_page(incoming.file_id)
+        fault.clear()
+        assert touched_last(pool) is None
+
+
+def _pool_state(pool):
+    return (
+        list(pool._frames),
+        [frame.dirty for frame in pool._frames.values()],
+        dict(pool._referenced),
+        list(pool._clock_ring),
+        pool._clock_hand,
+        pool.stats.as_dict(),
+        pool.disk.reads,
+        pool.disk.writes,
+    )
+
+
+@pytest.mark.parametrize("policy", ["lru", "clock"])
+@pytest.mark.parametrize("seed", range(10))
+def test_a_booked_retouch_equals_a_fetch(policy, seed):
+    """The pool's one rule: booking a hit for a re-touch of the page
+    touched last leaves the pool exactly as a real fetch does."""
+    rng = random.Random(seed)
+    pools = []
+    for _ in range(2):
+        disk = DiskManager(page_size=256)
+        fid = fill_file(disk, 8)
+        scratch = disk.create_file()
+        pools.append(BufferPool(disk, capacity=3, policy=policy))
+    booked = 0
+    recent = PageId(fid, 0)
+    for _ in range(400):
+        op = rng.random()
+        page_id = recent if rng.random() < 0.5 else PageId(fid, rng.randrange(8))
+        flush = rng.random() < 0.5
+        for literal, pool in enumerate(pools):
+            if op < 0.6:  # a touch: booked on the first pool when granted
+                if not literal and touched_last(pool) == page_id:
+                    pool.stats.hits += 1
+                    booked += 1
+                else:
+                    pool.fetch(page_id)
+            elif op < 0.75:
+                pool.writable(page_id)
+                pool.mark_dirty(page_id)
+            elif op < 0.85:
+                pool.new_page(scratch)
+            elif op < 0.9:
+                pool.invalidate_page(page_id)
+            elif op < 0.95:
+                pool.flush_all()
+            else:
+                pool.clear(flush=flush)
+        if op < 0.75:
+            recent = page_id
+        assert _pool_state(pools[0]) == _pool_state(pools[1])
+        pools[0].check_invariants()
+    assert booked > 50
 
 
 # ----------------------------------------------------------------------

@@ -142,7 +142,6 @@ def _ledger(catalog, heap):
     pages = [disk.peek_page(pid) for pid in disk.page_ids(heap.file_id)]
     return {
         "stats": pool.stats.as_dict(),
-        "epoch": pool.epoch,
         "io": (disk.reads, disk.writes),
         "lru": list(pool._frames),
         "dirty": [frame.dirty for frame in pool._frames.values()],
@@ -153,7 +152,8 @@ def _ledger(catalog, heap):
         "records": [record for p in pages for record in p.record_batch()],
         "num_records": heap.num_records,
         "tail": heap._tail_page_no,
-        "lease": heap._tail_frame is not None and heap._tail_epoch == pool.epoch,
+        "tail_last": pool.last.page is not None
+        and pool.last.page.page_id == PageId(heap.file_id, heap._tail_page_no),
     }
 
 
@@ -194,7 +194,7 @@ class TestInsertManyMatchesInsert:
     def test_batch_spanning_several_pages(self):
         ledger = _run([_oids(0, 60)])
         assert [page[0] for page in ledger["pages"]] == [PER_PAGE] * 4 + [4]
-        assert ledger["lease"]
+        assert ledger["tail_last"]
 
     def test_small_batches_share_the_leased_tail(self):
         _run([_oids(0, 5), _oids(5, 5), [], _oids(10, 4), _oids(14, 1), _oids(15, 40)])
@@ -233,8 +233,8 @@ class TestInsertManyMatchesInsert:
 
     def test_lazy_iterable_whose_last_pull_touches_the_pool(self):
         # The generator fetches a page *after* its last record: the tail
-        # is then no longer MRU, and the lease insert_many leaves behind
-        # must say so (the next insert re-fetches, reordering the LRU).
+        # is then no longer the page touched last (the next insert
+        # re-fetches it, reordering the LRU).
         def records(catalog):
             yield from _oids(0, 5)
             catalog.pool.fetch(PageId(catalog.get("other").file_id, 0))
@@ -256,18 +256,38 @@ class TestInsertManyMatchesInsert:
 
 def test_stale_lease_on_a_reused_frame():
     # The pool hands an evicted tail's frame to the page that replaces
-    # it; the heap's old lease on that frame must not reach that page.
-    catalog, heap = _twin()
-    other = catalog.get("other")
-    other.insert_many(_oids(0, PER_PAGE * 4))  # fills all four frames
-    heap.insert((0,))  # LRU -> MRU: other 1, 2, 3, h 0
-    stale = heap._tail_frame
-    twin = copy.deepcopy(catalog)  # the copy's heap holds no lease
-    for cat in (catalog, twin):
-        for page_no in (1, 2, 3, 0):  # three hits, then a miss evicting h 0
-            cat.pool.fetch(PageId(other.file_id, page_no))
-    assert stale.page.page_id == PageId(other.file_id, 0)
-    assert heap.insert((1,)) == twin.get("h").insert((1,)) == RecordId(0, 1)
-    assert _ledger(catalog, heap) == _ledger(twin, twin.get("h"))
-    assert catalog.disk.peek_page(PageId(heap.file_id, 0)).record_batch() == [(0,), (1,)]
-    assert len(catalog.disk.peek_page(PageId(other.file_id, 0))) == PER_PAGE
+    # it; the heap's writes must not reach that page through the frame —
+    # also when a foreign fetch re-admits the tail into another frame and
+    # so makes it the page touched last again.
+    records = [(1,), (2,)]
+    writes = {
+        "insert": lambda heap: [heap.insert(record) for record in records],
+        "list": lambda heap: heap.insert_many(list(records)),
+        "generator": lambda heap: heap.insert_many(r for r in records),
+    }
+    for readmit in (False, True):
+        for form, write in writes.items():
+            catalog, heap = _twin()
+            other = catalog.get("other")
+            other.insert_many(_oids(0, PER_PAGE * 4))  # fills all four frames
+            heap.insert_many([(0,)])  # LRU -> MRU: other 1, 2, 3, h 0
+            tail = PageId(heap.file_id, 0)
+            old_frame = catalog.pool.last  # h 0 was touched last
+            twin = copy.deepcopy(catalog)
+            for cat in (catalog, twin):
+                for page_no in (1, 2, 3, 0):  # three hits, then a miss evicting h 0
+                    cat.pool.fetch(PageId(other.file_id, page_no))
+                if readmit:
+                    cat.pool.fetch(tail)  # a miss evicting other 1
+            took_over = old_frame.page
+            assert took_over.page_id == PageId(other.file_id, 0)
+            if readmit:  # h 0 is the page touched last, in another frame
+                assert catalog.pool.last.page.page_id == tail
+                assert catalog.pool.last is not old_frame
+            write(heap)
+            for record in records:
+                twin.get("h").insert(record)
+            assert _ledger(catalog, heap) == _ledger(twin, twin.get("h")), (form, readmit)
+            assert catalog.disk.peek_page(tail).record_batch() == [(0,), (1,), (2,)]
+            assert old_frame.page is took_over and not old_frame.dirty
+            assert took_over.record_batch() == _oids(0, PER_PAGE)

@@ -1,13 +1,14 @@
-"""Referee for the buffer pool's lease rule: a pool that grants none.
+"""Referee for the buffer pool's one rule: a pool that grants no lease.
 
-Under :class:`LiteralPool` no caller-held lease ever holds, so every
-site that would book a hit for a page it did not fetch takes the real
-``fetch`` instead.  Every measured number, and the pool's final frame
-order, reference bits and clock hand, must come out the same as under
-the default pool and as pinned in ``tests/golden/trace_digests.json``.
+Under :class:`LiteralPool` no page is ever the page touched last (see
+:mod:`repro.storage.buffer`), so every site that would book a hit for a
+page it did not fetch takes the real ``fetch`` instead.  Every measured
+number, and the pool's final frame order, reference bits and clock hand,
+must come out the same as under the default pool and as pinned in
+``tests/golden/trace_digests.json``.
 """
 
-import itertools
+import types
 
 import pytest
 
@@ -16,7 +17,11 @@ from repro.storage.buffer import BufferPool
 from tests.golden.generate_digests import CONFIGS, STRATEGIES, run_point
 from tests.golden.test_trace_digests import golden, config  # noqa: F401
 
-_TICKS = itertools.count()
+#: What :attr:`LiteralPool.last` always reads: a frame holding no page.
+_NO_FRAME = types.SimpleNamespace(page=None)
+
+#: Every pool built since the last :func:`_run` began.
+POOLS = []
 
 
 class CountingPool(BufferPool):
@@ -37,18 +42,16 @@ class CountingPool(BufferPool):
 
 
 class LiteralPool(CountingPool):
-    """A pool that grants no lease: its epoch never reads the same twice."""
+    """A pool that grants no lease: no page is the page touched last."""
 
     @property
-    def epoch(self):
-        return next(_TICKS)
+    def last(self):
+        return _NO_FRAME
 
-    @epoch.setter
-    def epoch(self, value):
+    @last.setter
+    def last(self, frame):
         pass
 
-
-POOLS = []
 
 SMOKE = (
     ("retrieve", "DFS"),
@@ -102,3 +105,12 @@ def test_golden_point_without_leases(golden, monkeypatch, label, name):
 def test_clock_point_without_leases(monkeypatch, label, name):
     _compare(monkeypatch, label, name, {"buffer_policy": "clock"})
 
+
+def test_the_referee_takes_the_real_path(monkeypatch):
+    # Under the default pool DFS books four hits per unique match and
+    # heap appends book theirs; without the rule each is a real fetch.
+    for name in ("DFS", "BFS"):
+        scale, overrides, run_kwargs = config("retrieve")
+        default = _run(monkeypatch, CountingPool, name, scale, overrides, run_kwargs)
+        literal = _run(monkeypatch, LiteralPool, name, scale, overrides, run_kwargs)
+        assert literal[2] > default[2]
