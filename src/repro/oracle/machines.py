@@ -466,6 +466,21 @@ class SnapshotMachine(RuleBasedStateMachine):
         assert removed == (clone.tree_model.delete(key) is not None)
 
     @precondition(lambda self: self.clones)
+    @rule(data=st.data(), keys=st.lists(KEYS, max_size=8))
+    def clone_tree_lookup(self, data, keys) -> None:
+        """Probe a clone, then the template, twice each: the second pass
+        replays remembered routes, which a clone shares with the template
+        until it changes shape (an arena-loaded clone starts empty)."""
+        clone = self._pick(data)
+        for tree, model in (
+            (clone.store.tree, clone.tree_model),
+            (self.template._db.tree, self.template_tree),
+        ):
+            want = [record for record in map(model.get, keys) if record is not None]
+            for _ in range(2):
+                assert tree.probe_many(keys) == want
+
+    @precondition(lambda self: self.clones)
     @rule(data=st.data(), key=KEYS, value=VALUES)
     def clone_hash_upsert(self, data, key: int, value: int) -> None:
         clone = self._pick(data)

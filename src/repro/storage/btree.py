@@ -39,12 +39,20 @@ pool (see "The page touched last" in :mod:`repro.storage.buffer`).
   batch at a time, and a key on the current leaf costs touches of that
   leaf only;
 * ``probe_many`` — **unsorted** probes (the nested-loop join; ``lookup``
-  and ``lookup_one`` are its one-key forms): an inline descent of real
+  and ``lookup_one`` are its one-key forms): a descent of real
   fetches per key.  When the match is unique and not the leaf's last
   record, the cursor loop's further touches of the just-fetched leaf
   are four re-touches of the page touched last: ``hits += 4``.  A
   last-slot match, a duplicate run or an absent key may step to the
   next leaf, so those take ``_collect_matches``, touch by touch.
+
+A probed key's route (leaf, slot, four-touch flag: one int; the leaf's
+``PageId`` path: one tuple) is remembered, and a later probe replays it
+as one :meth:`BufferPool.fetch_path`: the descent's touches, not its
+work.  The memo is exact, since a route depends only on separators and
+leaf key columns, which only ``insert``, ``delete`` and ``bulk_load``
+change; they replace it (``update`` keeps it).  So the clones of a
+frozen snapshot share it, and a pickle or arena stores it empty.
 
 ``update_field`` is a ``lookup_one`` and an ``update``.
 """
@@ -69,6 +77,25 @@ KeyFunc = Callable[[Tuple[Any, ...]], Any]
 
 #: ``_next_leaf`` entry of the last leaf (and of every internal node).
 NO_LEAF = -1
+
+#: A remembered route: ``leaf_no << _LEAF_SHIFT | slot << 1 | unique`` (slot < 2**20).
+_LEAF_SHIFT = 21
+_SLOT_MASK = (1 << 20) - 1
+
+
+class _Routes(dict):
+    """Key -> packed route; ``paths``: leaf -> root-to-leaf ``PageId``s."""
+
+    __slots__ = ("paths",)
+
+    def __init__(self) -> None:
+        self.paths: Dict[int, Tuple[PageId, ...]] = {}
+
+    def __deepcopy__(self, memo: dict) -> "_Routes":
+        return self
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return _Routes, ()
 
 
 class BTreeFile:
@@ -114,6 +141,7 @@ class BTreeFile:
         # dropped whenever the tree allocates a page.  PageId values are
         # positional, so a cached list is valid until the file grows.
         self._ids: Optional[List[PageId]] = None
+        self._routes = _Routes()
 
     def __getstate__(self) -> Dict[str, Any]:
         # The key caches are pure memoization (dropping them skips no
@@ -170,6 +198,7 @@ class BTreeFile:
             raise StorageError("bulk_load input must be sorted by %r" % self.key_name)
         if self.unique and len(set(keys)) != len(keys):
             raise DuplicateKeyError("bulk_load input has duplicate keys")
+        self._routes = _Routes()  # an empty tree's memo may be shared
 
         # --- leaves -----------------------------------------------------
         validate = self.schema.validate
@@ -305,13 +334,15 @@ class BTreeFile:
             path.append(node)
         return path
 
-    def _descend_leaf(self, key: Any, ids: List[PageId]) -> int:
-        """The leaf page number for ``key``: one fetch per index level."""
+    def _descend(self, key: Any, ids: List[PageId]) -> List[int]:
+        """The one read descent: ``key``'s root-to-leaf page numbers, one
+        real fetch per index level (the leaf is not fetched)."""
         is_leaf = self._is_leaf
         fetch = self.pool.fetch
         sep_cache = self._sep_cache
         bisect_right = bisect.bisect_right
         node = self._root
+        path = [node]
         while not is_leaf[node]:
             page = fetch(ids[node])
             cached = sep_cache.get(node)
@@ -326,17 +357,34 @@ class BTreeFile:
             if records is None:
                 records = page._materialize()
             node = records[idx][1]
-        return node
+            path.append(node)
+        return path
+
+    def _route(self, key: Any) -> Tuple[Page, int]:
+        """:meth:`_descend` and a leaf fetch: ``(leaf page, route)``, remembered."""
+        ids = self._page_ids()
+        path = self._descend(key, ids)
+        node = path[-1]
+        page = self.pool.fetch(ids[node])
+        keys = self._leaf_keys(page)
+        slot = bisect.bisect_left(keys, key)
+        unique = slot + 1 < len(keys) and keys[slot] == key != keys[slot + 1]
+        routes = self._routes
+        if node not in routes.paths:
+            routes.paths[node] = tuple([ids[no] for no in path])
+        route = routes[key] = node << _LEAF_SHIFT | slot << 1 | unique
+        return page, route
 
     def _find_leaf_slot(self, key: Any) -> Tuple[Optional[int], int]:
         """Leaf page and slot of the first record with key >= ``key``."""
         if self._root is None:
             return None, 0
-        ids = self._page_ids()
-        leaf_no = self._descend_leaf(key, ids)
-        page = self.pool.fetch(ids[leaf_no])
-        slot = bisect.bisect_left(self._leaf_keys(page), key)
-        return leaf_no, slot
+        route = self._routes.get(key)
+        if route is None:
+            route = self._route(key)[1]
+        else:
+            self.pool.fetch_path(self._routes.paths[route >> _LEAF_SHIFT])
+        return route >> _LEAF_SHIFT, route >> 1 & _SLOT_MASK
 
     # ------------------------------------------------------------------
     # reads
@@ -396,53 +444,28 @@ class BTreeFile:
         """The (projected) matches of ``keys``, probed in the given order.
 
         The unsorted-probe operator of a nested-loop join: one
-        root-to-leaf descent per key, touch for touch the cursor loop
-        (see "Raw-speed notes" for the four-touch rule).  Absent keys
-        match nothing.  ``keys`` is a materialised sequence, so nothing
-        but this loop touches the pool between two probes.
+        root-to-leaf descent per key, replayed when the key's route is
+        remembered, touch for touch the cursor loop (see "Raw-speed
+        notes" for the four-touch rule).  Absent keys match nothing.
+        ``keys`` is a materialised sequence, so nothing but this loop
+        touches the pool between two probes.
         """
         out: List[Any] = []
-        root = self._root
-        if root is None:
+        if self._root is None:
             return out
-        ids = self._page_ids()
         pool = self.pool
         stats = pool.stats
-        fetch = pool.fetch
-        is_leaf = self._is_leaf
-        sep_cache = self._sep_cache
-        key_cache = self._leaf_key_cache
-        bisect_right = bisect.bisect_right
-        bisect_left = bisect.bisect_left
+        fetch_path = pool.fetch_path
+        remembered, paths = self._routes.get, self._routes.paths
         append = out.append
         for key in keys:
-            node = root
-            while not is_leaf[node]:
-                page = fetch(ids[node])
-                cached = sep_cache.get(node)
-                if cached is not None and cached[0] == page.version:
-                    seps = cached[1]
-                else:
-                    seps = self._separators(page)
-                idx = bisect_right(seps, key) - 1
-                if idx < 0:
-                    idx = 0
-                records = page.records
-                if records is None:
-                    records = page._materialize()
-                node = records[idx][1]
-            page = fetch(ids[node])
-            cached = key_cache.get(node)
-            if cached is not None and cached[0] == page.version:
-                lkeys = cached[1]
+            route = remembered(key)
+            if route is None:
+                page, route = self._route(key)
             else:
-                lkeys = self._leaf_keys(page)
-            slot = bisect_left(lkeys, key)
-            if (
-                slot + 1 < len(lkeys)
-                and lkeys[slot] == key != lkeys[slot + 1]
-                and pool.last.page is page
-            ):
+                page = fetch_path(paths[route >> _LEAF_SHIFT])
+            slot = route >> 1 & _SLOT_MASK
+            if route & 1 and pool.last.page is page:
                 stats.hits += 4
                 records = page.records
                 if records is None:
@@ -594,7 +617,7 @@ class BTreeFile:
                             skip = False
                     if skip:
                         # seek() by descent, ending in a real leaf fetch.
-                        page_no = self._descend_leaf(key, self._page_ids())
+                        page_no = self._descend(key, self._page_ids())[-1]
                         page, records, version = self._walk_fetch(page_no)
                         keys = self._leaf_keys(page)
                         slot = bisect_left(keys, key)
@@ -646,6 +669,7 @@ class BTreeFile:
     def insert(self, record: Tuple[Any, ...]) -> None:
         """Insert one record, splitting nodes as needed."""
         self.schema.validate(record)
+        self._routes = _Routes()  # a split or a new slot moves routes
         key = self._key(record)
         size = self.schema.record_size(record)
         if self._root is None:
@@ -794,6 +818,7 @@ class BTreeFile:
         keys = self._leaf_keys(page)
         if slot >= len(keys) or keys[slot] != key:
             raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
+        self._routes = _Routes()  # later slots of the leaf move left
         record = page.delete(slot)
         self.pool.mark_dirty(page.page_id)
         self._num_records -= 1

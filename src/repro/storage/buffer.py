@@ -9,6 +9,8 @@ pages, which is the default here (see
 The pool is a straightforward LRU:
 
 * :meth:`fetch` returns a frame's page, moving it to the MRU end;
+  :meth:`fetch_path` is that for a sequence of pages (a B-tree route
+  the tree remembers, root to leaf), touch for touch the ``fetch`` loop;
 * a miss evicts the least recently used frame, writing it back first if
   dirty (one write), and reads the incoming page into the victim's
   frame object;
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from time import perf_counter_ns
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.obs import spans as _spans
 from repro.storage.disk import DiskManager
@@ -183,6 +185,24 @@ class BufferPool:
             self.last = frame
             return frame
         return self._admit(page_id)
+
+    def fetch_path(self, page_ids: Sequence[PageId]) -> Page:
+        """:meth:`fetch` each of ``page_ids``; return the last page.  (A miss
+        resets :attr:`last` before it can fail: one set at the end will do.)"""
+        if not self._is_lru:
+            for page_id in page_ids:
+                page = self.fetch(page_id)
+            return page
+        frames = self._frames
+        for page_id in page_ids:
+            frame = frames.get(page_id)
+            if frame is None:
+                frame = self._admit(page_id)
+            else:
+                self.stats.hits += 1
+                frames.move_to_end(page_id)
+        self.last = frame
+        return frame.page
 
     def writable(self, page_id: PageId) -> Page:
         """Fetch ``page_id`` with write intent (copy-on-write aware).

@@ -271,16 +271,24 @@ def cursor_probe(keys, inner):
     return out
 
 
-def assert_probe_matches_cursor(tree_keys, unique, batches, frames, policy, cold):
-    """Probe batch after batch both ways, a foreign poke after each; after
-    every batch results, counters, I/O and replacement state agree."""
+def assert_probe_matches_cursor(
+    tree_keys, unique, batches, frames, policy, cold, between=None
+):
+    """Probe each batch twice both ways (the second pass replays the
+    routes the first remembered), a foreign poke after each pass, and
+    ``between(tree, index)`` on both trees before a second pass; after
+    every pass results, counters, I/O and replacement state agree."""
     got_catalog, got_tree = _twin(tree_keys, unique, frames, cold, policy)
     ref_catalog, ref_tree = _twin(tree_keys, unique, frames, cold, policy)
     for index, batch in enumerate(batches):
-        assert got_tree.probe_many(batch) == cursor_probe(batch, ref_tree)
-        assert _ledger(got_catalog) == _ledger(ref_catalog)
-        _poke(got_catalog, index)
-        _poke(ref_catalog, index)
+        for second in (False, True):
+            if second and between is not None:
+                between(got_tree, index)
+                between(ref_tree, index)
+            assert got_tree.probe_many(batch) == cursor_probe(batch, ref_tree)
+            assert _ledger(got_catalog) == _ledger(ref_catalog)
+            _poke(got_catalog, index)
+            _poke(ref_catalog, index)
     return got_tree, ref_tree, got_catalog, ref_catalog
 
 
@@ -301,6 +309,28 @@ class TestProbeManyMatchesCursor:
             [],
         ]
         assert_probe_matches_cursor(tree_keys, unique, batches, frames, policy, True)
+
+    @pytest.mark.parametrize("change", ["insert", "delete"])
+    @pytest.mark.parametrize("policy", ["lru", "clock"])
+    @pytest.mark.parametrize("unique", [True, False])
+    def test_a_shape_change_between_two_passes(self, unique, policy, change):
+        # Inserts split leaves and deletes shift slots, so a remembered
+        # route of the first pass is stale for the second.
+        tree_keys = list(range(0, 120, 2)) if unique else [k // 3 for k in range(60)]
+        present = sorted(set(tree_keys))
+
+        def between(tree, index):
+            for k in range(7 * index, 7 * index + 7):
+                if change == "insert":
+                    tree.insert((2 * k + 1, -k))
+                else:
+                    tree.delete_if_present(present[k % len(present)])
+
+        batches = [present, present[::-1], [1, 3, 13, 15, 27, 29, 41, 500]]
+        got_tree = assert_probe_matches_cursor(
+            tree_keys, unique, batches, 3, policy, True, between
+        )[0]
+        got_tree.check_invariants()
 
     def test_projection_and_the_join_operator(self, inner):
         assert inner.probe_many([6, 3, 2], project=lambda r: r[1]) == [60, 20]

@@ -8,7 +8,7 @@ from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
 from repro.storage.btree import BTreeFile
 from repro.storage.catalog import Catalog
 from repro.storage.record import CharField, IntField, Schema
-from repro.storage.snapshot import Snapshot
+from repro.storage.snapshot import Snapshot, SnapshotStore
 from tests.storage.btree_cursor import BTreeCursor
 
 
@@ -260,10 +260,11 @@ class TestDelete:
 class _TreeStore:
     """The two members ``Snapshot.freeze`` needs, over one B-tree."""
 
-    def __init__(self, records):
+    def __init__(self, records=None):
         self.catalog = Catalog(buffer_pages=16, page_size=512)
         self.tree = make_tree(self.catalog)
-        self.tree.bulk_load(records)
+        if records is not None:
+            self.tree.bulk_load(records)
 
     @property
     def disk(self):
@@ -316,3 +317,46 @@ class TestSidecarCloneIsolation:
         late = snapshot.attach().tree
         late.check_invariants()
         assert self._reads(late) == reads
+
+
+class TestRouteMemo:
+    """Remembered routes depend on the tree's shape only: clones of one
+    snapshot share the memo until they change shape."""
+
+    def test_attach_shares_a_shape_change_replaces_an_arena_starts_empty(
+        self, tmp_path
+    ):
+        snapshot = Snapshot.freeze(_TreeStore([rec(k, k) for k in range(0, 800, 2)]))
+        template = snapshot._db.tree
+        clone_a, clone_b = snapshot.attach().tree, snapshot.attach().tree
+        assert clone_a._routes is template._routes
+        assert clone_b._routes is template._routes
+
+        clone_b.lookup(400)
+        assert 400 in template._routes
+        clone_b.update(400, rec(400, -1))  # keys and slots stay put
+        assert clone_b._routes is template._routes
+
+        clone_a.insert(rec(401, 1))
+        assert clone_a._routes is not template._routes
+        assert not clone_a._routes
+        clone_b.delete(2)
+        assert clone_b._routes is not template._routes
+        assert clone_a.lookup(400) == [rec(400, 400)]
+        assert clone_b.lookup(400) == [rec(400, -1)]
+        assert clone_a.lookup(401) == [rec(401, 1)]
+        assert clone_b.lookup(2) == []
+
+        store = SnapshotStore(str(tmp_path))
+        revived = store.put("db", snapshot).attach().tree
+        assert not revived._routes
+        assert revived.lookup(400) == [rec(400, 400)]
+
+    def test_clones_of_an_unloaded_tree_bulk_load_their_own_routes(self):
+        snapshot = Snapshot.freeze(_TreeStore())
+        for parity in (0, 1):
+            tree = snapshot.attach().tree
+            tree.bulk_load([rec(k, parity) for k in range(parity, 800, 2)])
+            for key in (400, 401):
+                want = [rec(key, parity)] if key % 2 == parity else []
+                assert tree.lookup(key) == want

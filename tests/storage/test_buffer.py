@@ -236,6 +236,75 @@ def test_a_booked_retouch_equals_a_fetch(policy, seed):
     assert booked > 50
 
 
+@pytest.mark.parametrize("policy", ["lru", "clock"])
+class TestFetchPath:
+    """``fetch_path(ids)`` leaves the pool exactly as ``for i in ids:
+    fetch(i)``: counters, I/O, frame order, dirty and reference bits,
+    clock ring and hand, and the page touched last."""
+
+    def _twins(self, policy):
+        """Two pools holding pages 0, 1, 2 of eight; page 0, first in
+        line for eviction under either policy, is dirty."""
+        pools = []
+        for _ in range(2):
+            disk = DiskManager(page_size=256)
+            fid = fill_file(disk, 8)
+            pool = BufferPool(disk, capacity=3, policy=policy)
+            for page_no in range(3):
+                pool.fetch(PageId(fid, page_no))
+            pool.mark_dirty(PageId(fid, 0))
+            pools.append(pool)
+        return pools, fid
+
+    @staticmethod
+    def _state(pool):
+        return _pool_state(pool) + (touched_last(pool),)
+
+    def test_a_path_with_misses_and_a_dirty_eviction(self, policy):
+        (by_path, by_loop), fid = self._twins(policy)
+        path = [PageId(fid, page_no) for page_no in (1, 5, 2, 6, 6)]
+        page = by_path.fetch_path(path)
+        for page_id in path:
+            by_loop.fetch(page_id)
+        assert page is by_path.last.page and page.page_id == path[-1]
+        assert self._state(by_path) == self._state(by_loop)
+        assert by_path.stats.as_dict() == counts(3, 5, 2, 1)
+        by_path.check_invariants()
+
+    @pytest.mark.parametrize("site", ["disk.write", "disk.read"])
+    def test_a_fault_mid_path_leaves_the_loops_partial_state(
+        self, policy, one_fault, site
+    ):
+        (by_path, by_loop), fid = self._twins(policy)
+        path = [PageId(fid, page_no) for page_no in (2, 1, 5, 6)]
+        one_fault(site)
+        with pytest.raises(FaultInjected):
+            by_path.fetch_path(path)
+        one_fault(site)
+        with pytest.raises(FaultInjected):
+            for page_id in path:
+                by_loop.fetch(page_id)
+        fault.clear()
+        assert self._state(by_path) == self._state(by_loop)
+        assert touched_last(by_path) is None
+        by_path.check_invariants()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_paths(self, policy, seed):
+        rng = random.Random(seed)
+        (by_path, by_loop), fid = self._twins(policy)
+        for _ in range(200):
+            path = [PageId(fid, rng.randrange(8)) for _ in range(rng.randint(1, 4))]
+            dirty = path[rng.randrange(len(path))]
+            by_path.fetch_path(path)
+            for page_id in path:
+                by_loop.fetch(page_id)
+            for pool in (by_path, by_loop):
+                if pool.is_resident(dirty):
+                    pool.mark_dirty(dirty)
+            assert self._state(by_path) == self._state(by_loop)
+
+
 # ----------------------------------------------------------------------
 # the LRU pool against a list-based model
 # ----------------------------------------------------------------------
