@@ -150,13 +150,10 @@ class UnitCache:
     # size model
     # ------------------------------------------------------------------
     def _payload_bytes(self, payload: Any) -> int:
-        """Size of a cached value: the bytes of the concatenated tuples."""
-        size = self._payload_sizes.get(id(payload))
-        if size is not None:
-            return size
-        # Fallback: payloads are sequences of child tuples; approximate by
-        # a fixed per-tuple estimate when no exact size was registered.
-        return sum(100 for _ in payload)
+        """Size of a cached value: the bytes of the concatenated tuples,
+        registered by :meth:`insert` for the one insert it prices.  Any
+        other payload is a bug and raises ``KeyError``."""
+        return self._payload_sizes[id(payload)]
 
     # ------------------------------------------------------------------
     # operations

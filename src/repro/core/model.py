@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.cache import unit_hashkey
 from repro.core.oid import Oid
 from repro.core.representations import (
-    CachedRep,
     OidMembers,
     ProceduralMembers,
     ValueMembers,
@@ -133,20 +132,6 @@ class ObjectStore:
 
     def get(self, class_name: str, key: Any) -> Tuple[Any, ...]:
         return self.get_class(class_name).relation.lookup_one(key)
-
-    def oid_lookup(self, oid: Oid) -> Tuple[Any, ...]:
-        """Dereference an OID (relation id + key) to its record."""
-        cls = self._by_rel_id.get(oid.rel)
-        if cls is None:
-            raise RepresentationError("OID %s names an unknown relation" % (oid,))
-        matches = [
-            record
-            for record in cls.relation.scan()
-            if cls.oid_of(record).key == oid.key
-        ]
-        if not matches:
-            raise RepresentationError("dangling OID %s" % (oid,))
-        return matches[0]
 
     # ------------------------------------------------------------------
     # member resolution (the heart of the representation alternatives)

@@ -16,7 +16,7 @@ ablations  A1 cache size, A2 buffer size, A3 inside vs outside   test_abl*
 ========== ===================================================== =========
 
 Each module exposes ``run(scale=..., num_retrieves=...) ->
-ExperimentResult`` and a printable ``main()``.
+ExperimentResult``; ``repro report --only NAME`` prints its table.
 """
 
 from repro.experiments import ablations, deep, fig3, fig4, fig5, fig7, matrix, opt, sec62, smart

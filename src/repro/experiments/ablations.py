@@ -196,18 +196,3 @@ def run_buffer_policy(
         headers=["policy"] + list(A4_STRATEGIES),
         rows=rows,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    for result in (
-        run_cache_size(scale=0.2),
-        run_buffer_size(scale=0.2),
-        run_inside_outside(scale=0.2),
-        run_buffer_policy(scale=0.2),
-    ):
-        print(result.table())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -81,11 +81,3 @@ def run(
         headers=["depth", "DFS", "BFS", "BFSNODUP", "nodup_gain"],
         rows=rows,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run(scale=0.2).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

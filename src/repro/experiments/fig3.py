@@ -73,11 +73,3 @@ def crossover_num_top(result: ExperimentResult) -> Optional[int]:
         if row[2] < row[1]:
             return row[0]
     return None
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run(scale=0.2).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -181,15 +181,3 @@ def face_summary(result: ExperimentResult) -> Dict[str, Dict[str, int]]:
                 counts[row[-1]] += 1
         summary[face] = counts
     return summary
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run(scale=0.2, coarse=True)
-    print(result.table())
-    print("region sizes:", region_counts(result))
-    for face, counts in face_summary(result).items():
-        print("%-22s %r" % (face, counts))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -99,13 +99,3 @@ def crossover_share_factor(result: ExperimentResult) -> Optional[int]:
         if bfs_total < clust_total:
             return share
     return None
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run(scale=0.2)
-    print(result.table())
-    print("BFS overtakes DFSCLUST at ShareFactor:", crossover_share_factor(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

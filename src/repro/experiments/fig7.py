@@ -82,11 +82,3 @@ def run(
         headers=["NumTop", "overlap=1,use=5", "overlap=5,use=1"],
         rows=rows,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run(scale=0.2).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

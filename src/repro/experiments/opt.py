@@ -72,13 +72,3 @@ def run(
 
 def max_regret(result: ExperimentResult) -> float:
     return max(result.column("opt_regret"))
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run(scale=0.2)
-    print(result.table())
-    print("max regret: %.3f" % max_regret(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

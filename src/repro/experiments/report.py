@@ -200,7 +200,7 @@ def apply_policy_arguments(args: argparse.Namespace) -> None:
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``report`` flags, for ``repro report`` and :func:`main` alike."""
+    """The ``report`` flags of ``repro report``."""
     parser.add_argument(
         "--scale",
         type=float,
@@ -392,8 +392,3 @@ def run(args: argparse.Namespace) -> int:
             handle.write("\n")
     return 0
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    return run(parser.parse_args(argv))

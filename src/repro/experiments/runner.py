@@ -61,25 +61,6 @@ class ExperimentResult:
         index = self.headers.index(header)
         return [row[index] for row in self.rows]
 
-    def as_dicts(self) -> List[Dict[str, Any]]:
-        return [dict(zip(self.headers, row)) for row in self.rows]
-
-    def to_csv(self) -> str:
-        """The rows as CSV text (headers first), for external plotting."""
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(self.headers)
-        writer.writerows(self.rows)
-        return buffer.getvalue()
-
-    def write_csv(self, path: str) -> None:
-        """Write :meth:`to_csv` output to ``path``."""
-        with open(path, "w", newline="") as handle:
-            handle.write(self.to_csv())
-
     def to_json(self) -> str:
         """The result as a JSON document (name, title, headers, rows, notes)."""
         import json

@@ -72,14 +72,3 @@ def max_relative_spread(result: ExperimentResult, strategy: str) -> float:
     costs = result.column(strategy)
     low = min(costs)
     return (max(costs) - low) / low if low else 0.0
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run(scale=0.2)
-    print(result.table())
-    for name in STRATEGIES:
-        print("%s spread: %.1f%%" % (name, 100 * max_relative_spread(result, name)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

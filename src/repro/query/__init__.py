@@ -2,7 +2,6 @@
 
 The strategies of Section 3 are assembled from these pieces:
 
-* :mod:`repro.query.expr` — predicates over schema records;
 * :mod:`repro.query.temp` — temporary relations (the ``temp`` of the
   breadth-first strategies);
 * :mod:`repro.query.sort` — external merge sort with real run files;
@@ -11,7 +10,6 @@ The strategies of Section 3 are assembled from these pieces:
   B-tree inners.
 """
 
-from repro.query.expr import AndPredicate, FieldBetween, FieldEquals, Predicate
 from repro.query.join import (
     iterative_substitution_join,
     join_sorted_temp,
@@ -21,10 +19,6 @@ from repro.query.sort import external_sort
 from repro.query.temp import TempRelation, make_temp
 
 __all__ = [
-    "AndPredicate",
-    "FieldBetween",
-    "FieldEquals",
-    "Predicate",
     "iterative_substitution_join",
     "join_sorted_temp",
     "merge_probe_join",

@@ -24,7 +24,6 @@ codec and their pages stay decoded.
 from __future__ import annotations
 
 import copy
-import operator
 import struct
 from itertools import chain
 from time import perf_counter_ns
@@ -356,7 +355,6 @@ class Schema:
         #: Every field is exactly an IntField: :meth:`validate_many` can
         #: then prove a whole batch valid without a per-record call.
         self._int_only: bool = all(type(f) is IntField for f in self.fields)
-        self._projectors: Dict[Tuple[str, ...], Callable[[Sequence[Any]], Tuple[Any, ...]]] = {}
         sizes = [f.fixed_size for f in self.fields]
         self._fixed_record_size: Optional[int] = (
             sum(sizes) if all(s is not None for s in sizes) else None  # type: ignore[arg-type]
@@ -392,9 +390,6 @@ class Schema:
 
     def names(self) -> List[str]:
         return [f.name for f in self.fields]
-
-    def has_field(self, name: str) -> bool:
-        return name in self._index
 
     def __len__(self) -> int:
         return len(self.fields)
@@ -443,50 +438,11 @@ class Schema:
         """Extract field ``name`` from ``record``."""
         return record[self.field_index(name)]
 
-    def replaced(
-        self, record: Sequence[Any], name: str, new_value: Any
-    ) -> Tuple[Any, ...]:
-        """Return a copy of ``record`` with field ``name`` set to ``new_value``."""
-        index = self.field_index(name)
-        out = list(record)
-        out[index] = new_value
-        return tuple(out)
-
-    def projector(
-        self, names: Sequence[str]
-    ) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
-        """A precompiled projection callable for ``names`` (memoized).
-
-        Resolves the name -> position mapping once and returns an
-        :func:`operator.itemgetter` over the positions, so projecting a
-        record costs no dict lookups — this matters on per-record hot
-        paths (merge joins, temp spools) where :meth:`project` would pay
-        one ``field_index`` call per field per record.
-        """
-        key = tuple(names)
-        fn = self._projectors.get(key)
-        if fn is None:
-            indexes = tuple(self.field_index(n) for n in key)
-            if len(indexes) == 1:
-                index = indexes[0]
-                fn = lambda record: (record[index],)  # noqa: E731
-            else:
-                fn = operator.itemgetter(*indexes)
-            self._projectors[key] = fn
-        return fn
-
-    def project(self, record: Sequence[Any], names: Sequence[str]) -> Tuple[Any, ...]:
-        """Return the sub-tuple of ``record`` for ``names``, in order."""
-        return self.projector(names)(record)
-
     def __getstate__(self) -> Dict[str, Any]:
-        # Compiled projectors may close over local state; drop them so
-        # schemas pickle (snapshot store) and deep-copy (snapshot attach)
-        # cleanly — they are rebuilt lazily on first use.  The codec is
-        # dropped too: carrying it would create a Schema <-> RecordCodec
-        # reference cycle that pickle revives in an arbitrary order.
+        # The codec is dropped: carrying it would create a Schema <->
+        # RecordCodec reference cycle that pickle revives in an arbitrary
+        # order.
         state = self.__dict__.copy()
-        state["_projectors"] = {}
         state["codec"] = None
         state.pop("_validators", None)
         state.pop("_var_sizers", None)
@@ -494,8 +450,7 @@ class Schema:
 
     def __deepcopy__(self, memo: dict) -> "Schema":
         # Schemas over stateless field types are immutable after
-        # construction (the projector memo only ever grows with idempotent
-        # entries), so snapshot clones share them instead of deep-copying
+        # construction, so snapshot clones share them instead of deep-copying
         # fields, validators and memos on every memory-tier attach.  Blob
         # schemas are excluded: a BlobField's size_fn may be bound to
         # per-database state (the unit cache's payload-size registry),

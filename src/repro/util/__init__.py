@@ -1,15 +1,13 @@
 """Small shared utilities: deterministic RNG helpers, statistics, tables."""
 
-from repro.util.rng import derive_rng, spawn_seeds
-from repro.util.stats import RunningStats, mean, percentile
+from repro.util.rng import derive_rng
+from repro.util.stats import RunningStats, percentile
 from repro.util.fmt import format_table, format_float
 from repro.util.deadline import Deadline, check_active, enforced
 
 __all__ = [
     "derive_rng",
-    "spawn_seeds",
     "RunningStats",
-    "mean",
     "percentile",
     "format_table",
     "format_float",

@@ -2,17 +2,16 @@
 
 Every stochastic decision in the library flows from a seeded
 :class:`random.Random` so that database generation, query sequences and
-therefore measured I/O counts are reproducible bit-for-bit.  Experiments
-that need several independent streams (database shape vs. query sequence)
-derive child seeds from a parent seed with :func:`spawn_seeds` instead of
-sharing one generator, so that changing the length of one stream does not
-perturb the other.
+therefore measured I/O counts are reproducible bit-for-bit.  Independent
+streams (database shape vs. query sequence) come from one seed through
+:func:`derive_rng`'s ``stream`` argument instead of sharing one generator,
+so that changing the length of one stream does not perturb the other.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Union
+from typing import Union
 
 # A fixed, arbitrary odd multiplier used to decorrelate derived streams.
 _STREAM_SALT = 0x9E3779B97F4A7C15
@@ -36,11 +35,3 @@ def derive_rng(seed: RngLike, stream: int = 0) -> random.Random:
         base = int(seed)
     mixed = (base * 2654435761 + stream * _STREAM_SALT) & ((1 << 64) - 1)
     return random.Random(mixed)
-
-
-def spawn_seeds(seed: RngLike, count: int) -> List[int]:
-    """Derive ``count`` independent 63-bit child seeds from ``seed``."""
-    if count < 0:
-        raise ValueError("count must be non-negative, got %d" % count)
-    rng = derive_rng(seed, stream=0xC0FFEE)
-    return [rng.getrandbits(63) for _ in range(count)]

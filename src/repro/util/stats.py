@@ -26,13 +26,6 @@ def add_counts(total: Dict[str, Any], delta: Dict[str, Any]) -> Dict[str, Any]:
     return total
 
 
-def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean; 0.0 for an empty sequence (experiment-friendly)."""
-    if not values:
-        return 0.0
-    return sum(values) / len(values)
-
-
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile, ``q`` in [0, 100]."""
     if not values:
@@ -164,25 +157,3 @@ class RunningStats:
             self.mean,
             self.stddev,
         )
-
-
-def histogram(values: Sequence[float], bins: int = 10) -> List[int]:
-    """Fixed-width histogram of ``values`` into ``bins`` buckets."""
-    if bins <= 0:
-        raise ValueError("bins must be positive, got %d" % bins)
-    if not values:
-        return [0] * bins
-    lo = min(values)
-    hi = max(values)
-    if hi == lo:
-        counts = [0] * bins
-        counts[0] = len(values)
-        return counts
-    width = (hi - lo) / bins
-    counts = [0] * bins
-    for value in values:
-        index = int((value - lo) / width)
-        if index == bins:  # value == hi lands in the last bucket
-            index -= 1
-        counts[index] += 1
-    return counts

@@ -11,7 +11,6 @@ from repro.workload.generator import (
 )
 from repro.workload.params import WorkloadParams
 from repro.workload.queries import (
-    count_operations,
     generate_sequence,
     random_retrieve,
     random_update,
@@ -29,7 +28,6 @@ __all__ = [
     "make_parent_schema",
     "parent_dummy_width",
     "WorkloadParams",
-    "count_operations",
     "generate_sequence",
     "random_retrieve",
     "random_update",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any
 
 from repro.errors import WorkloadError
 
@@ -144,21 +144,3 @@ class WorkloadParams:
             buffer_pages=scale(self.buffer_pages, 8),
             num_top=min(scale(self.num_top, 1), parents),
         )
-
-    def summary(self) -> Dict[str, Any]:
-        """Key parameters as a flat dict (for reports)."""
-        return {
-            "num_parents": self.num_parents,
-            "size_unit": self.size_unit,
-            "use_factor": self.use_factor,
-            "overlap_factor": self.overlap_factor,
-            "share_factor": self.share_factor,
-            "num_child_rels": self.num_child_rels,
-            "num_children": self.num_children,
-            "pr_update": self.pr_update,
-            "num_top": self.num_top,
-            "num_queries": self.num_queries,
-            "size_cache": self.size_cache,
-            "buffer_pages": self.buffer_pages,
-            "seed": self.seed,
-        }

@@ -117,13 +117,3 @@ def generate_mixed_sequence(
             )
             retrieves += 1
     return sequence
-
-
-def count_operations(sequence: Sequence[Operation]) -> dict:
-    """How many retrieves and updates a sequence contains."""
-    retrieves = sum(1 for op in sequence if isinstance(op, RetrieveQuery))
-    return {
-        "retrieves": retrieves,
-        "updates": len(sequence) - retrieves,
-        "total": len(sequence),
-    }

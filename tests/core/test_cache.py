@@ -56,6 +56,13 @@ class TestLookupInsert:
         put(cache, 0, (1, 2))
         assert cache.num_cached == 1
 
+    def test_unregistered_payload_size_raises(self, cache):
+        # Only insert() prices a payload; a size asked for any other
+        # payload is a bug, never a guess.
+        size_of = cache.schema.fields[1].size_of
+        with pytest.raises(KeyError):
+            size_of(payload_for((1, 2)))
+
     def test_size_cache_must_be_positive(self, catalog):
         with pytest.raises(ValueError):
             UnitCache(catalog, size_cache=0, unit_bytes_hint=100)

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments import report
 
 
@@ -44,8 +45,9 @@ class TestSuite:
 class TestMain:
     def test_writes_requested_outputs(self, tmp_path, capsys):
         bench = tmp_path / "bench.json"
-        code = report.main(
+        code = main(
             [
+                "report",
                 "--scale",
                 "0.05",
                 "--out",
@@ -96,6 +98,7 @@ class TestMain:
 
     def test_point_cache_memoizes_across_runs(self, tmp_path):
         argv = [
+            "report",
             "--scale",
             "0.05",
             "--out",
@@ -104,8 +107,8 @@ class TestMain:
             "ablation_buffer_policy",
             "--bench-out",
         ]
-        assert report.main(argv + [str(tmp_path / "cold.json")]) == 0
-        assert report.main(argv + [str(tmp_path / "warm.json")]) == 0
+        assert main(argv + [str(tmp_path / "cold.json")]) == 0
+        assert main(argv + [str(tmp_path / "warm.json")]) == 0
         cold = json.loads((tmp_path / "cold.json").read_text())
         warm = json.loads((tmp_path / "warm.json").read_text())
         assert cold["experiments"][0]["cache_hits"] == 0
@@ -119,8 +122,8 @@ class TestMain:
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
-        code = report.main(
-            ["--scale", "0.05", "--out", str(tmp_path / "out"),
+        code = main(
+            ["report", "--scale", "0.05", "--out", str(tmp_path / "out"),
              "--only", "ablation_buffer"]
         )
         assert code == 0
@@ -128,8 +131,9 @@ class TestMain:
 
     def test_unknown_only_name_errors(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            report.main(
+            main(
                 [
+                    "report",
                     "--out",
                     str(tmp_path),
                     "--bench-out",

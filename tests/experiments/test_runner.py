@@ -128,9 +128,6 @@ class TestExperimentResult:
     def test_column(self):
         assert self.make().column("b") == [2, 4]
 
-    def test_as_dicts(self):
-        assert self.make().as_dicts()[0] == {"a": 1, "b": 2}
-
 
 class TestJsonExport:
     def make(self):
@@ -162,22 +159,3 @@ class TestJsonExport:
         text = path.read_text()
         assert text.endswith("\n")
         assert json.loads(text)["name"] == "x"
-
-
-class TestCsvExport:
-    def test_to_csv_roundtrip(self):
-        result = ExperimentResult(
-            name="x", title="t", headers=["a", "b"], rows=[[1, 2.5], [3, "z"]]
-        )
-        lines = result.to_csv().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,2.5"
-        assert lines[2] == "3,z"
-
-    def test_write_csv(self, tmp_path):
-        result = ExperimentResult(
-            name="x", title="t", headers=["a"], rows=[[1]]
-        )
-        path = tmp_path / "out.csv"
-        result.write_csv(str(path))
-        assert path.read_text().splitlines() == ["a", "1"]

@@ -272,14 +272,14 @@ class TestOneFaultOneCount:
     def test_store_faults_are_counted_once_under_faults(self, tmp_path):
         """A degraded snapshot store and a corrupt point-cache entry each
         count once, in ``faults``; ``db``/``point_cache`` carry traffic."""
-        from repro.experiments import report
+        from repro.__main__ import main
 
         out = tmp_path / "out"
-        argv = ["--scale", "0.05", "--out", str(out),
+        argv = ["report", "--scale", "0.05", "--out", str(out),
                 "--only", "ablation_buffer_policy", "--no-ledger"]
         bench = tmp_path / "record.json"
         try:
-            assert report.main(argv) == 0
+            assert main(argv) == 0
             # The next run rebuilds every shape it needs (its put fails)
             # and finds one damaged checkpoint.
             shutil.rmtree(out / ".dbcache")
@@ -289,7 +289,7 @@ class TestOneFaultOneCount:
             victim.write_bytes(bytes(blob))
             fault_plan.install(FaultPlan([FaultSpec("snapshot.save", count=1)]))
             sweeps_before = len(pool.SWEEP_LOG)
-            assert report.main(argv + ["--bench-out", str(bench)]) == 0
+            assert main(argv + ["--bench-out", str(bench)]) == 0
         finally:
             pool.configure_db_store(None)
         sweeps = pool.SWEEP_LOG[sweeps_before:]

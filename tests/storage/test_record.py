@@ -89,50 +89,26 @@ class TestSchema:
         schema = self.make()
         assert schema.record_size((1, 2, "hello")) == 4 + 4 + 5 + CHAR_OVERHEAD
 
-    def test_value_and_replaced(self):
+    def test_value(self):
         schema = self.make()
-        record = (1, 2, "x")
-        assert schema.value(record, "b") == 2
-        replaced = schema.replaced(record, "b", 9)
-        assert replaced == (1, 9, "x")
-        assert record == (1, 2, "x")  # original untouched
+        assert schema.value((1, 2, "x"), "b") == 2
 
-    def test_project(self):
-        schema = self.make()
-        assert schema.project((1, 2, "x"), ["c", "a"]) == ("x", 1)
-
-    def test_project_single_field_returns_tuple(self):
-        schema = self.make()
-        assert schema.project((1, 2, "x"), ["b"]) == (2,)
-
-    def test_projector_is_memoized(self):
-        schema = self.make()
-        assert schema.projector(["a", "c"]) is schema.projector(("a", "c"))
-
-    def test_projector_unknown_field(self):
-        schema = self.make()
-        with pytest.raises(RecordError):
-            schema.projector(["nope"])
-
-    def test_projector_cache_survives_pickle_and_deepcopy(self):
+    def test_survives_pickle_and_deepcopy(self):
         import copy
         import pickle
 
         schema = self.make()
-        schema.projector(["a"])  # populate the (unpicklable) cache
         for clone in (pickle.loads(pickle.dumps(schema)), copy.deepcopy(schema)):
-            assert clone.project((1, 2, "x"), ["c", "b"]) == ("x", 2)
+            assert clone.value((1, 2, "x"), "c") == "x"
 
     def test_unknown_field(self):
         schema = self.make()
         with pytest.raises(RecordError):
             schema.field_index("nope")
 
-    def test_names_and_has_field(self):
+    def test_names(self):
         schema = self.make()
         assert schema.names() == ["a", "b", "c"]
-        assert schema.has_field("c")
-        assert not schema.has_field("z")
 
 
 class TestPadString:

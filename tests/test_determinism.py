@@ -43,10 +43,3 @@ class TestEndToEndDeterminism:
         a = measure(params(seed=1), "BFS")
         b = measure(params(seed=2), "BFS")
         assert a.total_io != b.total_io
-
-    def test_experiment_tables_are_deterministic(self):
-        from repro.experiments import fig3
-
-        a = fig3.run(scale=0.05)
-        b = fig3.run(scale=0.05)
-        assert a.rows == b.rows

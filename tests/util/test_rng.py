@@ -2,9 +2,7 @@
 
 import random
 
-import pytest
-
-from repro.util.rng import derive_rng, spawn_seeds
+from repro.util.rng import derive_rng
 
 
 class TestDeriveRng:
@@ -32,20 +30,3 @@ class TestDeriveRng:
     def test_none_gives_nondeterministic(self):
         # Just check it works; values are unconstrained.
         derive_rng(None).random()
-
-
-class TestSpawnSeeds:
-    def test_count_and_determinism(self):
-        assert spawn_seeds(7, 5) == spawn_seeds(7, 5)
-        assert len(spawn_seeds(7, 5)) == 5
-
-    def test_distinct(self):
-        seeds = spawn_seeds(7, 100)
-        assert len(set(seeds)) == 100
-
-    def test_negative_count(self):
-        with pytest.raises(ValueError):
-            spawn_seeds(7, -1)
-
-    def test_zero_count(self):
-        assert spawn_seeds(7, 0) == []

@@ -10,18 +10,8 @@ from repro.util.stats import (
     SAMPLE_CAP,
     Reservoir,
     RunningStats,
-    histogram,
-    mean,
     percentile,
 )
-
-
-class TestMean:
-    def test_basic(self):
-        assert mean([1, 2, 3]) == 2
-
-    def test_empty(self):
-        assert mean([]) == 0.0
 
 
 class TestPercentile:
@@ -84,28 +74,6 @@ class TestRunningStats:
             "max",
             "total",
         }
-
-
-class TestHistogram:
-    def test_even_spread(self):
-        counts = histogram([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], bins=5)
-        assert counts == [2, 2, 2, 2, 2]
-
-    def test_max_lands_in_last_bucket(self):
-        counts = histogram([0, 10], bins=10)
-        assert counts[0] == 1
-        assert counts[-1] == 1
-
-    def test_constant_values(self):
-        counts = histogram([5, 5, 5], bins=4)
-        assert counts == [3, 0, 0, 0]
-
-    def test_empty(self):
-        assert histogram([], bins=3) == [0, 0, 0]
-
-    def test_bad_bins(self):
-        with pytest.raises(ValueError):
-            histogram([1], bins=0)
 
 
 #: Both reservoir owners, each with its one recording method.

@@ -100,10 +100,3 @@ class TestScaling:
     def test_num_top_clamped(self):
         params = WorkloadParams(num_top=10000).scaled(0.01)
         assert params.num_top <= params.num_parents
-
-
-class TestSummary:
-    def test_summary_contains_key_knobs(self):
-        summary = WorkloadParams().summary()
-        for key in ("num_parents", "share_factor", "size_cache", "seed"):
-            assert key in summary

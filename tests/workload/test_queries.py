@@ -5,7 +5,6 @@ import pytest
 from repro.core.queries import RetrieveQuery, UpdateQuery
 from repro.util.rng import derive_rng
 from repro.workload.queries import (
-    count_operations,
     generate_mixed_sequence,
     generate_sequence,
     random_retrieve,
@@ -58,14 +57,12 @@ class TestRandomUpdate:
 class TestSequences:
     def test_retrieve_count_exact(self):
         seq = generate_sequence(params(pr_update=0.4))
-        counts = count_operations(seq)
-        assert counts["retrieves"] == 50
+        assert sum(isinstance(op, RetrieveQuery) for op in seq) == 50
 
     def test_update_fraction_approximate(self):
         seq = generate_sequence(params(pr_update=0.5, num_queries=300))
-        counts = count_operations(seq)
-        # updates/total should be near 0.5
-        assert counts["updates"] / counts["total"] == pytest.approx(0.5, abs=0.08)
+        updates = sum(isinstance(op, UpdateQuery) for op in seq)
+        assert updates / len(seq) == pytest.approx(0.5, abs=0.08)
 
     def test_no_updates_at_zero(self):
         seq = generate_sequence(params(pr_update=0.0))
@@ -87,7 +84,7 @@ class TestSequences:
 
     def test_num_retrieves_override(self):
         seq = generate_sequence(params(), num_retrieves=7)
-        assert count_operations(seq)["retrieves"] == 7
+        assert sum(isinstance(op, RetrieveQuery) for op in seq) == 7
 
 
 class TestMixedSequences:
