@@ -102,9 +102,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         configure_db_store,
         run_sweep,
     )
-    from repro.experiments.report import apply_policy_arguments
+    from repro.experiments.report import retry_policy
 
-    apply_policy_arguments(args)
     configure_db_store(
         None
         if args.no_db_cache
@@ -116,7 +115,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         num_retrieves=params.num_queries,
     )
-    report = _run_profiled(args, lambda: run_sweep([point], jobs=args.jobs)[0])
+    policy = retry_policy(args)
+    report = _run_profiled(
+        args, lambda: run_sweep([point], jobs=args.jobs, policy=policy)[0]
+    )
     if isinstance(report, FailedPoint):
         # Its repr carries the point label, the attempts and the cause.
         sys.stderr.write("quarantined: %r\n" % (report,))
@@ -162,10 +164,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.report import apply_policy_arguments
+    from repro.experiments.report import retry_policy
     from repro.fault.chaos import run_chaos
 
-    apply_policy_arguments(args)
     return run_chaos(
         scale=args.scale,
         fault_seed=args.fault_seed,
@@ -175,6 +176,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         phase=args.phase,
         kill_after=args.kill_after,
         serve_duration=args.serve_duration,
+        policy=retry_policy(args),
     )
 
 

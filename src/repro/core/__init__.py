@@ -16,7 +16,7 @@ Public surface:
 * :class:`~repro.core.measure.CostMeter` — phase-attributed I/O metering.
 """
 
-from repro.core.cache import ILockTable, InsideUnitCache, UnitCache, unit_hashkey
+from repro.core.cache import ILockTable, UnitCache, inside_hashkey, unit_hashkey
 from repro.core.clustering import ClusterAssignment, ClusterStore, assign_clusters
 from repro.core.database import ComplexObjectDB, Unit
 from repro.core.explain import explain
@@ -45,8 +45,8 @@ from repro.core.strategies import REGISTRY, Strategy, make_strategy
 
 __all__ = [
     "ILockTable",
-    "InsideUnitCache",
     "UnitCache",
+    "inside_hashkey",
     "unit_hashkey",
     "ClusterAssignment",
     "ClusterStore",

@@ -14,12 +14,18 @@ Section 3.2 of the paper:
 
 This is *outside* caching — a cached unit is shared by every object
 containing that unit, which is why higher UseFactor improves DFSCACHE
-(Section 5.2.2).  Inside caching (per-object copies, no sharing) is also
-provided for the A3 ablation, as :class:`InsideUnitCache`.
+(Section 5.2.2).  Inside caching (per-object copies, no sharing), for
+the A3 ablation, is the same :class:`UnitCache` keyed by
+:func:`inside_hashkey` of the referencing object instead of the unit.
+
+A cached value is stored as ``(payload, payload_bytes)``: it carries its
+own size, so the one :data:`CACHE_SCHEMA` prices it with a pure function
+and is shared by every cache and every snapshot clone.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -43,6 +49,17 @@ def unit_hashkey(child_rel: int, child_keys: Sequence[int]) -> int:
     recursive :func:`stable_hash` walk showed up in sweep profiles.
     """
     return _unit_hashkey_cached((child_rel,) + tuple(child_keys))
+
+
+def inside_hashkey(parent_key: int) -> int:
+    """The inside cache's key: the referencing object, not the unit."""
+    return stable_hash(("inside", parent_key))
+
+
+#: ``Cache(hashkey, value)``, each value a ``(payload, payload_bytes)`` pair.
+CACHE_SCHEMA = Schema(
+    [IntField("hashkey"), BlobField("value", operator.itemgetter(1))]
+)
 
 
 class ILockTable:
@@ -132,32 +149,16 @@ class UnitCache:
         if size_cache <= 0:
             raise ValueError("size_cache must be positive, got %d" % size_cache)
         self.size_cache = size_cache
-        self.schema = Schema(
-            [IntField("hashkey"), BlobField("value", self._payload_bytes)]
-        )
         page_size = catalog.disk.page_size
         units_per_page = max(1, (page_size - 48) // max(1, unit_bytes_hint + 8))
         buckets = max(8, -(-size_cache // units_per_page))  # ceil division
         self.relation: HashFile = catalog.create_hash(
-            name, self.schema, "hashkey", buckets
+            name, CACHE_SCHEMA, "hashkey", buckets
         )
         self._lru: "OrderedDict[int, Tuple[int, Tuple[int, ...]]]" = OrderedDict()
         self.ilocks = ILockTable()
         self.stats = CacheStats()
-        self._payload_sizes: Dict[int, int] = {}
 
-    # ------------------------------------------------------------------
-    # size model
-    # ------------------------------------------------------------------
-    def _payload_bytes(self, payload: Any) -> int:
-        """Size of a cached value: the bytes of the concatenated tuples,
-        registered by :meth:`insert` for the one insert it prices.  Any
-        other payload is a bug and raises ``KeyError``."""
-        return self._payload_sizes[id(payload)]
-
-    # ------------------------------------------------------------------
-    # operations
-    # ------------------------------------------------------------------
     def lookup(self, hashkey: int) -> Optional[Tuple[Any, ...]]:
         """The cached child tuples for ``hashkey``, or None on a miss."""
         with stage("cache-probe"):
@@ -167,7 +168,7 @@ class UnitCache:
             return None
         self.stats.hits += 1
         self._lru.move_to_end(hashkey)
-        return record[1]
+        return record[1][0]
 
     def contains(self, hashkey: int) -> bool:
         """Membership test WITHOUT touching pages (cache directory check).
@@ -200,9 +201,7 @@ class UnitCache:
                 self.relation.delete_if_present(victim)
                 self.ilocks.unregister(victim_rel, victim_keys, victim)
                 self.stats.evictions += 1
-            self._payload_sizes[id(payload)] = payload_bytes
-            self.relation.insert((hashkey, payload))
-            self._payload_sizes.pop(id(payload), None)
+            self.relation.insert((hashkey, (payload, payload_bytes)))
         self._lru[hashkey] = (child_rel, tuple(child_keys))
         self.ilocks.register(child_rel, child_keys, hashkey)
         self.stats.insertions += 1
@@ -214,17 +213,19 @@ class UnitCache:
         are real page I/O — "the cost of invalidation has to be paid"
         (Section 5.2.1).
         """
-        count = 0
         with stage("cache-maintain"):
-            for hashkey in self.ilocks.holders(child_rel, child_key):
-                entry = self._lru.pop(hashkey, None)
-                if entry is None:
-                    continue
-                self.relation.delete_if_present(hashkey)
-                self.ilocks.unregister(entry[0], entry[1], hashkey)
-                count += 1
+            count = sum(map(self.discard, self.ilocks.holders(child_rel, child_key)))
         self.stats.invalidations += count
         return count
+
+    def discard(self, hashkey: int) -> bool:
+        """Drop one cached unit and its I-locks; whether it was cached."""
+        entry = self._lru.pop(hashkey, None)
+        if entry is None:
+            return False
+        self.relation.delete_if_present(hashkey)
+        self.ilocks.unregister(entry[0], entry[1], hashkey)
+        return True
 
     def reset(self) -> None:
         """Empty the cache (between experiment points)."""
@@ -239,53 +240,3 @@ class UnitCache:
 
     def cached_hashkeys(self) -> List[int]:
         return list(self._lru.keys())
-
-
-class InsideUnitCache:
-    """Inside caching: one cached copy *per referencing object*.
-
-    Used only by the A3 ablation.  The cached value cannot be shared, so
-    the key is the parent object, not the unit; capacity is still counted
-    in units.  Implemented over the same hash-relation machinery.
-    """
-
-    def __init__(
-        self,
-        catalog: Catalog,
-        size_cache: int,
-        unit_bytes_hint: int,
-        name: str = "InsideCache",
-    ) -> None:
-        self._inner = UnitCache(catalog, size_cache, unit_bytes_hint, name)
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._inner.stats
-
-    @property
-    def num_cached(self) -> int:
-        return self._inner.num_cached
-
-    def _key_for(self, parent_key: int) -> int:
-        return stable_hash(("inside", parent_key))
-
-    def lookup(self, parent_key: int) -> Optional[Tuple[Any, ...]]:
-        return self._inner.lookup(self._key_for(parent_key))
-
-    def insert(
-        self,
-        parent_key: int,
-        child_rel: int,
-        child_keys: Sequence[int],
-        payload: Tuple[Any, ...],
-        payload_bytes: int,
-    ) -> None:
-        self._inner.insert(
-            self._key_for(parent_key), child_rel, child_keys, payload, payload_bytes
-        )
-
-    def invalidate_for_subobject(self, child_rel: int, child_key: int) -> int:
-        return self._inner.invalidate_for_subobject(child_rel, child_key)
-
-    def reset(self) -> None:
-        self._inner.reset()

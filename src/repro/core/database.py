@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cache import InsideUnitCache, UnitCache, unit_hashkey
+from repro.core.cache import UnitCache, unit_hashkey
 from repro.core.clustering import ClusterAssignment, ClusterStore
 from repro.core.oid import Oid
 from repro.errors import KeyNotFoundError, WorkloadError
@@ -115,7 +115,7 @@ class ComplexObjectDB:
         )
         self.cluster: Optional[ClusterStore] = None
         self.cache: Optional[UnitCache] = None
-        self.inside_cache: Optional[InsideUnitCache] = None
+        self.inside_cache: Optional[UnitCache] = None
         self._children_index = parent_rel.schema.field_index("children")
         self._parent_oid_index = parent_rel.schema.field_index("oid")
 
@@ -220,11 +220,14 @@ class ComplexObjectDB:
         self.cache = UnitCache(self.catalog, size_cache, unit_bytes_hint)
         return self.cache
 
-    def enable_inside_cache(self, size_cache: int, unit_bytes_hint: int) -> InsideUnitCache:
-        """Create an inside (per-object) cache for the A3 ablation."""
+    def enable_inside_cache(self, size_cache: int, unit_bytes_hint: int) -> UnitCache:
+        """Create an inside (per-object) cache for the A3 ablation: a unit
+        cache keyed by :func:`~repro.core.cache.inside_hashkey`."""
         if self.inside_cache is not None:
             raise WorkloadError("inside cache already enabled")
-        self.inside_cache = InsideUnitCache(self.catalog, size_cache, unit_bytes_hint)
+        self.inside_cache = UnitCache(
+            self.catalog, size_cache, unit_bytes_hint, "InsideCache"
+        )
         return self.inside_cache
 
     def reset_cache(self) -> None:

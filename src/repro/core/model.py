@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cache import unit_hashkey
+from repro.core.cache import UnitCache, unit_hashkey
 from repro.core.oid import Oid
 from repro.core.representations import (
     OidMembers,
@@ -31,8 +31,8 @@ from repro.core.representations import (
 )
 from repro.errors import RepresentationError
 from repro.storage.catalog import Catalog
-from repro.storage.hashfile import HashFile, stable_hash
-from repro.storage.record import BlobField, Field, IntField, Schema
+from repro.storage.hashfile import stable_hash
+from repro.storage.record import Field, Schema
 
 
 class MemberField(Field):
@@ -97,16 +97,10 @@ class ObjectStore:
         self.catalog = catalog or Catalog()
         self.classes: Dict[str, ObjectClass] = {}
         self._by_rel_id: Dict[int, ObjectClass] = {}
-        self._cache: Optional[HashFile] = None
-        self._cache_lru: List[int] = []
-        self._cache_units = cache_units
+        self._cache: Optional[UnitCache] = None
         if cache_units > 0:
-            schema = Schema(
-                [IntField("hashkey"), BlobField("value", lambda v: 100 * len(v))]
-            )
-            self._cache = self.catalog.create_hash(
-                "ObjectStore.Cache", schema, "hashkey", buckets=max(8, cache_units // 4)
-            )
+            # The hint (a few 100-byte members) only sizes the hash buckets.
+            self._cache = UnitCache(self.catalog, cache_units, 400, "ObjectStore.Cache")
 
     # ------------------------------------------------------------------
     # class and object management
@@ -161,23 +155,26 @@ class ObjectStore:
         if use_cache and self._cache is not None:
             hit = self._cache.lookup(cache_key)
             if hit is not None:
-                return list(hit[1])
+                return list(hit)
 
         if isinstance(members, ProceduralMembers):
             target = self.get_class(members.relation)
             resolved = [r for r in target.relation.scan() if members.predicate(r)]
+            size = sum(map(target.schema.record_size, resolved))
         elif isinstance(members, OidMembers):
-            resolved = []
+            resolved, size = [], 0
             for oid in members.oids:
                 target = self._by_rel_id.get(oid.rel)
                 if target is None:
                     raise RepresentationError("OID %s names an unknown relation" % (oid,))
                 resolved.append(target.relation.lookup_one(self._decode_key(target, oid)))
+                size += target.schema.record_size(resolved[-1])
         else:
             raise RepresentationError("unresolvable member set: %r" % (members,))
 
         if use_cache and self._cache is not None:
-            self._cache_insert(cache_key, tuple(resolved))
+            # Invalidation is explicit (invalidate_members): no I-locks.
+            self._cache.insert(cache_key, 0, (), tuple(resolved), size)
         return resolved
 
     def invalidate_members(self, record: Tuple[Any, ...], field_name: str, owner_class: str) -> None:
@@ -186,10 +183,7 @@ class ObjectStore:
             return
         cls = self.get_class(owner_class)
         members = cls.schema.value(record, field_name)
-        key = self._member_cache_key(members)
-        self._cache.delete_if_present(key)
-        if key in self._cache_lru:
-            self._cache_lru.remove(key)
+        self._cache.discard(self._member_cache_key(members))
 
     # ------------------------------------------------------------------
     # internals
@@ -208,16 +202,6 @@ class ObjectStore:
         if sidecar is not None and oid.key in sidecar:
             return sidecar[oid.key]
         return oid.key
-
-    def _cache_insert(self, key: int, payload: Tuple[Tuple[Any, ...], ...]) -> None:
-        assert self._cache is not None
-        if self._cache.contains(key):
-            return
-        while len(self._cache_lru) >= self._cache_units:
-            victim = self._cache_lru.pop(0)
-            self._cache.delete_if_present(victim)
-        self._cache.insert((key, payload))
-        self._cache_lru.append(key)
 
 
 def register_string_keys(cls: ObjectClass, keys: Sequence[str]) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.core.cache import unit_hashkey
+from repro.core.cache import UnitCache, inside_hashkey, unit_hashkey
 from repro.core.database import ComplexObjectDB
 from repro.core.measure import CHILD_PHASE, CostMeter, NullMeter, PARENT_PHASE
 from repro.core.queries import RetrieveQuery
@@ -39,7 +39,7 @@ class DfsCacheStrategy(Strategy):
     ) -> List[Any]:
         self.check_database(db)
         meter = meter or NullMeter()
-        cache = db.require_cache()
+        cache = self._cache_of(db)
         with meter.phase(PARENT_PHASE), stage("scan"):
             parents = list(db.parents_in_range(query.lo, query.hi))
         results: List[Any] = []
@@ -47,14 +47,25 @@ class DfsCacheStrategy(Strategy):
             attr_index = db.child_schema.field_index(query.attr)
             for parent in parents:
                 rel_index, child_keys = db.unit_ref_of(parent)
-                payload = self._materialize_unit(db, cache, rel_index, child_keys)
+                hashkey = self._hashkey(db, parent, rel_index, child_keys)
+                payload = self._materialize_unit(
+                    db, cache, hashkey, rel_index, child_keys
+                )
                 results.extend(child[attr_index] for child in payload)
         return results
 
     @staticmethod
-    def _materialize_unit(db, cache, rel_index, child_keys):
+    def _cache_of(db: ComplexObjectDB) -> UnitCache:
+        return db.require_cache()
+
+    @staticmethod
+    def _hashkey(db: ComplexObjectDB, parent, rel_index: int, child_keys) -> int:
+        """Outside caching keys a cached value by its unit."""
+        return unit_hashkey(rel_index, child_keys)
+
+    @staticmethod
+    def _materialize_unit(db, cache, hashkey, rel_index, child_keys):
         """Cached unit payload, materialising and caching on a miss."""
-        hashkey = unit_hashkey(rel_index, child_keys)
         payload = cache.lookup(hashkey)  # tags itself cache-probe
         if payload is None:
             children = tuple(db.fetch_children(rel_index, child_keys))
@@ -66,7 +77,7 @@ class DfsCacheStrategy(Strategy):
 
 
 @register
-class InsideDfsCacheStrategy(Strategy):
+class InsideDfsCacheStrategy(DfsCacheStrategy):
     """DFS with *inside* caching — the A3 ablation baseline.
 
     The cached value is keyed by the referencing object, so objects
@@ -76,32 +87,12 @@ class InsideDfsCacheStrategy(Strategy):
     """
 
     name = "DFSCACHE-INSIDE"
-    uses_cache = True
     uses_inside_cache = True
 
-    def retrieve(
-        self,
-        db: ComplexObjectDB,
-        query: RetrieveQuery,
-        meter: Optional[CostMeter] = None,
-    ) -> List[Any]:
-        self.check_database(db)
-        meter = meter or NullMeter()
-        cache = db.inside_cache
-        with meter.phase(PARENT_PHASE), stage("scan"):
-            parents = list(db.parents_in_range(query.lo, query.hi))
-        results: List[Any] = []
-        with meter.phase(CHILD_PHASE):
-            attr_index = db.child_schema.field_index(query.attr)
-            for parent in parents:
-                parent_key = db.parent_key_of(parent)
-                rel_index, child_keys = db.unit_ref_of(parent)
-                payload = cache.lookup(parent_key)
-                if payload is None:
-                    payload = tuple(db.fetch_children(rel_index, child_keys))
-                    payload_bytes = sum(db.child_record_bytes(c) for c in payload)
-                    cache.insert(
-                        parent_key, rel_index, child_keys, payload, payload_bytes
-                    )
-                results.extend(child[attr_index] for child in payload)
-        return results
+    @staticmethod
+    def _cache_of(db: ComplexObjectDB) -> UnitCache:
+        return db.inside_cache
+
+    @staticmethod
+    def _hashkey(db: ComplexObjectDB, parent, rel_index: int, child_keys) -> int:
+        return inside_hashkey(db.parent_key_of(parent))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.experiments.pool import PointCache, SweepPoint, run_sweep
+from repro.experiments.pool import PointCache, RetryPolicy, SweepPoint, run_sweep
 from repro.experiments.runner import ExperimentResult
 from repro.workload.params import WorkloadParams
 
@@ -39,6 +39,7 @@ def run_cache_size(
     params: Optional[WorkloadParams] = None,
     jobs: int = 1,
     point_cache: Optional[PointCache] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> ExperimentResult:
     """DFSCACHE cost vs SizeCache (as a fraction of NumUnits)."""
     base = params or default_params(scale)
@@ -52,7 +53,7 @@ def run_cache_size(
         )
         for size in sizes
     ]
-    reports = run_sweep(points, jobs=jobs, cache=point_cache)
+    reports = run_sweep(points, jobs=jobs, cache=point_cache, policy=policy)
     rows: List[List] = []
     for fraction, size_cache, report in zip(CACHE_FRACTIONS, sizes, reports):
         rows.append(
@@ -84,6 +85,7 @@ def run_buffer_size(
     params: Optional[WorkloadParams] = None,
     jobs: int = 1,
     point_cache: Optional[PointCache] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> ExperimentResult:
     """DFS/BFS cost vs buffer-pool pages (ordering should be stable)."""
     base = params or default_params(scale)
@@ -97,7 +99,7 @@ def run_buffer_size(
         for cell in cells
         for name in ("DFS", "BFS")
     ]
-    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache))
+    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache, policy=policy))
     rows: List[List] = []
     for cell in cells:
         row: List = [cell.buffer_pages]
@@ -125,6 +127,7 @@ def run_inside_outside(
     params: Optional[WorkloadParams] = None,
     jobs: int = 1,
     point_cache: Optional[PointCache] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> ExperimentResult:
     """Outside vs inside caching as sharing (UseFactor) grows."""
     base = params or default_params(scale)
@@ -138,7 +141,7 @@ def run_inside_outside(
         for use_factor in use_factors
         for name in ("DFSCACHE", "DFSCACHE-INSIDE")
     ]
-    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache))
+    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache, policy=policy))
     rows: List[List] = []
     for use_factor in use_factors:
         outside = next(reports)
@@ -170,23 +173,24 @@ def run_buffer_policy(
     params: Optional[WorkloadParams] = None,
     jobs: int = 1,
     point_cache: Optional[PointCache] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> ExperimentResult:
     """LRU vs clock replacement: the strategy ordering must not flip."""
     base = params or default_params(scale)
     base = base.replace(num_top=max(1, base.num_parents // 50), pr_update=0.0)
     points = [
         SweepPoint(
-            params=base.replace(buffer_policy=policy),
+            params=base.replace(buffer_policy=replacement),
             strategy=name,
             num_retrieves=num_retrieves,
         )
-        for policy in ("lru", "clock")
+        for replacement in ("lru", "clock")
         for name in A4_STRATEGIES
     ]
-    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache))
+    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache, policy=policy))
     rows: List[List] = []
-    for policy in ("lru", "clock"):
-        row: List = [policy]
+    for replacement in ("lru", "clock"):
+        row: List = [replacement]
         for _ in A4_STRATEGIES:
             row.append(round(next(reports).avg_io_per_retrieve, 1))
         rows.append(row)

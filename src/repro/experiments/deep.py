@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.experiments.pool import PointCache, SweepPoint, run_sweep
+from repro.experiments.pool import PointCache, RetryPolicy, SweepPoint, run_sweep
 from repro.experiments.runner import ExperimentResult
 from repro.workload.deepgen import DeepParams
 
@@ -43,6 +43,7 @@ def run(
     params: Optional[DeepParams] = None,
     jobs: int = 1,
     point_cache: Optional[PointCache] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> ExperimentResult:
     """One row per query depth: DFS, BFS, BFSNODUP average I/O."""
     base = params or default_params(scale)
@@ -58,7 +59,7 @@ def run(
         for depth in depths
         for runner in RUNNERS
     ]
-    results = iter(run_sweep(points, jobs=jobs, cache=point_cache))
+    results = iter(run_sweep(points, jobs=jobs, cache=point_cache, policy=policy))
 
     rows: List[List] = []
     for depth in depths:

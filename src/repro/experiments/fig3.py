@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.experiments.pool import PointCache, SweepPoint, run_sweep
+from repro.experiments.pool import PointCache, RetryPolicy, SweepPoint, run_sweep
 from repro.experiments.runner import ExperimentResult, scaled_num_tops
 from repro.workload.params import WorkloadParams
 
@@ -33,6 +33,7 @@ def run(
     params: Optional[WorkloadParams] = None,
     jobs: int = 1,
     point_cache: Optional[PointCache] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> ExperimentResult:
     """Run the Figure 3 sweep; one row per NumTop value."""
     base = params or default_params(scale)
@@ -46,7 +47,7 @@ def run(
         for num_top in num_tops
         for name in STRATEGIES
     ]
-    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache))
+    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache, policy=policy))
 
     rows: List[List] = []
     for num_top in num_tops:

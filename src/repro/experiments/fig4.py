@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.pool import PointCache, SweepPoint, run_sweep
+from repro.experiments.pool import PointCache, RetryPolicy, SweepPoint, run_sweep
 from repro.experiments.runner import ExperimentResult, scaled_num_tops
 from repro.workload.params import WorkloadParams
 
@@ -55,6 +55,7 @@ def run(
     pr_updates: Optional[Sequence[float]] = None,
     jobs: int = 1,
     point_cache: Optional[PointCache] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> ExperimentResult:
     """Sweep the cuboid; one row per grid point with costs and the winner."""
     base = params or default_params(scale)
@@ -80,7 +81,7 @@ def run(
         for cell in grid
         for name in STRATEGIES
     ]
-    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache))
+    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache, policy=policy))
 
     rows: List[List] = []
     for cell in grid:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.experiments.pool import PointCache, SweepPoint, run_sweep
+from repro.experiments.pool import PointCache, RetryPolicy, SweepPoint, run_sweep
 from repro.experiments.runner import ExperimentResult
 from repro.workload.params import WorkloadParams
 
@@ -39,6 +39,7 @@ def run(
     params: Optional[WorkloadParams] = None,
     jobs: int = 1,
     point_cache: Optional[PointCache] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> ExperimentResult:
     """One row per ShareFactor with both strategies' cost breakdown."""
     base = params or default_params(scale)
@@ -57,7 +58,7 @@ def run(
         for cell in cells
         for name in ("DFSCLUST", "BFS")
     ]
-    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache))
+    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache, policy=policy))
 
     rows: List[List] = []
     for cell in cells:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.experiments.pool import PointCache, SweepPoint, run_sweep
+from repro.experiments.pool import PointCache, RetryPolicy, SweepPoint, run_sweep
 from repro.experiments.runner import ExperimentResult, scaled_num_tops
 from repro.workload.params import WorkloadParams
 
@@ -42,6 +42,7 @@ def run(
     params: Optional[WorkloadParams] = None,
     jobs: int = 1,
     point_cache: Optional[PointCache] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> ExperimentResult:
     """One row per NumTop with the DFSCLUST/BFS cost ratio per config."""
     base = params or default_params(scale)
@@ -57,7 +58,7 @@ def run(
         for config in CONFIGS
         for name in ("DFSCLUST", "BFS")
     ]
-    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache))
+    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache, policy=policy))
 
     rows: List[List] = []
     for num_top in num_tops:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.experiments.pool import PointCache, SweepPoint, run_sweep
+from repro.experiments.pool import PointCache, RetryPolicy, SweepPoint, run_sweep
 from repro.experiments.runner import ExperimentResult
 from repro.workload.params import WorkloadParams
 
@@ -56,6 +56,7 @@ def run(
     params: Optional[WorkloadParams] = None,
     jobs: int = 1,
     point_cache: Optional[PointCache] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> ExperimentResult:
     """One row per Pr(UPDATE) with every representation point's cost."""
     base = params or default_params(scale)
@@ -85,7 +86,7 @@ def run(
         for pr_update in pr_updates
         for name in STRATEGIES
     ]
-    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache))
+    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache, policy=policy))
 
     rows: List[List] = []
     for pr_update in pr_updates:

@@ -166,23 +166,6 @@ class RetryPolicy:
     max_pool_restarts: int = 5
 
 
-#: The policy :func:`run_sweep` uses when none is passed explicitly
-#: (experiments never pass one; the CLI's ``--max-retries`` and
-#: ``--point-timeout`` flags configure this).
-DEFAULT_POLICY = RetryPolicy()
-
-
-def configure_retry_policy(
-    max_retries: Optional[int] = None, point_timeout: Optional[float] = None
-) -> None:
-    """Adjust :data:`DEFAULT_POLICY` (None leaves a field unchanged)."""
-    global DEFAULT_POLICY
-    changes = {"max_retries": max_retries, "point_timeout": point_timeout}
-    DEFAULT_POLICY = dataclasses.replace(
-        DEFAULT_POLICY, **{k: v for k, v in changes.items() if v is not None}
-    )
-
-
 # ----------------------------------------------------------------------
 # point specification
 # ----------------------------------------------------------------------
@@ -793,11 +776,11 @@ def run_sweep(
     out over a worker pool.  With a ``cache``, previously finished
     points are answered from disk and only the remainder is computed
     (each stored atomically the moment it completes).  ``policy``
-    (default :data:`DEFAULT_POLICY`) budgets retries, per-point
+    (default ``RetryPolicy()``) budgets retries, per-point
     deadlines and pool restarts; a point that exhausts the budget yields
     a :class:`FailedPoint` in its slot and the sweep continues.
     """
-    policy = policy or DEFAULT_POLICY
+    policy = policy or RetryPolicy()
     t_start = time.perf_counter()
     faults: Dict[str, Any] = {
         "injections": {},

@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.experiments import ablations, deep, fig3, fig4, fig5, fig7, matrix, opt, sec62, smart
 from repro.experiments import pool
-from repro.experiments.pool import PointCache
+from repro.experiments.pool import PointCache, RetryPolicy
 from repro.experiments.runner import ExperimentResult
 from repro.fault import plan as _fault
 from repro.obs import ledger as _ledger
@@ -43,11 +43,12 @@ def experiment_suite(
     scale: float,
     jobs: int = 1,
     point_cache: Optional[PointCache] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> List[Tuple[str, Callable[[], ExperimentResult]]]:
     """The full reproduction, one callable per figure/table."""
 
     def call(fn: Callable[..., ExperimentResult], **kwargs):
-        return lambda: fn(jobs=jobs, point_cache=point_cache, **kwargs)
+        return lambda: fn(jobs=jobs, point_cache=point_cache, policy=policy, **kwargs)
 
     return [
         # Every figure runs at the requested scale — the engine rewrite
@@ -179,24 +180,24 @@ def jobs_arg(value: str) -> int:
 
 def add_policy_arguments(parser: argparse.ArgumentParser) -> None:
     """The ``--max-retries``/``--point-timeout`` flags of an argparse parser
-    (:func:`apply_policy_arguments` installs their values)."""
+    (:func:`retry_policy` turns their values into a policy)."""
     parser.add_argument(
-        "--max-retries", dest="max_retries", type=int, default=None,
+        "--max-retries", dest="max_retries", type=int,
+        default=RetryPolicy.max_retries,
         help="per-point retry budget before the point is quarantined "
-        "(default 2)",
+        "(default %(default)s)",
     )
     parser.add_argument(
-        "--point-timeout", dest="point_timeout", type=float, default=None,
+        "--point-timeout", dest="point_timeout", type=float,
+        default=RetryPolicy.point_timeout,
         help="seconds one point may run before it counts as a failed "
         "attempt (default: no limit)",
     )
 
 
-def apply_policy_arguments(args: argparse.Namespace) -> None:
-    """Make the :func:`add_policy_arguments` flags the sweep default policy."""
-    pool.configure_retry_policy(
-        max_retries=args.max_retries, point_timeout=args.point_timeout
-    )
+def retry_policy(args: argparse.Namespace) -> RetryPolicy:
+    """The sweep policy the :func:`add_policy_arguments` flags describe."""
+    return RetryPolicy(max_retries=args.max_retries, point_timeout=args.point_timeout)
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -273,7 +274,6 @@ def run(args: argparse.Namespace) -> int:
     """Run the report an :func:`add_arguments` namespace describes."""
     os.makedirs(args.out, exist_ok=True)
 
-    apply_policy_arguments(args)
     pool.configure_db_store(
         None
         if args.no_db_cache
@@ -288,6 +288,7 @@ def run(args: argparse.Namespace) -> int:
         args.scale,
         jobs=args.jobs,
         point_cache=point_cache,
+        policy=retry_policy(args),
     )
 
     live = args.live

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.experiments.pool import PointCache, SweepPoint, run_sweep
+from repro.experiments.pool import PointCache, RetryPolicy, SweepPoint, run_sweep
 from repro.experiments.runner import ExperimentResult
 from repro.workload.params import WorkloadParams
 
@@ -34,6 +34,7 @@ def run(
     params: Optional[WorkloadParams] = None,
     jobs: int = 1,
     point_cache: Optional[PointCache] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> ExperimentResult:
     """One row per NumChildRel with each strategy's average cost."""
     base = params or default_params(scale)
@@ -47,7 +48,7 @@ def run(
         for ncr in num_child_rels
         for name in STRATEGIES
     ]
-    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache))
+    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache, policy=policy))
 
     rows: List[List] = []
     for ncr in num_child_rels:

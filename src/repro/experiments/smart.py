@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.experiments.pool import PointCache, SweepPoint, run_sweep
+from repro.experiments.pool import PointCache, RetryPolicy, SweepPoint, run_sweep
 from repro.experiments.runner import ExperimentResult
 from repro.workload.params import WorkloadParams
 
@@ -38,6 +38,7 @@ def run(
     params: Optional[WorkloadParams] = None,
     jobs: int = 1,
     point_cache: Optional[PointCache] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> ExperimentResult:
     """One row per Pr(UPDATE) with each strategy's mixed-workload cost."""
     base = params or default_params(scale)
@@ -62,7 +63,7 @@ def run(
         for pr_update in pr_updates
         for name in STRATEGIES
     ]
-    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache))
+    reports = iter(run_sweep(points, jobs=jobs, cache=point_cache, policy=policy))
 
     rows: List[List] = []
     for pr_update in pr_updates:

@@ -39,9 +39,12 @@ import shutil
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.pool import (
+    DB_CACHE_DIRNAME,
+    POINT_CACHE_DIRNAME,
     RECOVERY_COUNTERS,
     FailedPoint,
     PointCache,
+    RetryPolicy,
     SweepPoint,
     configure_db_store,
     point_label,
@@ -141,6 +144,7 @@ def run_chaos(
     kill_after: int = 2,
     retrieves: int = 6,
     serve_duration: float = 3.0,
+    policy: Optional[RetryPolicy] = None,
 ) -> int:
     """Run one chaos phase; return a process exit status.
 
@@ -151,11 +155,12 @@ def run_chaos(
     crashes, reader hangs and queue stalls, asserting every acknowledged
     request's digest matches the serial oracle.  ``faults`` overrides
     the cold pass's stock schedule with a parsed
-    ``site=rate[xCOUNT][@AFTER],...`` plan.
+    ``site=rate[xCOUNT][@AFTER],...`` plan.  Every sweep runs under
+    ``policy`` (default ``RetryPolicy()``).
     """
     workdir = os.path.join(out, CHAOS_DIRNAME)
-    db_root = os.path.join(workdir, ".dbcache")
-    cache_root = os.path.join(workdir, ".pointcache")
+    db_root = os.path.join(workdir, DB_CACHE_DIRNAME)
+    cache_root = os.path.join(workdir, POINT_CACHE_DIRNAME)
 
     if phase == "serve":
         return _run_serve_phase(scale, fault_seed, workdir, serve_duration)
@@ -164,10 +169,10 @@ def run_chaos(
 
     if phase == "kill":
         return _run_kill_phase(
-            points, workdir, db_root, cache_root, fault_seed, kill_after
+            points, workdir, db_root, cache_root, fault_seed, kill_after, policy
         )
     if phase == "resume":
-        return _run_resume_phase(points, workdir, db_root, cache_root)
+        return _run_resume_phase(points, workdir, db_root, cache_root, policy)
 
     # ------------------------------------------------------------------
     # phase "all": reference vs cold-under-faults vs warm-under-faults
@@ -179,8 +184,8 @@ def run_chaos(
     # passes (snapshot-backed, serial, uncached) with faults off — the
     # only variable between the digests is the fault schedule.
     _fault.clear()
-    configure_db_store(os.path.join(workdir, ".dbcache-ref"))
-    reference = run_sweep(points, jobs=1)
+    configure_db_store(os.path.join(workdir, DB_CACHE_DIRNAME + "-ref"))
+    reference = run_sweep(points, jobs=1, policy=policy)
     configure_db_store(None)
     summaries: Dict[str, Dict[str, Any]] = {
         "reference": _pass_summary(reference)
@@ -197,7 +202,7 @@ def run_chaos(
         configure_db_store(db_root)
         cold_cache = PointCache(cache_root)
         pre = dict(cold_plan.injections)
-        cold = run_sweep(points, jobs=jobs, cache=cold_cache)
+        cold = run_sweep(points, jobs=jobs, cache=cold_cache, policy=policy)
         summaries["cold"] = _pass_summary(cold, pre)
 
         # Warm pass: replay from the cold pass's caches with corrupted
@@ -208,7 +213,7 @@ def run_chaos(
         configure_db_store(db_root)
         warm_cache = PointCache(cache_root)  # load-corruption fires here
         pre = dict(warm_plan.injections)
-        warm = run_sweep(points, jobs=1, cache=warm_cache)
+        warm = run_sweep(points, jobs=1, cache=warm_cache, policy=policy)
         summaries["warm"] = _pass_summary(warm, pre)
         summaries["warm"]["cache"] = warm_cache.stats_snapshot()
     finally:
@@ -367,6 +372,7 @@ def _run_kill_phase(
     cache_root: str,
     fault_seed: int,
     kill_after: int,
+    policy: Optional[RetryPolicy],
 ) -> int:
     """Start a cached sweep that SIGKILLs itself after ``kill_after`` points.
 
@@ -393,7 +399,7 @@ def _run_kill_phase(
     )
     try:
         configure_db_store(db_root)
-        run_sweep(points, jobs=1, cache=PointCache(cache_root))
+        run_sweep(points, jobs=1, cache=PointCache(cache_root), policy=policy)
     finally:
         _fault.clear()
         configure_db_store(None)
@@ -408,6 +414,7 @@ def _run_resume_phase(
     workdir: str,
     db_root: str,
     cache_root: str,
+    policy: Optional[RetryPolicy],
 ) -> int:
     """Resume the killed sweep and prove the checkpoint did its job."""
     marker_path = os.path.join(workdir, KILL_MARKER)
@@ -431,7 +438,7 @@ def _run_resume_phase(
     configure_db_store(db_root)
     cache = PointCache(cache_root)
     try:
-        resumed = run_sweep(points, jobs=1, cache=cache)
+        resumed = run_sweep(points, jobs=1, cache=cache, policy=policy)
     finally:
         configure_db_store(None)
     kill_after = int(marker.get("kill_after", 0))
@@ -443,11 +450,11 @@ def _run_resume_phase(
         )
     # Ground truth, computed fresh (own snapshot store, no point cache,
     # no faults) in the same execution mode as the resumed run.
-    ref_root = os.path.join(workdir, ".dbcache-ref")
+    ref_root = os.path.join(workdir, DB_CACHE_DIRNAME + "-ref")
     shutil.rmtree(ref_root, ignore_errors=True)
     configure_db_store(ref_root)
     try:
-        reference = run_sweep(points, jobs=1)
+        reference = run_sweep(points, jobs=1, policy=policy)
     finally:
         configure_db_store(None)
     resumed_digest = result_digest(resumed)

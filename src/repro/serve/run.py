@@ -27,7 +27,7 @@ import os
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.pool import RetryPolicy
+from repro.experiments.pool import DB_CACHE_DIRNAME, RetryPolicy
 from repro.experiments.runner import DatabaseCache
 from repro.obs import ledger as _ledger
 from repro.obs.registry import MetricsRegistry
@@ -36,9 +36,6 @@ from repro.serve.server import SnapshotServer, replay_oracle
 from repro.storage.snapshot import SnapshotStore
 from repro.util.fmt import format_kv
 from repro.workload.params import WorkloadParams
-
-#: Subdirectory of ``--out`` holding the shared snapshot store.
-DBCACHE_DIRNAME = ".dbcache"
 
 
 def _percentiles(registry: MetricsRegistry, name: str, **tags: Any) -> Dict[str, float]:
@@ -93,7 +90,7 @@ def run_serve(
     contract *working* and never fails the run.
     """
     params = WorkloadParams().scaled(scale)
-    store = SnapshotStore(os.path.join(out, DBCACHE_DIRNAME))
+    store = SnapshotStore(os.path.join(out, DB_CACHE_DIRNAME))
     cache = DatabaseCache(store=store)
     base = cache.snapshot_for(params)
     probe = base.attach()

@@ -13,7 +13,7 @@ out as a single contiguous file::
     [page index]      pages * 36-byte packed entries
     [page images]     raw slotted byte images, back to back
     [shared blob]     pickle of the immutables every clone shares
-                      (record codecs, stateless schemas, units)
+                      (record codecs, schemas, units)
     [metadata blob]   pickle of the database, pages + shared immutables
                       externalized
 
@@ -74,18 +74,16 @@ def _shareable(obj: Any) -> bool:
     """Whether ``obj`` is immutable and safe to share across attaches.
 
     Mirrors the deep-copy sharing rules exactly: record codecs and
-    stateless schemas (``Schema.__deepcopy__`` returns ``self`` for
-    them) plus any type that opts in with an ``ARENA_SHAREABLE`` class
-    attribute (frozen value objects like the workload's ``Unit``).
-    Blob schemas stay inline in the metadata pickle — a BlobField's
-    size_fn may be bound to per-database state every clone must own.
+    schemas (``Schema.__deepcopy__`` returns ``self``) plus any type
+    that opts in with an ``ARENA_SHAREABLE`` class attribute (frozen
+    value objects like the workload's ``Unit``).
     """
     kind = type(obj)
-    if kind is RecordCodec:
-        return True
-    if kind is Schema:
-        return obj.stateless
-    return getattr(kind, "ARENA_SHAREABLE", False) is True
+    return (
+        kind is RecordCodec
+        or kind is Schema
+        or getattr(kind, "ARENA_SHAREABLE", False) is True
+    )
 
 MAGIC = b"RARENA1\n"
 

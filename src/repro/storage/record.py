@@ -23,7 +23,6 @@ codec and their pages stay decoded.
 
 from __future__ import annotations
 
-import copy
 import struct
 from itertools import chain
 from time import perf_counter_ns
@@ -153,8 +152,10 @@ class BlobField(Field):
     The unit cache stores "the value of the subobjects of a unit" — the
     concatenation of whole child tuples — as one attribute
     (``Cache(hashkey, value)``, Section 4 of the paper).  ``size_fn`` maps
-    the payload to the bytes it would occupy; the payload itself can be
-    any Python object.
+    the value to the bytes it would occupy and must be a pure function of
+    the value (the unit cache stores ``(payload, payload_bytes)`` and
+    reads the size back with ``operator.itemgetter(1)``): schemas are
+    shared by every snapshot clone, so a size may depend on nothing else.
     """
 
     def __init__(self, name: str, size_fn: Callable[[Any], int]) -> None:
@@ -167,7 +168,10 @@ class BlobField(Field):
         return int(self.size_fn(value))
 
     def validate(self, value: Any) -> None:
-        size = self.size_fn(value)
+        try:
+            size = self.size_fn(value)
+        except (LookupError, TypeError):
+            size = None  # a value the size_fn cannot read
         if not isinstance(size, int) or size < 0:
             raise RecordError(
                 "size_fn of blob field %r returned %r" % (self.name, size)
@@ -203,9 +207,8 @@ class RecordCodec:
       + ``(rel, key)`` int pairs, reconstructed as
       :class:`repro.core.oid.Oid` values.
 
-    Schemas containing :class:`BlobField` (payload size is an arbitrary
-    callable over arbitrary objects) have no codec; their pages stay in
-    decoded-tuple form.
+    Schemas containing :class:`BlobField` (an arbitrary Python payload)
+    have no codec; their pages stay in decoded-tuple form.
     """
 
     __slots__ = ("schema", "_codes")
@@ -347,6 +350,17 @@ class Schema:
             raise RecordError("duplicate field names in schema: %r" % (names,))
         self.fields: Tuple[Field, ...] = tuple(fields)
         self._index = {f.name: i for i, f in enumerate(fields)}
+        sizes = [f.fixed_size for f in self.fields]
+        self._fixed_record_size: Optional[int] = (
+            sum(sizes) if all(s is not None for s in sizes) else None  # type: ignore[arg-type]
+        )
+        #: For variable-size schemas: the fixed-width byte total (the
+        #: variable-width fields are sized by ``_var_sizers``).
+        self._fixed_base: int = sum(s for s in sizes if s is not None)
+        self._bind()
+
+    def _bind(self) -> None:
+        """Derive the pre-bound helpers pickling drops (see :meth:`__getstate__`)."""
         #: Pre-bound per-field validate callables — :meth:`validate` runs
         #: once per inserted record, so the attribute lookups add up.
         self._validators: Tuple[Callable[[Any], None], ...] = tuple(
@@ -355,29 +369,17 @@ class Schema:
         #: Every field is exactly an IntField: :meth:`validate_many` can
         #: then prove a whole batch valid without a per-record call.
         self._int_only: bool = all(type(f) is IntField for f in self.fields)
-        sizes = [f.fixed_size for f in self.fields]
-        self._fixed_record_size: Optional[int] = (
-            sum(sizes) if all(s is not None for s in sizes) else None  # type: ignore[arg-type]
-        )
-        #: For variable-size schemas: the fixed-width byte total plus
-        #: pre-bound sizers for just the variable-width fields, so
+        #: Pre-bound sizers for just the variable-width fields, so
         #: :meth:`record_size` skips the fixed columns entirely (most
         #: schemas are a run of ints plus one char/oid-list field).
-        self._fixed_base: int = sum(s for s in sizes if s is not None)
         self._var_sizers: Tuple[Tuple[int, Callable[[Any], int]], ...] = tuple(
             (i, f.size_of) for i, f in enumerate(self.fields) if f.fixed_size is None
         )
-        #: True when every field type is stateless (no per-database bound
-        #: callables, unlike BlobField's size_fn) — such schemas are
-        #: immutable after construction and safe to share between
-        #: snapshot clones (:meth:`__deepcopy__`) and across arena
-        #: attaches (:mod:`repro.storage.arena`).
-        self.stateless: bool = all(
-            isinstance(f, (IntField, CharField, OidListField)) for f in self.fields
-        )
         #: The schema's byte codec (None for blob schemas).
         self.codec: Optional[RecordCodec] = (
-            RecordCodec(self) if self.stateless else None
+            RecordCodec(self)
+            if all(isinstance(f, (IntField, CharField, OidListField)) for f in self.fields)
+            else None
         )
 
     # ------------------------------------------------------------------
@@ -439,42 +441,25 @@ class Schema:
         return record[self.field_index(name)]
 
     def __getstate__(self) -> Dict[str, Any]:
-        # The codec is dropped: carrying it would create a Schema <->
+        # What _bind derives is dropped: the codec would make a Schema <->
         # RecordCodec reference cycle that pickle revives in an arbitrary
-        # order.
+        # order, and the rest are bound methods of the fields.
         state = self.__dict__.copy()
-        state["codec"] = None
-        state.pop("_validators", None)
-        state.pop("_var_sizers", None)
+        for name in ("codec", "_validators", "_int_only", "_var_sizers"):
+            del state[name]
         return state
 
     def __deepcopy__(self, memo: dict) -> "Schema":
-        # Schemas over stateless field types are immutable after
-        # construction, so snapshot clones share them instead of deep-copying
-        # fields, validators and memos on every memory-tier attach.  Blob
-        # schemas are excluded: a BlobField's size_fn may be bound to
-        # per-database state (the unit cache's payload-size registry),
-        # which each clone must own.
-        if self.stateless:
-            memo[id(self)] = self
-            return self
-        clone = self.__class__.__new__(self.__class__)
-        memo[id(self)] = clone
-        clone.__setstate__(copy.deepcopy(self.__getstate__(), memo))
-        return clone
+        # Schemas are immutable after construction (a BlobField's size_fn
+        # is a pure function of the value), so snapshot clones share them
+        # instead of deep-copying fields, validators and memos on every
+        # memory-tier attach.
+        memo[id(self)] = self
+        return self
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._validators = tuple(f.validate for f in self.fields)
-        self._int_only = all(type(f) is IntField for f in self.fields)
-        self._var_sizers = tuple(
-            (i, f.size_of) for i, f in enumerate(self.fields) if f.fixed_size is None
-        )
-        self.stateless = all(
-            isinstance(f, (IntField, CharField, OidListField)) for f in self.fields
-        )
-        if self.stateless:
-            self.codec = RecordCodec(self)
+        self._bind()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "Schema(%s)" % ", ".join(self.names())

@@ -47,7 +47,6 @@ class WorkloadParams:
     page_size: int = 2048
     parent_bytes: int = 200
     child_bytes: int = 100
-    smart_threshold: int = 300
     buffer_policy: str = "lru"
     seed: int = 42
 

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.cache import (
     ILockTable,
-    InsideUnitCache,
     UnitCache,
+    inside_hashkey,
     unit_hashkey,
 )
-from repro.storage.catalog import Catalog
+from repro.errors import RecordError
 
 
 @pytest.fixture
@@ -56,12 +56,13 @@ class TestLookupInsert:
         put(cache, 0, (1, 2))
         assert cache.num_cached == 1
 
-    def test_unregistered_payload_size_raises(self, cache):
-        # Only insert() prices a payload; a size asked for any other
-        # payload is a bug, never a guess.
-        size_of = cache.schema.fields[1].size_of
-        with pytest.raises(KeyError):
-            size_of(payload_for((1, 2)))
+    def test_value_without_its_size_is_refused(self, cache):
+        # A cached value is (payload, payload_bytes); a bare payload has
+        # no size to read, and the cache relation never guesses one.
+        for keys in ((1,), (1, 2)):
+            with pytest.raises(RecordError):
+                cache.relation.insert((unit_hashkey(0, keys), payload_for(keys)))
+        assert cache.relation.lookup(unit_hashkey(0, (1,))) is None
 
     def test_size_cache_must_be_positive(self, catalog):
         with pytest.raises(ValueError):
@@ -145,20 +146,26 @@ class TestILockTable:
 
 
 class TestInsideCache:
+    """Inside caching: the unit cache keyed by the referencing object."""
+
+    def insert(self, cache, parent):
+        cache.insert(inside_hashkey(parent), 0, (1, 2), payload_for((1, 2)), 200)
+
     def test_keyed_by_parent(self, catalog):
-        cache = InsideUnitCache(catalog, size_cache=4, unit_bytes_hint=500)
-        cache.insert(7, 0, (1, 2), payload_for((1, 2)), 200)
-        assert cache.lookup(7) == payload_for((1, 2))
-        assert cache.lookup(8) is None  # same unit, different parent: miss
+        cache = UnitCache(catalog, size_cache=4, unit_bytes_hint=500)
+        self.insert(cache, 7)
+        assert cache.lookup(inside_hashkey(7)) == payload_for((1, 2))
+        # same unit, different parent: miss
+        assert cache.lookup(inside_hashkey(8)) is None
 
     def test_no_sharing_burns_capacity(self, catalog):
-        cache = InsideUnitCache(catalog, size_cache=2, unit_bytes_hint=500)
+        cache = UnitCache(catalog, size_cache=2, unit_bytes_hint=500)
         for parent in range(3):
-            cache.insert(parent, 0, (1, 2), payload_for((1, 2)), 200)
+            self.insert(cache, parent)
         assert cache.num_cached == 2  # three copies of one unit do not fit
 
     def test_invalidation_hits_every_copy(self, catalog):
-        cache = InsideUnitCache(catalog, size_cache=8, unit_bytes_hint=500)
+        cache = UnitCache(catalog, size_cache=8, unit_bytes_hint=500)
         for parent in range(3):
-            cache.insert(parent, 0, (1, 2), payload_for((1, 2)), 200)
+            self.insert(cache, parent)
         assert cache.invalidate_for_subobject(0, 1) == 3

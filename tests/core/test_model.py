@@ -12,10 +12,9 @@ from repro.errors import RepresentationError
 from repro.storage.record import CharField, IntField, Schema
 
 
-@pytest.fixture
-def store():
+def build_store(cache_units):
     """The Section 2 database: persons and groups."""
-    store = ObjectStore(cache_units=8)
+    store = ObjectStore(cache_units=cache_units)
     person = store.create_class(
         "person",
         [CharField("name", 20), IntField("age"), CharField("hobby", 20)],
@@ -38,6 +37,11 @@ def store():
         key="name",
     )
     return store
+
+
+@pytest.fixture
+def store():
+    return build_store(cache_units=8)
 
 
 def age_index(store):
@@ -113,6 +117,44 @@ class TestCaching:
         store.invalidate_members(group, "members", "group")
         third = store.members(group, "members", "group", use_cache=True)
         assert sorted(third) == sorted(first)
+
+    @staticmethod
+    def counted_group(store, name, calls):
+        """A procedural group whose predicate logs every evaluation."""
+        idx = age_index(store)
+
+        def predicate(record):
+            calls.append(name)
+            return record[idx] >= 60
+
+        store.insert("group", (name, ProceduralMembers("person", predicate, name)))
+        return store.get("group", name)
+
+    def test_cached_members_are_priced_by_their_record_sizes(self, store):
+        person = store.get_class("person")
+        oids = [person.oid_of(store.get("person", n)) for n in ("Mary", "Mike")]
+        store.insert("group", ("cyclists", OidMembers(oids)))
+        for group in (self.counted_group(store, "elders", []),
+                      store.get("group", "cyclists")):
+            members = store.members(group, "members", "group", use_cache=True)
+            key = store._member_cache_key(
+                store.get_class("group").schema.value(group, "members")
+            )
+            _, (payload, size) = store._cache.relation.lookup(key)
+            assert payload == tuple(members)
+            assert size == sum(map(person.schema.record_size, members))
+
+    def test_a_hit_protects_an_entry_from_eviction(self):
+        store = build_store(cache_units=2)
+        calls = []
+        a, b, c = (self.counted_group(store, name, calls) for name in "abc")
+        for group in (a, b, a, c):  # the hit on a leaves b least recent
+            store.members(group, "members", "group", use_cache=True)
+        calls.clear()
+        store.members(a, "members", "group", use_cache=True)
+        assert calls == []  # still cached
+        store.members(b, "members", "group", use_cache=True)
+        assert calls  # evicted, so resolved again
 
 
 class TestErrors:

@@ -4,9 +4,11 @@ import copy
 import gc
 import os
 import sys
+import weakref
 
 import pytest
 
+from repro.core.cache import CACHE_SCHEMA
 from repro.core.strategies.base import make_strategy
 from repro.errors import FrozenPageError
 from repro.fault import plan as _fault
@@ -169,6 +171,37 @@ class TestSnapshotAttach:
         assert later.fetch_child(rel_index, key)[
             later.child_schema.field_index("ret1")
         ] != 777
+
+
+class TestCacheEnabledClones:
+    """A unit cache holds no state tied to its schema (sizes ride with values)."""
+
+    @pytest.fixture(params=["fresh", "arena"])
+    def snapshot(self, request, tiny_params, tmp_path):
+        snapshot = Snapshot.freeze(build_database(tiny_params, cache=True))
+        if request.param == "arena":
+            SnapshotStore(str(tmp_path)).put("k", snapshot)
+            snapshot = SnapshotStore(str(tmp_path)).get("k")
+            assert isinstance(snapshot, arena.ArenaSnapshot)
+        return snapshot
+
+    def test_clones_share_the_template_cache_schema(self, snapshot):
+        one, two = snapshot.attach(), snapshot.attach()
+        assert one.cache.relation.schema is two.cache.relation.schema
+        if isinstance(snapshot, Snapshot):
+            assert one.cache.relation.schema is CACHE_SCHEMA
+
+    def test_dropped_clone_is_freed_without_the_cycle_collector(self, snapshot):
+        gc.collect()
+        gc.disable()
+        try:
+            clone = snapshot.attach()
+            clone.cache.insert(1, 0, (1, 2), ((1,), (2,)), 8)
+            cache = weakref.ref(clone.cache)
+            del clone
+            assert cache() is None
+        finally:
+            gc.enable()
 
 
 def _deepcopy_calls(fn):

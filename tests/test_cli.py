@@ -6,7 +6,6 @@ import pytest
 
 from repro.__main__ import main
 from repro.core.strategies import REGISTRY
-from repro.experiments import pool
 from repro.fault import plan as fault_plan
 
 
@@ -80,26 +79,32 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "--strategy", "NOPE"])
 
-    def test_quarantined_point_is_reported_not_a_traceback(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # --max-retries rewrites the module-wide policy; put it back after.
-        monkeypatch.setattr(pool, "DEFAULT_POLICY", pool.DEFAULT_POLICY)
+    @staticmethod
+    def poisoned_run(tmp_path, *flags):
+        """``repro run`` with its first point execution poisoned."""
         fault_plan.install(
             fault_plan.FaultPlan([fault_plan.FaultSpec("point.poison", count=1)])
         )
         try:
-            code = main(
+            return main(
                 ["run", "--strategy", "BFS", "--scale", "0.02", "--num-top", "5",
-                 "--max-retries", "0", "--out", str(tmp_path)]
+                 "--out", str(tmp_path), *flags]
             )
         finally:
             fault_plan.clear()
-        assert code == 1
+
+    def test_quarantined_point_is_reported_not_a_traceback(self, tmp_path, capsys):
+        assert self.poisoned_run(tmp_path, "--max-retries", "0") == 1
         captured = capsys.readouterr()
         assert "quarantined: FailedPoint(BFS@num_top=5, attempts=1" in captured.err
         assert "point.poison" in captured.err
         assert "avg I/O" not in captured.out
+
+    def test_retry_flags_do_not_outlive_their_call(self, tmp_path, capsys):
+        assert self.poisoned_run(tmp_path, "--max-retries", "0") == 1
+        # No flag: the default budget retries the poisoned point.
+        assert self.poisoned_run(tmp_path) == 0
+        assert "avg I/O per retrieve" in capsys.readouterr().out
 
 
 class TestFootprint:
