@@ -29,15 +29,12 @@ from repro.core import (
     ComplexObjectDB,
     CostMeter,
     Oid,
-    OidMembers,
     PrimaryRep,
-    ProceduralMembers,
     REGISTRY,
     RetrieveQuery,
     Strategy,
     UnitCache,
     UpdateQuery,
-    ValueMembers,
     is_valid_cell,
     is_valid_point,
     make_strategy,
@@ -64,15 +61,12 @@ __all__ = [
     "ComplexObjectDB",
     "CostMeter",
     "Oid",
-    "OidMembers",
     "PrimaryRep",
-    "ProceduralMembers",
     "REGISTRY",
     "RetrieveQuery",
     "Strategy",
     "UnitCache",
     "UpdateQuery",
-    "ValueMembers",
     "is_valid_cell",
     "is_valid_point",
     "make_strategy",

@@ -7,7 +7,9 @@ objects a query touches (NumTop), and the update frequency (Pr(UPDATE)).
 :func:`recommend` turns that into an executable tool: it builds a scaled
 synthetic database with the described characteristics, races the
 candidate strategies on a mixed sequence (with a warm-up so caching is
-judged at steady state), and returns the measured ranking.
+judged at steady state) through
+:func:`~repro.experiments.runner.run_point`, the path every sweep point
+takes, and returns the measured ranking.
 
     >>> from repro.advisor import WorkloadSketch, recommend
     >>> sketch = WorkloadSketch(use_factor=1, num_top_fraction=0.005,
@@ -18,14 +20,11 @@ judged at steady state), and returns the measured ranking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.strategies.base import make_strategy
 from repro.errors import WorkloadError
-from repro.workload.driver import database_for, run_sequence
 from repro.workload.params import WorkloadParams
-from repro.workload.queries import generate_sequence
 
 DEFAULT_CANDIDATES = ("BFS", "DFSCACHE", "DFSCLUST")
 
@@ -92,6 +91,8 @@ def recommend(
     returned :class:`Recommendation` carries the measured average I/O per
     retrieve for every candidate.
     """
+    from repro.experiments.runner import run_point, scaled_num_tops
+
     sketch.validate()
     if not candidates:
         raise WorkloadError("need at least one candidate strategy")
@@ -101,19 +102,16 @@ def recommend(
     )
     if base_params is None:
         params = params.scaled(scale)
-    num_top = max(1, min(params.num_parents,
-                         round(params.num_parents * sketch.num_top_fraction)))
     params = params.replace(
-        num_top=num_top,
+        num_top=scaled_num_tops(params, [sketch.num_top_fraction])[0],
         pr_update=sketch.pr_update,
         num_queries=num_retrieves,
     )
 
     costs: Dict[str, float] = {}
     for name in candidates:
-        strategy = make_strategy(name)
-        db = database_for(params, strategy)
-        sequence = generate_sequence(params, db)
-        report = run_sequence(db, strategy, sequence, warmup=len(sequence) // 4)
+        report = run_point(
+            params, name, num_retrieves=num_retrieves, warmup_fraction=0.25
+        )
         costs[name] = report.avg_io_per_retrieve
     return Recommendation(sketch=sketch, costs=costs, params=params)

@@ -3,9 +3,8 @@
 Public surface:
 
 * :class:`~repro.core.oid.Oid` — relation id + primary key identifiers;
-* :mod:`repro.core.representations` — the representation matrix (Figure 1)
-  and member-set descriptors;
-* :mod:`repro.core.model` — an object store for applications;
+* :mod:`repro.core.representations` — the representation matrix (Figures 1
+  and 2);
 * :class:`~repro.core.database.ComplexObjectDB` — the experimental
   ParentRel/ChildRel database;
 * :mod:`repro.core.cache` — the outside unit cache with I-lock
@@ -27,15 +26,11 @@ from repro.core.measure import (
     PARENT_PHASE,
     UPDATE_PHASE,
 )
-from repro.core.model import MemberField, ObjectClass, ObjectStore
 from repro.core.oid import Oid
 from repro.core.queries import RETRIEVE_ATTRS, RetrieveQuery, UpdateQuery
 from repro.core.representations import (
     CachedRep,
-    OidMembers,
     PrimaryRep,
-    ProceduralMembers,
-    ValueMembers,
     is_valid_cell,
     is_valid_point,
     matrix_summary,
@@ -59,18 +54,12 @@ __all__ = [
     "NullMeter",
     "PARENT_PHASE",
     "UPDATE_PHASE",
-    "MemberField",
-    "ObjectClass",
-    "ObjectStore",
     "Oid",
     "RETRIEVE_ATTRS",
     "RetrieveQuery",
     "UpdateQuery",
     "CachedRep",
-    "OidMembers",
     "PrimaryRep",
-    "ProceduralMembers",
-    "ValueMembers",
     "is_valid_cell",
     "is_valid_point",
     "matrix_summary",

@@ -18,18 +18,16 @@ OID primary) and names the applicable query-processing strategies;
 :func:`strategies_for` reproduces that mapping.  Section 3.4 rejects
 caching combined with clustering, which :func:`is_valid_point` enforces.
 
-The module also defines the member-set descriptors
-(:class:`ProceduralMembers`, :class:`OidMembers`, :class:`ValueMembers`)
-used by the object-model layer (:mod:`repro.core.model`) and the examples.
+The experiments measure two primary columns: OID (the paper's study,
+DFS through SMART) and procedural (the ``PROC-*`` strategies, experiment
+C2).  The value-based column appears here as a matrix cell only.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.core.oid import Oid
 from repro.errors import RepresentationError
 
 
@@ -108,69 +106,3 @@ def matrix_summary() -> List[Tuple[str, str, bool]]:
         for cached in CachedRep:
             out.append((primary.value, cached.value, is_valid_cell(primary, cached)))
     return out
-
-
-# ----------------------------------------------------------------------
-# Member-set descriptors (used by repro.core.model and the examples)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProceduralMembers:
-    """Members defined by a retrieve-only query (Section 2.1.1).
-
-    ``relation`` names the subobject class; ``predicate`` is a callable on
-    its records (e.g. ``lambda person: person[age] >= 60`` for the elders
-    group).  ``text`` is an optional human-readable query string, kept for
-    display like the POSTGRES examples in the paper.
-    """
-
-    relation: str
-    predicate: Callable[[Tuple[Any, ...]], bool]
-    text: str = ""
-
-    @property
-    def primary(self) -> PrimaryRep:
-        return PrimaryRep.PROCEDURAL
-
-
-@dataclass(frozen=True)
-class OidMembers:
-    """Members identified by a list of OIDs (Section 2.2)."""
-
-    oids: Tuple[Oid, ...]
-
-    def __init__(self, oids: Sequence[Oid]) -> None:
-        object.__setattr__(self, "oids", tuple(oids))
-
-    @property
-    def primary(self) -> PrimaryRep:
-        return PrimaryRep.OID
-
-
-@dataclass(frozen=True)
-class ValueMembers:
-    """Members stored inline, by value (Section 2.2.1).
-
-    Shared subobjects are replicated wherever referenced; there are no
-    identifiers, so the tuples cannot be referenced from elsewhere.
-    """
-
-    values: Tuple[Tuple[Any, ...], ...]
-
-    def __init__(self, values: Sequence[Tuple[Any, ...]]) -> None:
-        object.__setattr__(self, "values", tuple(tuple(v) for v in values))
-
-    @property
-    def primary(self) -> PrimaryRep:
-        return PrimaryRep.VALUE
-
-
-MemberSet = (ProceduralMembers, OidMembers, ValueMembers)
-
-
-def primary_of(members: Any) -> PrimaryRep:
-    """The primary representation of a member-set descriptor."""
-    if isinstance(members, MemberSet):
-        return members.primary
-    raise RepresentationError("not a member-set descriptor: %r" % (members,))

@@ -38,6 +38,7 @@ from repro.core.measure import CHILD_PHASE, CostMeter, NullMeter, PARENT_PHASE
 from repro.core.queries import RetrieveQuery
 from repro.core.strategies.base import Strategy, register
 from repro.obs.trace import stage
+from repro.storage.record import CHAR_OVERHEAD, OID_CHARS
 from repro.storage.hashfile import stable_hash
 
 
@@ -132,7 +133,7 @@ class _ProceduralBase(Strategy):
             payload_bytes = sum(db.child_record_bytes(c) for c in children)
         else:
             payload = tuple((rel_index, key) for key in child_keys)
-            payload_bytes = 10 * len(child_keys) + 2
+            payload_bytes = len(child_keys) * OID_CHARS + CHAR_OVERHEAD
         db.cache.insert(hashkey, rel_index, child_keys, payload, payload_bytes)
 
 

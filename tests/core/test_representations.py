@@ -2,17 +2,12 @@
 
 import pytest
 
-from repro.core.oid import Oid
 from repro.core.representations import (
     CachedRep,
-    OidMembers,
     PrimaryRep,
-    ProceduralMembers,
-    ValueMembers,
     is_valid_cell,
     is_valid_point,
     matrix_summary,
-    primary_of,
     strategies_for,
 )
 from repro.errors import RepresentationError
@@ -77,25 +72,3 @@ class TestStrategyMapping:
         ]:
             for name in strategies_for(cached, clustered):
                 assert name in REGISTRY
-
-
-class TestMemberDescriptors:
-    def test_primary_of(self):
-        proc = ProceduralMembers("person", lambda r: True, "age >= 60")
-        oids = OidMembers([Oid(1, 2)])
-        values = ValueMembers([("John", 62)])
-        assert primary_of(proc) is PrimaryRep.PROCEDURAL
-        assert primary_of(oids) is PrimaryRep.OID
-        assert primary_of(values) is PrimaryRep.VALUE
-
-    def test_primary_of_rejects_junk(self):
-        with pytest.raises(RepresentationError):
-            primary_of("nope")
-
-    def test_oid_members_normalises_to_tuple(self):
-        members = OidMembers([Oid(1, 2), Oid(1, 3)])
-        assert members.oids == (Oid(1, 2), Oid(1, 3))
-
-    def test_value_members_copies_tuples(self):
-        members = ValueMembers([["John", 62]])
-        assert members.values == (("John", 62),)

@@ -17,19 +17,6 @@ def load_example(name: str):
     return module
 
 
-class TestGroupsOfPersons:
-    def test_full_walkthrough(self, capsys):
-        example = load_example("groups_of_persons.py")
-        store = example.build_store()
-        example.populate_groups(store)
-        example.show_members(store)
-        example.demonstrate_caching(store)
-        out = capsys.readouterr().out
-        assert "John, Mary, Paul" in out
-        assert "Bill, Jill" in out
-        assert "Ada, Alan" in out
-
-
 class TestVlsiCells:
     def test_traversals_agree_and_bfs_wins(self):
         example = load_example("vlsi_cells.py")

@@ -120,4 +120,5 @@ class TestEveryRegisteredStrategy:
             WorkloadSketch(), candidates=[name], num_retrieves=4,
             base_params=tiny_params,
         )
-        assert rec.costs[name] > 0
+        point = run_point(rec.params, name, num_retrieves=4, warmup_fraction=0.25)
+        assert rec.costs[name] == point.avg_io_per_retrieve > 0
