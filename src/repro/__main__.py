@@ -117,7 +117,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     policy = retry_policy(args)
     report = _run_profiled(
-        args, lambda: run_sweep([point], jobs=args.jobs, policy=policy)[0]
+        args, lambda: run_sweep([point], policy=policy)[0]
     )
     if isinstance(report, FailedPoint):
         # Its repr carries the point label, the attempts and the cause.
@@ -392,9 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--overlap-factor", dest="overlap_factor", type=int)
     run.add_argument("--num-queries", dest="num_queries", type=int)
     run.add_argument("--seed", type=int)
-    run.add_argument("--jobs", type=jobs_arg, default=1,
-                     help="worker processes for sweep execution "
-                     "('auto' = one per core)")
     run.add_argument("--out", default="results",
                      help="results directory (holds the snapshot store)")
     run.add_argument("--no-db-cache", dest="no_db_cache", action="store_true",

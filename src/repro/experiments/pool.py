@@ -40,7 +40,7 @@ deterministic, so every failure is recoverable by re-deriving state —
 * a point that exhausts its retries is *quarantined*: the sweep records
   a :class:`FailedPoint` (whose numeric attributes read as NaN, so
   tables render with degraded cells instead of dying) and continues;
-* pool workers that crash or hang past ``point_timeout`` are detected
+* pool workers that crash or hang past their task budget are detected
   in the parent, the pool is rebuilt, and their points re-dispatched; a
   pool that keeps failing is swapped for the in-process executor and
   the same loop finishes the sweep;
@@ -149,8 +149,9 @@ class RetryPolicy:
     ``max_retries + 1`` times); ``backoff_seconds`` is the base of the
     exponential backoff between attempts; ``point_timeout`` bounds one
     execution (a cooperative monotonic deadline checked between
-    operations on whatever thread runs the point, plus the parent-side
-    watchdog for pool workers; ``None`` disables);
+    operations on whatever thread runs the point; ``None`` disables),
+    and the parent-side watchdog gives a pool worker's task
+    :attr:`task_seconds`;
     ``max_pool_restarts`` bounds how often a crashed or hung worker
     pool is rebuilt before the sweep continues on the in-process
     executor.  The policy travels with every task, so both executors
@@ -164,6 +165,18 @@ class RetryPolicy:
     backoff_seconds: float = 0.05
     point_timeout: Optional[float] = None
     max_pool_restarts: int = 5
+
+    @property
+    def task_seconds(self) -> Optional[float]:
+        """How long one task may run with all its retries: every
+        attempt's deadline plus every backoff sleep (``None`` without a
+        ``point_timeout``)."""
+        if not self.point_timeout:
+            return None
+        return (
+            (self.max_retries + 1) * self.point_timeout
+            + self.backoff_seconds * (2 ** self.max_retries - 1)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -698,60 +711,6 @@ def _run_task(
     return payload, delta, faults, spans
 
 
-def _dispatch_key(point: SweepPoint) -> Tuple:
-    """Sort key grouping points that can share one built database."""
-    if point.kind == "deep":
-        return ("deep", repr(point.deep_params))
-    strategy = make_strategy(point.strategy, **dict(point.strategy_kwargs))
-    shape = strategy.database_shape(point.db_cache, point.db_procedural)
-    return ("workload",) + DatabaseCache().shape_key(point.params, **shape)
-
-
-def _cost_estimate(point: SweepPoint) -> float:
-    """Relative work estimate of one point, for dispatch ordering only.
-
-    Workload points scale with the query count times the objects touched
-    per query (``num_top``); deep points with queries × span × depth.
-    The estimate never influences a measurement — only the order points
-    leave the dispatch queue.
-    """
-    if point.kind == "deep":
-        return float(
-            (point.queries or 1) * (point.span or 1) * max(1, point.depth or 1)
-        )
-    params = point.params
-    if params is None:
-        return 1.0
-    if point.sequence == "mixed" and point.mix_num_tops:
-        tops = list(point.mix_num_tops)
-    else:
-        tops = [params.num_top]
-    queries = adaptive_queries(max(tops), point.num_retrieves)
-    return float(queries) * (sum(tops) / len(tops))
-
-
-def _dispatch_order(points: Sequence[SweepPoint], pending: Sequence[int]) -> List[int]:
-    """Cost-aware dispatch order for the parallel queue.
-
-    Points are grouped by the database they need (contiguous dispatch
-    keeps a worker's local :class:`DatabaseCache` warm) and the groups
-    are ordered heaviest-total-cost first — the longest-processing-time
-    heuristic, so the expensive shapes start immediately and the cheap
-    ones backfill the tail instead of straggling at the end.  Within a
-    group the costliest points go first for the same reason.
-    """
-    groups: Dict[Tuple, List[int]] = {}
-    for i in pending:
-        groups.setdefault(_dispatch_key(points[i]), []).append(i)
-    costs = {i: _cost_estimate(points[i]) for i in pending}
-    order: List[int] = []
-    for _key, members in sorted(
-        groups.items(), key=lambda item: (-sum(costs[i] for i in item[1]), item[0])
-    ):
-        order.extend(sorted(members, key=lambda i: (-costs[i], i)))
-    return order
-
-
 def resolve_jobs(jobs: Any) -> int:
     """A ``--jobs`` value as a worker count (``"auto"`` → all cores)."""
     if jobs is None or jobs == "auto":
@@ -921,13 +880,14 @@ def _dispatch(
     """Run ``pending`` through an executor, checkpointing every point.
 
     The loop is the same whichever executor it drives: submit up to
-    ``width`` tasks, turn finished ones into results, recover from lost
-    ones.  With ``jobs > 1`` and more than one point the executor is a
-    process pool and the parent is its watchdog: a crashed worker breaks
-    the whole pool (``BrokenExecutor``), so the pool is rebuilt and
-    unfinished points re-dispatched; a worker that hangs past
-    ``policy.point_timeout`` is detected by deadline, its pool is torn
-    down the same way, and the hung point is charged an attempt.  After
+    ``width`` tasks in input order, turn finished ones into results,
+    recover from lost ones.  With ``jobs > 1`` and more than one point
+    the executor is a process pool and the parent is its watchdog: a
+    crashed worker breaks the whole pool (``BrokenExecutor``), so the
+    pool is rebuilt and unfinished points re-dispatched; a task that
+    outlives ``policy.task_seconds`` (its own retries included) is
+    detected by deadline, its pool is torn down the same way, and the
+    hung point is charged an attempt.  After
     ``policy.max_pool_restarts`` rebuilds the sweep stops trusting
     process pools, swaps in the in-process executor and keeps looping (a
     logged downgrade, never an abort).  Fault and recovery counts are
@@ -952,20 +912,12 @@ def _dispatch(
         )
 
     if jobs > 1 and len(pending) > 1:
-        # Cost-aware longest-first order (see _dispatch_order).  The
-        # shared ``todo`` deque is the work-stealing queue: the parent
-        # hands each free worker exactly one point at a time, so a
-        # worker that drains its database group simply steals the next
-        # pending point — no worker idles behind a static partition
-        # while another has backlog.
-        order = _dispatch_order(points, pending)
         executor: Any = make_pool()
         width = jobs
     else:
-        order = pending
         executor = _InProcessExecutor()
         width = 1
-    todo: "deque[int]" = deque(order)
+    todo: "deque[int]" = deque(pending)
     attempts: Dict[int, int] = {}
     running: Dict[Any, Tuple[int, float]] = {}
 
@@ -1053,12 +1005,12 @@ def _dispatch(
                         finish(index, *outcome)
             if broken:
                 replace_pool([index for index, _t0 in running.values()])
-            elif policy.point_timeout and running:
+            elif policy.task_seconds and running:
                 now = time.monotonic()
                 hung = [
                     index
                     for index, t0 in running.values()
-                    if now - t0 > policy.point_timeout
+                    if now - t0 > policy.task_seconds
                 ]
                 if hung:
                     innocent = [
@@ -1070,8 +1022,8 @@ def _dispatch(
                         charge_attempt(
                             index,
                             WorkerLost(
-                                "worker exceeded the %.3gs point deadline"
-                                % policy.point_timeout
+                                "worker exceeded its %.3gs task budget"
+                                % policy.task_seconds
                             ),
                         )
                     replace_pool(innocent)

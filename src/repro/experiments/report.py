@@ -323,7 +323,6 @@ def run(args: argparse.Namespace) -> int:
             telemetry.append({"name": name, "seconds": round(seconds, 3), **row})
             buffer, faults = row["buffer"], row["faults"]
             text = annotate(name, result)
-            text += "\n[%s: %.1fs at scale %.2f]" % (name, seconds, args.scale)
             accesses = buffer.get("hits", 0) + buffer.get("misses", 0)
             if accesses:
                 text += (

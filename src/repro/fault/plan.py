@@ -24,7 +24,7 @@ only decides *whether* to fire):
 ``pointcache.load``   point-cache entry corrupted before verification
 ``pointcache.save``   point-cache write fails (cache degrades to memory)
 ``worker.crash``      pool worker ``os._exit``\\ s mid-task
-``worker.hang``       pool worker sleeps past the point deadline
+``worker.hang``       pool worker sleeps past its task budget
 ``point.poison``      every execution of a point raises (quarantine path)
 ``sweep.kill``        the process SIGKILLs itself between sweep points
 ``serve.publish_crash``  the serve writer raises after applying its batch

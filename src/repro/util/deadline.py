@@ -12,7 +12,8 @@ does so between operations, the deep-query loop between queries) and
 the check raises :class:`~repro.errors.DeadlineExceeded` once the
 innermost :func:`enforced` deadline of the current thread has passed.
 A pool worker stuck inside one operation is the parent's problem: its
-watchdog tears the pool down once the point outlives its budget.
+watchdog tears the pool down once the task outlives its whole budget,
+retries included.
 
 The active deadline is tracked per thread (a ``threading.local``), so
 concurrent requests with different budgets never observe each other.

@@ -239,7 +239,7 @@ class TestWorkerSpans:
 
 
 class TestScheduler:
-    """Cost-aware dispatch: heaviest shape first, costliest point first."""
+    """How many workers a ``--jobs`` value asks for."""
 
     def test_resolve_jobs(self, monkeypatch):
         assert pool.resolve_jobs(3) == 3
@@ -253,44 +253,6 @@ class TestScheduler:
             pool.resolve_jobs(0)
         with pytest.raises(ValueError):
             pool.resolve_jobs("zero")
-
-    def test_cost_scales_with_work(self, params):
-        cheap = _point(params.replace(num_top=2))
-        costly = _point(params.replace(num_top=10))
-        assert pool._cost_estimate(costly) > pool._cost_estimate(cheap)
-
-    def test_order_puts_costly_points_of_one_shape_first(self, params):
-        points = [
-            _point(params.replace(num_top=num_top), strategy)
-            for strategy in ("BFS", "DFS")
-            for num_top in (2, 10)
-        ]
-        order = pool._dispatch_order(points, list(range(len(points))))
-        assert sorted(order) == list(range(len(points)))
-        # All points share one database shape, so the order is purely
-        # longest-first within the single group.
-        costs = [pool._cost_estimate(points[i]) for i in order]
-        assert costs == sorted(costs, reverse=True)
-
-    def test_order_groups_shapes_and_is_deterministic(self, params):
-        points = [
-            _point(params, "BFS"),
-            _point(params, "DFSCACHE"),  # cached shape
-            _point(params, "DFS"),
-            _point(params.replace(num_top=10), "DFSCACHE"),
-        ]
-        pending = list(range(len(points)))
-        order = pool._dispatch_order(points, pending)
-        assert order == pool._dispatch_order(points, pending)  # stable
-        keys = [pool._dispatch_key(points[i]) for i in order]
-        # Points of the same shape are dispatched back to back, so the
-        # pool builds each database once, as early as possible.
-        seen = []
-        for key in keys:
-            if key not in seen:
-                seen.append(key)
-        assert len(seen) == 2
-        assert keys == sorted(keys, key=seen.index)
 
 
 class TestOneDispatchLoop:
@@ -420,6 +382,11 @@ class TestOneDispatchLoop:
         def capture(points, **_kwargs):
             raise Captured(points)
 
+        def work(point):
+            if point.kind == "deep":
+                return point.depth * point.span
+            return point.params.num_top
+
         for module in (report.ablations, report.deep, report.fig3, report.fig4,
                        report.fig5, report.fig7, report.matrix, report.opt,
                        report.sec62, report.smart):
@@ -428,7 +395,7 @@ class TestOneDispatchLoop:
         for name, run_experiment in report.experiment_suite(0.05):
             with pytest.raises(Captured) as caught:
                 run_experiment()
-            costliest[name] = max(caught.value.points, key=pool._cost_estimate)
+            costliest[name] = max(caught.value.points, key=work)
         assert sorted(costliest) == sorted(report.EXPERIMENT_NAMES)
 
         policy = pool.RetryPolicy(max_retries=0, point_timeout=1e-3)

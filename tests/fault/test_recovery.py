@@ -10,6 +10,7 @@ cells instead of sinking the sweep.
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import time
@@ -30,6 +31,7 @@ from repro.fault.plan import FaultPlan, FaultSpec
 from repro.storage.snapshot import Snapshot, SnapshotStore
 from repro.workload.driver import CostReport
 from repro.workload.generator import build_database
+from repro.workload.params import WorkloadParams
 
 FAST = RetryPolicy(max_retries=2, backoff_seconds=0.001)
 
@@ -373,3 +375,41 @@ class TestPoolRecovery:
         assert faults["timeouts"] >= 1
         assert faults["pool_restarts"] >= 1
         assert faults["quarantined"] == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers must inherit the patched build",
+    )
+    def test_watchdog_leaves_a_worker_its_own_retries(self, monkeypatch):
+        # Each process's first build outlasts the point deadline, so a
+        # point's first attempt times out and its retry, on a clone of
+        # the template that build left, succeeds.  The parent watchdog
+        # must grant a pool task those retries, as the in-process
+        # executor does; a worker killed at the first deadline takes
+        # its template with it and its successor times out the same way.
+        from repro.experiments import runner
+
+        real = runner.build_database
+        slept = set()
+
+        def slow_first_build(*args, **kwargs):
+            if os.getpid() not in slept:
+                slept.add(os.getpid())
+                time.sleep(0.6)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_database", slow_first_build)
+        params = WorkloadParams().scaled(0.01)
+        points = [
+            SweepPoint(
+                params=params.replace(num_top=num_top), strategy="DFS",
+                num_retrieves=3,
+            )
+            for num_top in (2, 5, 10)
+        ]
+        policy = RetryPolicy(max_retries=2, backoff_seconds=0.001, point_timeout=0.4)
+        for jobs in (1, 2):
+            results = run_sweep(points, jobs=jobs, policy=policy)
+            assert all(isinstance(r, CostReport) for r in results), jobs
+            assert _last_faults()["quarantined"] == [], jobs
+            assert _last_faults()["timeouts"] >= 1, jobs
