@@ -73,31 +73,38 @@ class ILockTable:
     """
 
     def __init__(self) -> None:
-        self._locks: Dict[Tuple[int, int], Set[int]] = {}
+        #: child relation -> subobject key -> hashkeys holding its I-lock.
+        self._locks: Dict[int, Dict[int, Set[int]]] = {}
 
     def register(self, child_rel: int, child_keys: Iterable[int], hashkey: int) -> None:
+        locks = self._locks.setdefault(child_rel, {})
         for key in child_keys:
-            self._locks.setdefault((child_rel, key), set()).add(hashkey)
+            holders = locks.get(key)
+            if holders is None:
+                locks[key] = {hashkey}
+            else:
+                holders.add(hashkey)
 
     def unregister(
         self, child_rel: int, child_keys: Iterable[int], hashkey: int
     ) -> None:
+        locks = self._locks.get(child_rel, {})
         for key in child_keys:
-            holders = self._locks.get((child_rel, key))
+            holders = locks.get(key)
             if holders is not None:
                 holders.discard(hashkey)
                 if not holders:
-                    del self._locks[(child_rel, key)]
+                    del locks[key]
 
     def holders(self, child_rel: int, child_key: int) -> List[int]:
         """Hashkeys of cached units containing the given subobject."""
-        return list(self._locks.get((child_rel, child_key), ()))
+        return list(self._locks.get(child_rel, {}).get(child_key, ()))
 
     def clear(self) -> None:
         self._locks.clear()
 
     def __len__(self) -> int:
-        return len(self._locks)
+        return sum(map(len, self._locks.values()))
 
 
 class CacheStats:
@@ -237,6 +244,3 @@ class UnitCache:
     @property
     def num_cached(self) -> int:
         return len(self._lru)
-
-    def cached_hashkeys(self) -> List[int]:
-        return list(self._lru.keys())

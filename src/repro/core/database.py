@@ -21,6 +21,7 @@ random child fetches, update application, and cache/cluster lifecycles.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -34,6 +35,8 @@ from repro.storage.catalog import Catalog
 from repro.storage.record import Schema
 
 PARENT_REL_INDEX = 0
+
+_OID_KEY = operator.attrgetter("key")
 
 
 @dataclass(frozen=True)
@@ -188,8 +191,7 @@ class ComplexObjectDB:
             raise WorkloadError(
                 "parent %r has an empty unit" % (self.parent_key_of(parent_record),)
             )
-        rel_index = oids[0].rel - 1
-        return rel_index, tuple(oid.key for oid in oids)
+        return oids[0].rel - 1, tuple(map(_OID_KEY, oids))
 
     def child_rel(self, rel_index: int) -> BTreeFile:
         return self.child_rels[rel_index]

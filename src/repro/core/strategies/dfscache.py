@@ -14,6 +14,7 @@ reason DFSCACHE degrades at high NumTop relative to BFS.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, List, Optional
 
 from repro.core.cache import UnitCache, inside_hashkey, unit_hashkey
@@ -44,14 +45,15 @@ class DfsCacheStrategy(Strategy):
             parents = list(db.parents_in_range(query.lo, query.hi))
         results: List[Any] = []
         with meter.phase(CHILD_PHASE):
-            attr_index = db.child_schema.field_index(query.attr)
+            project = itemgetter(db.child_schema.field_index(query.attr))
+            unit_ref_of, hashkey_of = db.unit_ref_of, self._hashkey
             for parent in parents:
-                rel_index, child_keys = db.unit_ref_of(parent)
-                hashkey = self._hashkey(db, parent, rel_index, child_keys)
+                rel_index, child_keys = unit_ref_of(parent)
+                hashkey = hashkey_of(db, parent, rel_index, child_keys)
                 payload = self._materialize_unit(
                     db, cache, hashkey, rel_index, child_keys
                 )
-                results.extend(child[attr_index] for child in payload)
+                results.extend(map(project, payload))
         return results
 
     @staticmethod
@@ -69,7 +71,7 @@ class DfsCacheStrategy(Strategy):
         payload = cache.lookup(hashkey)  # tags itself cache-probe
         if payload is None:
             children = tuple(db.fetch_children(rel_index, child_keys))
-            payload_bytes = sum(db.child_record_bytes(c) for c in children)
+            payload_bytes = sum(map(db.child_schema.record_size, children))
             # insert tags itself cache-maintain
             cache.insert(hashkey, rel_index, child_keys, children, payload_bytes)
             payload = children

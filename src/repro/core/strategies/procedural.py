@@ -130,7 +130,7 @@ class _ProceduralBase(Strategy):
         child_keys = [child[0] for child in children]
         if self.cached_rep == "values":
             payload = tuple(children)
-            payload_bytes = sum(db.child_record_bytes(c) for c in children)
+            payload_bytes = sum(map(db.child_schema.record_size, children))
         else:
             payload = tuple((rel_index, key) for key in child_keys)
             payload_bytes = len(child_keys) * OID_CHARS + CHAR_OVERHEAD

@@ -54,7 +54,9 @@ leaf key columns, which only ``insert``, ``delete`` and ``bulk_load``
 change; they replace it (``update`` keeps it).  So the clones of a
 frozen snapshot share it, and a pickle or arena stores it empty.
 
-``update_field`` is a ``lookup_one`` and an ``update``.
+``update_field`` is a ``lookup_one`` and an ``update`` from one route:
+the probe, then the route replayed and a writable touch of its leaf.
+The route is exact, so the write re-checks only the changed field.
 """
 
 from __future__ import annotations
@@ -137,9 +139,8 @@ class BTreeFile:
         # dominated profile time on B-tree-heavy sweeps.
         self._leaf_key_cache: Dict[int, Tuple[int, List[Any]]] = {}
         self._sep_cache: Dict[int, Tuple[int, List[Any]]] = {}
-        # Cached disk.page_ids() list for this (single-writer) file;
-        # dropped whenever the tree allocates a page.  PageId values are
-        # positional, so a cached list is valid until the file grows.
+        # The disk's page_ids() list for this file, which the disk keeps
+        # in step as the tree allocates pages.
         self._ids: Optional[List[PageId]] = None
         self._routes = _Routes()
 
@@ -170,10 +171,6 @@ class BTreeFile:
         return self._is_leaf.count(1)
 
     def _key(self, record: Tuple[Any, ...]) -> Any:
-        return record[self._key_index]
-
-    def key_of(self, record: Tuple[Any, ...]) -> Any:
-        """The key value of ``record`` under this tree's key field."""
         return record[self._key_index]
 
     # ------------------------------------------------------------------
@@ -254,7 +251,7 @@ class BTreeFile:
     # navigation
     # ------------------------------------------------------------------
     def _page_ids(self) -> List[PageId]:
-        """The file's ``PageId`` list, cached until the tree allocates."""
+        """The file's ``PageId`` list (the disk grows it in place)."""
         ids = self._ids
         if ids is None:
             ids = self._ids = self.pool.disk.page_ids(self.file_id)
@@ -263,7 +260,6 @@ class BTreeFile:
     def _new_node(self, is_leaf: bool) -> Page:
         """Allocate the next page of the file and append its header."""
         page = self.pool.new_page(self.file_id)
-        self._ids = None  # the file grew
         if is_leaf:
             page.codec = self.schema.codec
         self._is_leaf.append(is_leaf)
@@ -511,12 +507,10 @@ class BTreeFile:
         next_leaf = self._next_leaf
         fetch = self.pool.fetch
         beyond = operator.gt if include_hi else operator.ge
+        # An insert interleaved with an open scan may grow the file: the
+        # disk extends this very list.
+        ids = self._page_ids()
         while page_no >= 0:
-            # Re-check the ids cache each leaf: an insert interleaved with
-            # an open scan can split a leaf and grow the file.
-            ids = self._ids
-            if ids is None:
-                ids = self._page_ids()
             page = fetch(ids[page_no])
             records = page.records
             if records is None:
@@ -781,27 +775,56 @@ class BTreeFile:
         keys = self._leaf_keys(page)
         if slot >= len(keys) or keys[slot] != key:
             raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
-        old_version = page.version
-        page.replace(slot, new_record, self.schema.record_size(new_record))
-        # Key-preserving replace: re-stamp the memoized key column.
-        cached = self._leaf_key_cache.get(page_no)
-        if cached is not None and cached[0] == old_version:
-            self._leaf_key_cache[page_no] = (page.version, cached[1])
-        self.pool.mark_dirty(page.page_id)
+        self._rewrite(page, slot, new_record, self.schema.record_size(new_record))
 
     def update_field(self, key: Any, field_name: str, value: Any) -> Tuple[Any, ...]:
         """Set one field of the record with ``key``; return the new record.
 
-        A :meth:`lookup_one`, then :meth:`update` with the new record:
-        touch for touch a read descent and a write descent, the read's
-        re-touches of its leaf booked under the pool's one rule (see
-        "Raw-speed notes").
+        Touch for touch a :meth:`lookup_one` and an :meth:`update`, from
+        one route (see the module docstring).
         """
-        old = self.lookup_one(key)
-        index = self.schema.field_index(field_name)
+        if self._root is None:
+            raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
+        pool = self.pool
+        routes = self._routes
+        route = routes.get(key)
+        if route is None:
+            page, route = self._route(key)
+        else:
+            page = pool.fetch_path(routes.paths[route >> _LEAF_SHIFT])
+        leaf_no = route >> _LEAF_SHIFT
+        slot = route >> 1 & _SLOT_MASK
+        if route & 1 and pool.last.page is page:
+            pool.stats.hits += 4
+            old = page.get(slot)
+        else:
+            matches = self._collect_matches(page, slot, key)
+            if not matches:
+                raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
+            old = matches[0]
+        schema = self.schema
+        index = schema.field_index(field_name)
+        field = schema.fields[index]
+        field.validate(value)
         new_record = old[:index] + (value,) + old[index + 1:]
-        self.update(key, new_record)
+        if new_record[self._key_index] != key:
+            raise StorageError("update must preserve the key")
+        size = None if field.fixed_size is not None else schema.record_size(new_record)
+        pool.fetch_path(routes.paths[leaf_no])
+        self._rewrite(pool.writable(self._page_ids()[leaf_no]), slot, new_record, size)
         return new_record
+
+    def _rewrite(self, page: Page, slot: int, record: Any, size: Optional[int]) -> None:
+        """The write step of an update: ``record`` (``size`` bytes; None:
+        the old size) over ``slot`` of the leaf ``page``, touched writable."""
+        old_version = page.version
+        page.replace(slot, record, size)
+        # Key-preserving replace: re-stamp the memoized key column.
+        page_no = page.page_id.page_no
+        cached = self._leaf_key_cache.get(page_no)
+        if cached is not None and cached[0] == old_version:
+            self._leaf_key_cache[page_no] = (page.version, cached[1])
+        self.pool.mark_dirty(page.page_id)
 
     def delete(self, key: Any) -> Tuple[Any, ...]:
         """Remove and return the (first) record with ``key``.

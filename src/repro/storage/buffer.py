@@ -55,10 +55,8 @@ hands out at that touch.
 from __future__ import annotations
 
 from collections import OrderedDict
-from time import perf_counter_ns
 from typing import Dict, Iterator, Sequence, Tuple
 
-from repro.obs import spans as _spans
 from repro.storage.disk import DiskManager
 from repro.storage.page import Page, PageId
 
@@ -356,10 +354,6 @@ class BufferPool:
         miss, evict if full, read the page and install it as MRU (and as
         the page touched last)."""
         self.stats.misses += 1
-        # The span covers the miss only: the hit branches stay free of
-        # any profiler test (they run tens of millions of times).
-        prof = _spans._PROFILER
-        t0 = perf_counter_ns() if prof is not None else 0
         frame = self._free_frame()
         frame.page = self.disk.read_page(page_id)
         self._frames[page_id] = frame
@@ -367,8 +361,6 @@ class BufferPool:
             self._referenced[page_id] = True
             self._clock_ring.append(page_id)
         self.last = frame
-        if prof is not None:
-            prof.add("pool.fetch_miss", perf_counter_ns() - t0)
         return frame
 
     def _free_frame(self) -> _Frame:

@@ -92,8 +92,7 @@ class DiskManager:
 
     def truncate_file(self, file_id: int) -> None:
         """Discard every page of ``file_id``, keeping the file itself."""
-        self._require_file(file_id)
-        self._files[file_id] = []
+        self.shrink_file(file_id, 0)
 
     def shrink_file(self, file_id: int, num_pages: int) -> None:
         """Drop every page past the first ``num_pages`` of ``file_id``.
@@ -103,6 +102,9 @@ class DiskManager:
         """
         self._require_file(file_id)
         del self._files[file_id][num_pages:]
+        ids = self._page_id_cache.get(file_id)
+        if ids is not None:
+            del ids[num_pages:]
 
     def file_exists(self, file_id: int) -> bool:
         return file_id in self._files
@@ -128,17 +130,14 @@ class DiskManager:
         A file's page at index ``i`` is invariantly addressed by
         ``PageId(file_id, i)`` — allocation only ever appends, and
         :meth:`cow_page` swaps the page *object* while keeping its
-        address — so the list depends only on the file's length.  The
-        cache is rebuilt whenever the length changed (allocation,
-        truncate, shrink), which makes sequential scans allocate zero
-        ``PageId`` tuples in steady state.
+        address — so the list depends only on the file's length, and
+        :meth:`allocate_page` and :meth:`shrink_file` keep it in step in
+        place: an access method may hold it for the life of the file.
         """
-        pages = self._files.get(file_id)
-        if pages is None:
-            self._require_file(file_id)
         ids = self._page_id_cache.get(file_id)
-        if ids is None or len(ids) != len(pages):
-            ids = [PageId(file_id, i) for i in range(len(pages))]
+        if ids is None:
+            self._require_file(file_id)
+            ids = [PageId(file_id, i) for i in range(len(self._files[file_id]))]
             self._page_id_cache[file_id] = ids
         return ids
 
@@ -155,6 +154,9 @@ class DiskManager:
         pages = self._files[file_id]
         page = Page(PageId(file_id, len(pages)), self.page_size)
         pages.append(page)
+        ids = self._page_id_cache.get(file_id)
+        if ids is not None:
+            ids.append(page.page_id)
         return page
 
     def read_page(self, page_id: PageId) -> Page:

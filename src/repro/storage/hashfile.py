@@ -27,6 +27,8 @@ DEFAULT_BUCKETS = 64
 
 def stable_hash(key: Any) -> int:
     """Process-independent hash (Python's ``hash`` of str is randomized)."""
+    if type(key) is int:  # the unit cache's hashkeys
+        return key & 0x7FFFFFFFFFFFFFFF
     if isinstance(key, bool):
         return int(key)
     if isinstance(key, int):
@@ -91,6 +93,8 @@ class HashFile:
             current = self._overflow_next.get(current)
 
     # ------------------------------------------------------------------
+    # Inline chain walks: a fetch or writable touch per page (and a
+    # writable page is always decoded, so ``page.records`` is set).
     def lookup(self, key: Any) -> Optional[Tuple[Any, ...]]:
         """The record with ``key`` or None; reads the bucket chain."""
         key_index = self._key_index
@@ -116,33 +120,34 @@ class HashFile:
     def insert(self, record: Tuple[Any, ...]) -> None:
         """Insert ``record``; raises DuplicateKeyError on key reuse."""
         self.schema.validate(record)
-        key = self._key(record)
-        size = self.schema.record_size(record)
         key_index = self._key_index
-        last = None
-        for page_no in self._chain(self._bucket(key)):
-            last = page_no
-            page = self.pool.writable(PageId(self.file_id, page_no))
-            for existing in page.record_batch():
+        key = record[key_index]
+        size = self.schema.record_size(record)
+        pool = self.pool
+        ids = pool.disk.page_ids(self.file_id)
+        page_no = self._bucket(key)
+        while True:
+            page = pool.writable(ids[page_no])
+            for existing in page.records:
                 if existing[key_index] == key:
                     raise DuplicateKeyError(
                         "key %r already in hash file %r" % (key, self.name)
                     )
             if page.fits(size):
-                page.insert(record, size)
-                self.pool.mark_dirty(page.page_id)
-                self._num_records += 1
-                return
-        assert last is not None
-        overflow_no = self._grab_overflow_page()
-        page = self.pool.writable(PageId(self.file_id, overflow_no))
-        if not page.fits(size):
-            raise StorageError(
-                "record of %d bytes exceeds page capacity in %r" % (size, self.name)
-            )
+                break
+            last, page_no = page_no, self._overflow_next.get(page_no)
+            if page_no is None:
+                page_no = self._grab_overflow_page()
+                page = pool.writable(ids[page_no])
+                if not page.fits(size):
+                    raise StorageError(
+                        "record of %d bytes exceeds page capacity in %r"
+                        % (size, self.name)
+                    )
+                self._overflow_next[last] = page_no
+                break
         page.insert(record, size)
-        self.pool.mark_dirty(page.page_id)
-        self._overflow_next[last] = overflow_no
+        pool.mark_dirty(page.page_id)
         self._num_records += 1
 
     def upsert(self, record: Tuple[Any, ...]) -> None:
@@ -154,27 +159,34 @@ class HashFile:
 
     def delete(self, key: Any) -> Tuple[Any, ...]:
         """Remove and return the record with ``key``."""
+        record = self._remove(key)
+        if record is None:
+            raise KeyNotFoundError("key %r not in hash file %r" % (key, self.name))
+        return record
+
+    def delete_if_present(self, key: Any) -> bool:
+        """Delete ``key`` if present; return whether a record was removed."""
+        return self._remove(key) is not None
+
+    def _remove(self, key: Any) -> Optional[Tuple[Any, ...]]:
+        """The delete walk: remove and return ``key``'s record, or None."""
+        key_index = self._key_index
+        pool = self.pool
+        ids = pool.disk.page_ids(self.file_id)
         prev: Optional[int] = None
-        for page_no in self._chain(self._bucket(key)):
-            page_id = PageId(self.file_id, page_no)
-            page = self.pool.writable(page_id)
-            for slot, record in page.entries():
-                if self._key(record) == key:
+        page_no: Optional[int] = self._bucket(key)
+        while page_no is not None:
+            page = pool.writable(ids[page_no])
+            for slot, record in enumerate(page.records):
+                if record[key_index] == key:
                     page.delete(slot)
-                    self.pool.mark_dirty(page_id)
+                    pool.mark_dirty(page.page_id)
                     self._num_records -= 1
                     self._maybe_unlink(prev, page_no)
                     return record
             prev = page_no
-        raise KeyNotFoundError("key %r not in hash file %r" % (key, self.name))
-
-    def delete_if_present(self, key: Any) -> bool:
-        """Delete ``key`` if present; return whether a record was removed."""
-        try:
-            self.delete(key)
-            return True
-        except KeyNotFoundError:
-            return False
+            page_no = self._overflow_next.get(page_no)
+        return None
 
     def scan(self) -> Iterator[Tuple[Any, ...]]:
         """Yield every record, bucket by bucket."""

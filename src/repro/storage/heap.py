@@ -268,8 +268,9 @@ class HeapFile:
         """
         pool = self.pool
         fetch = pool.fetch
-        # The page count (and the ids list) is pinned at generator start;
-        # pages appended by interleaved inserts are not part of this scan.
+        # The page count is pinned at generator start (the disk grows the
+        # ids list in place); pages appended by interleaved inserts are
+        # not part of this scan.
         ids = pool.disk.page_ids(self.file_id)
         for page_no in range(self.num_pages):
             page = fetch(ids[page_no])

@@ -43,8 +43,8 @@ class IsamIndex:
         # Memoized per-page key columns, version-guarded like the B-tree's
         # (pure computation — the page is still fetched through the pool).
         self._key_cache: Dict[int, Tuple[int, List[Any]]] = {}
-        # Cached disk.page_ids() list (single-writer file; dropped on
-        # every page allocation, like the B-tree's).
+        # The disk's page_ids() list, which it keeps in step as the file
+        # grows (like the B-tree's).
         self._ids: Optional[List[PageId]] = None
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -85,7 +85,6 @@ class IsamIndex:
         for entry in entries:
             if page is None or not page.fits(ISAM_ENTRY_BYTES):
                 page = self.pool.new_page(self.file_id)
-                self._ids = None
                 self._primary_nos.append(page.page_id.page_no)
                 self._directory.append(entry[0])
             page.insert(entry, ISAM_ENTRY_BYTES)
@@ -164,7 +163,6 @@ class IsamIndex:
                 self._num_entries += 1
                 return
         overflow = self.pool.new_page(self.file_id)
-        self._ids = None
         overflow.insert((key, payload), ISAM_ENTRY_BYTES)
         self._overflow_next[last] = overflow.page_id.page_no
         self._num_entries += 1

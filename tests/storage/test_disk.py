@@ -94,3 +94,59 @@ class TestSnapshots:
 
     def test_addition(self):
         assert IoSnapshot(1, 2) + IoSnapshot(3, 4) == IoSnapshot(4, 6)
+
+
+class TestPageIds:
+    """``page_ids`` hands out one list per file and keeps it in step."""
+
+    def test_growth_keeps_the_list_and_its_ids(self, disk):
+        fid = disk.create_file()
+        disk.allocate_page(fid)
+        ids = disk.page_ids(fid)
+        first = ids[0]
+        pages = [disk.allocate_page(fid) for _ in range(5)]
+        assert disk.page_ids(fid) is ids
+        assert ids[0] is first
+        assert ids == [PageId(fid, i) for i in range(6)]
+        assert ids[1:] == [page.page_id for page in pages]
+
+    def test_shrink_and_truncate_trim_it(self, disk):
+        fid = disk.create_file()
+        for _ in range(6):
+            disk.allocate_page(fid)
+        ids = disk.page_ids(fid)
+        disk.shrink_file(fid, 4)
+        assert disk.page_ids(fid) is ids and ids == [PageId(fid, i) for i in range(4)]
+        disk.truncate_file(fid)
+        assert disk.page_ids(fid) is ids and ids == []
+        disk.allocate_page(fid)
+        assert ids == [PageId(fid, 0)]
+
+    def test_clone_starts_its_own_list(self, disk):
+        fid = disk.create_file()
+        disk.allocate_page(fid)
+        ids = disk.page_ids(fid)
+        disk.freeze()
+        dup = disk.clone()
+        dup.allocate_page(fid)
+        assert dup.page_ids(fid) == [PageId(fid, 0), PageId(fid, 1)]
+        assert ids == [PageId(fid, 0)]
+
+    def test_growth_constructs_linearly_many_page_ids(self, disk, monkeypatch):
+        import repro.storage.disk as disk_module
+
+        made = []
+
+        def counting_page_id(*args):
+            made.append(args)
+            return PageId(*args)
+
+        monkeypatch.setattr(disk_module, "PageId", counting_page_id)
+        fid = disk.create_file()
+        disk.page_ids(fid)
+        n = 300
+        for _ in range(n):
+            disk.allocate_page(fid)
+            disk.page_ids(fid)  # a scan between two appends
+        assert len(disk.page_ids(fid)) == n
+        assert len(made) == n  # one per allocated page, none per call
