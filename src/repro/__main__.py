@@ -5,17 +5,19 @@ Usage::
     python -m repro list                      # strategies & matrix
     python -m repro run --strategy BFS --scale 0.1 --num-top 50
     python -m repro report --scale 0.5        # every figure/table
+    python -m repro perf --out results        # run-ledger trends
     python -m repro footprint --scale 0.1     # storage requirements
     python -m repro explain --strategy BFS --num-top 200
     python -m repro trace --strategy DFSCACHE --scale 0.05
     python -m repro dbcache ls                # stored database snapshots
     python -m repro chaos --scale 0.1         # fault-injected sweep check
+    python -m repro serve --scale 0.1         # MVCC serving under load
+    python -m repro fuzz --profile quick      # storage state machines
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
@@ -184,9 +186,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.experiments.pool import RetryPolicy
     from repro.serve.run import run_serve
 
-    policy = RetryPolicy()
-    if args.max_retries is not None:
-        policy = dataclasses.replace(policy, max_retries=args.max_retries)
     return run_serve(
         scale=args.scale,
         clients=args.clients,
@@ -203,7 +202,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         out=args.out,
         ledger=not args.no_ledger,
         json_out=args.json_out,
-        policy=policy,
+        policy=RetryPolicy(max_retries=args.max_retries),
     )
 
 
@@ -375,6 +374,7 @@ def cmd_footprint(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.experiments import report as report_cli
+    from repro.experiments.pool import RetryPolicy
     from repro.experiments.report import add_policy_arguments, jobs_arg
 
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
@@ -500,9 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="overload factor: run nominal/storm/recovery "
                        "phases with STORM x clients in the middle")
     serve.add_argument("--max-retries", dest="max_retries", type=int,
-                       default=None,
+                       default=RetryPolicy.max_retries,
                        help="client retries after an overload rejection "
-                       "(default 2)")
+                       "(default %(default)s)")
     serve.add_argument("--no-verify", dest="no_verify", action="store_true",
                        help="skip the serial oracle replay")
     serve.add_argument("--out", default="results",

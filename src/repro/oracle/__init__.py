@@ -12,7 +12,7 @@ Module map:
 * :mod:`repro.oracle.profiles`   — tiered Hypothesis settings profiles
   (QUICK / STANDARD / STATE_MACHINE / DEEP) shared by pytest and the
   ``repro fuzz`` CLI;
-* :mod:`repro.oracle.reference`  — dict-of-lists and sqlite3 reference
+* :mod:`repro.oracle.reference`  — dict and sqlite3 reference
   models (no hypothesis dependency);
 * :mod:`repro.oracle.invariants` — the ``check_all`` walker over a
   catalog's relations plus its buffer pool;

@@ -5,8 +5,8 @@ the snapshot/clone layer), applies the same sequence to a reference
 model from :mod:`repro.oracle.reference`, compares every read, and runs
 the engine's ``check_invariants()`` hook after every step via
 ``@invariant``.  Geometry is deliberately tiny — 128-byte pages, a
-handful of buffer frames, four hash buckets — so splits, overflow
-chains and evictions happen within a few dozen rules.
+handful of buffer frames, four hash buckets — so multi-level trees,
+overflow chains and evictions happen within a few dozen rules.
 
 The key domain is small (0..199) on purpose: collisions are what
 exercise duplicate handling, deletes of present keys, and hash-chain
@@ -16,7 +16,8 @@ reuse.  Records are ``(key, value)`` int pairs throughout.
 a rule may arm a seeded :class:`~repro.fault.plan.FaultPlan` over the
 disk sites, after which any operation may die mid-flight with
 :class:`~repro.errors.FaultInjected` — potentially leaving a torn
-engine (a B-tree split is not atomic).  The machine then models what
+engine (a hash delete that unlinks an emptied overflow page is not
+atomic).  The machine then models what
 the sweep layer does in production (PR 4's history-independent retry):
 declare the working clone crashed, re-attach a fresh clone from the
 last durable snapshot, and verify the recovered store equals the
@@ -52,7 +53,7 @@ from repro.errors import (
 from repro.fault import plan as _fault
 from repro.fault.plan import FaultPlan, FaultSpec
 from repro.oracle.invariants import check_all
-from repro.oracle.reference import HeapModel, KeyedModel, SqliteMirror
+from repro.oracle.reference import KeyedModel, SqliteMirror
 from repro.storage import arena as _arena
 from repro.storage.catalog import Catalog
 from repro.storage.page import PageId
@@ -78,7 +79,13 @@ def _sorted_records(keys) -> List[Tuple[int, int]]:
 
 
 class BTreeMachine(RuleBasedStateMachine):
-    """B-tree vs dict-of-lists vs sqlite, with per-step tree invariants."""
+    """Static B-tree vs dict vs sqlite, with per-step tree invariants.
+
+    The tree is bulk-loaded once; rules then interleave in-place updates
+    (``update_field`` and ``update``) with point probes, batches of
+    unsorted probes (replayed from remembered routes), merge walks of
+    sorted probes and range scans.
+    """
 
     def __init__(self) -> None:
         super().__init__()
@@ -90,7 +97,7 @@ class BTreeMachine(RuleBasedStateMachine):
     def teardown(self) -> None:
         self.mirror.close()
 
-    @initialize(keys=st.sets(KEYS, max_size=30))
+    @initialize(keys=st.sets(KEYS, max_size=80))
     def bulk_seed(self, keys) -> None:
         records = _sorted_records(keys)
         self.tree.bulk_load(records)
@@ -98,27 +105,8 @@ class BTreeMachine(RuleBasedStateMachine):
             self.model.insert(key, (key, value))
             self.mirror.insert(key, (key, value))
 
-    @rule(key=KEYS, value=VALUES)
-    def insert(self, key: int, value: int) -> None:
-        record = (key, value)
-        duplicate = self.model.get(key) is not None
-        try:
-            self.tree.insert(record)
-        except DuplicateKeyError:
-            assert duplicate, "tree rejected fresh key %r as duplicate" % key
-        else:
-            assert not duplicate, "tree accepted duplicate key %r" % key
-            self.model.insert(key, record)
-            self.mirror.insert(key, record)
-
-    @rule(key=KEYS)
-    def delete(self, key: int) -> None:
-        removed = self.tree.delete_if_present(key)
-        expected = self.model.delete(key)
-        self.mirror.delete(key)
-        assert removed == (expected is not None), (
-            "delete(%r) returned %r, model had %r" % (key, removed, expected)
-        )
+    def _expect(self, keys) -> List[Tuple[int, int]]:
+        return [record for record in map(self.model.get, keys) if record is not None]
 
     @rule(key=KEYS, value=VALUES)
     def update_field(self, key: int, value: int) -> None:
@@ -133,6 +121,19 @@ class BTreeMachine(RuleBasedStateMachine):
         self.model.replace(key, record)
         self.mirror.replace(key, record)
 
+    @rule(key=KEYS, value=VALUES)
+    def update(self, key: int, value: int) -> None:
+        record = (key, value)
+        if self.model.get(key) is None:
+            try:
+                self.tree.update(key, record)
+            except KeyNotFoundError:
+                return
+            raise AssertionError("update(%r) succeeded on absent key" % key)
+        self.tree.update(key, record)
+        self.model.replace(key, record)
+        self.mirror.replace(key, record)
+
     @rule(key=KEYS)
     def lookup(self, key: int) -> None:
         got = self.tree.lookup(key)
@@ -141,6 +142,16 @@ class BTreeMachine(RuleBasedStateMachine):
             "lookup(%r) = %r, model has %r" % (key, got, expected)
         )
         assert self.mirror.get(key) == expected
+
+    @rule(keys=st.lists(KEYS, max_size=12))
+    def probe_many(self, keys) -> None:
+        assert self.tree.probe_many(keys) == self._expect(keys)
+
+    @rule(keys=st.lists(KEYS, max_size=24), size=st.integers(1, 8))
+    def merge_walk(self, keys, size: int) -> None:
+        keys = sorted(keys)
+        batches = [keys[i : i + size] for i in range(0, len(keys), size)]
+        assert list(self.tree.merge_walk(batches)) == self._expect(keys)
 
     @rule(lo=KEYS, hi=KEYS)
     def range_scan(self, lo: int, hi: int) -> None:
@@ -160,7 +171,7 @@ class BTreeMachine(RuleBasedStateMachine):
 
 
 class HashMachine(RuleBasedStateMachine):
-    """Hash file vs dict-of-lists vs sqlite, chains checked per step."""
+    """Hash file vs dict vs sqlite, chains checked per step."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -183,15 +194,6 @@ class HashMachine(RuleBasedStateMachine):
         else:
             assert not duplicate, "hash accepted duplicate key %r" % key
             self.model.insert(key, record)
-            self.mirror.insert(key, record)
-
-    @rule(key=KEYS, value=VALUES)
-    def upsert(self, key: int, value: int) -> None:
-        record = (key, value)
-        self.hash.upsert(record)
-        if not self.model.replace(key, record):
-            self.model.insert(key, record)
-        if not self.mirror.replace(key, record):
             self.mirror.insert(key, record)
 
     @rule(key=KEYS)
@@ -227,67 +229,14 @@ class HashMachine(RuleBasedStateMachine):
         check_all(self.catalog)
 
 
-class IsamMachine(RuleBasedStateMachine):
-    """ISAM index vs dict-of-lists: build once, then overflow inserts."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.catalog = Catalog(BUFFER_PAGES, PAGE_SIZE)
-        self.index = self.catalog.create_isam_index("i")
-        self.model = KeyedModel()
-
-    @initialize(keys=st.sets(KEYS, min_size=1, max_size=40))
-    def build(self, keys) -> None:
-        entries = [(key, key * 7) for key in sorted(keys)]
-        self.index.build(entries)
-        for key, payload in entries:
-            self.model.insert(key, (key, payload))
-
-    @rule(key=KEYS, payload=VALUES)
-    def insert(self, key: int, payload: int) -> None:
-        if self.model.get(key) is not None:
-            try:
-                self.index.insert(key, payload)
-            except DuplicateKeyError:
-                return
-            raise AssertionError("isam accepted duplicate key %r" % key)
-        self.index.insert(key, payload)
-        self.model.insert(key, (key, payload))
-
-    @rule(key=KEYS)
-    def probe(self, key: int) -> None:
-        expected = self.model.get(key)
-        got = self.index.get(key)
-        assert got == (expected[1] if expected is not None else None), (
-            "get(%r) = %r, model has %r" % (key, got, expected)
-        )
-        if expected is None:
-            try:
-                self.index.lookup(key)
-            except KeyNotFoundError:
-                return
-            raise AssertionError("lookup(%r) succeeded on absent key" % key)
-        assert self.index.lookup(key) == expected[1]
-
-    @invariant()
-    def scan_agrees(self) -> None:
-        # Chains partition the key space in directory order, so a scan
-        # yields globally sorted (key, payload) pairs.
-        assert list(self.index.scan()) == self.model.records()
-
-    @invariant()
-    def engine_well_formed(self) -> None:
-        check_all(self.catalog)
-
-
 class HeapMachine(RuleBasedStateMachine):
-    """Heap file vs insertion-order model; rids stay stable forever."""
+    """Heap file vs a list of its records in insertion order."""
 
     def __init__(self) -> None:
         super().__init__()
         self.catalog = Catalog(BUFFER_PAGES, PAGE_SIZE)
         self.heap = self.catalog.create_heap("h", kv_schema())
-        self.model = HeapModel()
+        self.model: List[Tuple[int, int]] = []
         self._next = 0
 
     def _record(self, value: int) -> Tuple[int, int]:
@@ -297,14 +246,12 @@ class HeapMachine(RuleBasedStateMachine):
     @rule(value=VALUES)
     def insert(self, value: int) -> None:
         record = self._record(value)
-        rid = self.heap.insert(record)
-        self.model.insert(rid, record)
-        assert self.heap.fetch(rid) == record
+        self.heap.insert(record)
+        self.model.append(record)
 
     @rule(values=st.lists(VALUES, max_size=12))
     def insert_many(self, values) -> None:
         records = [self._record(value) for value in values]
-        before = len(self.heap)
         # The literal reference: one insert() per record on a private twin.
         twin = copy.deepcopy(self.catalog)
         for record in records:
@@ -316,36 +263,17 @@ class HeapMachine(RuleBasedStateMachine):
         assert list(pool._frames) == list(twin.pool._frames)  # eviction order
         assert self.catalog.io_snapshot() == twin.io_snapshot()
         assert self.heap.num_pages == twin.get("h").num_pages
-        # insert_many hands out no rids; recover them from the scan tail.
-        tail = list(self.heap.scan_with_rids())[before:]
-        assert [record for _, record in tail] == records
-        for rid, record in tail:
-            self.model.insert(rid, record)
-
-    @precondition(lambda self: self.model.rids())
-    @rule(data=st.data(), value=VALUES)
-    def update(self, data, value: int) -> None:
-        rid = data.draw(st.sampled_from(self.model.rids()), label="rid")
-        record = (self.model.fetch(rid)[0], value)
-        self.heap.update(rid, record)
-        self.model.update(rid, record)
-        assert self.heap.fetch(rid) == record
-
-    @precondition(lambda self: self.model.rids())
-    @rule(data=st.data())
-    def fetch(self, data) -> None:
-        rid = data.draw(st.sampled_from(self.model.rids()), label="rid")
-        assert self.heap.fetch(rid) == self.model.fetch(rid)
+        self.model.extend(records)
 
     @rule()
     def truncate(self) -> None:
         self.heap.truncate()
-        self.model.truncate()
+        self.model.clear()
         assert self.heap.num_pages == 0
 
     @invariant()
     def scan_agrees(self) -> None:
-        assert list(self.heap.scan()) == self.model.records
+        assert list(self.heap.scan()) == self.model
         assert len(self.heap) == len(self.model)
 
     @invariant()
@@ -420,8 +348,9 @@ class SnapshotMachine(RuleBasedStateMachine):
         base = _OracleStore()
         tree_model = KeyedModel()
         hash_model = KeyedModel()
-        for key, value in _sorted_records(keys):
-            base.tree.insert((key, value))
+        records = _sorted_records(keys)
+        base.tree.bulk_load(records)
+        for key, value in records:
             tree_model.insert(key, (key, value))
             base.hash.insert((key, value))
             hash_model.insert(key, (key, value))
@@ -447,30 +376,23 @@ class SnapshotMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.clones)
     @rule(data=st.data(), key=KEYS, value=VALUES)
-    def clone_tree_insert(self, data, key: int, value: int) -> None:
+    def clone_tree_update(self, data, key: int, value: int) -> None:
+        """``update_field`` on a clone: copy-on-write of one leaf."""
         clone = self._pick(data)
-        record = (key, value)
         try:
-            clone.store.tree.insert(record)
-        except DuplicateKeyError:
-            assert clone.tree_model.get(key) is not None
-        else:
+            record = clone.store.tree.update_field(key, "value", value)
+        except KeyNotFoundError:
             assert clone.tree_model.get(key) is None
-            clone.tree_model.insert(key, record)
-
-    @precondition(lambda self: self.clones)
-    @rule(data=st.data(), key=KEYS)
-    def clone_tree_delete(self, data, key: int) -> None:
-        clone = self._pick(data)
-        removed = clone.store.tree.delete_if_present(key)
-        assert removed == (clone.tree_model.delete(key) is not None)
+        else:
+            assert record == (key, value)
+            assert clone.tree_model.replace(key, record)
 
     @precondition(lambda self: self.clones)
     @rule(data=st.data(), keys=st.lists(KEYS, max_size=8))
     def clone_tree_lookup(self, data, keys) -> None:
         """Probe a clone, then the template, twice each: the second pass
         replays remembered routes, which a clone shares with the template
-        until it changes shape (an arena-loaded clone starts empty)."""
+        (an arena-loaded clone starts with none)."""
         clone = self._pick(data)
         for tree, model in (
             (clone.store.tree, clone.tree_model),
@@ -482,10 +404,11 @@ class SnapshotMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.clones)
     @rule(data=st.data(), key=KEYS, value=VALUES)
-    def clone_hash_upsert(self, data, key: int, value: int) -> None:
+    def clone_hash_replace(self, data, key: int, value: int) -> None:
         clone = self._pick(data)
         record = (key, value)
-        clone.store.hash.upsert(record)
+        clone.store.hash.delete_if_present(key)
+        clone.store.hash.insert(record)
         if not clone.hash_model.replace(key, record):
             clone.hash_model.insert(key, record)
 
@@ -559,6 +482,7 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
         self.tmpdir = tempfile.mkdtemp(prefix="repro-oracle-")
         self.store = SnapshotStore(self.tmpdir, fingerprint="oracle")
         self.durable: Optional[Snapshot] = None
+        self.served: Optional[Any] = None
         self.durable_tree = KeyedModel()
         self.durable_hash = KeyedModel()
         self.working: Optional[Any] = None
@@ -576,14 +500,21 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
     @initialize(keys=st.sets(KEYS, max_size=25))
     def seed(self, keys) -> None:
         base = _OracleStore()
-        for key, value in _sorted_records(keys):
-            base.tree.insert((key, value))
+        records = _sorted_records(keys)
+        base.tree.bulk_load(records)
+        for key, value in records:
             self.durable_tree.insert(key, (key, value))
             base.hash.insert((key, value))
             self.durable_hash.insert(key, (key, value))
         self.durable = Snapshot.freeze(base)
-        self.store.put("db", self.durable)
+        self._put_durable()
         self._restart_working()
+
+    def _put_durable(self) -> None:
+        """Persist the durable snapshot and hold the handle ``put``
+        returns, as the sweep's database cache does: the registry maps
+        weakly, so only a live mapping can answer for replaced bytes."""
+        self.served = self.store.put("db", self.durable)
 
     def _restart_working(self) -> None:
         """A fresh working clone (and model) of the durable state.
@@ -636,30 +567,6 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
     # operations on the working clone (any may crash while armed)
     # ------------------------------------------------------------------
     @rule(key=KEYS, value=VALUES)
-    def tree_insert(self, key: int, value: int) -> None:
-        record = (key, value)
-        duplicate = self.work_tree.get(key) is not None
-        try:
-            self.working.tree.insert(record)
-        except FaultInjected:
-            self._crash_recover()
-            return
-        except DuplicateKeyError:
-            assert duplicate
-            return
-        assert not duplicate
-        self.work_tree.insert(key, record)
-
-    @rule(key=KEYS)
-    def tree_delete(self, key: int) -> None:
-        try:
-            removed = self.working.tree.delete_if_present(key)
-        except FaultInjected:
-            self._crash_recover()
-            return
-        assert removed == (self.work_tree.delete(key) is not None)
-
-    @rule(key=KEYS, value=VALUES)
     def tree_update(self, key: int, value: int) -> None:
         present = self.work_tree.get(key) is not None
         try:
@@ -674,10 +581,26 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
         self.work_tree.replace(key, record)
 
     @rule(key=KEYS, value=VALUES)
-    def hash_upsert(self, key: int, value: int) -> None:
+    def tree_rewrite(self, key: int, value: int) -> None:
+        present = self.work_tree.get(key) is not None
         record = (key, value)
         try:
-            self.working.hash.upsert(record)
+            self.working.tree.update(key, record)
+        except FaultInjected:
+            self._crash_recover()
+            return
+        except KeyNotFoundError:
+            assert not present
+            return
+        assert present
+        self.work_tree.replace(key, record)
+
+    @rule(key=KEYS, value=VALUES)
+    def hash_replace(self, key: int, value: int) -> None:
+        record = (key, value)
+        try:
+            self.working.hash.delete_if_present(key)
+            self.working.hash.insert(record)
         except FaultInjected:
             self._crash_recover()
             return
@@ -704,7 +627,7 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
         self.durable = Snapshot.freeze(self.working)
         self.durable_tree = self.work_tree.copy()
         self.durable_hash = self.work_hash.copy()
-        self.store.put("db", self.durable)
+        self._put_durable()
         self._restart_working()
         self.commits += 1
 
@@ -734,7 +657,7 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
         if corrupt:
             assert loaded is None, "corrupted snapshot bytes were served"
             assert reader.stats["corrupt"] == 1
-            self.store.put("db", self.durable)  # deterministic rebuild
+            self._put_durable()  # deterministic rebuild
             return
         assert loaded is not None, "clean stored snapshot failed to load"
         revived = loaded.attach()
@@ -759,7 +682,6 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
 MACHINES = {
     "btree": BTreeMachine,
     "hash": HashMachine,
-    "isam": IsamMachine,
     "heap": HeapMachine,
     "snapshot": SnapshotMachine,
     "crash": CrashConsistencyMachine,

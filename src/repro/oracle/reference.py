@@ -1,7 +1,7 @@
 """Reference models for the differential oracle.
 
-Pure Python (and optionally sqlite3) models of what a keyed or
-rid-addressed store must contain after an operation sequence.  The
+Pure Python (and optionally sqlite3) models of what a keyed store must
+contain after an operation sequence.  The
 state machines in :mod:`repro.oracle.machines` apply every operation to
 both the engine under test and one of these models, then compare reads;
 the models are therefore deliberately dumb — dicts and lists, no paging,
@@ -21,121 +21,49 @@ Record = Tuple[Any, ...]
 
 
 class KeyedModel:
-    """Dict-of-lists model of a keyed store (btree / hash / ISAM).
+    """Dict model of a keyed store (btree / hash): key -> its one record."""
 
-    Maps each key to the list of records carrying it; with
-    ``unique=True`` (every current engine) the lists never exceed one
-    entry and :meth:`insert` reports duplicates instead of appending.
-    """
-
-    def __init__(self, unique: bool = True) -> None:
-        self.unique = unique
-        self.data: Dict[Any, List[Record]] = {}
+    def __init__(self) -> None:
+        self.data: Dict[Any, Record] = {}
 
     def __len__(self) -> int:
-        return sum(len(records) for records in self.data.values())
+        return len(self.data)
 
     def insert(self, key: Any, record: Record) -> bool:
-        """Add ``record`` under ``key``; False if a unique key exists."""
-        records = self.data.get(key)
-        if records is not None and self.unique:
+        """Add ``record`` under ``key``; False if the key exists."""
+        if key in self.data:
             return False
-        if records is None:
-            self.data[key] = [record]
-        else:
-            records.append(record)
+        self.data[key] = record
         return True
 
     def delete(self, key: Any) -> Optional[Record]:
-        """Remove and return the first record under ``key`` (or None)."""
-        records = self.data.get(key)
-        if not records:
-            return None
-        record = records.pop(0)
-        if not records:
-            del self.data[key]
-        return record
+        """Remove and return the record under ``key`` (or None)."""
+        return self.data.pop(key, None)
 
     def replace(self, key: Any, record: Record) -> bool:
-        """Overwrite the single record under ``key``; False if absent."""
+        """Overwrite the record under ``key``; False if absent."""
         if key not in self.data:
             return False
-        self.data[key] = [record]
+        self.data[key] = record
         return True
 
     def get(self, key: Any) -> Optional[Record]:
-        records = self.data.get(key)
-        return records[0] if records else None
+        return self.data.get(key)
 
     def clear(self) -> None:
         self.data.clear()
 
-    def keys(self) -> List[Any]:
-        return sorted(self.data)
-
     def records(self) -> List[Record]:
         """Every record, in key order (the order a sorted scan yields)."""
-        out: List[Record] = []
-        for key in sorted(self.data):
-            out.extend(self.data[key])
-        return out
+        return [self.data[key] for key in sorted(self.data)]
 
     def range(self, lo: Any, hi: Any) -> List[Record]:
         """Records with ``lo <= key <= hi``, in key order."""
-        out: List[Record] = []
-        for key in sorted(self.data):
-            if lo <= key <= hi:
-                out.extend(self.data[key])
-        return out
+        return [self.data[key] for key in sorted(self.data) if lo <= key <= hi]
 
     def copy(self) -> "KeyedModel":
-        dup = KeyedModel(self.unique)
-        dup.data = {key: list(records) for key, records in self.data.items()}
-        return dup
-
-
-class HeapModel:
-    """Model of an append-only heap: records in insertion order.
-
-    The heap never deletes, so every rid handed out stays valid and the
-    scan order is exactly the insertion order; truncate resets both.
-    The machine stores the engine's actual rids here, so fetch checks
-    exercise the engine's own addressing.
-    """
-
-    def __init__(self) -> None:
-        self.records: List[Record] = []
-        self.by_rid: Dict[Any, int] = {}
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def insert(self, rid: Any, record: Record) -> None:
-        self.by_rid[rid] = len(self.records)
-        self.records.append(record)
-
-    def update(self, rid: Any, record: Record) -> bool:
-        index = self.by_rid.get(rid)
-        if index is None:
-            return False
-        self.records[index] = record
-        return True
-
-    def fetch(self, rid: Any) -> Optional[Record]:
-        index = self.by_rid.get(rid)
-        return None if index is None else self.records[index]
-
-    def truncate(self) -> None:
-        self.records = []
-        self.by_rid = {}
-
-    def rids(self) -> List[Any]:
-        return list(self.by_rid)
-
-    def copy(self) -> "HeapModel":
-        dup = HeapModel()
-        dup.records = list(self.records)
-        dup.by_rid = dict(self.by_rid)
+        dup = KeyedModel()
+        dup.data = dict(self.data)
         return dup
 
 

@@ -18,7 +18,7 @@ from repro.storage.btree import BTreeFile, INDEX_ENTRY_BYTES
 from repro.storage.catalog import Catalog
 from repro.storage.disk import DiskManager, IoSnapshot
 from repro.storage.hashfile import HashFile, stable_hash
-from repro.storage.heap import HeapFile, RecordId
+from repro.storage.heap import HeapFile
 from repro.storage.isam import IsamIndex
 from repro.storage.page import DEFAULT_PAGE_SIZE, Page, PageId
 from repro.storage.record import (
@@ -43,7 +43,6 @@ __all__ = [
     "HashFile",
     "stable_hash",
     "HeapFile",
-    "RecordId",
     "IsamIndex",
     "DEFAULT_PAGE_SIZE",
     "Page",

@@ -1,17 +1,15 @@
 """B+tree files.
 
 ParentRel and ChildRel are "structured as B-trees on OID" and ClusterRel
-as a B-tree on cluster# (Section 4 of the paper).  This module implements a
-page-based B+tree with:
+as a B-tree on cluster# (Section 4 of the paper).  The paper's relations
+are static ("in our environment there are no insertions or deletions"),
+so a :class:`BTreeFile` is bulk-loaded once from sorted, unique keys and
+then only probed, scanned and updated in place.  It has:
 
 * data records on leaf pages, in key order, chained left-to-right;
-* internal pages of ``(separator_key, child_page_no)`` entries;
-* bulk loading from sorted input (the paper's relations are static — "in
-  our environment there are no insertions or deletions");
-* dynamic insert with leaf/internal splits, so the structure is also a
-  complete general-purpose access method (exercised by tests and by the
-  examples, not by the reproduction workload);
-* in-place updates of equal-size records (the paper's update queries);
+* internal pages of ``(separator_key, child_page_no)`` entries, each
+  separator the first key of its subtree;
+* in-place updates that keep the key (the paper's update queries);
 * :meth:`BTreeFile.merge_walk`, the sorted-probe pattern of the merge
   join (ascending keys touch each qualifying leaf page once), and
   :meth:`BTreeFile.probe_many`, the nested-loop join's descent per key.
@@ -40,19 +38,18 @@ pool (see "The page touched last" in :mod:`repro.storage.buffer`).
   leaf only;
 * ``probe_many`` — **unsorted** probes (the nested-loop join; ``lookup``
   and ``lookup_one`` are its one-key forms): a descent of real
-  fetches per key.  When the match is unique and not the leaf's last
+  fetches per key.  When the key is present and not the leaf's last
   record, the cursor loop's further touches of the just-fetched leaf
   are four re-touches of the page touched last: ``hits += 4``.  A
-  last-slot match, a duplicate run or an absent key may step to the
-  next leaf, so those take ``_collect_matches``, touch by touch.
+  last-slot match or an absent key may step to the next leaf, so those
+  take ``_collect_matches``, touch by touch.
 
 A probed key's route (leaf, slot, four-touch flag: one int; the leaf's
 ``PageId`` path: one tuple) is remembered, and a later probe replays it
 as one :meth:`BufferPool.fetch_path`: the descent's touches, not its
-work.  The memo is exact, since a route depends only on separators and
-leaf key columns, which only ``insert``, ``delete`` and ``bulk_load``
-change; they replace it (``update`` keeps it).  So the clones of a
-frozen snapshot share it, and a pickle or arena stores it empty.
+work.  Only ``bulk_load`` sets separators and leaf key columns, so the
+memo is exact: the clones of a frozen snapshot share it, and a pickle or
+arena stores it empty.
 
 ``update_field`` is a ``lookup_one`` and an ``update`` from one route:
 the probe, then the route replayed and a writable touch of its leaf.
@@ -74,13 +71,10 @@ from repro.storage.record import Schema
 #: Bytes per internal-node entry (key + child pointer).
 INDEX_ENTRY_BYTES = 12
 
-KeyFunc = Callable[[Tuple[Any, ...]], Any]
-
-
 #: ``_next_leaf`` entry of the last leaf (and of every internal node).
 NO_LEAF = -1
 
-#: A remembered route: ``leaf_no << _LEAF_SHIFT | slot << 1 | unique`` (slot < 2**20).
+#: A remembered route: ``leaf_no << _LEAF_SHIFT | slot << 1 | four`` (slot < 2**20).
 _LEAF_SHIFT = 21
 _SLOT_MASK = (1 << 20) - 1
 
@@ -101,26 +95,20 @@ class _Routes(dict):
 
 
 class BTreeFile:
-    """A keyed relation stored as a B+tree.
+    """A keyed relation stored as a static B+tree.
 
-    ``key_name`` selects the schema field used as the key.  Keys must be
-    unique unless ``unique=False``.
+    ``key_name`` selects the schema field used as the key; keys are
+    unique.
     """
 
     def __init__(
-        self,
-        pool: BufferPool,
-        schema: Schema,
-        key_name: str,
-        name: str = "btree",
-        unique: bool = True,
+        self, pool: BufferPool, schema: Schema, key_name: str, name: str = "btree"
     ) -> None:
         self.pool = pool
         self.schema = schema
         self.key_name = key_name
         self._key_index = schema.field_index(key_name)
         self.name = name
-        self.unique = unique
         self.file_id = pool.disk.create_file(name)
         # Node headers, one entry per page of the file (the tree is the
         # file's only allocator, so page numbers are dense from 0):
@@ -176,24 +164,19 @@ class BTreeFile:
     # ------------------------------------------------------------------
     # bulk load
     # ------------------------------------------------------------------
-    def bulk_load(
-        self, records: List[Tuple[Any, ...]], fill_factor: float = 1.0
-    ) -> None:
-        """Build the tree from ``records`` sorted ascending by key.
+    def bulk_load(self, records: List[Tuple[Any, ...]]) -> None:
+        """Build the tree from ``records`` sorted ascending by unique key.
 
-        ``fill_factor`` limits how full each leaf is packed (1.0 packs to
-        capacity, reproducing the paper's tuple-per-page densities for the
-        freshly loaded, static relations).
+        Leaves are packed to capacity, reproducing the paper's
+        tuple-per-page densities for the freshly loaded relations.
         """
         if self._root is not None or self.num_pages:
             raise StorageError("bulk_load on non-empty btree %r" % self.name)
-        if not 0.1 <= fill_factor <= 1.0:
-            raise ValueError("fill_factor must be in [0.1, 1.0]")
         key_index = self._key_index
         keys = [r[key_index] for r in records]
         if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
             raise StorageError("bulk_load input must be sorted by %r" % self.key_name)
-        if self.unique and len(set(keys)) != len(keys):
+        if len(set(keys)) != len(keys):
             raise DuplicateKeyError("bulk_load input has duplicate keys")
         self._routes = _Routes()  # an empty tree's memo may be shared
 
@@ -205,15 +188,11 @@ class BTreeFile:
         leaf_nos: List[int] = []
         leaf_first_keys: List[Any] = []
         page: Optional[Page] = None
-        slack = 0.0
         for record in records:
             validate(record)
             size = record_size(record)
-            if page is not None and size + SLOT_BYTES > page.free_bytes - slack:
-                page = None
-            if page is None:
+            if page is None or size + SLOT_BYTES > page.free_bytes:
                 page = new_node(True)
-                slack = page.capacity * (1.0 - fill_factor)
                 no = page.page_id.page_no
                 if leaf_nos:
                     next_leaf[leaf_nos[-1]] = no
@@ -271,9 +250,6 @@ class BTreeFile:
         right = self._next_leaf[leaf_no]
         return right if right >= 0 else None
 
-    def _fetch(self, page_no: int) -> Page:
-        return self.pool.fetch(PageId(self.file_id, page_no))
-
     def _fetch_writable(self, page_no: int) -> Page:
         """Fetch with write intent (copy-on-write for snapshot clones)."""
         return self.pool.writable(PageId(self.file_id, page_no))
@@ -302,33 +278,6 @@ class BTreeFile:
         seps = [entry[0] for entry in records]
         self._sep_cache[page_no] = (page.version, seps)
         return seps
-
-    def _descend_for_insert(self, key: Any) -> List[int]:
-        """Descend for a write, keeping entry-0 separators true bounds.
-
-        A key below a node's first separator is clamped into child 0,
-        so entry 0's separator must be lowered to ``key`` as we pass:
-        left stale, a later split of that subtree can emit a separator
-        at or below the old fence, breaking the strict separator order
-        that routing relies on (keys become unreachable).
-        """
-        if self._root is None:
-            raise KeyNotFoundError("btree %r is empty" % self.name)
-        path = [self._root]
-        node = self._root
-        while not self._is_leaf[node]:
-            page = self._fetch(node)
-            seps = self._separators(page)
-            idx = bisect.bisect_right(seps, key) - 1
-            if idx < 0:
-                idx = 0
-                page = self._fetch_writable(node)
-                child = page.get(0)[1]
-                page.replace(0, (key, child), INDEX_ENTRY_BYTES)
-                self.pool.mark_dirty(page.page_id)
-            node = page.get(idx)[1]
-            path.append(node)
-        return path
 
     def _descend(self, key: Any, ids: List[PageId]) -> List[int]:
         """The one read descent: ``key``'s root-to-leaf page numbers, one
@@ -364,11 +313,11 @@ class BTreeFile:
         page = self.pool.fetch(ids[node])
         keys = self._leaf_keys(page)
         slot = bisect.bisect_left(keys, key)
-        unique = slot + 1 < len(keys) and keys[slot] == key != keys[slot + 1]
+        four = slot + 1 < len(keys) and keys[slot] == key
         routes = self._routes
         if node not in routes.paths:
             routes.paths[node] = tuple([ids[no] for no in path])
-        route = routes[key] = node << _LEAF_SHIFT | slot << 1 | unique
+        route = routes[key] = node << _LEAF_SHIFT | slot << 1 | four
         return page, route
 
     def _find_leaf_slot(self, key: Any) -> Tuple[Optional[int], int]:
@@ -474,7 +423,7 @@ class BTreeFile:
         return out
 
     def lookup(self, key: Any) -> List[Tuple[Any, ...]]:
-        """All records with exactly ``key`` (one element when unique)."""
+        """The records with exactly ``key``: a list of at most one."""
         return self.probe_many((key,))
 
     def lookup_one(self, key: Any) -> Tuple[Any, ...]:
@@ -507,8 +456,6 @@ class BTreeFile:
         next_leaf = self._next_leaf
         fetch = self.pool.fetch
         beyond = operator.gt if include_hi else operator.ge
-        # An insert interleaved with an open scan may grow the file: the
-        # disk extends this very list.
         ids = self._page_ids()
         while page_no >= 0:
             page = fetch(ids[page_no])
@@ -660,104 +607,6 @@ class BTreeFile:
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    def insert(self, record: Tuple[Any, ...]) -> None:
-        """Insert one record, splitting nodes as needed."""
-        self.schema.validate(record)
-        self._routes = _Routes()  # a split or a new slot moves routes
-        key = self._key(record)
-        size = self.schema.record_size(record)
-        if self._root is None:
-            page = self._new_node(True)
-            page.insert(record, size)
-            self._root = self._first_leaf = page.page_id.page_no
-            self.height = 1
-            self._num_records += 1
-            return
-
-        path = self._descend_for_insert(key)
-        leaf_no = path[-1]
-        page = self._fetch_writable(leaf_no)
-        keys = self._leaf_keys(page)
-        slot = bisect.bisect_left(keys, key)
-        if self.unique and slot < len(keys) and keys[slot] == key:
-            raise DuplicateKeyError(
-                "duplicate key %r in unique btree %r" % (key, self.name)
-            )
-        if page.fits(size):
-            page.insert_at(slot, record, size)
-            self.pool.mark_dirty(page.page_id)
-        else:
-            self._split_leaf(path, record, size, slot)
-        self._num_records += 1
-
-    def _split_leaf(
-        self, path: List[int], record: Tuple[Any, ...], size: int, slot: int
-    ) -> None:
-        leaf_no = path[-1]
-        page = self._fetch_writable(leaf_no)
-        records = page.pop_all()
-        records.insert(slot, record)
-        mid = len(records) // 2
-        left, right = records[:mid], records[mid:]
-        right_page = self._new_node(True)
-        right_no = right_page.page_id.page_no
-        self._next_leaf[right_no] = self._next_leaf[leaf_no]
-        self._next_leaf[leaf_no] = right_no
-        for r in left:
-            page.insert(r, self.schema.record_size(r))
-        for r in right:
-            right_page.insert(r, self.schema.record_size(r))
-        self.pool.mark_dirty(page.page_id)
-        sep = self._key(right[0])
-        self._insert_separator(path[:-1], sep, right_no)
-
-    def _insert_separator(self, path: List[int], sep: Any, child_no: int) -> None:
-        if not path:  # splitting the root: grow a level
-            new_root = self._new_node(False)
-            old_root = self._root
-            assert old_root is not None
-            old_first = self._lowest_key(old_root)
-            new_root.insert((old_first, old_root), INDEX_ENTRY_BYTES)
-            new_root.insert((sep, child_no), INDEX_ENTRY_BYTES)
-            self._root = new_root.page_id.page_no
-            self.height += 1
-            return
-        node_no = path[-1]
-        page = self._fetch_writable(node_no)
-        seps = self._separators(page)
-        slot = bisect.bisect_right(seps, sep)
-        if page.fits(INDEX_ENTRY_BYTES):
-            page.insert_at(slot, (sep, child_no), INDEX_ENTRY_BYTES)
-            self.pool.mark_dirty(page.page_id)
-            return
-        entries = page.pop_all()
-        entries.insert(slot, (sep, child_no))
-        mid = len(entries) // 2
-        left, right = entries[:mid], entries[mid:]
-        right_page = self._new_node(False)
-        right_no = right_page.page_id.page_no
-        for e in left:
-            page.insert(e, INDEX_ENTRY_BYTES)
-        for e in right:
-            right_page.insert(e, INDEX_ENTRY_BYTES)
-        self.pool.mark_dirty(page.page_id)
-        self._insert_separator(path[:-1], right[0][0], right_no)
-
-    def _lowest_key(self, node_no: int) -> Any:
-        """A lower bound for every key in the subtree at ``node_no``.
-
-        For an internal node the first separator is already a
-        maintained lower bound (see :meth:`_descend_for_insert`), and
-        descending instead could land on a leftmost leaf emptied by
-        lazy deletes — whose ``None`` would poison the new root's
-        separator order.  A leaf here is only ever the just-split old
-        root, whose left half is never empty.
-        """
-        if not self._is_leaf[node_no]:
-            return self._fetch(node_no).get(0)[0]
-        page = self._fetch(node_no)
-        return self._key(page.get(0)) if len(page) else None
-
     def update(self, key: Any, new_record: Tuple[Any, ...]) -> None:
         """Replace the record with ``key`` in place.
 
@@ -826,35 +675,6 @@ class BTreeFile:
             self._leaf_key_cache[page_no] = (page.version, cached[1])
         self.pool.mark_dirty(page.page_id)
 
-    def delete(self, key: Any) -> Tuple[Any, ...]:
-        """Remove and return the (first) record with ``key``.
-
-        Lazy deletion: the leaf may become underfull or even empty, but is
-        never merged — the common practice in production B-trees, and the
-        structure remains correct (empty leaves are skipped by scans and
-        cursors).  Reinsertion reuses the free space.
-        """
-        page_no, slot = self._find_leaf_slot(key)
-        if page_no is None:
-            raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
-        page = self._fetch_writable(page_no)
-        keys = self._leaf_keys(page)
-        if slot >= len(keys) or keys[slot] != key:
-            raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
-        self._routes = _Routes()  # later slots of the leaf move left
-        record = page.delete(slot)
-        self.pool.mark_dirty(page.page_id)
-        self._num_records -= 1
-        return record
-
-    def delete_if_present(self, key: Any) -> bool:
-        """Delete ``key`` if present; return whether a record was removed."""
-        try:
-            self.delete(key)
-            return True
-        except KeyNotFoundError:
-            return False
-
     # ------------------------------------------------------------------
     # invariants (for tests)
     # ------------------------------------------------------------------
@@ -862,13 +682,15 @@ class BTreeFile:
         """Verify ordering, structure and occupancy without charging I/O.
 
         Checks, in order: the leaf chain covers exactly ``num_records``
-        in key order; every node reachable from the root has metadata,
-        exact page byte accounting, and keys/separators inside the fence
-        bounds implied by its ancestors; all leaves sit at ``height``;
-        the left-to-right leaf order of the tree equals the leaf chain;
-        and every allocated page is part of the tree.  All reads go
-        through :meth:`DiskManager.peek_page`, so a check perturbs
-        neither the I/O counters nor the buffer pool.
+        in strictly increasing key order; every node reachable from the
+        root has metadata and exact page byte accounting; every
+        separator is the first key of its subtree and the keys of a
+        subtree lie below the next separator; only the root leaf of an
+        empty tree is empty; all leaves sit at ``height``; the
+        left-to-right leaf order of the tree equals the leaf chain; and
+        every allocated page is part of the tree.  All reads go through
+        :meth:`DiskManager.peek_page`, so a check perturbs neither the
+        I/O counters nor the buffer pool.
         """
         if self._root is None:
             if self._num_records:
@@ -877,7 +699,7 @@ class BTreeFile:
                 )
             return
         disk = self.pool.disk
-        # Leaf chain covers all records in nondecreasing key order.
+        # Leaf chain covers all records in increasing key order.
         seen = 0
         last_key = None
         node: Optional[int] = self._first_leaf
@@ -885,11 +707,8 @@ class BTreeFile:
             page = disk.peek_page(PageId(self.file_id, node))
             for record in page:
                 key = self._key(record)
-                if last_key is not None:
-                    if self.unique and not last_key < key:
-                        raise AssertionError("leaf chain key order violated")
-                    if not self.unique and not last_key <= key:
-                        raise AssertionError("leaf chain key order violated")
+                if last_key is not None and not last_key < key:
+                    raise AssertionError("leaf chain key order violated")
                 last_key = key
                 seen += 1
             node = self._next(node)
@@ -897,9 +716,10 @@ class BTreeFile:
             raise AssertionError(
                 "leaf chain has %d records, expected %d" % (seen, self._num_records)
             )
-        # Structural walk from the root: fence bounds, typing, depth,
-        # byte accounting.  The DFS pushes children right-to-left so
-        # leaves are visited in tree (left-to-right) order.
+        # Structural walk from the root: fences, typing, depth, byte
+        # accounting.  ``lo`` is the separator that routes to a node (its
+        # subtree's first key), ``hi`` the next one.  The DFS pushes
+        # children right-to-left so leaves are visited in tree order.
         is_leaf = self._is_leaf
         key_of = self._key
         ordered_leaves: List[int] = []
@@ -921,40 +741,37 @@ class BTreeFile:
                         % (node, depth, self.height)
                     )
                 ordered_leaves.append(node)
-                for record in page:
-                    key = key_of(record)
-                    if lo is not None and key < lo:
-                        raise AssertionError(
-                            "key %r in leaf %d below fence %r" % (key, node, lo)
-                        )
-                    # Non-unique trees may split a run of equal keys
-                    # across a separator, so the upper fence is inclusive
-                    # for them and exclusive for unique trees.
-                    if hi is not None and (key > hi or (self.unique and key == hi)):
-                        raise AssertionError(
-                            "key %r in leaf %d above fence %r" % (key, node, hi)
-                        )
+                keys = [key_of(record) for record in page]
+                if not keys:
+                    if node != self._root or self._num_records:
+                        raise AssertionError("leaf %d is empty" % node)
+                    continue
+                first = keys[0]
+                if hi is not None and keys[-1] >= hi:
+                    raise AssertionError(
+                        "key %r in leaf %d above fence %r" % (keys[-1], node, hi)
+                    )
             else:
                 entries = page.record_batch()
                 if not entries:
                     raise AssertionError("internal node %d is empty" % node)
                 seps = [entry[0] for entry in entries]
-                # A non-unique tree may split a run of equal keys, so
-                # its separators need only be non-decreasing.
-                if self.unique:
-                    bad = any(seps[i] >= seps[i + 1] for i in range(len(seps) - 1))
-                else:
-                    bad = any(seps[i] > seps[i + 1] for i in range(len(seps) - 1))
-                if bad:
+                if any(seps[i] >= seps[i + 1] for i in range(len(seps) - 1)):
                     raise AssertionError(
                         "separators of node %d out of order" % node
                     )
+                first = seps[0]
+                if hi is not None and seps[-1] >= hi:
+                    raise AssertionError(
+                        "separator %r of node %d above fence %r" % (seps[-1], node, hi)
+                    )
                 for i in range(len(entries) - 1, -1, -1):
-                    # Child 0 also receives keys below seps[0] (the
-                    # descent clamps), so it inherits the parent's fence.
-                    child_lo = lo if i == 0 else seps[i]
                     child_hi = seps[i + 1] if i + 1 < len(seps) else hi
-                    stack.append((entries[i][1], depth + 1, child_lo, child_hi))
+                    stack.append((entries[i][1], depth + 1, seps[i], child_hi))
+            if lo is not None and first != lo:
+                raise AssertionError(
+                    "node %d opens with %r, its separator is %r" % (node, first, lo)
+                )
         if not len(reachable) == len(is_leaf) == len(self._next_leaf):
             raise AssertionError(
                 "tree reaches %d pages but metadata tracks %d/%d"

@@ -7,7 +7,7 @@ OID, Section 2.2 of the paper) and tracks each relation's access method.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
 from repro.errors import CatalogError
 from repro.storage.buffer import BufferPool, DEFAULT_BUFFER_PAGES
@@ -57,11 +57,9 @@ class Catalog:
         self._register(name, heap)
         return heap
 
-    def create_btree(
-        self, name: str, schema: Schema, key_name: str, unique: bool = True
-    ) -> BTreeFile:
+    def create_btree(self, name: str, schema: Schema, key_name: str) -> BTreeFile:
         """A B-tree relation keyed on ``key_name`` (ParentRel, ChildRel...)."""
-        btree = BTreeFile(self.pool, schema, key_name, name, unique)
+        btree = BTreeFile(self.pool, schema, key_name, name)
         self._register(name, btree)
         return btree
 

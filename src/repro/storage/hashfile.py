@@ -5,19 +5,22 @@ maintained as a hash relation, hashed on hashkey".  A :class:`HashFile`
 implements classic static hashing: a fixed number of bucket (primary)
 pages allocated up front, each with an overflow chain that grows as
 needed.  Unlike the paper's base relations, the cache sees inserts and
-deletes continuously (units cached, units invalidated), so this access
-method is fully dynamic.
+deletes continuously (units cached, units invalidated), so this is the
+one access method with a delete path; it also supports lookup, scan and
+truncate.
 
 Records are arbitrary schema tuples; ``key_name`` selects the hash-key
-field.  Keys are unique (a hashkey identifies one cached unit).
+field.  Keys are unique (a hashkey identifies one cached unit): the file
+keeps its key set in memory beside the chain map, so an insert rejects a
+duplicate before it touches a page.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
+from repro.errors import DuplicateKeyError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import PageId
 from repro.storage.record import Schema
@@ -69,6 +72,7 @@ class HashFile:
             self.pool.new_page(self.file_id)
         self._overflow_next: Dict[int, int] = {}
         self._free_overflow: List[int] = []
+        self._keys: Set[Any] = set()
         self._num_records = 0
 
     # ------------------------------------------------------------------
@@ -118,21 +122,18 @@ class HashFile:
         return self.lookup(key) is not None
 
     def insert(self, record: Tuple[Any, ...]) -> None:
-        """Insert ``record``; raises DuplicateKeyError on key reuse."""
+        """Insert ``record`` on the first chain page with room; raises
+        DuplicateKeyError on key reuse, before any page is touched."""
         self.schema.validate(record)
-        key_index = self._key_index
-        key = record[key_index]
+        key = record[self._key_index]
+        if key in self._keys:
+            raise DuplicateKeyError("key %r already in hash file %r" % (key, self.name))
         size = self.schema.record_size(record)
         pool = self.pool
         ids = pool.disk.page_ids(self.file_id)
         page_no = self._bucket(key)
         while True:
             page = pool.writable(ids[page_no])
-            for existing in page.records:
-                if existing[key_index] == key:
-                    raise DuplicateKeyError(
-                        "key %r already in hash file %r" % (key, self.name)
-                    )
             if page.fits(size):
                 break
             last, page_no = page_no, self._overflow_next.get(page_no)
@@ -148,21 +149,8 @@ class HashFile:
                 break
         page.insert(record, size)
         pool.mark_dirty(page.page_id)
+        self._keys.add(key)
         self._num_records += 1
-
-    def upsert(self, record: Tuple[Any, ...]) -> None:
-        """Insert or replace by key."""
-        key = self._key(record)
-        if self.lookup(key) is not None:
-            self.delete(key)
-        self.insert(record)
-
-    def delete(self, key: Any) -> Tuple[Any, ...]:
-        """Remove and return the record with ``key``."""
-        record = self._remove(key)
-        if record is None:
-            raise KeyNotFoundError("key %r not in hash file %r" % (key, self.name))
-        return record
 
     def delete_if_present(self, key: Any) -> bool:
         """Delete ``key`` if present; return whether a record was removed."""
@@ -181,6 +169,7 @@ class HashFile:
                 if record[key_index] == key:
                     page.delete(slot)
                     pool.mark_dirty(page.page_id)
+                    self._keys.discard(key)
                     self._num_records -= 1
                     self._maybe_unlink(prev, page_no)
                     return record
@@ -218,16 +207,13 @@ class HashFile:
             self.pool.invalidate_page(PageId(self.file_id, page_no))
         self._overflow_next.clear()
         self._free_overflow = []
+        self._keys.clear()
         self.pool.disk.shrink_file(self.file_id, self.buckets)
         self._num_records = 0
 
     # ------------------------------------------------------------------
     def overflow_pages(self) -> int:
         return len(self._overflow_next)
-
-    def chain_length(self, bucket: int) -> int:
-        """Number of pages in ``bucket``'s chain (1 = no overflow)."""
-        return sum(1 for _ in self._chain(bucket))
 
     def __len__(self) -> int:
         return self._num_records
@@ -242,7 +228,8 @@ class HashFile:
         bucket's primary page, and carry no empty overflow pages (the
         delete path unlinks them eagerly).  Every record sits in the
         chain of the bucket its key hashes to, keys are unique across
-        the file, the record tally matches, the free list is disjoint
+        the file and are exactly the in-memory key set, the record
+        tally matches, the free list is disjoint
         from the chains, and chains plus free list account for every
         allocated page.  Pages are read via
         :meth:`DiskManager.peek_page` — no I/O, no pool perturbation.
@@ -285,6 +272,10 @@ class HashFile:
         if total != self._num_records:
             raise AssertionError(
                 "chains hold %d records, expected %d" % (total, self._num_records)
+            )
+        if keys != self._keys:
+            raise AssertionError(
+                "key set and chains disagree on %r" % (self._keys ^ keys,)
             )
         free = self._free_overflow
         if len(set(free)) != len(free):

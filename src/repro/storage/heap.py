@@ -1,8 +1,9 @@
 """Unordered heap files.
 
 Heaps back the temporary relations that the breadth-first strategies build
-(``temp`` in Section 3.1 of the paper) and serve as the generic unkeyed
-relation type.  All page traffic flows through the buffer pool, so filling
+(``temp`` in Section 3.1 of the paper): records are appended, scanned in
+file order, and the file is truncated or dropped; nothing addresses a
+single record.  All page traffic flows through the buffer pool, so filling
 a temporary charges exactly the write-backs a real engine would pay.
 
 :meth:`HeapFile.insert_many` books a tail touch as a hit while the tail
@@ -16,19 +17,11 @@ pool touch and one method call per page, not per record.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
-from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import PageId, SLOT_BYTES
 from repro.storage.record import Schema
-
-
-class RecordId(NamedTuple):
-    """Physical address of a record inside one file."""
-
-    page_no: int
-    slot: int
 
 
 class HeapFile:
@@ -67,8 +60,8 @@ class HeapFile:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def insert(self, record: Tuple[Any, ...]) -> RecordId:
-        """Append ``record`` to the tail page; return its address.
+    def insert(self, record: Tuple[Any, ...]) -> None:
+        """Append ``record`` to the tail page.
 
         One :meth:`BufferPool.writable` touch of the tail per record: the
         literal reference :meth:`insert_many` is tested against.
@@ -82,16 +75,15 @@ class HeapFile:
             tail_id = PageId(self.file_id, self._tail_page_no)
             page = pool.writable(tail_id)
             if page.fits(size):
-                slot = page.insert(record, size)
+                page.insert(record, size)
                 pool.mark_dirty(tail_id)
                 self._num_records += 1
-                return RecordId(self._tail_page_no, slot)
+                return
         page = pool.new_page(self.file_id)
         page.codec = self.schema.codec
         self._tail_page_no = page.page_id.page_no
-        slot = page.insert(record, size)
+        page.insert(record, size)
         self._num_records += 1
-        return RecordId(self._tail_page_no, slot)
 
     def insert_many(self, records: Iterable[Tuple[Any, ...]]) -> int:
         """Append each record; return how many were inserted.
@@ -226,16 +218,6 @@ class HeapFile:
             self._num_records += pos
         return n
 
-    def update(self, rid: RecordId, record: Tuple[Any, ...]) -> None:
-        """Overwrite the record at ``rid`` in place."""
-        self.schema.validate(record)
-        page_id = PageId(self.file_id, rid.page_no)
-        page = self.pool.writable(page_id)
-        if rid.slot >= len(page):
-            raise StorageError("no record at %r in heap %r" % (rid, self.name))
-        page.replace(rid.slot, record, self.schema.record_size(record))
-        self.pool.mark_dirty(page_id)
-
     def truncate(self) -> None:
         """Discard all records and pages (buffered frames are dropped)."""
         self.pool.invalidate_file(self.file_id)
@@ -253,13 +235,6 @@ class HeapFile:
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
-    def fetch(self, rid: RecordId) -> Tuple[Any, ...]:
-        """Read one record by address."""
-        page = self.pool.fetch(PageId(self.file_id, rid.page_no))
-        if rid.slot >= len(page):
-            raise StorageError("no record at %r in heap %r" % (rid, self.name))
-        return page.get(rid.slot)
-
     def scan_pages(self) -> Iterator[List[Tuple[Any, ...]]]:
         """Yield each page's decoded record list, in file order.
 
@@ -283,20 +258,6 @@ class HeapFile:
         """Yield every record in file order."""
         for records in self.scan_pages():
             yield from records
-
-    def scan_with_rids(self) -> Iterator[Tuple[RecordId, Tuple[Any, ...]]]:
-        """Yield ``(rid, record)`` in file order."""
-        for page_no, records in enumerate(self.scan_pages()):
-            for slot, record in enumerate(records):
-                yield RecordId(page_no, slot), record
-
-    def select(
-        self, predicate: Callable[[Tuple[Any, ...]], bool]
-    ) -> Iterator[Tuple[Any, ...]]:
-        """Full scan filtered by ``predicate``."""
-        for record in self.scan():
-            if predicate(record):
-                yield record
 
     def __len__(self) -> int:
         return self._num_records

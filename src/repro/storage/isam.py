@@ -10,17 +10,16 @@ number, or the cluster#, of the indexed record).  It is built once from
 sorted entries packed onto index pages; a small in-memory directory of
 first-keys models the (few, hot) upper directory levels, while the index
 *leaf* pages are real pages read through the buffer pool — so ISAM probes
-compete for buffer space exactly as they did in INGRES.  Late insertions
-go to overflow pages chained off the covering leaf, the classic ISAM
-degradation (exercised by tests, not by the reproduction workload).
+compete for buffer space exactly as they did in INGRES.  The index is
+never changed after :meth:`IsamIndex.build`, so it has no overflow pages.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
+from repro.errors import KeyNotFoundError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import PageId
 
@@ -37,14 +36,12 @@ class IsamIndex:
         self.file_id = pool.disk.create_file(name)
         self._directory: List[Any] = []  # first key of each primary page
         self._primary_nos: List[int] = []
-        self._overflow_next: Dict[int, int] = {}  # page_no -> overflow page_no
         self._num_entries = 0
         self._built = False
         # Memoized per-page key columns, version-guarded like the B-tree's
         # (pure computation — the page is still fetched through the pool).
         self._key_cache: Dict[int, Tuple[int, List[Any]]] = {}
-        # The disk's page_ids() list, which it keeps in step as the file
-        # grows (like the B-tree's).
+        # The disk's page_ids() list (like the B-tree's).
         self._ids: Optional[List[PageId]] = None
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -92,22 +89,6 @@ class IsamIndex:
         self._built = True
 
     # ------------------------------------------------------------------
-    def _covering_primary(self, key: Any) -> Optional[int]:
-        """Primary page number whose key range covers ``key``."""
-        if not self._directory:
-            return None
-        idx = bisect.bisect_right(self._directory, key) - 1
-        if idx < 0:
-            idx = 0
-        return self._primary_nos[idx]
-
-    def _chain(self, page_no: int) -> Iterator[int]:
-        """Yield ``page_no`` and its overflow chain."""
-        current: Optional[int] = page_no
-        while current is not None:
-            yield current
-            current = self._overflow_next.get(current)
-
     def lookup(self, key: Any) -> Any:
         """Payload for ``key``; raises :class:`KeyNotFoundError` if absent."""
         payload = self.get(key)
@@ -123,85 +104,33 @@ class IsamIndex:
         idx = bisect.bisect_right(directory, key) - 1
         if idx < 0:
             idx = 0
-        page_no: Optional[int] = self._primary_nos[idx]
-        pool = self.pool
-        fetch = pool.fetch
         ids = self._ids
         if ids is None:
-            ids = self._ids = pool.disk.page_ids(self.file_id)
-        overflow_next = self._overflow_next
-        while page_no is not None:
-            page = fetch(ids[page_no])
-            entry_keys = self._entry_keys(page)
-            slot = bisect.bisect_left(entry_keys, key)
-            if slot < len(entry_keys) and entry_keys[slot] == key:
-                records = page.records
-                if records is None:
-                    records = page._materialize()
-                return records[slot][1]
-            page_no = overflow_next.get(page_no)
+            ids = self._ids = self.pool.disk.page_ids(self.file_id)
+        page = self.pool.fetch(ids[self._primary_nos[idx]])
+        entry_keys = self._entry_keys(page)
+        slot = bisect.bisect_left(entry_keys, key)
+        if slot < len(entry_keys) and entry_keys[slot] == key:
+            records = page.records
+            if records is None:
+                records = page._materialize()
+            return records[slot][1]
         return default
-
-    def insert(self, key: Any, payload: Any) -> None:
-        """Add an entry after build time, via overflow chaining."""
-        if not self._built:
-            raise StorageError("isam %r not built yet" % self.name)
-        start = self._covering_primary(key)
-        if start is None:
-            raise StorageError("cannot insert into an empty isam %r" % self.name)
-        if self.get(key) is not None:
-            raise DuplicateKeyError("key %r already in isam %r" % (key, self.name))
-        last = start
-        for page_no in self._chain(start):
-            last = page_no
-            page = self.pool.writable(PageId(self.file_id, page_no))
-            if page.fits(ISAM_ENTRY_BYTES):
-                entry_keys = self._entry_keys(page)
-                slot = bisect.bisect_left(entry_keys, key)
-                page.insert_at(slot, (key, payload), ISAM_ENTRY_BYTES)
-                self.pool.mark_dirty(page.page_id)
-                self._num_entries += 1
-                return
-        overflow = self.pool.new_page(self.file_id)
-        overflow.insert((key, payload), ISAM_ENTRY_BYTES)
-        self._overflow_next[last] = overflow.page_id.page_no
-        self._num_entries += 1
-
-    def scan(self) -> Iterator[Tuple[Any, Any]]:
-        """Yield every ``(key, payload)`` in key order within each chain."""
-        for start in self._primary_nos:
-            chain_entries: List[Tuple[Any, Any]] = []
-            for page_no in self._chain(start):
-                page = self.pool.fetch(PageId(self.file_id, page_no))
-                chain_entries.extend(page.record_batch())
-            chain_entries.sort(key=lambda e: e[0])
-            for entry in chain_entries:
-                yield entry
-
-    def overflow_pages(self) -> int:
-        """How many overflow pages exist (ISAM degradation measure)."""
-        return len(self._overflow_next)
-
-    def __len__(self) -> int:
-        return self._num_entries
 
     # ------------------------------------------------------------------
     # invariants (for tests)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Verify directory, chain and ordering structure (debug hook).
+        """Verify directory and page structure (debug hook).
 
         The directory is strictly increasing and parallel to the primary
-        page list; chains are acyclic and disjoint; every page is
-        individually sorted (cross-page order within a chain is NOT an
-        invariant — overflow pages fill in insertion order and
-        :meth:`scan` re-sorts per chain); every key lies in its chain's
-        covering directory range, keys are unique, tallies match, and
-        chains account for every allocated page.  Reads go through
-        :meth:`DiskManager.peek_page` — no I/O is charged.
+        page list, which is every allocated page in order; every page is
+        non-empty, strictly sorted, opens with its directory key and
+        stays below the next one; and the tally matches.  Reads go
+        through :meth:`DiskManager.peek_page` — no I/O is charged.
         """
         if not self._built:
-            if self._num_entries or self._primary_nos or self._overflow_next:
+            if self._num_entries or self._primary_nos:
                 raise AssertionError("unbuilt isam %r carries state" % self.name)
             return
         directory = self._directory
@@ -212,56 +141,33 @@ class IsamIndex:
             )
         if any(directory[i] >= directory[i + 1] for i in range(len(directory) - 1)):
             raise AssertionError("isam directory not strictly increasing")
+        if self._primary_nos != list(range(self.num_pages)):
+            raise AssertionError(
+                "primary pages %r are not the %d allocated pages in order"
+                % (self._primary_nos, self.num_pages)
+            )
         disk = self.pool.disk
-        visited = set()
-        seen_keys = set()
         total = 0
-        for idx, start in enumerate(self._primary_nos):
-            lo = directory[idx]
-            hi = directory[idx + 1] if idx + 1 < len(directory) else None
-            for page_no in self._chain(start):
-                if page_no in visited:
-                    raise AssertionError(
-                        "page %d chained twice (cycle or shared chain)" % page_no
-                    )
-                visited.add(page_no)
-                page = disk.peek_page(PageId(self.file_id, page_no))
-                page.check_invariants()
-                page_keys = [entry[0] for entry in page.record_batch()]
-                if not page_keys:
-                    raise AssertionError("empty page %d in isam chain" % page_no)
-                if any(
-                    page_keys[i] >= page_keys[i + 1]
-                    for i in range(len(page_keys) - 1)
-                ):
-                    raise AssertionError("page %d not sorted within itself" % page_no)
-                if page_no == start and idx > 0 and page_keys[0] != lo:
-                    # The first chain also covers keys below directory[0]
-                    # (the probe clamps), so only later primaries must
-                    # open with their directory key.
-                    raise AssertionError(
-                        "primary page %d opens with %r, directory says %r"
-                        % (page_no, page_keys[0], lo)
-                    )
-                for key in page_keys:
-                    if key in seen_keys:
-                        raise AssertionError("duplicate key %r in isam" % (key,))
-                    seen_keys.add(key)
-                    if idx > 0 and key < lo:
-                        raise AssertionError(
-                            "key %r below covering range of chain %d" % (key, idx)
-                        )
-                    if hi is not None and key >= hi:
-                        raise AssertionError(
-                            "key %r above covering range of chain %d" % (key, idx)
-                        )
-                total += len(page_keys)
+        for idx, page_no in enumerate(self._primary_nos):
+            page = disk.peek_page(PageId(self.file_id, page_no))
+            page.check_invariants()
+            page_keys = [entry[0] for entry in page.record_batch()]
+            if not page_keys:
+                raise AssertionError("empty isam page %d" % page_no)
+            if any(page_keys[i] >= page_keys[i + 1] for i in range(len(page_keys) - 1)):
+                raise AssertionError("page %d not sorted within itself" % page_no)
+            if page_keys[0] != directory[idx]:
+                raise AssertionError(
+                    "page %d opens with %r, directory says %r"
+                    % (page_no, page_keys[0], directory[idx])
+                )
+            if idx + 1 < len(directory) and page_keys[-1] >= directory[idx + 1]:
+                raise AssertionError(
+                    "key %r of page %d above the next directory key"
+                    % (page_keys[-1], page_no)
+                )
+            total += len(page_keys)
         if total != self._num_entries:
             raise AssertionError(
-                "chains hold %d entries, expected %d" % (total, self._num_entries)
-            )
-        if visited != set(range(self.num_pages)):
-            raise AssertionError(
-                "chains reach %d pages of %d allocated"
-                % (len(visited), self.num_pages)
+                "pages hold %d entries, expected %d" % (total, self._num_entries)
             )

@@ -287,26 +287,6 @@ class Page:
         self.version += 1
         return len(records) - 1
 
-    def insert_at(self, slot: int, record: Any, record_size: int) -> None:
-        """Insert ``record`` at ``slot``, shifting later slots right."""
-        self._require_mutable()
-        total = record_size + SLOT_BYTES
-        if total > self.free_bytes:
-            raise PageFullError(
-                "record of %d bytes does not fit in %d free bytes on %s"
-                % (record_size, self.free_bytes, self.page_id)
-            )
-        records = self.records
-        if records is None:
-            records = self._materialize()
-        if not 0 <= slot <= len(records):
-            raise IndexError("slot %d out of range" % slot)
-        records.insert(slot, record)
-        self._sizes.insert(slot, record_size)  # type: ignore[union-attr]
-        self.used_bytes += total
-        self.free_bytes -= total
-        self.version += 1
-
     def replace(self, slot: int, record: Any, record_size: Optional[int] = None) -> None:
         """Overwrite the record in ``slot`` (in-place update).
 

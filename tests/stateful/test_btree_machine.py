@@ -1,7 +1,8 @@
-"""B-tree differential fuzz: random inserts/deletes/updates/lookups vs
-a dict-of-lists model AND an in-memory sqlite3 mirror, with the tree's
-structural invariants (separator order, fences, leaf chain, occupancy
-accounting) checked after every step."""
+"""B-tree differential fuzz: a bulk-loaded tree under random in-place
+updates, probes, merge walks and range scans vs a dict model AND an
+in-memory sqlite3 mirror, with the tree's structural invariants
+(separators, fences, leaf chain, occupancy accounting) checked after
+every step."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Static-hash differential fuzz: insert/upsert/delete/truncate with
+"""Static-hash differential fuzz: insert/delete/truncate with
 overflow-chain integrity (acyclic chains, correct bucket placement,
 free-list/chain partition of the file) checked after every step."""
 

@@ -1,6 +1,7 @@
-"""Heap-file differential fuzz: insert/insert_many/update/fetch/truncate
-against an insertion-order model keyed by the engine's own rids, with
-tail-page and record-count accounting checked after every step."""
+"""Heap-file differential fuzz: insert/insert_many/truncate against a
+list of the records in insertion order, with insert_many checked against
+one insert() per record on a twin and tail-page and record-count
+accounting checked after every step."""
 
 from __future__ import annotations
 

@@ -1,6 +1,4 @@
-"""B+tree: bulk load, lookups, range scans, inserts with splits, cursors."""
-
-import random
+"""B+tree: bulk load, lookups, range scans, in-place updates, cursors."""
 
 import pytest
 
@@ -12,9 +10,9 @@ from repro.storage.snapshot import Snapshot, SnapshotStore
 from tests.storage.btree_cursor import BTreeCursor
 
 
-def make_tree(catalog, name="t", unique=True) -> BTreeFile:
+def make_tree(catalog, name="t") -> BTreeFile:
     schema = Schema([IntField("key"), IntField("value"), CharField("pad", 64)])
-    return catalog.create_btree(name, schema, "key", unique=unique)
+    return catalog.create_btree(name, schema, "key")
 
 
 def rec(k: int, v: int = 0, pad: str = "p" * 30):
@@ -54,17 +52,14 @@ class TestBulkLoad:
         assert loaded.num_leaf_pages > 1
         loaded.check_invariants()
 
-    def test_fill_factor_spreads_records(self, catalog):
-        full = make_tree(catalog, "full")
-        full.bulk_load([rec(k) for k in range(500)], fill_factor=1.0)
-        loose = make_tree(catalog, "loose")
-        loose.bulk_load([rec(k) for k in range(500)], fill_factor=0.5)
-        assert loose.num_leaf_pages > full.num_leaf_pages
-
-    def test_bad_fill_factor(self, catalog):
-        tree = make_tree(catalog)
-        with pytest.raises(ValueError):
-            tree.bulk_load([rec(1)], fill_factor=0.01)
+    def test_invariants_reject_a_separator_below_its_subtree(self, loaded):
+        # A static tree's separators are exactly their subtrees' first
+        # keys; lowering one (still in order) is caught.
+        root = loaded.pool.disk.peek_page(loaded._page_ids()[loaded._root])
+        sep, child = root.get(1)
+        root.replace(1, (sep - 1, child))
+        with pytest.raises(AssertionError, match="its separator"):
+            loaded.check_invariants()
 
 
 class TestLookup:
@@ -111,47 +106,6 @@ class TestRangeScan:
 
     def test_range_past_end(self, loaded):
         assert list(loaded.range_scan(2000, 3000)) == []
-
-
-class TestInsert:
-    def test_insert_into_empty(self, catalog):
-        tree = make_tree(catalog)
-        tree.insert(rec(5))
-        assert tree.lookup_one(5) == rec(5)
-
-    def test_interleaved_inserts_keep_order(self, catalog):
-        tree = make_tree(catalog)
-        keys = list(range(400))
-        rng = random.Random(3)
-        rng.shuffle(keys)
-        for k in keys:
-            tree.insert(rec(k))
-        assert [r[0] for r in tree.scan()] == list(range(400))
-        tree.check_invariants()
-
-    def test_insert_splits_leaves(self, catalog):
-        tree = make_tree(catalog)
-        for k in range(300):
-            tree.insert(rec(k))
-        assert tree.num_leaf_pages > 1
-        assert tree.height >= 2
-
-    def test_duplicate_insert_rejected(self, catalog):
-        tree = make_tree(catalog)
-        tree.insert(rec(1))
-        with pytest.raises(DuplicateKeyError):
-            tree.insert(rec(1))
-
-    def test_non_unique_tree_allows_duplicates(self, catalog):
-        tree = make_tree(catalog, "dups", unique=False)
-        tree.insert(rec(1, 10))
-        tree.insert(rec(1, 20))
-        assert sorted(r[1] for r in tree.lookup(1)) == [10, 20]
-
-    def test_insert_after_bulk_load(self, loaded):
-        loaded.insert(rec(501))
-        assert loaded.contains(501)
-        loaded.check_invariants()
 
 
 class TestUpdate:
@@ -210,53 +164,6 @@ class TestCursor:
         assert leaf_reads <= tree.num_pages
 
 
-class TestDelete:
-    def test_delete_removes(self, loaded):
-        record = loaded.delete(100)
-        assert record[0] == 100
-        assert not loaded.contains(100)
-        assert loaded.num_records == 499
-        loaded.check_invariants()
-
-    def test_delete_missing_raises(self, loaded):
-        with pytest.raises(KeyNotFoundError):
-            loaded.delete(101)
-
-    def test_delete_if_present(self, loaded):
-        assert loaded.delete_if_present(2)
-        assert not loaded.delete_if_present(2)
-
-    def test_reinsert_after_delete(self, loaded):
-        loaded.delete(500)
-        loaded.insert(rec(500, 777))
-        assert loaded.lookup_one(500)[1] == 777
-        loaded.check_invariants()
-
-    def test_empty_a_leaf_then_scan(self, catalog):
-        tree = make_tree(catalog, "drain")
-        tree.bulk_load([rec(k) for k in range(200)])
-        for k in range(30, 60):  # empties at least one whole leaf
-            tree.delete(k)
-        keys = [r[0] for r in tree.scan()]
-        assert keys == [k for k in range(200) if not 30 <= k < 60]
-
-    def test_range_scan_skips_deleted(self, catalog):
-        tree = make_tree(catalog, "skip")
-        tree.bulk_load([rec(k) for k in range(100)])
-        tree.delete(50)
-        assert [r[0] for r in tree.range_scan(49, 51)] == [49, 51]
-
-    def test_drain_completely(self, catalog):
-        tree = make_tree(catalog, "all-gone")
-        tree.bulk_load([rec(k) for k in range(120)])
-        for k in range(120):
-            tree.delete(k)
-        assert tree.num_records == 0
-        assert list(tree.scan()) == []
-        tree.insert(rec(5))
-        assert tree.lookup_one(5) == rec(5)
-
-
 class _TreeStore:
     """The two members ``Snapshot.freeze`` needs, over one B-tree."""
 
@@ -285,47 +192,41 @@ class TestSidecarCloneIsolation:
         return (
             [tree.lookup(k) for k in (0, 2, 3, 400, 798, 799)],
             list(tree.range_scan(100, 140)),
-            [r[0] for r in tree.scan()],
+            list(tree.scan()),
         )
 
-    def test_splits_on_one_clone_leave_template_and_sibling_alone(self):
+    def test_updates_on_one_clone_leave_template_and_sibling_alone(self):
         snapshot = Snapshot.freeze(_TreeStore([rec(k, k) for k in range(0, 800, 2)]))
         template = snapshot._db.tree
         columns = self._columns(template)
         clone_a, clone_b = snapshot.attach().tree, snapshot.attach().tree
         reads = self._reads(clone_b)
-        leaves = clone_a.num_leaf_pages
-        internal = clone_a.num_pages - leaves
 
-        # Odd keys land between every resident pair: every leaf splits,
-        # and the internal level has to split to hold the separators.
-        for k in range(1, 800, 2):
-            clone_a.insert(rec(k, -k))
+        # Every leaf of clone_a is copied on write.
+        for k in range(0, 800, 2):
+            clone_a.update_field(k, "value", -k)
         clone_a.check_invariants()
-        assert clone_a.num_leaf_pages >= 2 * leaves
-        assert clone_a.num_pages - clone_a.num_leaf_pages > internal
-        assert self._columns(clone_a) != columns
-        assert [r[0] for r in clone_a.scan()] == list(range(800))
+        assert self._columns(clone_a) == columns
+        assert [r[:2] for r in clone_a.scan()] == [(k, -k) for k in range(0, 800, 2)]
 
         assert self._columns(template) == columns
         assert self._columns(clone_b) == columns
-        assert clone_b._is_leaf is not template._is_leaf
-        assert clone_b._next_leaf is not template._next_leaf
+        for clone in (clone_a, clone_b):
+            assert clone._is_leaf is not template._is_leaf
+            assert clone._next_leaf is not template._next_leaf
         clone_b.check_invariants()
         assert self._reads(clone_b) == reads
-        # A clone taken after the splits still sees the frozen template.
+        # A clone taken after the updates still sees the frozen template.
         late = snapshot.attach().tree
         late.check_invariants()
         assert self._reads(late) == reads
 
 
 class TestRouteMemo:
-    """Remembered routes depend on the tree's shape only: clones of one
-    snapshot share the memo until they change shape."""
+    """Remembered routes depend on the tree's shape only, which only
+    ``bulk_load`` sets: clones of one snapshot share the memo."""
 
-    def test_attach_shares_a_shape_change_replaces_an_arena_starts_empty(
-        self, tmp_path
-    ):
+    def test_attach_shares_updates_keep_an_arena_starts_empty(self, tmp_path):
         snapshot = Snapshot.freeze(_TreeStore([rec(k, k) for k in range(0, 800, 2)]))
         template = snapshot._db.tree
         clone_a, clone_b = snapshot.attach().tree, snapshot.attach().tree
@@ -335,17 +236,13 @@ class TestRouteMemo:
         clone_b.lookup(400)
         assert 400 in template._routes
         clone_b.update(400, rec(400, -1))  # keys and slots stay put
+        clone_a.update_field(2, "value", 7)
+        assert clone_a._routes is template._routes
         assert clone_b._routes is template._routes
-
-        clone_a.insert(rec(401, 1))
-        assert clone_a._routes is not template._routes
-        assert not clone_a._routes
-        clone_b.delete(2)
-        assert clone_b._routes is not template._routes
         assert clone_a.lookup(400) == [rec(400, 400)]
         assert clone_b.lookup(400) == [rec(400, -1)]
-        assert clone_a.lookup(401) == [rec(401, 1)]
-        assert clone_b.lookup(2) == []
+        assert clone_a.lookup(2) == [rec(2, 7)]
+        assert clone_b.lookup(2) == [rec(2, 2)]
 
         store = SnapshotStore(str(tmp_path))
         revived = store.put("db", snapshot).attach().tree
@@ -360,3 +257,200 @@ class TestRouteMemo:
             for key in (400, 401):
                 want = [rec(key, parity)] if key % 2 == parity else []
                 assert tree.lookup(key) == want
+
+
+# ----------------------------------------------------------------------
+# Shapes of a bulk load, and loads it must refuse
+# ----------------------------------------------------------------------
+def _tall_catalog() -> Catalog:
+    """Small pages: a few hundred keys give a three-level tree."""
+    return Catalog(buffer_pages=16, page_size=512)
+
+
+def _capacities():
+    """(records per leaf, entries per internal node) at 512-byte pages."""
+    tree = make_tree(_tall_catalog())
+    tree.bulk_load([rec(k) for k in range(2000)])
+    peek = tree.pool.disk.peek_page
+    ids = tree._page_ids()
+    root = peek(ids[tree._root])
+    return len(peek(ids[tree._first_leaf])), len(peek(ids[root.get(0)[1]]))
+
+
+_SHAPES = {
+    "one_record": lambda leaf, fan: 1,
+    "one_leaf_short_of_full": lambda leaf, fan: leaf - 1,
+    "one_full_leaf": lambda leaf, fan: leaf,
+    "a_second_leaf": lambda leaf, fan: leaf + 1,
+    "two_full_levels": lambda leaf, fan: leaf * fan,
+    "a_third_level": lambda leaf, fan: leaf * fan + 1,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_bulk_load_shape_probes_and_scans_as_built(shape):
+    """Leaves pack to capacity and each level packs to fan-out, at and
+    around every boundary; every key probes, every gap misses."""
+    leaf, fan = _capacities()
+    n = _SHAPES[shape](leaf, fan)
+    tree = make_tree(_tall_catalog())
+    records = [rec(2 * i, i) for i in range(n)]
+    tree.bulk_load(records)
+    tree.check_invariants()
+    assert tree.num_records == n
+    assert tree.num_leaf_pages == -(-n // leaf)
+    assert tree.height == (1 if n <= leaf else 2 if n <= leaf * fan else 3)
+    assert list(tree.scan()) == records
+    for i in range(n):
+        assert tree.lookup(2 * i) == [records[i]]
+        assert tree.lookup(2 * i + 1) == []
+    assert tree.lookup(-1) == []
+    lo, hi = 2 * (n // 3), 2 * (2 * n // 3) + 1
+    assert list(tree.range_scan(lo, hi)) == records[n // 3 : 2 * n // 3 + 1]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "fault, error", [("duplicate", DuplicateKeyError), ("unsorted", StorageError)]
+)
+def test_a_refused_bulk_load_leaves_the_tree_empty_and_loadable(fault, error, where):
+    keys = list(range(0, 200, 2))
+    at = {"first": 0, "middle": len(keys) // 2, "last": len(keys) - 2}[where]
+    bad = list(keys)
+    if fault == "duplicate":
+        bad[at + 1] = bad[at]
+    else:
+        bad[at], bad[at + 1] = bad[at + 1], bad[at]
+    tree = make_tree(_tall_catalog())
+    with pytest.raises(error):
+        tree.bulk_load([rec(k) for k in bad])
+    assert tree.num_pages == 0
+    assert tree.num_records == 0
+    tree.check_invariants()
+    tree.bulk_load([rec(k) for k in keys])
+    tree.check_invariants()
+    assert [r[0] for r in tree.scan()] == keys
+
+
+# ----------------------------------------------------------------------
+# check_invariants: each structural check fires on its own fault
+# ----------------------------------------------------------------------
+def _peek(tree, page_no):
+    return tree.pool.disk.peek_page(tree._page_ids()[page_no])
+
+
+def _root(tree):
+    return _peek(tree, tree._root)
+
+
+def _first_child(tree, page_no):
+    return _peek(tree, _peek(tree, page_no).get(0)[1])
+
+
+def _swap_leaf_keys(tree):
+    leaf = _peek(tree, tree._first_leaf)
+    leaf.replace(0, rec(leaf.get(1)[0]))
+
+
+def _bump_count(tree):
+    tree._num_records += 1
+
+
+def _share_a_child(tree):
+    root = _root(tree)
+    root.replace(1, (root.get(1)[0], root.get(0)[1]))
+
+
+def _point_past_metadata(tree):
+    root = _root(tree)
+    last = len(root) - 1
+    root.replace(last, (root.get(last)[0], len(tree._is_leaf) + 5))
+
+
+def _claim_a_level_more(tree):
+    tree.height += 1
+
+
+def _empty_the_last_leaf(tree):
+    node = tree._first_leaf
+    while tree._next(node) is not None:
+        node = tree._next(node)
+    tree._num_records -= len(_peek(tree, node).pop_all())
+
+
+def _empty_the_root(tree):
+    _root(tree).pop_all()
+
+
+def _swap_root_separators(tree):
+    root = _root(tree)
+    first, second = root.get(0), root.get(1)
+    root.replace(0, second)
+    root.replace(1, first)
+
+
+def _lower_fence_below_a_leaf_key(tree):
+    # The second separator of the leftmost bottom internal node drops to
+    # the last key of the leaf before it: still in order, but a fence
+    # that key is not below.
+    parent = _first_child(tree, tree._root)
+    leaf = _peek(tree, parent.get(0)[1])
+    parent.replace(1, (leaf.get(len(leaf) - 1)[0], parent.get(1)[1]))
+
+
+def _lower_fence_below_a_separator(tree):
+    root = _root(tree)
+    child = _first_child(tree, tree._root)
+    root.replace(1, (child.get(len(child) - 1)[0], root.get(1)[1]))
+
+
+def _lower_a_separator(tree):
+    root = _root(tree)
+    sep, child = root.get(1)
+    root.replace(1, (sep - 1, child))
+
+
+def _track_a_phantom_node(tree):
+    tree._is_leaf.append(1)
+
+
+def _allocate_an_orphan_page(tree):
+    tree.pool.new_page(tree.file_id)
+
+
+_BTREE_FAULTS = [
+    (_swap_leaf_keys, "leaf chain key order violated"),
+    (_bump_count, "leaf chain has"),
+    (_share_a_child, "reached twice"),
+    (_point_past_metadata, "has no node metadata"),
+    (_claim_a_level_more, "at depth"),
+    (_empty_the_last_leaf, "leaf .* is empty"),
+    (_empty_the_root, "internal node .* is empty"),
+    (_swap_root_separators, "out of order"),
+    (_lower_fence_below_a_leaf_key, "in leaf .* above fence"),
+    (_lower_fence_below_a_separator, "of node .* above fence"),
+    (_lower_a_separator, "its separator"),
+    (_track_a_phantom_node, "metadata tracks"),
+    (_allocate_an_orphan_page, "pages of .* allocated"),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message", _BTREE_FAULTS, ids=[f.__name__[1:] for f, _ in _BTREE_FAULTS]
+)
+def test_check_invariants_catches(corrupt, message):
+    tree = make_tree(_tall_catalog())
+    tree.bulk_load([rec(k, k) for k in range(0, 1600, 2)])
+    assert tree.height == 3
+    tree.check_invariants()
+    corrupt(tree)
+    with pytest.raises(AssertionError, match=message):
+        tree.check_invariants()
+
+
+def test_check_invariants_catches_an_unloaded_tree_claiming_records(catalog):
+    tree = make_tree(catalog)
+    tree.check_invariants()
+    tree._num_records = 3
+    with pytest.raises(AssertionError, match="claims 3 records"):
+        tree.check_invariants()

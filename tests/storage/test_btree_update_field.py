@@ -6,9 +6,9 @@ new record.  After every update the result (or the error), the buffer
 stats, the disk counters, the frame order, the dirty bits, the clock
 state, the route memo and every page must agree.  The script covers a
 key's first probe (no memo), replayed probes, routes that end on a
-leaf's last slot or inside a run of equal keys (the non-four-touch
-branch), absent keys, bad values, and leaves frozen in a snapshot clone
-(copy-on-write), under lru and clock.
+leaf's last slot (the non-four-touch branch), absent keys, bad values,
+and leaves frozen in a snapshot clone (copy-on-write), under lru and
+clock.
 """
 
 import copy
@@ -33,32 +33,28 @@ def reference_update_field(tree, key, field_name, value):
     return new_record
 
 
-def _records(unique):
-    # Non-unique: runs of three equal keys, some of them split by a leaf edge.
-    return [
-        ((i if unique else i // 3), i % 97, "t%d" % (i % 13))
-        for i in range(NUM_RECORDS)
-    ]
+def _records():
+    return [(i, i % 97, "t%d" % (i % 13)) for i in range(NUM_RECORDS)]
 
 
 def _catalog(policy):
     return Catalog(buffer_pages=5, page_size=512, buffer_policy=policy)
 
 
-def _twins(policy, unique, frozen):
+def _twins(policy, frozen):
     """Two identical ``(catalog, tree)`` pairs; with ``frozen``, two
     clones of one frozen template."""
     if not frozen:
         pairs = []
         for _ in range(2):
             catalog = _catalog(policy)
-            tree = catalog.create_btree("t", SCHEMA, "key", unique=unique)
-            tree.bulk_load(_records(unique))
+            tree = catalog.create_btree("t", SCHEMA, "key")
+            tree.bulk_load(_records())
             catalog.pool.clear(flush=True)
             pairs.append((catalog, tree))
         return pairs
     template = _catalog(policy)
-    template.create_btree("t", SCHEMA, "key", unique=unique).bulk_load(_records(unique))
+    template.create_btree("t", SCHEMA, "key").bulk_load(_records())
     template.pool.clear(flush=True)
     template.disk.freeze()
     pairs = []
@@ -89,16 +85,15 @@ def _state(catalog, tree):
     )
 
 
-def _script(seed, unique, n=300):
+def _script(seed, n=300):
     """Updates over a few hot keys (replayed routes), fresh keys (first
     probes), absent keys and some bad values."""
     rng = random.Random(seed)
-    top = NUM_RECORDS if unique else NUM_RECORDS // 3
-    hot = [rng.randrange(top) for _ in range(8)]
+    hot = [rng.randrange(NUM_RECORDS) for _ in range(8)]
     ops = []
     for _ in range(n):
         roll = rng.random()
-        key = rng.choice(hot) if roll < 0.4 else rng.randrange(-3, top + 3)
+        key = rng.choice(hot) if roll < 0.4 else rng.randrange(-3, NUM_RECORDS + 3)
         if roll < 0.85:
             ops.append((key, "value", rng.randrange(1000)))
         elif roll < 0.93:
@@ -121,11 +116,11 @@ def _fused(tree, key, field_name, value):
     return tree.update_field(key, field_name, value)
 
 
-def run_twins(policy, unique, frozen, seed, reference=reference_update_field):
+def run_twins(policy, frozen, seed, reference=reference_update_field):
     """Run the script on both twins; the first diverging step, or None."""
-    (cat_a, tree_a), (cat_b, tree_b) = _twins(policy, unique, frozen)
+    (cat_a, tree_a), (cat_b, tree_b) = _twins(policy, frozen)
     assert _state(cat_a, tree_a) == _state(cat_b, tree_b)
-    for step, op in enumerate(_script(seed, unique)):
+    for step, op in enumerate(_script(seed)):
         got = _apply(_fused, tree_a, op)
         want = _apply(reference, tree_b, op)
         if got != want or _state(cat_a, tree_a) != _state(cat_b, tree_b):
@@ -135,20 +130,18 @@ def run_twins(policy, unique, frozen, seed, reference=reference_update_field):
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["private", "frozen-clone"])
-@pytest.mark.parametrize("unique", [True, False], ids=["unique", "runs"])
 @pytest.mark.parametrize("policy", ["lru", "clock"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_update_field_matches_lookup_one_then_update(policy, unique, frozen, seed):
-    assert run_twins(policy, unique, frozen, seed) is None
+def test_update_field_matches_lookup_one_then_update(policy, frozen, seed):
+    assert run_twins(policy, frozen, seed) is None
 
 
-@pytest.mark.parametrize("unique", [True, False], ids=["unique", "runs"])
-def test_script_takes_both_read_branches(unique):
+def test_script_takes_both_read_branches():
     """Replayed routes with and without the four-touch flag occur, and
     keys are probed for the first time."""
-    (catalog, tree), _ = _twins("lru", unique, False)
+    (catalog, tree), _ = _twins("lru", False)
     first, flags = 0, set()
-    for op in _script(0, unique):
+    for op in _script(0):
         key = op[0]
         route = tree._routes.get(key)
         if route is None:
@@ -157,11 +150,10 @@ def test_script_takes_both_read_branches(unique):
             flags.add(route & 1)
         _apply(_fused, tree, op)
     assert first > 0
-    assert flags == ({0, 1} if unique else {0})
-    if unique:
-        slots = {route >> 1 & _SLOT_MASK for route in tree._routes.values()}
-        leaves = {route >> _LEAF_SHIFT for route in tree._routes.values()}
-        assert len(leaves) > 1 and len(slots) > 1
+    assert flags == {0, 1}
+    slots = {route >> 1 & _SLOT_MASK for route in tree._routes.values()}
+    leaves = {route >> _LEAF_SHIFT for route in tree._routes.values()}
+    assert len(leaves) > 1 and len(slots) > 1
 
 
 def test_detects_a_dropped_touch():
@@ -178,4 +170,4 @@ def test_detects_a_dropped_touch():
         tree._rewrite(page, route >> 1 & _SLOT_MASK, new_record, size)
         return new_record
 
-    assert run_twins("lru", True, False, 0, without_write_descent) is not None
+    assert run_twins("lru", False, 0, without_write_descent) is not None

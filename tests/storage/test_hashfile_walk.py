@@ -1,12 +1,13 @@
 """Differential test of the hash file's inline chain walks.
 
 Twin catalogs run one script of operations: one through
-:class:`HashFile`'s ``lookup`` / ``insert`` / ``delete`` /
-``delete_if_present``, the other through the literal per-page reference
-walk below (a chain generator, a ``PageId`` per page, ``record_batch`` /
-``entries`` per page, ``delete_if_present`` by raise and catch).  After
-every operation the results, the buffer stats, the disk counters, the
-frame order, the dirty bits, the clock state and every page must agree.
+:class:`HashFile`'s ``lookup`` / ``insert`` / ``delete_if_present``, the
+other through the literal per-page reference walk below (a chain
+generator, a ``PageId`` per page, ``record_batch`` / ``entries`` per
+page, ``delete_if_present`` by raise and catch).  An insert of a key the
+file holds raises before it touches a page.  After every operation the
+results, the buffer stats, the disk counters, the frame order, the dirty
+bits, the clock state, the key set and every page must agree.
 """
 
 import copy
@@ -44,14 +45,16 @@ def ref_lookup(hf, key):
 def ref_insert(hf, record):
     hf.schema.validate(record)
     key = record[hf._key_index]
+    for page_no in _chain(hf, hf._bucket(key)):  # untouched: peeked pages
+        page = hf.pool.disk.peek_page(PageId(hf.file_id, page_no))
+        if any(existing[hf._key_index] == key for existing in page.record_batch()):
+            raise DuplicateKeyError(key)
     size = hf.schema.record_size(record)
+    hf._keys.add(key)
     last = None
     for page_no in _chain(hf, hf._bucket(key)):
         last = page_no
         page = hf.pool.writable(PageId(hf.file_id, page_no))
-        for existing in page.record_batch():
-            if existing[hf._key_index] == key:
-                raise DuplicateKeyError(key)
         if page.fits(size):
             page.insert(record, size)
             hf.pool.mark_dirty(page.page_id)
@@ -93,6 +96,7 @@ def ref_delete(hf, key, touch=True):
             if record[hf._key_index] == key:
                 page.delete(slot)
                 hf.pool.mark_dirty(page_id)
+                hf._keys.discard(key)
                 hf._num_records -= 1
                 ref_unlink(hf, prev, page_no, touch)
                 return record
@@ -111,13 +115,11 @@ def ref_delete_if_present(hf, key, touch=True):
 NEW = {
     "lookup": lambda hf, key: hf.lookup(key),
     "insert": lambda hf, record: hf.insert(record),
-    "delete": lambda hf, key: hf.delete(key),
     "delete_if_present": lambda hf, key: hf.delete_if_present(key),
 }
 REFERENCE = {
     "lookup": ref_lookup,
     "insert": ref_insert,
-    "delete": ref_delete,
     "delete_if_present": ref_delete_if_present,
 }
 
@@ -168,6 +170,7 @@ def _state(catalog, hf):
         pool._clock_hand,
         list(hf._overflow_next.items()),
         list(hf._free_overflow),
+        sorted(hf._keys),
         hf.num_records,
         pages,
     )
@@ -184,7 +187,7 @@ def _script(seed, n=600):
         if rng.random() < (0.7 if step < n // 3 else 0.15):
             ops.append(("insert", (key, "p" * rng.randrange(20, 256))))
         else:
-            ops.append((rng.choice(("lookup", "delete", "delete_if_present")), key))
+            ops.append((rng.choice(("lookup", "delete_if_present")), key))
     return ops
 
 
@@ -224,12 +227,15 @@ def test_script_covers_every_branch(policy):
     max_overflow = 0
     recycled = False
     for kind, arg in _script(0):
-        outcomes.add((kind, _apply(NEW[kind], hf, arg)[0]))
+        got = _apply(NEW[kind], hf, arg)
+        outcomes.add((kind, got[1] if kind == "delete_if_present" else got[0]))
         max_overflow = max(max_overflow, hf.overflow_pages())
         recycled = recycled or bool(hf._free_overflow)
     assert max_overflow >= 4
     assert recycled
-    assert {("insert", "raised"), ("delete", "raised"), ("delete", "ok")} <= outcomes
+    assert {
+        ("insert", "raised"), ("delete_if_present", True), ("delete_if_present", False)
+    } <= outcomes
 
 
 def test_detects_a_dropped_touch():
@@ -237,7 +243,6 @@ def test_detects_a_dropped_touch():
     of an emptied overflow page diverges."""
     dropped = dict(
         REFERENCE,
-        delete=lambda hf, key: ref_delete(hf, key, touch=False),
         delete_if_present=lambda hf, key: ref_delete_if_present(hf, key, touch=False),
     )
     assert run_twins("lru", False, 0, dropped) is not None

@@ -1,12 +1,13 @@
-"""Heap files: append, scan, update, lifecycle, I/O behaviour."""
+"""Heap files: append, scan, lifecycle, I/O behaviour."""
 
 import copy
+import random
 
 import pytest
 
-from repro.errors import RecordError, StorageError
+from repro.errors import RecordError
 from repro.storage.catalog import Catalog
-from repro.storage.heap import HeapFile, RecordId
+from repro.storage.heap import HeapFile
 from repro.storage.page import PageId
 from repro.storage.record import IntField, Schema
 
@@ -22,8 +23,8 @@ def rec(i: int):
 
 class TestInsertScan:
     def test_roundtrip(self, heap):
-        rid = heap.insert(rec(1))
-        assert heap.fetch(rid) == rec(1)
+        heap.insert(rec(1))
+        assert list(heap.scan()) == [rec(1)]
 
     def test_scan_preserves_order(self, heap):
         for i in range(50):
@@ -39,44 +40,12 @@ class TestInsertScan:
         assert heap.num_pages < 10
 
     def test_insert_validates(self, heap):
-        from repro.errors import RecordError
-
         with pytest.raises(RecordError):
             heap.insert((1, 2))
 
     def test_insert_many(self, heap):
         assert heap.insert_many(rec(i) for i in range(7)) == 7
         assert len(heap) == 7
-
-    def test_scan_with_rids(self, heap):
-        heap.insert(rec(0))
-        heap.insert(rec(1))
-        pairs = list(heap.scan_with_rids())
-        assert pairs[0][0] == RecordId(0, 0)
-        assert pairs[1][1] == rec(1)
-
-    def test_select(self, heap):
-        for i in range(10):
-            heap.insert(rec(i))
-        out = list(heap.select(lambda r: r[0] % 2 == 0))
-        assert [r[0] for r in out] == [0, 2, 4, 6, 8]
-
-
-class TestUpdate:
-    def test_update_in_place(self, heap):
-        rid = heap.insert(rec(1))
-        heap.update(rid, (1, 99, "tag1"))
-        assert heap.fetch(rid)[1] == 99
-
-    def test_update_bad_rid(self, heap):
-        heap.insert(rec(1))
-        with pytest.raises(StorageError):
-            heap.update(RecordId(0, 5), rec(1))
-
-    def test_fetch_bad_rid(self, heap):
-        heap.insert(rec(1))
-        with pytest.raises(StorageError):
-            heap.fetch(RecordId(0, 5))
 
 
 class TestLifecycle:
@@ -115,6 +84,65 @@ class TestIoAccounting:
         catalog.disk.reset_counters()
         list(heap.scan())
         assert catalog.disk.reads == heap.num_pages
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_appends_and_truncates_match_a_list(seed, simple_schema):
+    """Single inserts, batches (lists and generators) and truncates: the
+    heap scans as the list of everything appended since the last
+    truncate, in order, and its bookkeeping holds after every step."""
+    rng = random.Random(seed)
+    heap = HeapFile(Catalog(buffer_pages=4, page_size=256).pool, simple_schema, "h")
+    model = []
+    for step in range(120):
+        roll = rng.random()
+        batch = [rec(step * 100 + i) for i in range(rng.randrange(1, 30))]
+        if roll < 0.4:
+            assert heap.insert(batch[0]) is None
+            model.append(batch[0])
+        elif roll < 0.7:
+            assert heap.insert_many(batch) == len(batch)
+            model.extend(batch)
+        elif roll < 0.95:
+            assert heap.insert_many(r for r in batch) == len(batch)
+            model.extend(batch)
+        else:
+            heap.truncate()
+            model.clear()
+        heap.check_invariants()
+        assert len(heap) == len(model)
+    assert list(heap.scan()) == model
+
+
+def _overcount(heap):
+    heap._num_records += 1
+
+
+def _forget_the_tail(heap):
+    heap._tail_page_no = None
+
+
+def _point_the_tail_at_the_first_page(heap):
+    heap._tail_page_no = 0
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_overcount, "pages hold"),
+        (_forget_the_tail, "but no tail"),
+        (_point_the_tail_at_the_first_page, "is not the last"),
+    ],
+    ids=["overcount", "forget_the_tail", "point_the_tail_at_the_first_page"],
+)
+def test_check_invariants_catches(heap, corrupt, message):
+    for i in range(200):
+        heap.insert(rec(i))
+    assert heap.num_pages > 1
+    heap.check_invariants()
+    corrupt(heap)
+    with pytest.raises(AssertionError, match=message):
+        heap.check_invariants()
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""ISAM indexes: static build, probes, overflow chaining."""
+"""ISAM indexes: static build and probes."""
+
+import random
 
 import pytest
 
-from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
+from repro.errors import KeyNotFoundError, StorageError
 from repro.storage.isam import IsamIndex
 
 
@@ -54,33 +56,18 @@ class TestLookup:
         assert isam.get(1) is None
 
 
-class TestInsertOverflow:
-    def test_insert_before_build_rejected(self, catalog):
-        isam = IsamIndex(catalog.pool)
-        with pytest.raises(StorageError):
-            isam.insert(1, 1)
-
-    def test_insert_into_gap(self, index):
-        index.insert(3, 300)
-        assert index.lookup(3) == 300
-
-    def test_duplicate_insert_rejected(self, index):
-        with pytest.raises(DuplicateKeyError):
-            index.insert(4, 0)
-
-    def test_overflow_pages_appear_when_full(self, index):
-        # Primary pages were packed full at build; inserts must overflow.
-        for k in range(1, 400, 2):
-            index.insert(k, k)
-        assert index.overflow_pages() > 0
-        for k in range(1, 400, 2):
-            assert index.lookup(k) == k
-
-    def test_scan_sees_overflow_entries(self, index):
-        index.insert(3, 300)
-        entries = dict(index.scan())
-        assert entries[3] == 300
-        assert len(entries) == index.num_entries
+@pytest.mark.parametrize("seed", range(8))
+def test_random_builds_probe_and_check(catalog, seed):
+    """Random key sets, from empty to several pages: every key in the
+    domain probes as built, and the structure checks hold."""
+    rng = random.Random(seed)
+    keys = sorted(rng.sample(range(400), rng.choice([0, 1, 5, 60, 300])))
+    isam = IsamIndex(catalog.pool, "i%d" % seed)
+    isam.build([(k, k * 7) for k in keys])
+    isam.check_invariants()
+    present = set(keys)
+    for k in range(-2, 402):
+        assert isam.get(k) == (k * 7 if k in present else None)
 
 
 class TestIoBehaviour:
@@ -95,3 +82,91 @@ class TestIoBehaviour:
         catalog.disk.reset_counters()
         index.lookup(1000)
         assert catalog.disk.reads == 0
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[(1, 0), (1, 1), (2, 0)], [(1, 0), (2, 0), (2, 1)], [(2, 0), (1, 0), (3, 0)],
+     [(1, 0), (3, 0), (2, 0)]],
+    ids=["duplicate_first", "duplicate_last", "unsorted_first", "unsorted_last"],
+)
+def test_a_refused_build_allocates_nothing_and_leaves_it_buildable(catalog, entries):
+    isam = IsamIndex(catalog.pool, "i")
+    with pytest.raises(StorageError):
+        isam.build(entries)
+    assert isam.num_pages == 0
+    isam.check_invariants()
+    isam.build([(1, 10), (2, 20)])
+    isam.check_invariants()
+    assert isam.get(2) == 20
+
+
+# check_invariants: each structural check fires on its own fault.
+def _page(isam, idx):
+    return isam.pool.disk.peek_page(isam.pool.disk.page_ids(isam.file_id)[idx])
+
+
+def _extra_directory_key(isam):
+    isam._directory.append(10**9)
+
+
+def _repeat_a_directory_key(isam):
+    isam._directory[1] = isam._directory[0]
+
+
+def _reorder_primary_pages(isam):
+    nos = isam._primary_nos
+    nos[0], nos[1] = nos[1], nos[0]
+
+
+def _empty_the_last_page(isam):
+    isam._num_entries -= len(_page(isam, isam.num_pages - 1).pop_all())
+
+
+def _repeat_a_key_on_a_page(isam):
+    page = _page(isam, 0)
+    page.replace(1, (page.get(0)[0], 0))
+
+
+def _shift_a_directory_key(isam):
+    isam._directory[1] -= 1  # keys are even: lands in the gap
+
+
+def _lower_a_directory_key_to_the_last_key_before(isam):
+    page = _page(isam, 0)
+    isam._directory[1] = page.get(len(page) - 1)[0]
+
+
+def _bump_the_tally(isam):
+    isam._num_entries += 1
+
+
+_ISAM_FAULTS = [
+    (_extra_directory_key, "directory has"),
+    (_repeat_a_directory_key, "not strictly increasing"),
+    (_reorder_primary_pages, "not the .* allocated pages in order"),
+    (_empty_the_last_page, "empty isam page"),
+    (_repeat_a_key_on_a_page, "not sorted within itself"),
+    (_shift_a_directory_key, "opens with"),
+    (_lower_a_directory_key_to_the_last_key_before, "above the next directory key"),
+    (_bump_the_tally, "pages hold"),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message", _ISAM_FAULTS, ids=[f.__name__[1:] for f, _ in _ISAM_FAULTS]
+)
+def test_check_invariants_catches(index, corrupt, message):
+    assert index.num_pages >= 2
+    index.check_invariants()
+    corrupt(index)
+    with pytest.raises(AssertionError, match=message):
+        index.check_invariants()
+
+
+def test_check_invariants_catches_an_unbuilt_index_carrying_entries(catalog):
+    isam = IsamIndex(catalog.pool, "unbuilt")
+    isam.check_invariants()
+    isam._num_entries = 1
+    with pytest.raises(AssertionError, match="unbuilt isam"):
+        isam.check_invariants()

@@ -45,18 +45,6 @@ class TestSlots:
         assert page.insert("b", 10) == 1
         assert page.get(1) == "b"
 
-    def test_insert_at_shifts(self):
-        page = make_page()
-        page.insert("a", 10)
-        page.insert("c", 10)
-        page.insert_at(1, "b", 10)
-        assert list(page) == ["a", "b", "c"]
-
-    def test_insert_at_bad_slot(self):
-        page = make_page()
-        with pytest.raises(IndexError):
-            page.insert_at(3, "x", 10)
-
     def test_delete_compacts_and_returns(self):
         page = make_page()
         page.insert("a", 10)

@@ -39,8 +39,6 @@ class TestFrozenPage:
         with pytest.raises(FrozenPageError):
             page.insert("c", 10)
         with pytest.raises(FrozenPageError):
-            page.insert_at(0, "c", 10)
-        with pytest.raises(FrozenPageError):
             page.replace(0, "c", 10)
         with pytest.raises(FrozenPageError):
             page.delete(0)
