@@ -56,6 +56,7 @@ from repro.oracle.invariants import check_all
 from repro.oracle.reference import KeyedModel, SqliteMirror
 from repro.storage import arena as _arena
 from repro.storage.catalog import Catalog
+from repro.storage.heap import HeapFile
 from repro.storage.page import PageId
 from repro.storage.record import IntField, Schema
 from repro.storage.snapshot import Snapshot, SnapshotStore
@@ -235,7 +236,7 @@ class HeapMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.catalog = Catalog(BUFFER_PAGES, PAGE_SIZE)
-        self.heap = self.catalog.create_heap("h", kv_schema())
+        self.heap = HeapFile(self.catalog.pool, kv_schema(), "h")
         self.model: List[Tuple[int, int]] = []
         self._next = 0
 
@@ -253,16 +254,16 @@ class HeapMachine(RuleBasedStateMachine):
     def insert_many(self, values) -> None:
         records = [self._record(value) for value in values]
         # The literal reference: one insert() per record on a private twin.
-        twin = copy.deepcopy(self.catalog)
+        twin, twin_heap = copy.deepcopy((self.catalog, self.heap))
         for record in records:
-            twin.get("h").insert(record)
+            twin_heap.insert(record)
         count = self.heap.insert_many(records)
         assert count == len(records)
         pool = self.catalog.pool
         assert pool.stats.as_dict() == twin.pool.stats.as_dict()
         assert list(pool._frames) == list(twin.pool._frames)  # eviction order
         assert self.catalog.io_snapshot() == twin.io_snapshot()
-        assert self.heap.num_pages == twin.get("h").num_pages
+        assert self.heap.num_pages == twin_heap.num_pages
         self.model.extend(records)
 
     @rule()
@@ -278,6 +279,7 @@ class HeapMachine(RuleBasedStateMachine):
 
     @invariant()
     def engine_well_formed(self) -> None:
+        self.heap.check_invariants()
         check_all(self.catalog)
 
 

@@ -12,9 +12,11 @@ group into a temporary relation temp" (Section 3.1).  A
   NumTop = 1 is only "slightly worse" than DFS in Figure 3.
 * :meth:`drop` — scratch data is discarded without write-back.
 
-Use :func:`make_temp` or the context-manager protocol so temporaries are
-always dropped; leaking them would slowly grow the buffer pool's working
-set and distort measurements.
+Each temporary is dropped by the step that consumes it
+(:func:`~repro.query.sort.external_sort` drops its source,
+:func:`~repro.query.join.join_sorted_temp` its sorted input); leaking
+them would slowly grow the buffer pool's working set and distort
+measurements.
 """
 
 from __future__ import annotations
@@ -46,19 +48,6 @@ class TempRelation:
         self._dropped = False
 
     # ------------------------------------------------------------------
-    @property
-    def num_records(self) -> int:
-        return self.heap.num_records
-
-    @property
-    def num_pages(self) -> int:
-        return self.heap.num_pages
-
-    def insert(self, record: Tuple[Any, ...]) -> None:
-        if self._sealed:
-            raise RuntimeError("insert into sealed temporary %r" % self.heap.name)
-        self.heap.insert(record)
-
     def insert_many(self, records: Iterable[Tuple[Any, ...]]) -> int:
         if self._sealed:
             raise RuntimeError("insert into sealed temporary %r" % self.heap.name)
@@ -84,16 +73,6 @@ class TempRelation:
         if not self._dropped:
             self.heap.drop()
             self._dropped = True
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "TempRelation":
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self.drop()
-
-    def __len__(self) -> int:
-        return self.heap.num_records
 
 
 def make_temp(

@@ -10,7 +10,7 @@ An **arena** is that one copy.  ``build_arena`` lays a frozen database
 out as a single contiguous file::
 
     [magic][u32 header_len][header JSON]
-    [page index]      pages * 36-byte packed entries
+    [page index]      pages * 32-byte packed entries
     [page images]     raw slotted byte images, back to back
     [shared blob]     pickle of the immutables every clone shares
                       (record codecs, schemas, units)
@@ -90,8 +90,8 @@ MAGIC = b"RARENA1\n"
 _U32 = struct.Struct("<I")
 
 #: One page-index entry: file_id, page_no, capacity, used_bytes,
-#: version, codec_id, image offset (within the images region), length.
-_ENTRY = struct.Struct("<iiIIIiQI")
+#: codec_id, image offset (within the images region), length.
+_ENTRY = struct.Struct("<iiIIiQI")
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +172,6 @@ def build_arena(db: Any) -> bytes:
                     page.page_id.page_no,
                     page.capacity,
                     page.used_bytes,
-                    page.version,
                     codec_id,
                     offset,
                     len(image),
@@ -348,7 +347,6 @@ def _parse(path: str, mm: mmap.mmap) -> ArenaState:
             page_no,
             capacity,
             used_bytes,
-            version,
             codec_id,
             offset,
             length,
@@ -362,7 +360,6 @@ def _parse(path: str, mm: mmap.mmap) -> ArenaState:
         page.free_bytes = capacity - used_bytes
         page.records = None
         page._sizes = None
-        page.version = version
         page.frozen = True
         page.codec = shared[codec_id] if codec_id >= 0 else None
         page._buf = view[images_off + offset:images_off + offset + length]

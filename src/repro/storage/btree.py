@@ -47,9 +47,11 @@ pool (see "The page touched last" in :mod:`repro.storage.buffer`).
 A probed key's route (leaf, slot, four-touch flag: one int; the leaf's
 ``PageId`` path: one tuple) is remembered, and a later probe replays it
 as one :meth:`BufferPool.fetch_path`: the descent's touches, not its
-work.  Only ``bulk_load`` sets separators and leaf key columns, so the
-memo is exact: the clones of a frozen snapshot share it, and a pickle or
-arena stores it empty.
+work.  Routes live in a :class:`StaticMemo` beside each node's key
+column (a leaf's keys, an internal node's separators) and the file's
+``PageId`` list.  Only ``bulk_load`` sets any of them, so the memo is
+exact: the clones of a frozen snapshot share it, a pickle or arena
+stores it empty, and nothing guards it against a page that changes.
 
 ``update_field`` is a ``lookup_one`` and an ``update`` from one route:
 the probe, then the route replayed and a writable touch of its leaf.
@@ -79,19 +81,59 @@ _LEAF_SHIFT = 21
 _SLOT_MASK = (1 << 20) - 1
 
 
-class _Routes(dict):
-    """Key -> packed route; ``paths``: leaf -> root-to-leaf ``PageId``s."""
+class StaticMemo(dict):
+    """What a static structure's shape determines, worked out once.
 
-    __slots__ = ("paths",)
+    The dict maps a probed key to its packed route; ``paths`` maps a
+    leaf to its root-to-leaf ``PageId``s; ``keys`` maps a page number to
+    its key column (a B-tree leaf's keys, an internal node's separators,
+    an ISAM page's entry keys); ``ids`` is the file's ``PageId`` list.
+    Filling it is pure computation: every page is still fetched through
+    the pool.  It serves :class:`BTreeFile` and
+    :class:`~repro.storage.isam.IsamIndex`, whose keys only
+    ``bulk_load``/``build`` set, so every clone shares one memo and a
+    pickle or arena stores it empty.  Every entry is a function of those
+    keys alone, so threads filling it at once can only write equal
+    values.
+    """
+
+    __slots__ = ("paths", "keys", "ids")
 
     def __init__(self) -> None:
         self.paths: Dict[int, Tuple[PageId, ...]] = {}
+        self.keys: Dict[int, List[Any]] = {}
+        self.ids: Optional[List[PageId]] = None
 
-    def __deepcopy__(self, memo: dict) -> "_Routes":
+    def __deepcopy__(self, memo: dict) -> "StaticMemo":
         return self
 
     def __reduce__(self) -> Tuple[Any, ...]:
-        return _Routes, ()
+        return StaticMemo, ()
+
+    def column(self, page: Page, index: int) -> List[Any]:
+        """Field ``index`` of every record of ``page``, memoized by page number."""
+        page_no = page.page_id.page_no
+        column = self.keys.get(page_no)
+        if column is None:
+            column = self.keys[page_no] = [r[index] for r in page.record_batch()]
+        return column
+
+    def check(self, disk: Any, file_id: int, index_of: Callable[[int], int]) -> None:
+        """Every memoized key column, and the id list, equals what the file
+        holds; ``index_of(page_no)`` is the key field of that page's
+        records.  Pages are read with :meth:`DiskManager.peek_page`, so
+        the check charges no I/O."""
+        if self.ids is not None and self.ids != [
+            PageId(file_id, no) for no in range(disk.num_pages(file_id))
+        ]:
+            raise AssertionError("memoized page ids differ from file %d" % file_id)
+        for page_no, column in self.keys.items():
+            index = index_of(page_no)
+            records = disk.peek_page(PageId(file_id, page_no)).record_batch()
+            if column != [r[index] for r in records]:
+                raise AssertionError(
+                    "memoized keys of page %d differ from the page" % page_no
+                )
 
 
 class BTreeFile:
@@ -120,28 +162,7 @@ class BTreeFile:
         self._first_leaf: Optional[int] = None
         self._num_records = 0
         self.height = 0
-        # Memoized key columns, keyed by page_no and guarded by the
-        # page's mutation counter: page_no -> (page.version, keys).
-        # Extracting keys is pure computation (no I/O is skipped — the
-        # page itself is still fetched through the buffer pool), but it
-        # dominated profile time on B-tree-heavy sweeps.
-        self._leaf_key_cache: Dict[int, Tuple[int, List[Any]]] = {}
-        self._sep_cache: Dict[int, Tuple[int, List[Any]]] = {}
-        # The disk's page_ids() list for this file, which the disk keeps
-        # in step as the tree allocates pages.
-        self._ids: Optional[List[PageId]] = None
-        self._routes = _Routes()
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # The key caches are pure memoization (dropping them skips no
-        # I/O); excluding them keeps database snapshots small and lets
-        # every snapshot clone rebuild its own caches on first use
-        # instead of carrying a deep copy of the template's.
-        state = self.__dict__.copy()
-        state["_leaf_key_cache"] = {}
-        state["_sep_cache"] = {}
-        state["_ids"] = None
-        return state
+        self._memo = StaticMemo()
 
     # ------------------------------------------------------------------
     # properties
@@ -178,7 +199,7 @@ class BTreeFile:
             raise StorageError("bulk_load input must be sorted by %r" % self.key_name)
         if len(set(keys)) != len(keys):
             raise DuplicateKeyError("bulk_load input has duplicate keys")
-        self._routes = _Routes()  # an empty tree's memo may be shared
+        self._memo = StaticMemo()  # an empty tree's memo may be shared
 
         # --- leaves -----------------------------------------------------
         validate = self.schema.validate
@@ -230,10 +251,12 @@ class BTreeFile:
     # navigation
     # ------------------------------------------------------------------
     def _page_ids(self) -> List[PageId]:
-        """The file's ``PageId`` list (the disk grows it in place)."""
-        ids = self._ids
+        """The file's ``PageId`` list (the disk's, which a loaded tree
+        never grows)."""
+        memo = self._memo
+        ids = memo.ids
         if ids is None:
-            ids = self._ids = self.pool.disk.page_ids(self.file_id)
+            ids = memo.ids = self.pool.disk.page_ids(self.file_id)
         return ids
 
     def _new_node(self, is_leaf: bool) -> Page:
@@ -255,46 +278,23 @@ class BTreeFile:
         return self.pool.writable(PageId(self.file_id, page_no))
 
     def _leaf_keys(self, page: Page) -> List[Any]:
-        page_no = page.page_id.page_no
-        cached = self._leaf_key_cache.get(page_no)
-        if cached is not None and cached[0] == page.version:
-            return cached[1]
-        records = page.records
-        if records is None:
-            records = page._materialize()
-        key_index = self._key_index
-        keys = [r[key_index] for r in records]
-        self._leaf_key_cache[page_no] = (page.version, keys)
-        return keys
-
-    def _separators(self, page: Page) -> List[Any]:
-        page_no = page.page_id.page_no
-        cached = self._sep_cache.get(page_no)
-        if cached is not None and cached[0] == page.version:
-            return cached[1]
-        records = page.records
-        if records is None:
-            records = page._materialize()
-        seps = [entry[0] for entry in records]
-        self._sep_cache[page_no] = (page.version, seps)
-        return seps
+        return self._memo.column(page, self._key_index)
 
     def _descend(self, key: Any, ids: List[PageId]) -> List[int]:
         """The one read descent: ``key``'s root-to-leaf page numbers, one
         real fetch per index level (the leaf is not fetched)."""
         is_leaf = self._is_leaf
         fetch = self.pool.fetch
-        sep_cache = self._sep_cache
+        memo = self._memo
+        columns = memo.keys
         bisect_right = bisect.bisect_right
         node = self._root
         path = [node]
         while not is_leaf[node]:
             page = fetch(ids[node])
-            cached = sep_cache.get(node)
-            if cached is not None and cached[0] == page.version:
-                seps = cached[1]
-            else:
-                seps = self._separators(page)
+            seps = columns.get(node)
+            if seps is None:
+                seps = memo.column(page, 0)
             idx = bisect_right(seps, key) - 1
             if idx < 0:
                 idx = 0
@@ -314,21 +314,21 @@ class BTreeFile:
         keys = self._leaf_keys(page)
         slot = bisect.bisect_left(keys, key)
         four = slot + 1 < len(keys) and keys[slot] == key
-        routes = self._routes
-        if node not in routes.paths:
-            routes.paths[node] = tuple([ids[no] for no in path])
-        route = routes[key] = node << _LEAF_SHIFT | slot << 1 | four
+        memo = self._memo
+        if node not in memo.paths:
+            memo.paths[node] = tuple([ids[no] for no in path])
+        route = memo[key] = node << _LEAF_SHIFT | slot << 1 | four
         return page, route
 
     def _find_leaf_slot(self, key: Any) -> Tuple[Optional[int], int]:
         """Leaf page and slot of the first record with key >= ``key``."""
         if self._root is None:
             return None, 0
-        route = self._routes.get(key)
+        route = self._memo.get(key)
         if route is None:
             route = self._route(key)[1]
         else:
-            self.pool.fetch_path(self._routes.paths[route >> _LEAF_SHIFT])
+            self.pool.fetch_path(self._memo.paths[route >> _LEAF_SHIFT])
         return route >> _LEAF_SHIFT, route >> 1 & _SLOT_MASK
 
     # ------------------------------------------------------------------
@@ -401,7 +401,7 @@ class BTreeFile:
         pool = self.pool
         stats = pool.stats
         fetch_path = pool.fetch_path
-        remembered, paths = self._routes.get, self._routes.paths
+        remembered, paths = self._memo.get, self._memo.paths
         append = out.append
         for key in keys:
             route = remembered(key)
@@ -486,14 +486,14 @@ class BTreeFile:
         """Full scan in key order."""
         return self.range_scan()
 
-    def _walk_fetch(self, page_no: int) -> Tuple[Page, List[Tuple[Any, ...]], int]:
-        """Really fetch leaf ``page_no`` for :meth:`merge_walk`: the page,
-        its records and its version."""
+    def _walk_fetch(self, page_no: int) -> Tuple[Page, List[Tuple[Any, ...]]]:
+        """Really fetch leaf ``page_no`` for :meth:`merge_walk`: the page
+        and its records."""
         page = self.pool.fetch(self._page_ids()[page_no])
         records = page.records
         if records is None:
             records = page._materialize()
-        return page, records, page.version
+        return page, records
 
     def merge_walk(
         self,
@@ -512,9 +512,13 @@ class BTreeFile:
         Keys arrive in batches; the consumer and the outer may use the
         pool between two matches and between two batches.  A touch of the
         walk's leaf is booked as a hit when the pool's page touched last
-        is the very page (and version) the walk holds, and is a real
-        fetch otherwise (see "Raw-speed notes").  Booked hits are added to
-        the counters when a batch ends and when the walk ends.
+        is the very page the walk holds, and is a real fetch otherwise
+        (see "Raw-speed notes").  A write to that leaf between two
+        matches needs no guard: it keeps every key, and it lands either
+        in the record list the walk reads (a private page) or in a
+        private copy, which is then the page touched last, so the walk
+        fetches it.  Booked hits are added to the counters when a batch
+        ends and when the walk ends.
         """
         if self._root is None:
             for _ in key_batches:  # an empty tree still consumes its outer
@@ -527,8 +531,7 @@ class BTreeFile:
         bisect_left = bisect.bisect_left
         page_no = -1  # leaf under the walk (-1: not positioned / exhausted)
         slot = 0
-        page = None  # leaf page_no as the walk last fetched it ...
-        version = -1  # ... and its version then
+        page = None  # leaf page_no as the walk last fetched it
         records: List[Tuple[Any, ...]] = []
         keys: Optional[List[Any]] = None
         hits = 0  # booked touches not yet added to the counters
@@ -545,12 +548,11 @@ class BTreeFile:
                     skip = True
                     if page_no >= 0:
                         # seek(): one touch, then stay if the leaf spans key.
-                        granted = pool.last.page is page and page.version == version
+                        granted = pool.last.page is page
                         if granted:
                             hits += 1
                         else:
-                            page, records, version = self._walk_fetch(page_no)
-                            keys = None
+                            page, records = self._walk_fetch(page_no)
                         if keys is None:
                             keys = self._leaf_keys(page)
                         if keys and keys[0] <= key <= keys[-1]:
@@ -559,7 +561,7 @@ class BTreeFile:
                     if skip:
                         # seek() by descent, ending in a real leaf fetch.
                         page_no = self._descend(key, self._page_ids())[-1]
-                        page, records, version = self._walk_fetch(page_no)
+                        page, records = self._walk_fetch(page_no)
                         keys = self._leaf_keys(page)
                         slot = bisect_left(keys, key)
                     while True:
@@ -567,18 +569,17 @@ class BTreeFile:
                             # _skip_to_valid(): a touch per leaf tried,
                             # moving right past exhausted leaves (the next
                             # leaf is a real fetch).
-                            granted = pool.last.page is page and page.version == version
+                            granted = pool.last.page is page
                             if granted:
                                 hits += 1
                             else:
-                                page, records, version = self._walk_fetch(page_no)
-                                keys = None
+                                page, records = self._walk_fetch(page_no)
                             while slot >= len(records):
                                 page_no = next_leaf[page_no]
                                 if page_no < 0:
                                     break
                                 slot = 0
-                                page, records, version = self._walk_fetch(page_no)
+                                page, records = self._walk_fetch(page_no)
                                 keys = None
                                 granted = False
                             if page_no < 0:
@@ -635,12 +636,12 @@ class BTreeFile:
         if self._root is None:
             raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
         pool = self.pool
-        routes = self._routes
-        route = routes.get(key)
+        memo = self._memo
+        route = memo.get(key)
         if route is None:
             page, route = self._route(key)
         else:
-            page = pool.fetch_path(routes.paths[route >> _LEAF_SHIFT])
+            page = pool.fetch_path(memo.paths[route >> _LEAF_SHIFT])
         leaf_no = route >> _LEAF_SHIFT
         slot = route >> 1 & _SLOT_MASK
         if route & 1 and pool.last.page is page:
@@ -659,20 +660,15 @@ class BTreeFile:
         if new_record[self._key_index] != key:
             raise StorageError("update must preserve the key")
         size = None if field.fixed_size is not None else schema.record_size(new_record)
-        pool.fetch_path(routes.paths[leaf_no])
+        pool.fetch_path(memo.paths[leaf_no])
         self._rewrite(pool.writable(self._page_ids()[leaf_no]), slot, new_record, size)
         return new_record
 
     def _rewrite(self, page: Page, slot: int, record: Any, size: Optional[int]) -> None:
         """The write step of an update: ``record`` (``size`` bytes; None:
-        the old size) over ``slot`` of the leaf ``page``, touched writable."""
-        old_version = page.version
+        the old size) over ``slot`` of the leaf ``page``, touched writable.
+        The key is kept, so the memoized key column stays exact."""
         page.replace(slot, record, size)
-        # Key-preserving replace: re-stamp the memoized key column.
-        page_no = page.page_id.page_no
-        cached = self._leaf_key_cache.get(page_no)
-        if cached is not None and cached[0] == old_version:
-            self._leaf_key_cache[page_no] = (page.version, cached[1])
         self.pool.mark_dirty(page.page_id)
 
     # ------------------------------------------------------------------
@@ -687,8 +683,10 @@ class BTreeFile:
         separator is the first key of its subtree and the keys of a
         subtree lie below the next separator; only the root leaf of an
         empty tree is empty; all leaves sit at ``height``; the
-        left-to-right leaf order of the tree equals the leaf chain; and
-        every allocated page is part of the tree.  All reads go through
+        left-to-right leaf order of the tree equals the leaf chain; every
+        allocated page is part of the tree; and every memoized key column
+        and the memoized id list equal what the pages hold (see
+        :meth:`StaticMemo.check`).  All reads go through
         :meth:`DiskManager.peek_page`, so a check perturbs neither the
         I/O counters nor the buffer pool.
         """
@@ -792,3 +790,5 @@ class BTreeFile:
             raise AssertionError(
                 "leaf chain %r disagrees with tree order %r" % (chain, ordered_leaves)
             )
+        key_index = self._key_index
+        self._memo.check(disk, self.file_id, lambda no: key_index if is_leaf[no] else 0)

@@ -14,12 +14,11 @@ from repro.storage.buffer import BufferPool, DEFAULT_BUFFER_PAGES
 from repro.storage.btree import BTreeFile
 from repro.storage.disk import DiskManager, IoSnapshot
 from repro.storage.hashfile import HashFile
-from repro.storage.heap import HeapFile
 from repro.storage.isam import IsamIndex
 from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.record import Schema
 
-Relation = Union[HeapFile, BTreeFile, HashFile]
+Relation = Union[BTreeFile, HashFile]
 
 
 class Catalog:
@@ -50,12 +49,6 @@ class Catalog:
         self._next_rel_id += 1
         self._rel_ids[name] = rel_id
         self._rel_names[rel_id] = name
-
-    def create_heap(self, name: str, schema: Schema) -> HeapFile:
-        """A heap relation (used for temporaries and generic storage)."""
-        heap = HeapFile(self.pool, schema, name)
-        self._register(name, heap)
-        return heap
 
     def create_btree(self, name: str, schema: Schema, key_name: str) -> BTreeFile:
         """A B-tree relation keyed on ``key_name`` (ParentRel, ChildRel...)."""

@@ -143,7 +143,6 @@ class HeapFile:
                         page._sizes.append(size)
                         page.used_bytes += total
                         page.free_bytes -= total
-                        page.version += 1
                         frame.dirty = True
                         count += 1
                         continue
@@ -200,7 +199,6 @@ class HeapFile:
                         page._sizes.extend([size] * fit)
                         page.used_bytes += total * fit
                         page.free_bytes -= total * fit
-                        page.version += fit
                         frame.dirty = True
                         pos += fit
                     if booked:

@@ -11,15 +11,18 @@ sorted entries packed onto index pages; a small in-memory directory of
 first-keys models the (few, hot) upper directory levels, while the index
 *leaf* pages are real pages read through the buffer pool — so ISAM probes
 compete for buffer space exactly as they did in INGRES.  The index is
-never changed after :meth:`IsamIndex.build`, so it has no overflow pages.
+never changed after :meth:`IsamIndex.build`, so it has no overflow pages,
+and each page's key column, worked out on first probe, is shared by every
+clone through the B-tree's :class:`~repro.storage.btree.StaticMemo`.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.errors import KeyNotFoundError, StorageError
+from repro.storage.btree import StaticMemo
 from repro.storage.buffer import BufferPool
 from repro.storage.page import PageId
 
@@ -38,29 +41,7 @@ class IsamIndex:
         self._primary_nos: List[int] = []
         self._num_entries = 0
         self._built = False
-        # Memoized per-page key columns, version-guarded like the B-tree's
-        # (pure computation — the page is still fetched through the pool).
-        self._key_cache: Dict[int, Tuple[int, List[Any]]] = {}
-        # The disk's page_ids() list (like the B-tree's).
-        self._ids: Optional[List[PageId]] = None
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        state["_key_cache"] = {}
-        state["_ids"] = None
-        return state
-
-    def _entry_keys(self, page: Any) -> List[Any]:
-        page_no = page.page_id.page_no
-        cached = self._key_cache.get(page_no)
-        if cached is not None and cached[0] == page.version:
-            return cached[1]
-        records = page.records
-        if records is None:
-            records = page._materialize()
-        keys = [e[0] for e in records]
-        self._key_cache[page_no] = (page.version, keys)
-        return keys
+        self._memo = StaticMemo()
 
     # ------------------------------------------------------------------
     @property
@@ -78,6 +59,7 @@ class IsamIndex:
         keys = [k for k, _ in entries]
         if any(keys[i] >= keys[i + 1] for i in range(len(keys) - 1)):
             raise StorageError("isam build input must be strictly sorted by key")
+        self._memo = StaticMemo()  # an unbuilt index's memo may be shared
         page = None
         for entry in entries:
             if page is None or not page.fits(ISAM_ENTRY_BYTES):
@@ -104,11 +86,12 @@ class IsamIndex:
         idx = bisect.bisect_right(directory, key) - 1
         if idx < 0:
             idx = 0
-        ids = self._ids
+        memo = self._memo
+        ids = memo.ids
         if ids is None:
-            ids = self._ids = self.pool.disk.page_ids(self.file_id)
+            ids = memo.ids = self.pool.disk.page_ids(self.file_id)
         page = self.pool.fetch(ids[self._primary_nos[idx]])
-        entry_keys = self._entry_keys(page)
+        entry_keys = memo.column(page, 0)
         slot = bisect.bisect_left(entry_keys, key)
         if slot < len(entry_keys) and entry_keys[slot] == key:
             records = page.records
@@ -126,8 +109,9 @@ class IsamIndex:
         The directory is strictly increasing and parallel to the primary
         page list, which is every allocated page in order; every page is
         non-empty, strictly sorted, opens with its directory key and
-        stays below the next one; and the tally matches.  Reads go
-        through :meth:`DiskManager.peek_page` — no I/O is charged.
+        stays below the next one; the tally matches; and the memoized key
+        columns and id list equal what the pages hold.  Reads go through
+        :meth:`DiskManager.peek_page` — no I/O is charged.
         """
         if not self._built:
             if self._num_entries or self._primary_nos:
@@ -171,3 +155,4 @@ class IsamIndex:
             raise AssertionError(
                 "pages hold %d entries, expected %d" % (total, self._num_entries)
             )
+        self._memo.check(disk, self.file_id, lambda no: 0)

@@ -22,8 +22,9 @@ Records live in two forms:
 
 Slotted bytes are the one byte form.  The one exception is principled:
 pages of a schema without a codec (blob caches, hash/ISAM index pages —
-their payloads are arbitrary Python objects) have no slotted image and
-persist as a pickle of their decoded lists.
+their payloads are arbitrary Python objects) have no slotted image, so
+the arena stores a pickle of their decoded lists as their image.  Nothing
+pickles a page itself: the arena is the only way one persists.
 
 ``DEFAULT_PAGE_SIZE`` is 2048 bytes, the INGRES 5.0 data-page size used in
 the paper's experiments; ``PAGE_HEADER_BYTES`` models the page header and
@@ -34,7 +35,6 @@ page, matching Section 4 of the paper.
 
 from __future__ import annotations
 
-import copy
 import pickle
 from typing import Any, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -78,7 +78,6 @@ class Page:
         "free_bytes",
         "records",
         "_sizes",
-        "version",
         "frozen",
         "codec",
         "_buf",
@@ -95,9 +94,6 @@ class Page:
         self.free_bytes = capacity - PAGE_HEADER_BYTES
         self.records: Optional[List[Any]] = []
         self._sizes: Optional[List[int]] = []
-        #: Bumped on every mutation; lets access methods cache derived
-        #: views of a page (e.g. the B-tree's key column) safely.
-        self.version = 0
         #: Sealed by a database snapshot: the page may be shared between
         #: clones, so every mutator refuses to run until the owner makes
         #: a private copy (:meth:`copy`, arranged by the buffer pool's
@@ -119,22 +115,14 @@ class Page:
 
     def __deepcopy__(self, memo: dict) -> "Page":
         # A frozen page is immutable and shared by every snapshot clone
-        # (first write goes through :meth:`copy`); anything else gets
-        # the ordinary private deep copy.
-        if self.frozen:
-            return self
-        dup = Page.__new__(Page)
-        memo[id(self)] = dup
-        dup.__setstate__(copy.deepcopy(self.__getstate__(), memo))
-        return dup
+        # (first write goes through :meth:`copy`); anything else gets a
+        # private copy.
+        return self if self.frozen else self.copy()
 
     def copy(self) -> "Page":
         """A private, unfrozen duplicate with identical contents.
 
-        The mutation counter is preserved so derived-view caches keyed on
-        ``(page_no, version)`` remain valid — the copy's contents are the
-        original's, byte for byte.  Records are immutable tuples and are
-        shared, not copied.
+        Records are immutable tuples and are shared, not copied.
         """
         if self.records is None:
             self._materialize()
@@ -145,7 +133,6 @@ class Page:
         dup.free_bytes = self.free_bytes
         dup.records = list(self.records)  # type: ignore[arg-type]
         dup._sizes = list(self._sizes)  # type: ignore[arg-type]
-        dup.version = self.version
         dup.frozen = False
         dup.codec = self.codec
         dup._buf = None
@@ -189,8 +176,7 @@ class Page:
         """The slotted byte image of the page (requires a codec).
 
         Frozen pages cache the encoding — they can never change again —
-        which is what makes snapshot pickling pay the encoding cost at
-        most once per page.
+        so writing a page into several arenas encodes it once.
         """
         if self.codec is None:
             raise ValueError("page %s has no codec" % (self.page_id,))
@@ -200,55 +186,6 @@ class Page:
         if self.frozen:
             self._buf = buf
         return buf
-
-    def __getstate__(self) -> Tuple[Any, ...]:
-        # Frozen pages with a codec serialise as their slotted byte image
-        # (compact, and decoded lazily on first read after unpickling);
-        # everything else carries the decoded lists.  ``used_bytes`` /
-        # ``free_bytes`` / ``version`` travel explicitly so fit decisions
-        # and derived-view caches are bit-identical across the round trip.
-        if self.frozen and self.codec is not None:
-            # bytes() also materializes arena stubs, whose cached image
-            # is an unpicklable memoryview into the arena mmap.
-            payload: Any = bytes(self.to_bytes())
-            encoded = True
-        else:
-            if self.records is None:
-                # Codec-less arena stub still in byte form: revive the
-                # lists so the pickle carries real payload, not None.
-                self._materialize()
-            payload = (self.records, self._sizes)
-            encoded = False
-        return (
-            self.page_id,
-            self.capacity,
-            self.used_bytes,
-            self.version,
-            self.frozen,
-            self.codec,
-            encoded,
-            payload,
-        )
-
-    def __setstate__(self, state: Tuple[Any, ...]) -> None:
-        (
-            self.page_id,
-            self.capacity,
-            self.used_bytes,
-            self.version,
-            self.frozen,
-            self.codec,
-            encoded,
-            payload,
-        ) = state
-        self.free_bytes = self.capacity - self.used_bytes
-        if encoded:
-            self.records = None
-            self._sizes = None
-            self._buf = payload
-        else:
-            self.records, self._sizes = payload
-            self._buf = None
 
     def _require_mutable(self) -> None:
         if self.frozen:
@@ -284,7 +221,6 @@ class Page:
         self._sizes.append(record_size)  # type: ignore[union-attr]
         self.used_bytes += total
         self.free_bytes -= total
-        self.version += 1
         return len(records) - 1
 
     def replace(self, slot: int, record: Any, record_size: Optional[int] = None) -> None:
@@ -310,7 +246,6 @@ class Page:
         self._sizes[slot] = new_size  # type: ignore[index]
         self.used_bytes += growth
         self.free_bytes -= growth
-        self.version += 1
 
     def delete(self, slot: int) -> Any:
         """Remove and return the record in ``slot`` (compacting the page)."""
@@ -322,7 +257,6 @@ class Page:
         size = self._sizes.pop(slot)  # type: ignore[union-attr]
         self.used_bytes -= size + SLOT_BYTES
         self.free_bytes += size + SLOT_BYTES
-        self.version += 1
         return record
 
     def pop_all(self) -> List[Any]:
@@ -335,7 +269,6 @@ class Page:
         self._sizes = []
         self.used_bytes = PAGE_HEADER_BYTES
         self.free_bytes = self.capacity - PAGE_HEADER_BYTES
-        self.version += 1
         return records
 
     # ------------------------------------------------------------------

@@ -13,8 +13,10 @@ from repro.query.join import (
 )
 from repro.query.temp import make_temp
 from repro.storage.catalog import Catalog
+from repro.storage.heap import HeapFile
 from repro.storage.page import PageId
 from repro.storage.record import CharField, IntField, Schema
+from repro.storage.snapshot import Snapshot
 from tests.storage.btree_cursor import BTreeCursor
 
 
@@ -140,64 +142,91 @@ def cursor_join(sorted_keys, inner):
             record = cursor.current()
 
 
-def _twin(tree_keys, frames, cold, policy="lru"):
-    """A small-page catalog: the inner tree plus a six-page ``foreign`` heap."""
-    catalog = Catalog(buffer_pages=frames, page_size=128, buffer_policy=policy)
-    tree = catalog.create_btree("inner", KV_SCHEMA, "key")
-    tree.bulk_load([(key, i) for i, key in enumerate(tree_keys)])
-    catalog.create_heap("foreign", KEY_SCHEMA).insert_many([(k,) for k in range(80)])
+class _Twin:
+    """A small-page catalog: the inner tree plus a six-page ``foreign`` heap
+    (and the two members ``Snapshot.freeze`` needs)."""
+
+    def __init__(self, tree_keys, frames, policy):
+        self.catalog = Catalog(buffer_pages=frames, page_size=128, buffer_policy=policy)
+        self.tree = self.catalog.create_btree("inner", KV_SCHEMA, "key")
+        self.tree.bulk_load([(key, i) for i, key in enumerate(tree_keys)])
+        self.foreign = HeapFile(self.catalog.pool, KEY_SCHEMA, "foreign")
+        self.foreign.insert_many([(k,) for k in range(80)])
+
+    @property
+    def disk(self):
+        return self.catalog.disk
+
+    def start_measurement(self, cold=True):
+        self.catalog.pool.clear(flush=True)
+        self.disk.reset_counters()
+
+
+def _twin(tree_keys, frames, cold, policy="lru", frozen=False):
+    """A fresh :class:`_Twin`, or with ``frozen`` a clone of one frozen to a
+    snapshot (which starts cold)."""
+    twin = _Twin(tree_keys, frames, policy)
+    if frozen:
+        return Snapshot.freeze(twin).attach()
     if cold:
-        catalog.pool.clear(flush=True)
-    return catalog, tree
+        twin.catalog.pool.clear(flush=True)
+    return twin
 
 
-def _ledger(catalog):
-    pool, disk = catalog.pool, catalog.disk
+def _ledger(twin):
+    pool, disk = twin.catalog.pool, twin.disk
     return (
         pool.stats.as_dict(), disk.reads, disk.writes,
         list(pool._frames), dict(pool._referenced), pool._clock_hand,
     )
 
 
-def _poke(catalog, index):
+def _poke(twin, index, record=None):
     """Use the pool as a foreign party would: an even ``index`` touches one
-    foreign page, an odd one scans enough of them to evict the leaf."""
-    foreign = catalog.get("foreign")
-    if index % 2:
-        list(foreign.scan())
+    foreign page, an odd one scans enough of them to evict the leaf.  Given
+    the ``record`` just matched, rewrite its value instead: a write to the
+    very leaf a walk is on, between two of its matches."""
+    if record is not None:
+        twin.tree.update_field(record[0], "value", record[1] + 1000)
+    elif index % 2:
+        list(twin.foreign.scan())
     else:
-        catalog.pool.fetch(PageId(foreign.file_id, 0))
+        twin.catalog.pool.fetch(PageId(twin.foreign.file_id, 0))
 
 
-def _drive(catalog, matches, pokes):
+def _drive(twin, matches, pokes, update=False):
     """Consume ``matches``, poking the pool after the match indices in
-    ``pokes`` (a consumer may, between two results)."""
+    ``pokes`` (a consumer may, between two results); with ``update``, each
+    poke rewrites the match it follows."""
     out = []
     for index, record in enumerate(matches):
         out.append(record)
         if index in pokes:
-            _poke(catalog, index)
+            _poke(twin, index, record if update else None)
     return out
 
 
-def assert_walk_matches_cursor(tree_keys, probes, frames, cold, outer, pokes=()):
+def assert_walk_matches_cursor(
+    tree_keys, probes, frames, cold, outer, pokes=(), policy="lru", frozen=False,
+    update=False,
+):
     """Run one join both ways; results, counters, I/O and LRU order agree."""
-    walk_catalog, walk_tree = _twin(tree_keys, frames, cold)
-    ref_catalog, ref_tree = _twin(tree_keys, frames, cold)
+    walk = _twin(tree_keys, frames, cold, policy, frozen)
+    ref = _twin(tree_keys, frames, cold, policy, frozen)
     if outer == "temp":
         # Page batches: the outer fetches a temp page at every boundary.
         records = [(key,) for key in probes]
-        temp = make_temp(walk_catalog.pool, KEY_SCHEMA, records)
-        got = join_sorted_temp(temp, walk_tree)
-        ref_temp = make_temp(ref_catalog.pool, KEY_SCHEMA, records)
-        want = list(cursor_join((r[0] for r in ref_temp.scan()), ref_tree))
+        temp = make_temp(walk.catalog.pool, KEY_SCHEMA, records)
+        got = join_sorted_temp(temp, walk.tree)
+        ref_temp = make_temp(ref.catalog.pool, KEY_SCHEMA, records)
+        want = list(cursor_join((r[0] for r in ref_temp.scan()), ref.tree))
         ref_temp.drop()
     else:
         keys = list(probes) if outer == "list" else iter(probes)
-        got = _drive(walk_catalog, merge_probe_join(keys, walk_tree), pokes)
-        want = _drive(ref_catalog, cursor_join(iter(probes), ref_tree), pokes)
+        got = _drive(walk, merge_probe_join(keys, walk.tree), pokes, update)
+        want = _drive(ref, cursor_join(iter(probes), ref.tree), pokes, update)
     assert got == want
-    assert _ledger(walk_catalog) == _ledger(ref_catalog)
+    assert _ledger(walk) == _ledger(ref)
     return got
 
 
@@ -239,6 +268,23 @@ class TestMergeWalkMatchesCursor:
             sorted(tree_keys), sorted(probes), frames, cold, outer, pokes
         )
 
+    @pytest.mark.parametrize("frozen", [False, True], ids=["private", "frozen-clone"])
+    @pytest.mark.parametrize("policy", ["lru", "clock"])
+    @pytest.mark.parametrize("frames", [3, 8])
+    def test_update_of_the_walks_own_leaf_between_matches(self, frames, policy, frozen):
+        # Each match is rewritten before the walk moves on: in place on a
+        # private tree, into a private copy of the leaf on a clone.  Keys
+        # span the leaves' first, middle and last records, repeats
+        # included, so the next match is often on the leaf just written.
+        tree_keys = list(range(0, 120, 2))
+        probes = sorted(tree_keys[:30] + [4, 4, 13, 12, 12, 60])
+        pokes = frozenset(range(len(probes)))
+        for outer in ("list", "lazy"):
+            got = assert_walk_matches_cursor(
+                tree_keys, probes, frames, True, outer, pokes, policy, frozen, True
+            )
+            assert [record[0] for record in got] == [k for k in probes if k % 2 == 0]
+
 
 # ----------------------------------------------------------------------
 # the batched nested-loop probe against the literal cursor loop
@@ -263,15 +309,15 @@ def assert_probe_matches_cursor(tree_keys, batches, frames, policy, cold):
     """Probe each batch twice both ways (the second pass replays the
     routes the first remembered), a foreign poke after each pass; after
     every pass results, counters, I/O and replacement state agree."""
-    got_catalog, got_tree = _twin(tree_keys, frames, cold, policy)
-    ref_catalog, ref_tree = _twin(tree_keys, frames, cold, policy)
+    got = _twin(tree_keys, frames, cold, policy)
+    ref = _twin(tree_keys, frames, cold, policy)
     for index, batch in enumerate(batches):
         for _ in range(2):
-            assert got_tree.probe_many(batch) == cursor_probe(batch, ref_tree)
-            assert _ledger(got_catalog) == _ledger(ref_catalog)
-            _poke(got_catalog, index)
-            _poke(ref_catalog, index)
-    return got_tree, ref_tree, got_catalog, ref_catalog
+            assert got.tree.probe_many(batch) == cursor_probe(batch, ref.tree)
+            assert _ledger(got) == _ledger(ref)
+            _poke(got, index)
+            _poke(ref, index)
+    return got, ref
 
 
 class TestProbeManyMatchesCursor:
@@ -301,13 +347,11 @@ class TestProbeManyMatchesCursor:
     def test_missing_key_leaves_the_counters_where_the_cursor_does(self):
         tree_keys = list(range(0, 120, 2))
         for absent in (-1, 13, 2 * PER_LEAF - 1, 500):
-            got_tree, ref_tree, got_catalog, ref_catalog = assert_probe_matches_cursor(
-                tree_keys, [[4, 40]], 3, "lru", True
-            )
+            got, ref = assert_probe_matches_cursor(tree_keys, [[4, 40]], 3, "lru", True)
             with pytest.raises(KeyNotFoundError):
-                got_tree.lookup_one(absent)
-            assert cursor_probe([absent], ref_tree) == []
-            assert _ledger(got_catalog) == _ledger(ref_catalog)
+                got.tree.lookup_one(absent)
+            assert cursor_probe([absent], ref.tree) == []
+            assert _ledger(got) == _ledger(ref)
 
     @given(
         tree_keys=st.sets(st.integers(0, 80), max_size=90),

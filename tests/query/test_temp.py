@@ -12,28 +12,24 @@ class TestLifecycle:
     def test_fill_seal_scan(self, catalog):
         temp = make_temp(catalog.pool, OID_SCHEMA, [(i,) for i in range(100)])
         assert list(temp.scan()) == [(i,) for i in range(100)]
-        assert temp.num_records == 100
+        assert temp.heap.num_records == 100
         temp.drop()
 
     def test_insert_after_seal_rejected(self, catalog):
         temp = make_temp(catalog.pool, OID_SCHEMA, [(1,)])
         with pytest.raises(RuntimeError):
-            temp.insert((2,))
-
-    def test_context_manager_drops(self, catalog):
-        with make_temp(catalog.pool, OID_SCHEMA, [(1,)]) as temp:
-            file_id = temp.heap.file_id
-        assert not catalog.disk.file_exists(file_id)
+            temp.insert_many([(2,)])
 
     def test_double_drop_is_safe(self, catalog):
         temp = make_temp(catalog.pool, OID_SCHEMA, [(1,)])
         temp.drop()
+        assert not catalog.disk.file_exists(temp.heap.file_id)
         temp.drop()
 
     def test_unsealed_when_requested(self, catalog):
         temp = make_temp(catalog.pool, OID_SCHEMA, [(1,)], seal=False)
-        temp.insert((2,))  # still open
-        assert temp.num_records == 2
+        temp.insert_many([(2,)])  # still open
+        assert temp.heap.num_records == 2
         temp.drop()
 
     def test_names_are_unique(self, catalog):
@@ -46,11 +42,10 @@ class TestIoSemantics:
     def test_seal_charges_writes(self, catalog):
         catalog.disk.reset_counters()
         temp = TempRelation(catalog.pool, OID_SCHEMA)
-        for i in range(1000):
-            temp.insert((i,))
+        temp.insert_many([(i,) for i in range(1000)])
         assert catalog.disk.writes == 0  # nothing forced yet
         temp.seal()
-        assert catalog.disk.writes == temp.num_pages
+        assert catalog.disk.writes == temp.heap.num_pages
 
     def test_seal_is_idempotent(self, catalog):
         temp = make_temp(catalog.pool, OID_SCHEMA, [(1,)])
@@ -66,8 +61,7 @@ class TestIoSemantics:
 
     def test_drop_discards_without_writes(self, catalog):
         temp = TempRelation(catalog.pool, OID_SCHEMA)
-        for i in range(1000):
-            temp.insert((i,))
+        temp.insert_many([(i,) for i in range(1000)])
         catalog.disk.reset_counters()
         temp.drop()
         assert catalog.disk.writes == 0

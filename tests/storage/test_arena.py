@@ -12,7 +12,7 @@ from repro.core.strategies.base import make_strategy
 from repro.obs import MetricsRegistry, Tracer
 from repro.storage import arena
 from repro.storage.arena import ArenaSnapshot, build_arena
-from repro.storage.page import Page
+from repro.storage.page import Page, PageId
 from repro.storage.snapshot import Snapshot, SnapshotStore
 from repro.workload.driver import run_sequence
 from repro.workload.generator import build_database
@@ -62,7 +62,6 @@ class TestRoundTrip:
                 assert stub.record_batch() == original.record_batch()
                 assert stub._sizes == original._sizes
             assert stub.used_bytes == original.used_bytes
-            assert stub.version == original.version
             assert stub.frozen
 
     def test_stub_buffers_are_views_into_the_mapping(self, arena_path):
@@ -88,13 +87,6 @@ class TestRoundTrip:
         )
         page_two = two.disk._files[page_one.page_id.file_id][page_one.page_id.page_no]
         assert page_one is page_two  # same stub: shared decode cache
-
-    def test_stub_pages_survive_pickling(self, arena_path):
-        # A clone's frozen stub holds a memoryview into the mmap; pickling
-        # (e.g. a debugging dump) must transparently materialize bytes.
-        stub = _load(arena_path)._stubs[0]
-        revived = pickle.loads(pickle.dumps(stub))
-        assert list(revived.iter_records()) == list(stub.iter_records())
 
 
 class TestCorruption:
@@ -174,14 +166,19 @@ class TestZeroPickle:
         # loading it back and attaching serializes no page through
         # pickle — images are copied out raw and the metadata blob names
         # pages by index position.
+        # ``__reduce_ex__`` is the hook every pickle of a page goes
+        # through, on every Python version.
         calls = []
-        getstate = Page.__getstate__
+        reduce_ex = Page.__reduce_ex__
 
-        def counting_getstate(page):
+        def counting_reduce_ex(page, protocol):
             calls.append(page.page_id)
-            return getstate(page)
+            return reduce_ex(page, protocol)
 
-        monkeypatch.setattr(Page, "__getstate__", counting_getstate)
+        monkeypatch.setattr(Page, "__reduce_ex__", counting_reduce_ex)
+        pickle.dumps(Page(PageId(0, 0)))
+        assert calls == [PageId(0, 0)]  # the counter sees a pickled page
+        calls.clear()
         assert len(_frozen_pages(frozen_db)) > 0
         path = tmp_path / "db.arena"
         path.write_bytes(build_arena(frozen_db))

@@ -1,5 +1,9 @@
 """B+tree: bulk load, lookups, range scans, in-place updates, cursors."""
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
@@ -230,15 +234,16 @@ class TestRouteMemo:
         snapshot = Snapshot.freeze(_TreeStore([rec(k, k) for k in range(0, 800, 2)]))
         template = snapshot._db.tree
         clone_a, clone_b = snapshot.attach().tree, snapshot.attach().tree
-        assert clone_a._routes is template._routes
-        assert clone_b._routes is template._routes
+        assert clone_a._memo is template._memo
+        assert clone_b._memo is template._memo
 
         clone_b.lookup(400)
-        assert 400 in template._routes
+        assert 400 in template._memo
+        assert template._memo.keys and template._memo.ids
         clone_b.update(400, rec(400, -1))  # keys and slots stay put
         clone_a.update_field(2, "value", 7)
-        assert clone_a._routes is template._routes
-        assert clone_b._routes is template._routes
+        assert clone_a._memo is template._memo
+        assert clone_b._memo is template._memo
         assert clone_a.lookup(400) == [rec(400, 400)]
         assert clone_b.lookup(400) == [rec(400, -1)]
         assert clone_a.lookup(2) == [rec(2, 7)]
@@ -246,8 +251,44 @@ class TestRouteMemo:
 
         store = SnapshotStore(str(tmp_path))
         revived = store.put("db", snapshot).attach().tree
-        assert not revived._routes
+        assert not revived._memo and not revived._memo.keys
+        assert revived._memo.ids is None
         assert revived.lookup(400) == [rec(400, 400)]
+
+    def test_threads_on_clones_fill_one_memo(self):
+        # More threads than cores, switching often: each probes and
+        # updates its own clone while all of them fill the shared memo.
+        snapshot = Snapshot.freeze(_TreeStore([rec(k, k) for k in range(0, 800, 2)]))
+        trees = [snapshot.attach().tree for _ in range(6)]
+        errors = []
+
+        def work(index, tree):
+            try:
+                keys = list(range(0, 800, 2))
+                random.Random(index).shuffle(keys)
+                for key in keys:
+                    assert tree.lookup(key) == [rec(key, key)]
+                    assert tree.lookup(key + 1) == []
+                    tree.update_field(key, "value", -key - index)
+                assert [r[1] for r in tree.scan()] == [-k - index for k in range(0, 800, 2)]
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=item) for item in enumerate(trees)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for tree in trees:
+            assert tree._memo is snapshot._db.tree._memo
+            tree.check_invariants()
 
     def test_clones_of_an_unloaded_tree_bulk_load_their_own_routes(self):
         snapshot = Snapshot.freeze(_TreeStore())
@@ -418,6 +459,15 @@ def _allocate_an_orphan_page(tree):
     tree.pool.new_page(tree.file_id)
 
 
+def _rewrite_a_memoized_key(tree):
+    # In order and inside its fences, on a leaf a probe has memoized:
+    # only the memo check can tell.
+    leaf = _peek(tree, tree._first_leaf)
+    key = leaf.get(1)[0]
+    assert tree.lookup(key)
+    leaf.replace(1, rec(key + 1, key))
+
+
 _BTREE_FAULTS = [
     (_swap_leaf_keys, "leaf chain key order violated"),
     (_bump_count, "leaf chain has"),
@@ -432,6 +482,7 @@ _BTREE_FAULTS = [
     (_lower_a_separator, "its separator"),
     (_track_a_phantom_node, "metadata tracks"),
     (_allocate_an_orphan_page, "pages of .* allocated"),
+    (_rewrite_a_memoized_key, "memoized keys of page .* differ"),
 ]
 
 

@@ -68,7 +68,7 @@ def _twins(policy, frozen):
 def _state(catalog, tree):
     pool, disk = catalog.pool, catalog.disk
     pages = [
-        (list(page.record_batch()), list(page._sizes), page.used_bytes, page.version)
+        (list(page.record_batch()), list(page._sizes), page.used_bytes)
         for page in map(disk.peek_page, disk.page_ids(tree.file_id))
     ]
     return (
@@ -79,8 +79,8 @@ def _state(catalog, tree):
         dict(pool._referenced),
         list(pool._clock_ring),
         pool._clock_hand,
-        dict(tree._routes),
-        dict(tree._routes.paths),
+        dict(tree._memo),
+        dict(tree._memo.paths),
         pages,
     )
 
@@ -143,7 +143,7 @@ def test_script_takes_both_read_branches():
     first, flags = 0, set()
     for op in _script(0):
         key = op[0]
-        route = tree._routes.get(key)
+        route = tree._memo.get(key)
         if route is None:
             first += 1
         else:
@@ -151,8 +151,8 @@ def test_script_takes_both_read_branches():
         _apply(_fused, tree, op)
     assert first > 0
     assert flags == {0, 1}
-    slots = {route >> 1 & _SLOT_MASK for route in tree._routes.values()}
-    leaves = {route >> _LEAF_SHIFT for route in tree._routes.values()}
+    slots = {route >> 1 & _SLOT_MASK for route in tree._memo.values()}
+    leaves = {route >> _LEAF_SHIFT for route in tree._memo.values()}
     assert len(leaves) > 1 and len(slots) > 1
 
 
@@ -164,7 +164,7 @@ def test_detects_a_dropped_touch():
         old = tree.lookup_one(key)
         index = tree.schema.field_index(field_name)
         new_record = old[:index] + (value,) + old[index + 1:]
-        route = tree._routes[key]
+        route = tree._memo[key]
         page = tree._fetch_writable(route >> _LEAF_SHIFT)
         size = tree.schema.record_size(new_record)
         tree._rewrite(page, route >> 1 & _SLOT_MASK, new_record, size)

@@ -11,24 +11,31 @@ def schema():
     return Schema([IntField("k"), IntField("v")])
 
 
+def create(catalog, name, records=()):
+    """A B-tree relation keyed on ``k``, bulk-loaded with ``records``."""
+    tree = catalog.create_btree(name, schema(), "k")
+    tree.bulk_load(list(records))
+    return tree
+
+
 class TestNamespace:
     def test_create_and_get(self, catalog):
-        heap = catalog.create_heap("h", schema())
-        assert catalog.get("h") is heap
+        tree = create(catalog, "h")
+        assert catalog.get("h") is tree
         assert catalog.has_relation("h")
 
     def test_duplicate_name_rejected(self, catalog):
-        catalog.create_heap("h", schema())
+        create(catalog, "h")
         with pytest.raises(CatalogError):
-            catalog.create_btree("h", schema(), "k")
+            catalog.create_hash("h", schema(), "k", 4)
 
     def test_missing_relation(self, catalog):
         with pytest.raises(CatalogError):
             catalog.get("nope")
 
     def test_relations_iterates(self, catalog):
-        catalog.create_heap("a", schema())
-        catalog.create_heap("b", schema())
+        create(catalog, "a")
+        create(catalog, "b")
         assert sorted(name for name, _ in catalog.relations()) == ["a", "b"]
 
     def test_indexes_are_separate_namespace(self, catalog):
@@ -42,16 +49,16 @@ class TestNamespace:
 
 class TestRelIds:
     def test_ids_are_stable_and_distinct(self, catalog):
-        catalog.create_heap("a", schema())
-        catalog.create_heap("b", schema())
+        create(catalog, "a")
+        create(catalog, "b")
         assert catalog.rel_id("a") != catalog.rel_id("b")
         assert catalog.rel_name(catalog.rel_id("a")) == "a"
 
     def test_ids_not_reused_after_drop(self, catalog):
-        catalog.create_heap("a", schema())
+        create(catalog, "a")
         old = catalog.rel_id("a")
         catalog.drop("a")
-        catalog.create_heap("a2", schema())
+        create(catalog, "a2")
         assert catalog.rel_id("a2") != old
 
     def test_unknown_id(self, catalog):
@@ -61,10 +68,9 @@ class TestRelIds:
 
 class TestDrop:
     def test_drop_frees_pages(self, catalog):
-        heap = catalog.create_heap("h", schema())
-        for i in range(100):
-            heap.insert((i, i))
+        tree = create(catalog, "h", [(i, i) for i in range(100)])
         catalog.drop("h")
+        assert not catalog.disk.file_exists(tree.file_id)
         assert not catalog.has_relation("h")
         with pytest.raises(CatalogError):
             catalog.get("h")
@@ -72,7 +78,6 @@ class TestDrop:
 
 class TestAccounting:
     def test_total_data_pages(self, catalog):
-        heap = catalog.create_heap("h", schema())
-        for i in range(100):
-            heap.insert((i, i))
-        assert catalog.total_data_pages() == heap.num_pages
+        tree = create(catalog, "h", [(i, i) for i in range(1000)])
+        assert tree.num_pages > 1
+        assert catalog.total_data_pages() == tree.num_pages

@@ -157,7 +157,7 @@ def _twins(policy, frozen):
 def _state(catalog, hf):
     pool, disk = catalog.pool, catalog.disk
     pages = [
-        (list(page.record_batch()), list(page._sizes), page.used_bytes, page.version)
+        (list(page.record_batch()), list(page._sizes), page.used_bytes)
         for page in map(disk.peek_page, disk.page_ids(hf.file_id))
     ]
     return (

@@ -153,19 +153,23 @@ PER_PAGE = 14  # OID records to a 128-byte page
 
 
 def _twin(template=None):
-    """A 4-frame catalog with an OID heap ``h`` and a scratch heap ``other``
-    (or a private clone of the frozen ``template`` catalog)."""
+    """``(catalog, h, other)``: a 4-frame catalog with an OID heap ``h`` and
+    a scratch heap ``other`` (or a private clone of the frozen ``template``
+    triple)."""
     if template is not None:
-        catalog = copy.deepcopy(template, {id(template.disk): template.disk.clone()})
-    else:
-        catalog = Catalog(buffer_pages=4, page_size=128)
-        catalog.create_heap("h", OID_SCHEMA)
-        catalog.create_heap("other", OID_SCHEMA)
-    return catalog, catalog.get("h")
+        disk = template[0].disk
+        return copy.deepcopy(template, {id(disk): disk.clone()})
+    catalog = Catalog(buffer_pages=4, page_size=128)
+    return (
+        catalog,
+        HeapFile(catalog.pool, OID_SCHEMA, "h"),
+        HeapFile(catalog.pool, OID_SCHEMA, "other"),
+    )
 
 
-def _ledger(catalog, heap):
+def _ledger(twin):
     """Everything the two insert paths must leave identical."""
+    catalog, heap, _other = twin
     pool, disk = catalog.pool, catalog.disk
     pages = [disk.peek_page(pid) for pid in disk.page_ids(heap.file_id)]
     return {
@@ -174,7 +178,7 @@ def _ledger(catalog, heap):
         "lru": list(pool._frames),
         "dirty": [frame.dirty for frame in pool._frames.values()],
         "pages": [
-            (len(p), p.used_bytes, p.free_bytes, p.version, p.frozen, list(p._sizes))
+            (len(p), p.used_bytes, p.free_bytes, p.frozen, list(p._sizes))
             for p in pages
         ],
         "records": [record for p in pages for record in p.record_batch()],
@@ -192,10 +196,11 @@ def _run(steps, template=None):
     batched, literal = _twin(template), _twin(template)
     for step in steps:
         outcomes = []
-        for (catalog, heap), as_list in ((batched, True), (literal, False)):
+        for twin, as_list in ((batched, True), (literal, False)):
+            heap = twin[1]
             try:
                 if callable(step):
-                    step(catalog)
+                    step(twin)
                 elif as_list:
                     heap.insert_many(list(step))
                 else:
@@ -205,17 +210,17 @@ def _run(steps, template=None):
             except (RecordError, TypeError) as exc:  # TypeError: no len()
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
-        assert _ledger(*batched) == _ledger(*literal)
-    return _ledger(*batched)
+        assert _ledger(batched) == _ledger(literal)
+    return _ledger(batched)
 
 
 def _oids(start, count):
     return [(k,) for k in range(start, start + count)]
 
 
-def _evict_tail(catalog):
+def _evict_tail(twin):
     """Foreign pool traffic: enough fresh pages to push ``h``'s tail out."""
-    catalog.get("other").insert_many(_oids(0, PER_PAGE * 5))
+    twin[2].insert_many(_oids(0, PER_PAGE * 5))
 
 
 class TestInsertManyMatchesInsert:
@@ -236,22 +241,22 @@ class TestInsertManyMatchesInsert:
         assert ledger["stats"]["misses"] > 0  # the tail really was re-read
 
     def test_frozen_snapshot_clone_tail(self):
-        template, heap = _twin()
+        template = catalog, heap, _other = _twin()
         heap.insert_many(_oids(0, 20))
-        template.pool.clear(flush=True)
-        template.disk.freeze()
+        catalog.pool.clear(flush=True)
+        catalog.disk.freeze()
         ledger = _run([_oids(20, 4), _oids(24, 30)], template)
-        assert [page[4] for page in ledger["pages"]] == [True, False, False, False]
+        assert [page[3] for page in ledger["pages"]] == [True, False, False, False]
         # The shared template page is untouched by either clone.
-        assert len(template.disk.peek_page(PageId(heap.file_id, 1))) == 20 - PER_PAGE
+        assert len(catalog.disk.peek_page(PageId(heap.file_id, 1))) == 20 - PER_PAGE
 
     def test_full_frozen_tail_is_still_copied_on_its_touch(self):
-        template, heap = _twin()
+        template = catalog, heap, _other = _twin()
         heap.insert_many(_oids(0, PER_PAGE))
-        template.pool.clear(flush=True)
-        template.disk.freeze()
+        catalog.pool.clear(flush=True)
+        catalog.disk.freeze()
         ledger = _run([_oids(20, 2)], template)
-        assert [page[4] for page in ledger["pages"]] == [False, False]
+        assert [page[3] for page in ledger["pages"]] == [False, False]
 
     @pytest.mark.parametrize("bad", [(7, 8), ("7",), (True,), 7])
     def test_bad_record_in_the_middle(self, bad):
@@ -263,22 +268,22 @@ class TestInsertManyMatchesInsert:
         # The generator fetches a page *after* its last record: the tail
         # is then no longer the page touched last (the next insert
         # re-fetches it, reordering the LRU).
-        def records(catalog):
+        def records(catalog, other):
             yield from _oids(0, 5)
-            catalog.pool.fetch(PageId(catalog.get("other").file_id, 0))
+            catalog.pool.fetch(PageId(other.file_id, 0))
 
         ledgers = []
         for lazy in (True, False):
-            catalog, heap = _twin()
-            catalog.get("other").insert((0,))
+            twin = catalog, heap, other = _twin()
+            other.insert((0,))
             heap.insert((50,))
             if lazy:
-                heap.insert_many(records(catalog))
+                heap.insert_many(records(catalog, other))
             else:
-                for record in records(catalog):
+                for record in records(catalog, other):
                     heap.insert(record)
             heap.insert((99,))
-            ledgers.append(_ledger(catalog, heap))
+            ledgers.append(_ledger(twin))
         assert ledgers[0] == ledgers[1]
 
 
@@ -295,14 +300,13 @@ def test_stale_lease_on_a_reused_frame():
     }
     for readmit in (False, True):
         for form, write in writes.items():
-            catalog, heap = _twin()
-            other = catalog.get("other")
+            catalog, heap, other = _twin()
             other.insert_many(_oids(0, PER_PAGE * 4))  # fills all four frames
             heap.insert_many([(0,)])  # LRU -> MRU: other 1, 2, 3, h 0
             tail = PageId(heap.file_id, 0)
             old_frame = catalog.pool.last  # h 0 was touched last
-            twin = copy.deepcopy(catalog)
-            for cat in (catalog, twin):
+            twin = copy.deepcopy((catalog, heap, other))
+            for cat in (catalog, twin[0]):
                 for page_no in (1, 2, 3, 0):  # three hits, then a miss evicting h 0
                     cat.pool.fetch(PageId(other.file_id, page_no))
                 if readmit:
@@ -314,8 +318,8 @@ def test_stale_lease_on_a_reused_frame():
                 assert catalog.pool.last is not old_frame
             write(heap)
             for record in records:
-                twin.get("h").insert(record)
-            assert _ledger(catalog, heap) == _ledger(twin, twin.get("h")), (form, readmit)
+                twin[1].insert(record)
+            assert _ledger((catalog, heap, other)) == _ledger(twin), (form, readmit)
             assert catalog.disk.peek_page(tail).record_batch() == [(0,), (1,), (2,)]
             assert old_frame.page is took_over and not old_frame.dirty
             assert took_over.record_batch() == _oids(0, PER_PAGE)

@@ -1,5 +1,6 @@
 """ISAM indexes: static build and probes."""
 
+import copy
 import random
 
 import pytest
@@ -141,6 +142,13 @@ def _bump_the_tally(isam):
     isam._num_entries += 1
 
 
+def _rewrite_a_memoized_key(isam):
+    # In order and below the next page, on a page a probe has memoized:
+    # only the memo check can tell.
+    assert isam.get(2) == 200
+    _page(isam, 0).replace(1, (3, 200))
+
+
 _ISAM_FAULTS = [
     (_extra_directory_key, "directory has"),
     (_repeat_a_directory_key, "not strictly increasing"),
@@ -150,6 +158,7 @@ _ISAM_FAULTS = [
     (_shift_a_directory_key, "opens with"),
     (_lower_a_directory_key_to_the_last_key_before, "above the next directory key"),
     (_bump_the_tally, "pages hold"),
+    (_rewrite_a_memoized_key, "memoized keys of page 0 differ"),
 ]
 
 
@@ -162,6 +171,18 @@ def test_check_invariants_catches(index, corrupt, message):
     corrupt(index)
     with pytest.raises(AssertionError, match=message):
         index.check_invariants()
+
+
+def test_clones_share_one_key_memo(catalog, index):
+    catalog.pool.clear(flush=True)
+    disk = catalog.disk
+    disk.freeze()
+    one, two = (copy.deepcopy(index, {id(disk): disk.clone()}) for _ in range(2))
+    assert one.get(2) == 200
+    assert one._memo is two._memo is index._memo
+    assert two._memo.keys  # filled by the other clone's probe
+    assert two.get(2) == 200 and two.get(3) is None
+    two.check_invariants()
 
 
 def test_check_invariants_catches_an_unbuilt_index_carrying_entries(catalog):
